@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench figures examples vet fmt lint cover check chaos overload tournament clean
+.PHONY: all build test race bench benchmod figures examples vet fmt lint cover check chaos overload tournament clean
 
 all: check
 
@@ -12,9 +12,10 @@ all: check
 # harness (twice: IR optimizer on, then off via SKANDIUM_OPT=off), the
 # stream lifecycle tests of the root package, the cluster chaos suite
 # (network faults, partitions, flaps), the virtual-time overload
-# harness (multi-tenant fairness invariants), and the seeded policy
-# tournament (adaptation policies raced across the scenario corpus).
-check: build test vet lint race chaos overload tournament
+# harness (multi-tenant fairness invariants), the seeded policy
+# tournament (adaptation policies raced across the scenario corpus), and
+# the nested benchmark module's vet + self-test.
+check: build test vet lint race chaos overload tournament benchmod
 
 build:
 	$(GO) build ./...
@@ -25,7 +26,7 @@ test:
 race:
 	$(GO) test -race ./internal/exec ./internal/event ./internal/sim ./internal/core ./internal/server ./internal/chaos ./internal/journal ./internal/plan ./internal/conformance ./internal/remote ./internal/tournament
 	SKANDIUM_OPT=off $(GO) test -race -count=1 ./internal/conformance
-	$(GO) test -race -run 'TestClose|TestDrain|TestStream|TestChaos|TestWithRetry|TestWCTGoal' .
+	$(GO) test -race -run 'TestClose|TestDrain|TestStream|TestChaos|TestWithRetry|TestWCTGoal|TestGoalExecution' .
 
 # chaos runs the seeded cluster chaos scenarios (RPC drops, one
 # partition/heal cycle, ambiguous replays, probation re-admission,
@@ -46,6 +47,13 @@ overload:
 
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .
+
+# benchmod compiles and self-tests the end-to-end benchmark harness. bench/
+# is a module of its own (BENCHMARK.json's contract), so ./... never sees
+# it: without this line it can rot against internal/* unnoticed.
+benchmod:
+	$(GO) -C bench vet .
+	$(GO) -C bench test ./...
 
 # tournament races every registered adaptation policy across the seeded
 # scenario corpus (virtual time — a couple of seconds of wall clock) and

@@ -119,7 +119,7 @@ func parse(r io.Reader) (*Doc, error) {
 		if err != nil {
 			continue // e.g. "BenchmarkX    --- FAIL"
 		}
-		res := Result{Name: fields[0], Iterations: iters}
+		res := Result{Name: trimProcs(fields[0]), Iterations: iters}
 		// Remaining fields come in (value, unit) pairs.
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
@@ -149,6 +149,20 @@ func parse(r io.Reader) (*Doc, error) {
 		return nil, fmt.Errorf("no benchmark lines found on stdin")
 	}
 	return doc, nil
+}
+
+// trimProcs drops the "-N" GOMAXPROCS suffix the testing package appends
+// to benchmark names when N != 1, so a recording made on one machine still
+// names the same benchmarks on a runner with another core count.
+func trimProcs(name string) string {
+	i := strings.LastIndexByte(name, '-')
+	if i < 0 || i == len(name)-1 {
+		return name
+	}
+	if _, err := strconv.ParseUint(name[i+1:], 10, 16); err != nil {
+		return name
+	}
+	return name[:i]
 }
 
 func load(path string) (map[string]Result, error) {

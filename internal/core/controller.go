@@ -216,6 +216,9 @@ func NewController(cfg Config, node *skel.Node, lever LPControl, est *estimate.R
 	}
 }
 
+// Tracker returns the activation tracker the controller predicts from.
+func (c *Controller) Tracker() *statemachine.Tracker { return c.tracker }
+
 // Attach registers tracker then controller on reg, preserving the required
 // order, and marks the execution start time.
 func Attach(reg *event.Registry, tracker *statemachine.Tracker, c *Controller) {

@@ -17,6 +17,7 @@ package event
 import (
 	"fmt"
 	"math/bits"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -144,15 +145,40 @@ func (e *Event) CurrentSkel() *skel.Node { return e.Node }
 
 // String renders the event in the paper's ∆@notation for logs and tests.
 func (e *Event) String() string {
-	code := map[Where]string{
-		Skeleton: "", Split: "s", Merge: "m", Condition: "c", NestedSkel: "n",
-		Retry: "r", Fault: "f",
-	}[e.Where]
-	wh := "b"
-	if e.When == After {
-		wh = "a"
+	var buf [32]byte
+	return string(AppendNotation(buf[:0], e.Node.Kind(), e.When, e.Where, e.Index))
+}
+
+// AppendNotation appends the ∆@notation of an event with the given
+// coordinates — "map@as(3)": pattern, b/a for before/after, the position's
+// letter (none for the skeleton bracket itself), activation index — to dst.
+// Readers that keep event coordinates instead of events (the daemon's job
+// log) render through it, so the notation has one definition.
+func AppendNotation(dst []byte, kind skel.Kind, when When, where Where, index int64) []byte {
+	dst = append(dst, kind.String()...)
+	dst = append(dst, '@')
+	if when == After {
+		dst = append(dst, 'a')
+	} else {
+		dst = append(dst, 'b')
 	}
-	return fmt.Sprintf("%s@%s%s(%d)", e.Node.Kind(), wh, code, e.Index)
+	switch where {
+	case Split:
+		dst = append(dst, 's')
+	case Merge:
+		dst = append(dst, 'm')
+	case Condition:
+		dst = append(dst, 'c')
+	case NestedSkel:
+		dst = append(dst, 'n')
+	case Retry:
+		dst = append(dst, 'r')
+	case Fault:
+		dst = append(dst, 'f')
+	}
+	dst = append(dst, '(')
+	dst = strconv.AppendInt(dst, index, 10)
+	return append(dst, ')')
 }
 
 // Listener receives events. Handler returns the (possibly replaced) partial

@@ -155,6 +155,40 @@ func TestEventStringNotation(t *testing.T) {
 	}
 }
 
+// TestNotationMatchesLegacyFormat pins the switch+strconv renderer to the
+// map-literal+Sprintf one it replaced, over every When × Where × Kind
+// (one value past each enum's end included) and awkward indices.
+func TestNotationMatchesLegacyFormat(t *testing.T) {
+	legacy := func(kind skel.Kind, when When, where Where, index int64) string {
+		code := map[Where]string{
+			Skeleton: "", Split: "s", Merge: "m", Condition: "c", NestedSkel: "n",
+			Retry: "r", Fault: "f",
+		}[where]
+		wh := "b"
+		if when == After {
+			wh = "a"
+		}
+		return fmt.Sprintf("%s@%s%s(%d)", kind, wh, code, index)
+	}
+	for kind := skel.Seq; kind <= skel.DaC+1; kind++ {
+		for when := Before; when <= After+1; when++ {
+			for where := Skeleton; where <= Fault+1; where++ {
+				for _, index := range []int64{0, 7, -1, 1<<63 - 1, -1 << 63} {
+					got := string(AppendNotation(nil, kind, when, where, index))
+					if want := legacy(kind, when, where, index); got != want {
+						t.Fatalf("kind %d when %d where %d index %d: got %q, want %q",
+							kind, when, where, index, got, want)
+					}
+				}
+			}
+		}
+	}
+	e := &Event{Node: seqNode(), When: After, Where: Fault, Index: 1 << 40}
+	if got, want := e.String(), legacy(skel.Seq, After, Fault, 1<<40); got != want {
+		t.Fatalf("String: got %q, want %q", got, want)
+	}
+}
+
 func TestWhenWhereStrings(t *testing.T) {
 	if fmt.Sprint(Before, After) != "before after" {
 		t.Fatalf("When strings: %v %v", Before, After)

@@ -298,10 +298,7 @@ func (r *Root) backoff(attempt int) time.Duration {
 		d = float64(pol.MaxDelay)
 	}
 	if pol.Jitter > 0 {
-		r.rngMu.Lock()
-		u := r.rng.Float64()
-		r.rngMu.Unlock()
-		d *= 1 + pol.Jitter*(2*u-1)
+		d *= 1 + pol.Jitter*(2*r.jitter()-1)
 	}
 	if d < 0 {
 		d = 0

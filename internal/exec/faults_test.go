@@ -3,6 +3,7 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -279,6 +280,37 @@ func TestBackoffVirtualClockAndJitterDeterminism(t *testing.T) {
 	}
 	if a, b := adv(), adv(); a != b || a == 70*time.Millisecond {
 		t.Fatalf("jittered backoffs %v vs %v: want equal and != unjittered 70ms", a, b)
+	}
+}
+
+// TestBackoffSourceSeededOnFirstUse: the jitter source is built by the first
+// backoff that draws from it, not per root, and the sequence it yields is the
+// one eager seeding in NewRoot/SetFaults gave — a function of Retry.Seed
+// alone, with 0 meaning 1.
+func TestBackoffSourceSeededOnFirstUse(t *testing.T) {
+	pool := NewPool(clock.System, 1, 0)
+	defer pool.Close()
+	for _, seed := range []int64{0, 1, 7, 99} {
+		pol := RetryPolicy{MaxAttempts: 8, BaseDelay: 10 * time.Millisecond, Multiplier: 2, Jitter: 0.5, Seed: seed}
+		root := NewRoot(pool, nil, nil)
+		root.SetFaults(FaultConfig{Retry: pol})
+		if root.rng != nil {
+			t.Fatal("jitter source seeded before any backoff")
+		}
+		eager := rand.New(rand.NewSource(max(seed, 1)))
+		for attempt := 1; attempt <= 6; attempt++ {
+			d := float64(pol.BaseDelay) * float64(int(1)<<(attempt-1))
+			want := time.Duration(d * (1 + pol.Jitter*(2*eager.Float64()-1)))
+			if got := root.backoff(attempt); got != want {
+				t.Fatalf("seed %d attempt %d: backoff %v, want %v", seed, attempt, got, want)
+			}
+		}
+	}
+	// Without jitter nothing ever draws, so nothing is ever seeded.
+	root := NewRoot(pool, nil, nil)
+	root.SetFaults(FaultConfig{Retry: RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond}})
+	if root.backoff(2); root.rng != nil {
+		t.Fatal("unjittered backoff seeded a source")
 	}
 }
 

@@ -30,8 +30,9 @@ type Root struct {
 	start    time.Time
 
 	// Fault tolerance: the policy envelope (immutable after Start), the
-	// jitter source it draws from, and the branch failures absorbed by
-	// partial-failure policies.
+	// jitter source it draws from (seeded by the first backoff that needs
+	// it: most executions never retry, and a source is 5 KB and 10 µs), and
+	// the branch failures absorbed by partial-failure policies.
 	faults      FaultConfig
 	ctrs        *FaultCounters
 	rngMu       sync.Mutex
@@ -54,7 +55,6 @@ func NewRoot(pool *Pool, events *event.Registry, clk clock.Clock) *Root {
 	}
 	r := &Root{pool: pool, events: events, clk: clk, future: NewFuture()}
 	r.ctrs = &FaultCounters{}
-	r.rng = rand.New(rand.NewSource(1))
 	return r
 }
 
@@ -66,11 +66,21 @@ func (r *Root) SetFaults(cfg FaultConfig) {
 	if cfg.Counters != nil {
 		r.ctrs = cfg.Counters
 	}
-	seed := cfg.Retry.Seed
-	if seed == 0 {
-		seed = 1
+}
+
+// jitter draws the next uniform [0,1) variate of the backoff sequence,
+// which is a function of the retry policy's seed alone (0 means 1).
+func (r *Root) jitter() float64 {
+	r.rngMu.Lock()
+	defer r.rngMu.Unlock()
+	if r.rng == nil {
+		seed := r.faults.Retry.Seed
+		if seed == 0 {
+			seed = 1
+		}
+		r.rng = rand.New(rand.NewSource(seed))
 	}
-	r.rng = rand.New(rand.NewSource(seed))
+	return r.rng.Float64()
 }
 
 // Faults returns the fault-tolerance policy in force.

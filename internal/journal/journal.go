@@ -457,7 +457,17 @@ func (j *Journal) syncDir() {
 	}
 }
 
-// fsyncLoop is the interval policy's timer.
+// timerSync is what the interval policy's timer calls to sync the log file
+// (a variable so a test can hold a sync up).
+var timerSync = (*os.File).Sync
+
+// fsyncLoop is the interval policy's timer. The sync itself runs outside
+// j.mu: a disk that takes 100 ms over one fsync must not hold every Submit,
+// Start and Finish of the daemon up for as long. What is appended while a
+// sync is in flight marks the log dirty again and goes out with the next
+// tick, so the loss window stays one period plus one sync. A rotation may close
+// the file under the sync; os.File defers the close to the sync's return,
+// and the snapshot the rotation wrote already covers those records.
 func (j *Journal) fsyncLoop() {
 	defer j.wg.Done()
 	t := time.NewTicker(j.opt.FsyncEvery)
@@ -468,11 +478,20 @@ func (j *Journal) fsyncLoop() {
 			return
 		case <-t.C:
 			j.mu.Lock()
-			if j.dirty && !j.closed {
-				if err := j.f.Sync(); err == nil {
-					j.ctr.Fsyncs++
-					j.dirty = false
-				}
+			f, due := j.f, j.dirty && !j.closed
+			if due {
+				j.dirty = false
+			}
+			j.mu.Unlock()
+			if !due {
+				continue
+			}
+			err := timerSync(f)
+			j.mu.Lock()
+			if err == nil {
+				j.ctr.Fsyncs++
+			} else if j.f == f {
+				j.dirty = true
 			}
 			j.mu.Unlock()
 		}

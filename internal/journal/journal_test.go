@@ -2,6 +2,7 @@ package journal
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -297,6 +298,66 @@ func TestIntervalFsync(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatalf("no interval fsync within 2s: %+v", j.Counters())
+}
+
+// TestIntervalFsyncOutsideLock: a timer sync that the disk holds up blocks
+// neither appends nor a rotation, and what was appended meanwhile is synced
+// by a later tick.
+func TestIntervalFsyncOutsideLock(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		rotateBytes int64
+		wantFsyncs  uint64 // the held-up sync, unless a rotation closed its file, and a later one
+	}{{"append", 0, 2}, {"rotate", 2048, 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			entered, release := make(chan struct{}, 1), make(chan struct{})
+			timerSync = func(f *os.File) error {
+				select {
+				case entered <- struct{}{}:
+					<-release // the first sync hangs until the test lets it go
+				default:
+				}
+				return f.Sync()
+			}
+			defer func() { timerSync = (*os.File).Sync }()
+
+			j, _ := openT(t, t.TempDir(), Options{Fsync: FsyncInterval, FsyncEvery: 5 * time.Millisecond, RotateBytes: tc.rotateBytes})
+			if err := j.Submit("job-0", spec("x")); err != nil {
+				t.Fatal(err)
+			}
+			<-entered
+			done := make(chan error, 1)
+			go func() {
+				var err error
+				for i := 1; i <= 40 && err == nil; i++ {
+					err = j.Submit(fmt.Sprintf("job-%d", i), spec("x"))
+				}
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("appends wait for the timer's fsync")
+			}
+			if c := j.Counters(); c.Fsyncs != 0 || (c.Rotations > 0) != (tc.rotateBytes > 0) {
+				t.Fatalf("no sync can have finished yet, rotations only when asked for: %+v", c)
+			}
+			close(release)
+			deadline := time.Now().Add(2 * time.Second)
+			for j.Counters().Fsyncs < tc.wantFsyncs {
+				if time.Now().After(deadline) {
+					t.Fatalf("records appended during a sync were not synced by a later tick: %+v", j.Counters())
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+			if got := len(j.States()); got != 41 {
+				t.Fatalf("%d jobs in the table, want 41", got)
+			}
+		})
+	}
 }
 
 // TestParseFsync covers the flag parser.

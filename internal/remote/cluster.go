@@ -289,6 +289,10 @@ func (c *Cluster) probeLoop() {
 			for _, n := range c.snapshotNodes() {
 				c.probeOne(n)
 			}
+			// Divide the budget on the reports just read, not up to a
+			// rebalance period later: the arbiter's own ticker runs out of
+			// phase with this one.
+			c.arb.Rebalance()
 		}
 	}
 }

@@ -1,136 +1,430 @@
 package server
 
 import (
+	"context"
+	"io"
+	"math"
+	"sort"
+	"strconv"
 	"sync"
 	"time"
+	"unicode/utf8"
 
 	"skandium/internal/event"
+	"skandium/internal/skel"
 )
 
-// eventRecord is one job event rendered for the NDJSON stream. Times are
-// milliseconds since the job start, so clients need no clock correlation.
-type eventRecord struct {
-	Seq    int64   `json:"seq"`
-	TMS    float64 `json:"t_ms"`
-	Ev     string  `json:"ev"` // the paper's ∆@notation, e.g. "map@as(3)"
-	Kind   string  `json:"kind"`
-	When   string  `json:"when"`
-	Where  string  `json:"where"`
-	Index  int64   `json:"index"`
-	Parent int64   `json:"parent"`
-	Card   int     `json:"card,omitempty"`
-	Branch int     `json:"branch,omitempty"`
-	Iter   int     `json:"iter,omitempty"`
-	Worker int     `json:"worker"`
-	Err    string  `json:"err,omitempty"`
-	// Truncated marks the synthetic marker record a follower receives when
-	// the ring dropped records between its cursor and the oldest retained
-	// one; it holds the number of records lost to the reader.
-	Truncated int64 `json:"truncated,omitempty"`
+// record is one retained job event: fixed size and free of pointers, so a
+// chunk of them costs the worker one 48-byte store and the collector
+// nothing to mark. Everything a reader shows — the ∆@notation, the kind,
+// when and where names, t_ms — is rendered from it on read.
+type record struct {
+	t      int64 // nanoseconds since the job was created
+	index  int64
+	parent int64
+	card   int32
+	branch int32
+	iter   int32
+	worker int32
+	kind   uint8 // skel.Kind
+	when   uint8 // event.When
+	where  uint8 // event.Where
+	side   uint8 // sideNone, or what the entry of eventLog.side with this seq holds
 }
 
-// eventLog is a bounded ring of a job's events with follow support: the
-// listener appends from worker goroutines (it must stay cheap — no JSON
-// here), NDJSON handlers snapshot and wait for growth.
+const (
+	sideNone uint8 = iota
+	sideErr        // a skeleton event that carried an error: side.err
+	sideText       // not a skeleton event: ev, kind, when, where, err are all in side
+)
+
+// sideRecord is the pointerful part of the few records that have one:
+// error strings of failed muscles, and the daemon's own free-text records
+// (brownout, cluster routing, node transitions, policy fallback).
+type sideRecord struct {
+	seq                        int64
+	ev, kind, when, where, err string
+}
+
+const (
+	// chunkLen records make a chunk (12 KB). A job's first chunk starts at
+	// firstChunkLen and doubles, so a cluster-routed job's single record
+	// costs 192 bytes and a five-task job's events under 1 KB.
+	chunkLen      = 256
+	firstChunkLen = 4
+)
+
+// eventLog is a bounded ring of a job's events with follow support. The
+// listener appends from worker goroutines; NDJSON handlers copy records out
+// under the lock and render them outside it (see logReader).
 type eventLog struct {
-	mu      sync.Mutex
-	start   time.Time
-	base    int64 // sequence number of buf[0]
-	buf     []eventRecord
-	cap     int
-	dropped int64 // records pushed out of the ring (memory stays bounded)
-	closed  bool
-	changed chan struct{} // replaced on every append/close; closed to wake waiters
+	start time.Time
+	cap   int64
+
+	mu     sync.Mutex
+	n      int64        // records ever appended; seq n-1 is the newest
+	chunks [][]record   // seq s lives in slot s%cap, chunkLen slots per chunk
+	side   []sideRecord // of the retained records whose side != sideNone, by seq
+	closed bool
+	// parked holds the wake channel of every follower that found nothing to
+	// read and went to sleep. append and close signal and clear it; with
+	// nobody parked an append touches no channel at all.
+	parked []chan struct{}
 }
 
 func newEventLog(capacity int, start time.Time) *eventLog {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &eventLog{start: start, cap: capacity, changed: make(chan struct{})}
+	return &eventLog{start: start, cap: int64(capacity)}
 }
 
-// listener adapts the log to the stream's event hook.
+// clamp32 keeps an out-of-range count at the int32 bound instead of
+// wrapping it (a fan-out or iteration count past 2^31 does not fit in
+// memory, but a wrapped one would be a lie in the stream).
+func clamp32(v int) int32 {
+	return int32(max(math.MinInt32, min(math.MaxInt32, v)))
+}
+
+// listener adapts the log to the stream's event hook. It copies what it
+// keeps (the *Event is recycled after the call) and builds no strings: a
+// failed muscle's error text is the one allocation, on error events only.
 func (l *eventLog) listener() event.Listener {
 	return event.Func(func(e *event.Event) any {
-		rec := eventRecord{
-			TMS:    float64(e.Time.Sub(l.start)) / float64(time.Millisecond),
-			Ev:     e.String(),
-			Kind:   e.Node.Kind().String(),
-			When:   e.When.String(),
-			Where:  e.Where.String(),
-			Index:  e.Index,
-			Parent: e.Parent,
-			Card:   e.Card,
-			Branch: e.Branch,
-			Iter:   e.Iter,
-			Worker: e.Worker,
+		rec := record{
+			t:      int64(e.Time.Sub(l.start)),
+			index:  e.Index,
+			parent: e.Parent,
+			card:   clamp32(e.Card),
+			branch: clamp32(e.Branch),
+			iter:   clamp32(e.Iter),
+			worker: clamp32(e.Worker),
+			kind:   uint8(e.Node.Kind()),
+			when:   uint8(e.When),
+			where:  uint8(e.Where),
 		}
+		var side sideRecord
 		if e.Err != nil {
-			rec.Err = e.Err.Error()
+			rec.side, side.err = sideErr, e.Err.Error()
 		}
-		l.append(rec)
+		l.append(rec, side)
 		return e.Param
 	})
 }
 
-func (l *eventLog) append(rec eventRecord) {
+// appendText records something the daemon itself has to say about the job
+// at instant at (not a skeleton event: no index, parent or worker).
+func (l *eventLog) appendText(at time.Time, ev, kind, when, where, err string) {
+	l.append(record{t: int64(at.Sub(l.start)), side: sideText},
+		sideRecord{ev: ev, kind: kind, when: when, where: where, err: err})
+}
+
+// append stores rec under the next sequence number, overwriting the oldest
+// record once the ring is full, and wakes the followers that are parked.
+func (l *eventLog) append(rec record, side sideRecord) {
 	l.mu.Lock()
-	rec.Seq = l.base + int64(len(l.buf))
-	l.buf = append(l.buf, rec)
-	if len(l.buf) > l.cap {
-		drop := len(l.buf) - l.cap
-		l.buf = append(l.buf[:0], l.buf[drop:]...)
-		l.base += int64(drop)
-		l.dropped += int64(drop)
+	slot := int(l.n % l.cap)
+	c, o := slot/chunkLen, slot%chunkLen
+	switch {
+	case c == len(l.chunks):
+		size := min(chunkLen, int(l.cap)-c*chunkLen)
+		if c == 0 {
+			size = min(size, firstChunkLen)
+		}
+		l.chunks = append(l.chunks, make([]record, size))
+	case o == len(l.chunks[c]):
+		// Only the first chunk is ever short: it reaches its full length
+		// before the second one exists.
+		grown := make([]record, min(2*o, chunkLen, int(l.cap)))
+		copy(grown, l.chunks[c])
+		l.chunks[c] = grown
 	}
-	ch := l.changed
-	l.changed = make(chan struct{})
+	at := &l.chunks[c][o]
+	if l.n >= l.cap && at.side != sideNone {
+		// The record being overwritten is the oldest, and so is its entry.
+		l.side[0] = sideRecord{}
+		l.side = l.side[1:]
+	}
+	*at = rec
+	if rec.side != sideNone {
+		side.seq = l.n
+		l.side = append(l.side, side)
+	}
+	l.n++
+	l.wakeLocked()
 	l.mu.Unlock()
-	close(ch)
+}
+
+// wakeLocked signals every parked follower. A wake channel holds one token
+// and a reader parks only after taking it, so the channel has room; the
+// default arm keeps even a broken invariant from blocking a worker.
+func (l *eventLog) wakeLocked() {
+	for i, ch := range l.parked {
+		select {
+		case ch <- struct{}{}:
+		default:
+		}
+		l.parked[i] = nil
+	}
+	l.parked = l.parked[:0]
 }
 
 // close marks the log complete (job finished) and wakes all followers.
 func (l *eventLog) close() {
 	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return
-	}
 	l.closed = true
-	ch := l.changed
-	l.changed = make(chan struct{})
+	l.wakeLocked()
 	l.mu.Unlock()
-	close(ch)
-}
-
-// snapshot returns the records with Seq >= from, the next cursor, whether
-// the log is complete, how many records between from and the oldest
-// retained one were lost to the ring (the caller surfaces those with an
-// explicit truncation marker), and a channel that closes on the next change.
-func (l *eventLog) snapshot(from int64) (recs []eventRecord, next int64, done bool, lost int64, changed <-chan struct{}) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if from < l.base {
-		lost = l.base - from // older records fell off the ring
-		from = l.base
-	}
-	if idx := from - l.base; idx < int64(len(l.buf)) {
-		recs = append(recs, l.buf[idx:]...)
-	}
-	return recs, l.base + int64(len(l.buf)), l.closed, lost, l.changed
 }
 
 // len returns the number of events ever appended.
 func (l *eventLog) len() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.base + int64(len(l.buf))
+	return l.n
 }
 
 // droppedCount returns how many records the ring has evicted so far.
 func (l *eventLog) droppedCount() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.dropped
+	return max(0, l.n-l.cap)
+}
+
+// readBatch is how many records a reader copies out per critical section:
+// the lock is held for a 12 KB copy, whatever the reader's backlog.
+const readBatch = chunkLen
+
+// logReader is one NDJSON reader's cursor into a log, with the scratch it
+// reuses from batch to batch. It belongs to one goroutine.
+type logReader struct {
+	l    *eventLog
+	from int64 // next sequence number to deliver
+	recs []record
+	side []sideRecord // of the copied records that have one, in order
+	buf  []byte
+	wake chan struct{}
+}
+
+// reader returns a cursor that delivers the records with seq >= from. A
+// from past the end starts at the end: only what is appended later.
+func (l *eventLog) reader(from int64) *logReader {
+	return &logReader{l: l, from: max(0, from), wake: make(chan struct{}, 1)}
+}
+
+// next renders the next batch of records as NDJSON (valid until the next
+// call) and reports whether the log is complete. Records the ring evicted
+// between the cursor and the oldest retained one are announced by a
+// truncation marker carrying their number instead of silently skipped.
+// When nothing is available on a live log and park is set, the reader is
+// registered as parked in the same critical section that found nothing —
+// no append can slip between — and the caller waits on wake.
+func (rd *logReader) next(park bool) (out []byte, done bool) {
+	l := rd.l
+	rd.recs, rd.side = rd.recs[:0], rd.side[:0]
+
+	l.mu.Lock()
+	var lost int64
+	if base := max(0, l.n-l.cap); rd.from < base {
+		lost = base - rd.from
+		rd.from = base
+	}
+	rd.from = min(rd.from, l.n)
+	first := rd.from
+	for end := min(l.n, first+readBatch); rd.from < end; {
+		slot := int(rd.from % l.cap)
+		run := l.chunks[slot/chunkLen][slot%chunkLen:]
+		run = run[:min(int64(len(run)), end-rd.from)]
+		rd.recs = append(rd.recs, run...)
+		rd.from += int64(len(run))
+	}
+	at := sort.Search(len(l.side), func(i int) bool { return l.side[i].seq >= first })
+	for ; at < len(l.side) && l.side[at].seq < rd.from; at++ {
+		rd.side = append(rd.side, l.side[at])
+	}
+	done = l.closed
+	if park && !done && len(rd.recs) == 0 {
+		l.parked = append(l.parked, rd.wake)
+	}
+	l.mu.Unlock()
+
+	buf := rd.buf[:0]
+	if lost > 0 {
+		buf = appendTruncated(buf, first, lost)
+	}
+	side := rd.side
+	for i := range rd.recs {
+		rec := &rd.recs[i]
+		var sr *sideRecord
+		if rec.side != sideNone {
+			sr, side = &side[0], side[1:]
+		}
+		buf = appendRecord(buf, first+int64(i), rec, sr)
+	}
+	rd.buf = buf
+	return buf, done
+}
+
+// stream writes the log from the cursor on to w as NDJSON, one Write and
+// one flush per batch. Without follow it returns once it has caught up;
+// with follow it parks whenever it has, and returns when the log is
+// complete or ctx ends. Having written, it drains again before it parks,
+// so a burst of events costs a follower one wake-up.
+func (rd *logReader) stream(ctx context.Context, w io.Writer, flush func(), follow bool) {
+	for {
+		out, done := rd.next(follow)
+		if len(out) > 0 {
+			if _, err := w.Write(out); err != nil {
+				return
+			}
+			flush()
+			continue
+		}
+		if !follow || done {
+			return
+		}
+		select {
+		case <-rd.wake:
+		case <-ctx.Done():
+			rd.leave()
+			return
+		}
+	}
+}
+
+// leave withdraws a parked reader whose client went away.
+func (rd *logReader) leave() {
+	l := rd.l
+	l.mu.Lock()
+	for i, ch := range l.parked {
+		if ch == rd.wake {
+			l.parked = append(l.parked[:i], l.parked[i+1:]...)
+			break
+		}
+	}
+	l.mu.Unlock()
+}
+
+// appendRecord renders one record as its NDJSON line — field for field and
+// byte for byte what encoding/json makes of
+//
+//	struct {
+//		Seq int64 `json:"seq"`; TMS float64 `json:"t_ms"`; Ev, Kind, When, Where string
+//		Index, Parent int64; Card, Branch, Iter int `json:",omitempty"`; Worker int
+//		Err string `json:"err,omitempty"`; Truncated int64 `json:"truncated,omitempty"`
+//	}
+//
+// (the test file keeps that struct and holds the two equal under fuzzing).
+// Times are milliseconds since the job start, so clients need no clock
+// correlation; ev is the paper's ∆@notation, e.g. "map@as(3)".
+func appendRecord(dst []byte, seq int64, rec *record, side *sideRecord) []byte {
+	dst = append(dst, `{"seq":`...)
+	dst = strconv.AppendInt(dst, seq, 10)
+	dst = append(dst, `,"t_ms":`...)
+	// Whole nanoseconds over 1e6 are either 0 or within [1e-6, 1e21), where
+	// encoding/json formats floats with 'f' and the shortest digits.
+	dst = strconv.AppendFloat(dst, float64(rec.t)/float64(time.Millisecond), 'f', -1, 64)
+	dst = append(dst, `,"ev":`...)
+	var kind, when, where string
+	if rec.side == sideText {
+		dst = appendJSONString(dst, side.ev)
+		kind, when, where = side.kind, side.when, side.where
+	} else {
+		k, wn, wr := skel.Kind(rec.kind), event.When(rec.when), event.Where(rec.where)
+		var ev [40]byte
+		dst = appendJSONString(dst, event.AppendNotation(ev[:0], k, wn, wr, rec.index))
+		kind, when, where = k.String(), wn.String(), wr.String()
+	}
+	dst = append(dst, `,"kind":`...)
+	dst = appendJSONString(dst, kind) // "d&c" needs the escaper
+	dst = append(dst, `,"when":`...)
+	dst = appendJSONString(dst, when)
+	dst = append(dst, `,"where":`...)
+	dst = appendJSONString(dst, where)
+	dst = append(dst, `,"index":`...)
+	dst = strconv.AppendInt(dst, rec.index, 10)
+	dst = append(dst, `,"parent":`...)
+	dst = strconv.AppendInt(dst, rec.parent, 10)
+	dst = appendOmitZero(dst, `,"card":`, rec.card)
+	dst = appendOmitZero(dst, `,"branch":`, rec.branch)
+	dst = appendOmitZero(dst, `,"iter":`, rec.iter)
+	dst = append(dst, `,"worker":`...)
+	dst = strconv.AppendInt(dst, int64(rec.worker), 10)
+	if side != nil && side.err != "" {
+		dst = append(dst, `,"err":`...)
+		dst = appendJSONString(dst, side.err)
+	}
+	return append(dst, "}\n"...)
+}
+
+func appendOmitZero(dst []byte, key string, v int32) []byte {
+	if v == 0 {
+		return dst
+	}
+	dst = append(dst, key...)
+	return strconv.AppendInt(dst, int64(v), 10)
+}
+
+// appendTruncated renders the synthetic marker a reader receives when the
+// ring dropped lost records before seq first, the oldest one it still has.
+func appendTruncated(dst []byte, first, lost int64) []byte {
+	dst = append(dst, `{"seq":`...)
+	dst = strconv.AppendInt(dst, first, 10)
+	dst = append(dst, `,"t_ms":0,"ev":"truncated","kind":"","when":"","where":"","index":0,"parent":0,"worker":0,"truncated":`...)
+	dst = strconv.AppendInt(dst, lost, 10)
+	return append(dst, "}\n"...)
+}
+
+const hexDigits = "0123456789abcdef"
+
+// appendJSONString quotes s the way encoding/json does with its default
+// HTML escaping: \" \\ \b \f \n \r \t, \u00XX for the other control bytes
+// and for < > &, \ufffd for invalid UTF-8, U+2028 and U+2029 escaped.
+func appendJSONString[S string | []byte](dst []byte, s S) []byte {
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		b := s[i]
+		if b >= utf8.RuneSelf {
+			// Convert at most one rune's bytes, so the string stays on the stack.
+			c, size := utf8.DecodeRuneInString(string(s[i:min(len(s), i+utf8.UTFMax)]))
+			switch {
+			case c == utf8.RuneError && size == 1:
+				dst = append(dst, s[start:i]...)
+				dst = append(dst, `\ufffd`...)
+				start = i + size
+			case c == '\u2028' || c == '\u2029':
+				dst = append(dst, s[start:i]...)
+				dst = append(dst, '\\', 'u', '2', '0', '2', hexDigits[c&0xF])
+				start = i + size
+			}
+			i += size
+			continue
+		}
+		if b >= ' ' && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
+			i++
+			continue
+		}
+		dst = append(dst, s[start:i]...)
+		switch b {
+		case '\\', '"':
+			dst = append(dst, '\\', b)
+		case '\b':
+			dst = append(dst, '\\', 'b')
+		case '\f':
+			dst = append(dst, '\\', 'f')
+		case '\n':
+			dst = append(dst, '\\', 'n')
+		case '\r':
+			dst = append(dst, '\\', 'r')
+		case '\t':
+			dst = append(dst, '\\', 't')
+		default:
+			dst = append(dst, '\\', 'u', '0', '0', hexDigits[b>>4], hexDigits[b&0xF])
+		}
+		i++
+		start = i
+	}
+	dst = append(dst, s[start:]...)
+	return append(dst, '"')
 }

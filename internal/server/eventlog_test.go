@@ -1,0 +1,543 @@
+package server
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"math/rand"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"skandium/internal/event"
+	"skandium/internal/muscle"
+	"skandium/internal/skel"
+)
+
+// ---------------------------------------------------------------------------
+// The reference: the slice-backed log and the encoding/json rendering this
+// package shipped before the compact ring, kept verbatim as the model the new
+// one is held to. Nothing outside this file uses it.
+
+type eventRecord struct {
+	Seq       int64   `json:"seq"`
+	TMS       float64 `json:"t_ms"`
+	Ev        string  `json:"ev"`
+	Kind      string  `json:"kind"`
+	When      string  `json:"when"`
+	Where     string  `json:"where"`
+	Index     int64   `json:"index"`
+	Parent    int64   `json:"parent"`
+	Card      int     `json:"card,omitempty"`
+	Branch    int     `json:"branch,omitempty"`
+	Iter      int     `json:"iter,omitempty"`
+	Worker    int     `json:"worker"`
+	Err       string  `json:"err,omitempty"`
+	Truncated int64   `json:"truncated,omitempty"`
+}
+
+type refLog struct {
+	mu      sync.Mutex
+	base    int64
+	buf     []eventRecord
+	cap     int
+	dropped int64
+	closed  bool
+}
+
+func (l *refLog) append(rec eventRecord) {
+	l.mu.Lock()
+	rec.Seq = l.base + int64(len(l.buf))
+	l.buf = append(l.buf, rec)
+	if len(l.buf) > l.cap {
+		drop := len(l.buf) - l.cap
+		l.buf = append(l.buf[:0], l.buf[drop:]...)
+		l.base += int64(drop)
+		l.dropped += int64(drop)
+	}
+	l.mu.Unlock()
+}
+
+func (l *refLog) snapshot(from int64) (recs []eventRecord, next int64, done bool, lost int64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if from < l.base {
+		lost = l.base - from
+		from = l.base
+	}
+	if idx := from - l.base; idx < int64(len(l.buf)) {
+		recs = append(recs, l.buf[idx:]...)
+	}
+	return recs, l.base + int64(len(l.buf)), l.closed, lost
+}
+
+// read is one pass of the old handleEvents loop: what a reader at cursor
+// from is sent, and where its cursor stands afterwards.
+func (l *refLog) read(from int64) (out string, next int64, done bool) {
+	var b bytes.Buffer
+	enc := json.NewEncoder(&b)
+	recs, next, done, lost := l.snapshot(from)
+	if lost > 0 {
+		enc.Encode(eventRecord{Seq: next - int64(len(recs)), Ev: "truncated", Truncated: lost})
+	}
+	for _, rec := range recs {
+		enc.Encode(rec)
+	}
+	return b.String(), next, done
+}
+
+// refRecord is the old listener's rendering of an event, from the same
+// inputs the new listener gets.
+func refRecord(start time.Time, e *event.Event) eventRecord {
+	rec := eventRecord{
+		TMS:    float64(e.Time.Sub(start)) / float64(time.Millisecond),
+		Ev:     fmt.Sprintf("%s@%s(%d)", e.Node.Kind(), legacyCode(e.When, e.Where), e.Index),
+		Kind:   e.Node.Kind().String(),
+		When:   e.When.String(),
+		Where:  e.Where.String(),
+		Index:  e.Index,
+		Parent: e.Parent,
+		Card:   e.Card,
+		Branch: e.Branch,
+		Iter:   e.Iter,
+		Worker: e.Worker,
+	}
+	if e.Err != nil {
+		rec.Err = e.Err.Error()
+	}
+	return rec
+}
+
+func legacyCode(when event.When, where event.Where) string {
+	code := map[event.Where]string{
+		event.Skeleton: "", event.Split: "s", event.Merge: "m", event.Condition: "c",
+		event.NestedSkel: "n", event.Retry: "r", event.Fault: "f",
+	}[where]
+	if when == event.After {
+		return "a" + code
+	}
+	return "b" + code
+}
+
+// ---------------------------------------------------------------------------
+
+// kindNodes holds one node of every pattern kind, for events to point at.
+var kindNodes = func() []*skel.Node {
+	fe := muscle.NewExecute("fe", func(p any) (any, error) { return p, nil })
+	fs := muscle.NewSplit("fs", func(p any) ([]any, error) { return []any{p}, nil })
+	fm := muscle.NewMerge("fm", func(ps []any) (any, error) { return ps[0], nil })
+	fc := muscle.NewCondition("fc", func(p any) (bool, error) { return false, nil })
+	seq := skel.NewSeq(fe)
+	return []*skel.Node{
+		seq, skel.NewFarm(seq), skel.NewPipe(seq, seq), skel.NewWhile(fc, seq),
+		skel.NewIf(fc, seq, seq), skel.NewFor(2, seq), skel.NewMap(fs, seq, fm),
+		skel.NewFork(fs, []*skel.Node{seq}, fm), skel.NewDaC(fc, fs, seq, fm),
+	}
+}()
+
+// awkward strings exercise every escaping rule of the encoder.
+var awkward = []string{
+	"", "plain", `quote " and \ backslash`, "tab\tnl\ncr\rbs\bff\f", "ctl \x00\x01\x1f del \x7f",
+	"html <b>&amp;</b>", "sep \u2028 and \u2029", "bad utf8 \xff\xfe\xc3", "truncated rune \xe2\x82",
+	"unicode → ∆ 世界 🙂", "d&c",
+}
+
+// randomEvent draws an event over the whole input space of the listener.
+func randomEvent(rng *rand.Rand, start time.Time) *event.Event {
+	e := &event.Event{
+		Node:   kindNodes[rng.Intn(len(kindNodes))],
+		When:   event.When(rng.Intn(2)),
+		Where:  event.Where(rng.Intn(int(event.Fault) + 1)),
+		Index:  rng.Int63n(1 << 20),
+		Parent: rng.Int63n(1<<20) - 1,
+		Worker: rng.Intn(9) - 1,
+		Time:   start.Add(time.Duration(rng.Int63n(int64(time.Minute)))),
+	}
+	if rng.Intn(3) == 0 {
+		e.Card = rng.Intn(1000)
+	}
+	if rng.Intn(3) == 0 {
+		e.Branch = rng.Intn(1000) - 1
+	}
+	if rng.Intn(3) == 0 {
+		e.Iter = rng.Intn(100)
+	}
+	if rng.Intn(8) == 0 {
+		e.Err = errors.New(awkward[rng.Intn(len(awkward))])
+	}
+	return e
+}
+
+// pair is the new log and the reference fed the same appends.
+type pair struct {
+	start time.Time
+	log   *eventLog
+	hook  event.Listener
+	ref   *refLog
+}
+
+func newPair(capacity int) *pair {
+	start := time.Unix(1700000000, 0)
+	l := newEventLog(capacity, start)
+	return &pair{start: start, log: l, hook: l.listener(), ref: &refLog{cap: capacity}}
+}
+
+func (p *pair) appendRandom(rng *rand.Rand) {
+	if rng.Intn(16) == 0 {
+		at := p.start.Add(time.Duration(rng.Int63n(int64(time.Minute))))
+		s := func() string { return awkward[rng.Intn(len(awkward))] }
+		ev, kind, when, where, errText := s(), s(), s(), s(), s()
+		p.log.appendText(at, ev, kind, when, where, errText)
+		p.ref.append(eventRecord{
+			TMS: float64(at.Sub(p.start)) / float64(time.Millisecond),
+			Ev:  ev, Kind: kind, When: when, Where: where, Err: errText,
+		})
+		return
+	}
+	e := randomEvent(rng, p.start)
+	p.hook.Handler(e)
+	p.ref.append(refRecord(p.start, e))
+}
+
+func (p *pair) close() {
+	p.log.close()
+	p.ref.mu.Lock()
+	p.ref.closed = true
+	p.ref.mu.Unlock()
+}
+
+// drain reads rd until it has caught up, as a non-following client does.
+func drain(rd *logReader) (out string, done bool) {
+	var sb strings.Builder
+	for {
+		b, d := rd.next(false)
+		if len(b) == 0 {
+			return sb.String(), d
+		}
+		sb.Write(b)
+	}
+}
+
+// TestEventLogModel drives seeded random appends, reads from cursors before,
+// inside and past the retained window, and closes, against the reference:
+// same bytes, same cursors, same counters, at every step.
+func TestEventLogModel(t *testing.T) {
+	// The reference moves its whole buffer on every append once it is full,
+	// so the 8192 case goes just far enough past the wrap.
+	for _, tc := range []struct{ capacity, seeds, steps, burst int }{
+		{1, 3, 300, 1}, {4, 3, 300, 2}, {300, 3, 300, 20}, {8192, 1, 150, 256},
+	} {
+		capacity := tc.capacity
+		for seed := int64(1); seed <= int64(tc.seeds); seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			p := newPair(capacity)
+			type cursor struct {
+				rd  *logReader
+				ref int64
+			}
+			var cursors []*cursor
+			for step := 0; step < tc.steps; step++ {
+				switch op := rng.Intn(10); {
+				case op < 6:
+					for n := 1 + rng.Intn(tc.burst); n > 0; n-- {
+						p.appendRandom(rng)
+					}
+				case op < 7 && len(cursors) < 8:
+					total := p.log.len()
+					from := []int64{0, rng.Int63n(total + 1), total, total + 1 + rng.Int63n(1<<40), 1 << 62}[rng.Intn(5)]
+					cursors = append(cursors, &cursor{rd: p.log.reader(from), ref: from})
+				case len(cursors) > 0:
+					c := cursors[rng.Intn(len(cursors))]
+					got, gotDone := drain(c.rd)
+					want, next, wantDone := p.ref.read(c.ref)
+					c.ref = next
+					if got != want || gotDone != wantDone || c.rd.from != next {
+						t.Fatalf("cap %d seed %d step %d: read differs (cursor %d vs %d, done %v vs %v)\n got: %s\nwant: %s",
+							capacity, seed, step, c.rd.from, next, gotDone, wantDone, got, want)
+					}
+				}
+				p.ref.mu.Lock()
+				refLen, refDropped := p.ref.base+int64(len(p.ref.buf)), p.ref.dropped
+				p.ref.mu.Unlock()
+				if p.log.len() != refLen || p.log.droppedCount() != refDropped {
+					t.Fatalf("cap %d seed %d step %d: len/dropped %d/%d, want %d/%d",
+						capacity, seed, step, p.log.len(), p.log.droppedCount(), refLen, refDropped)
+				}
+				if held := int64(len(p.log.side)); held > int64(capacity) {
+					t.Fatalf("cap %d: side table holds %d entries, more than the ring", capacity, held)
+				}
+			}
+			if p.log.droppedCount() == 0 {
+				t.Fatalf("cap %d seed %d: the ring never wrapped", capacity, seed)
+			}
+			p.close()
+			for _, c := range cursors {
+				got, done := drain(c.rd)
+				want, _, _ := p.ref.read(c.ref)
+				if got != want || !done {
+					t.Fatalf("cap %d seed %d: after close (done %v)\n got: %s\nwant: %s", capacity, seed, done, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestEventLogFollowers: several followers attached at different cursors
+// while a producer appends and then closes. Each must see every sequence
+// number from its cursor on exactly once and in order — delivered, or
+// accounted for by a truncation marker — each delivered line must be the
+// reference's rendering of that record, and each must reach EOF on close.
+func TestEventLogFollowers(t *testing.T) {
+	const total = 3000
+	for _, capacity := range []int{1, 4, 8192} {
+		p := newPair(capacity)
+		// Render the reference up front, before its ring can drop anything.
+		full := &refLog{cap: total}
+		rng := rand.New(rand.NewSource(int64(capacity)))
+		events := make([]*event.Event, total)
+		for i := range events {
+			events[i] = randomEvent(rng, p.start)
+			full.append(refRecord(p.start, events[i]))
+		}
+		all, _, _ := full.read(0)
+		lines := strings.SplitAfter(all, "\n")
+
+		starts := []int64{0, 0, 100, 1 << 62} // the last one: past the end, as bench/ follows
+		outs := make([]bytes.Buffer, len(starts))
+		var wg sync.WaitGroup
+		for i, from := range starts {
+			rd := p.log.reader(from)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rd.stream(context.Background(), &outs[i], func() {}, true)
+			}()
+		}
+		for i, e := range events {
+			p.hook.Handler(e)
+			if i%97 == 0 {
+				time.Sleep(200 * time.Microsecond) // let followers catch up and park
+			}
+		}
+		p.log.close()
+		wg.Wait() // EOF for everyone, or the test times out
+
+		for i := range starts {
+			// A cursor past the end attaches at the end as it is at the first
+			// read, somewhere in the stream: learn it from the first line.
+			next := int64(-1)
+			if starts[i] == 0 {
+				next = 0
+			}
+			for _, line := range strings.SplitAfter(outs[i].String(), "\n") {
+				if line == "" {
+					continue
+				}
+				var rec eventRecord
+				if err := json.Unmarshal([]byte(line), &rec); err != nil {
+					t.Fatalf("cap %d follower %d: bad line %q: %v", capacity, i, line, err)
+				}
+				if next < 0 {
+					next = rec.Seq - rec.Truncated
+				}
+				if rec.Truncated > 0 {
+					if rec.Seq != next+rec.Truncated {
+						t.Fatalf("cap %d follower %d: marker at seq %d for %d lost, cursor was %d",
+							capacity, i, rec.Seq, rec.Truncated, next)
+					}
+					next = rec.Seq
+					continue
+				}
+				if rec.Seq != next {
+					t.Fatalf("cap %d follower %d: got seq %d, want %d", capacity, i, rec.Seq, next)
+				}
+				if line != lines[rec.Seq] {
+					t.Fatalf("cap %d follower %d seq %d:\n got %q\nwant %q", capacity, i, rec.Seq, line, lines[rec.Seq])
+				}
+				next++
+			}
+			if starts[i] == 0 && next != total {
+				t.Fatalf("cap %d follower %d: stream ended at seq %d, want %d", capacity, i, next, total)
+			}
+			if next > total {
+				t.Fatalf("cap %d follower %d: cursor %d past the end %d", capacity, i, next, total)
+			}
+		}
+		if n := len(p.log.parked); n != 0 {
+			t.Fatalf("cap %d: %d followers still parked after close", capacity, n)
+		}
+	}
+}
+
+// TestEventLogLeave: a follower whose client goes away withdraws from the
+// parked list, and a later append neither blocks nor wakes anybody.
+func TestEventLogLeave(t *testing.T) {
+	p := newPair(8)
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		p.log.reader(0).stream(ctx, io.Discard, func() {}, true)
+		close(done)
+	}()
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		p.log.mu.Lock()
+		n := len(p.log.parked)
+		p.log.mu.Unlock()
+		if n == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("follower never parked")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	<-done
+	if n := len(p.log.parked); n != 0 {
+		t.Fatalf("%d parked after the client left", n)
+	}
+	p.appendRandom(rand.New(rand.NewSource(1)))
+}
+
+// FuzzEventRecordNDJSON holds the hand-written encoder to encoding/json,
+// byte for byte, over skeleton events (every kind, when, where; the
+// omitempty fields; error strings that need escaping), the daemon's
+// free-text records, and the truncation marker.
+func FuzzEventRecordNDJSON(f *testing.F) {
+	for i, s := range awkward {
+		f.Add(int64(i)*1234567, uint8(i), uint8(i), uint8(i), int64(i), int64(i)-1, i%3, i%2, i%4, i-1, s, false)
+		f.Add(int64(i), uint8(0), uint8(1), uint8(6), int64(1)<<40, int64(-1), 0, -1, 0, 1<<20, s, true)
+	}
+	f.Fuzz(func(t *testing.T, ns int64, kind, when, where uint8, index, parent int64,
+		card, branch, iter, worker int, text string, free bool) {
+		start := time.Unix(1700000000, 0)
+		at := start.Add(time.Duration(ns))
+		l := newEventLog(4, start)
+		var want eventRecord
+		if free {
+			l.appendText(at, text, "cluster", text, "cluster", text)
+			want = eventRecord{
+				TMS: float64(at.Sub(start)) / float64(time.Millisecond),
+				Ev:  text, Kind: "cluster", When: text, Where: "cluster", Err: text,
+			}
+		} else {
+			fits := func(v int) int { return int(clamp32(v)) }
+			e := &event.Event{
+				Node: kindNodes[int(kind)%len(kindNodes)], When: event.When(when % 2),
+				Where: event.Where(where % uint8(event.Fault+1)), Index: index, Parent: parent,
+				Card: fits(card), Branch: fits(branch), Iter: fits(iter), Worker: fits(worker), Time: at,
+			}
+			if text != "" {
+				e.Err = errors.New(text)
+			}
+			l.listener().Handler(e)
+			want = refRecord(start, e)
+		}
+		wantLine, err := json.Marshal(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := drain(l.reader(0)); got != string(wantLine)+"\n" {
+			t.Fatalf("record:\n got %s\nwant %s", got, wantLine)
+		}
+		wantLine, _ = json.Marshal(eventRecord{Seq: index, Ev: "truncated", Truncated: parent})
+		if got := appendTruncated(nil, index, parent); parent != 0 && string(got) != string(wantLine)+"\n" {
+			t.Fatalf("marker:\n got %s\nwant %s", got, wantLine)
+		}
+	})
+}
+
+// steadyLog returns a log whose ring has wrapped — every chunk it will ever
+// own is allocated — and the hook and a reusable event to append with.
+func steadyLog(capacity int) (*eventLog, event.Listener, *event.Event) {
+	l := newEventLog(capacity, time.Unix(1700000000, 0))
+	e := &event.Event{
+		Node: kindNodes[6], When: event.After, Where: event.Split, Index: 3, Card: 500,
+		Worker: 1, Time: l.start.Add(1500 * time.Microsecond),
+	}
+	hook := l.listener()
+	for i := 0; i < capacity+1; i++ {
+		hook.Handler(e)
+	}
+	return l, hook, e
+}
+
+// TestEventLogAppendDoesNotAllocate: once the ring is full, recording an
+// event allocates nothing — with nobody following and with a follower
+// parked (waking it is a send on its own channel).
+func TestEventLogAppendDoesNotAllocate(t *testing.T) {
+	l, hook, e := steadyLog(1024)
+	if n := testing.AllocsPerRun(2000, func() { hook.Handler(e) }); n != 0 {
+		t.Fatalf("append with no follower: %v allocs/op, want 0", n)
+	}
+	rd := l.reader(1 << 62)
+	n := testing.AllocsPerRun(2000, func() {
+		if out, _ := rd.next(true); len(out) != 0 {
+			t.Fatal("reader past the end got records before the append")
+		}
+		hook.Handler(e)
+		<-rd.wake
+		rd.next(false)
+	})
+	if n != 0 {
+		t.Fatalf("append waking a parked follower, and its read: %v allocs/op, want 0", n)
+	}
+}
+
+func BenchmarkEventLogAppend(b *testing.B) {
+	b.Run("no_follower", func(b *testing.B) {
+		_, hook, e := steadyLog(8192)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			hook.Handler(e)
+		}
+	})
+	b.Run("parked_follower", func(b *testing.B) {
+		l, hook, e := steadyLog(8192)
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			l.reader(1<<62).stream(context.Background(), io.Discard, func() {}, true)
+		}()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			hook.Handler(e)
+		}
+		b.StopTimer()
+		l.close()
+		wg.Wait()
+	})
+}
+
+// BenchmarkEventLogFollow renders one fanout_fine job's worth of records
+// (2006) from a finished log into io.Discard.
+func BenchmarkEventLogFollow(b *testing.B) {
+	const perJob = 2006
+	l := newEventLog(8192, time.Unix(1700000000, 0))
+	e := &event.Event{
+		Node: kindNodes[6], When: event.After, Where: event.Split, Card: 500,
+		Worker: 1, Time: l.start.Add(1500 * time.Microsecond),
+	}
+	hook := l.listener()
+	for i := 0; i < perJob; i++ {
+		e.Index = int64(i)
+		hook.Handler(e)
+	}
+	l.close()
+	rd := l.reader(0)
+	rd.stream(context.Background(), io.Discard, func() {}, true) // size the reader's scratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rd.from = 0
+		rd.stream(context.Background(), io.Discard, func() {}, true)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/perJob, "record_ns")
+}

@@ -474,37 +474,11 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	for {
-		recs, next, done, lost, changed := j.log.snapshot(from)
-		if lost > 0 {
-			// The ring evicted records between the reader's cursor and the
-			// oldest retained one: say so explicitly instead of silently
-			// skipping sequence numbers.
-			first := next - int64(len(recs))
-			if err := enc.Encode(eventRecord{Seq: first, Ev: "truncated", Truncated: lost}); err != nil {
-				return
-			}
-		}
-		for _, rec := range recs {
-			if err := enc.Encode(rec); err != nil {
-				return
-			}
-		}
-		if flusher != nil && (len(recs) > 0 || lost > 0) {
-			flusher.Flush()
-		}
-		from = next
-		if !follow || done {
-			return
-		}
-		select {
-		case <-changed:
-		case <-r.Context().Done():
-			return
-		}
+	flush := func() {}
+	if f, ok := w.(http.Flusher); ok {
+		flush = f.Flush
 	}
+	j.log.reader(from).stream(r.Context(), w, flush, follow)
 }
 
 // timelineRecord is one NDJSON line of the LP/WCT timeline: gauge samples

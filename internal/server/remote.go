@@ -38,11 +38,8 @@ func (s *Server) startRemote(j *job) {
 	if s.jn != nil {
 		_ = s.jn.Start(j.id)
 	}
-	j.log.append(eventRecord{
-		TMS:  float64(s.clk.Now().Sub(j.log.start)) / float64(time.Millisecond),
-		Ev:   fmt.Sprintf("cluster@route(%s tenant=%s)", j.skeleton, j.tenant),
-		Kind: "cluster", When: "route", Where: "cluster",
-	})
+	j.log.appendText(s.clk.Now(), fmt.Sprintf("cluster@route(%s tenant=%s)", j.skeleton, j.tenant),
+		"cluster", "route", "cluster", "")
 	s.remoteJobs[j.id] = j
 	go func() {
 		res, err := s.cfg.Cluster.RunAs(j.tenant, j.skeleton, j.params)
@@ -86,11 +83,8 @@ func (s *Server) onNodeEvent(ev remote.NodeEvent) {
 		detail += " cause=" + ev.Cause
 	}
 	for _, j := range jobs {
-		j.log.append(eventRecord{
-			TMS:  float64(ev.Time.Sub(j.log.start)) / float64(time.Millisecond),
-			Ev:   fmt.Sprintf("cluster@%s(%s)", kind, detail),
-			Kind: "cluster", When: kind, Where: ev.Addr, Err: ev.Err,
-		})
+		j.log.appendText(ev.Time, fmt.Sprintf("cluster@%s(%s)", kind, detail),
+			"cluster", kind, ev.Addr, ev.Err)
 	}
 }
 

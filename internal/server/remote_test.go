@@ -59,15 +59,16 @@ func waitJobDone(t *testing.T, j *job) (any, error) {
 	return nil, nil
 }
 
-// jobEvents renders a job's full event log as one string.
+// jobEvents renders a job's full event log as one NDJSON string.
 func jobEvents(j *job) string {
-	recs, _, _, _, _ := j.log.snapshot(0)
 	var sb strings.Builder
-	for _, r := range recs {
-		sb.WriteString(r.Ev)
-		sb.WriteByte('\n')
+	for rd := j.log.reader(0); ; {
+		out, _ := rd.next(false)
+		if len(out) == 0 {
+			return sb.String()
+		}
+		sb.Write(out)
 	}
-	return sb.String()
 }
 
 // TestServerRoutesEligibleJobToCluster: a goal-less sleepgrid routes to the

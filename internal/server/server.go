@@ -372,11 +372,7 @@ func (s *Server) onBrownout(on bool, at time.Time) {
 	}
 	s.mu.Unlock()
 	for _, j := range live {
-		j.log.append(eventRecord{
-			TMS:  float64(at.Sub(j.log.start)) / float64(time.Millisecond),
-			Ev:   fmt.Sprintf("admission@%s", kind),
-			Kind: "admission", When: kind, Where: "admission",
-		})
+		j.log.appendText(at, "admission@"+kind, "admission", kind, "admission", "")
 	}
 }
 
@@ -430,9 +426,9 @@ func (s *Server) start(j *job) {
 		skandium.WithClock(s.clk),
 		skandium.WithGauge(j.rec.Gauge),
 		skandium.WithListener(j.log.listener()),
-		skandium.WithListener(j.rec.FaultListener()),
 		skandium.WithPartialFailure(j.partial),
 	}
+	opts = append(opts, onFaultEvents(j.rec.FaultListener())...)
 	if j.timeout > 0 {
 		opts = append(opts, skandium.WithMuscleTimeout(j.timeout))
 	}
@@ -458,10 +454,9 @@ func (s *Server) start(j *job) {
 				// know. Fall back to the paper rule visibly: log the
 				// fallback into the job's event stream and stop reporting
 				// the unhonoured name in job views.
-				j.log.append(eventRecord{
-					TMS: float64(s.clk.Now().Sub(j.log.start)) / float64(time.Millisecond),
-					Ev:  fmt.Sprintf("policy %q unknown to this binary: falling back to the paper rule", j.policy),
-				})
+				j.log.appendText(s.clk.Now(),
+					fmt.Sprintf("policy %q unknown to this binary: falling back to the paper rule", j.policy),
+					"", "", "", "")
 				j.policy = ""
 			}
 		}
@@ -471,7 +466,7 @@ func (s *Server) start(j *job) {
 		// fault counters are journaled as they advance so a crash cannot
 		// zero them.
 		_ = s.jn.Start(j.id)
-		opts = append(opts, skandium.WithListener(s.faultJournalListener(j)))
+		opts = append(opts, onFaultEvents(s.faultJournalListener(j))...)
 	}
 	j.handle = j.runner.Start(opts...)
 	j.state = stateRunning
@@ -479,6 +474,16 @@ func (s *Server) start(j *job) {
 	handle := j.handle
 	j.mu.Unlock()
 	go s.watch(j, handle)
+}
+
+// onFaultEvents registers l for the fault vocabulary only — once for Retry,
+// once for Fault events — so it is not called for (and the registry's Wants
+// gate is not opened by it to) the thousands of ordinary events of a job.
+func onFaultEvents(l event.Listener) []skandium.Option {
+	return []skandium.Option{
+		skandium.WithListener(l, event.Filter{Where: event.Retry, HasWhere: true}),
+		skandium.WithListener(l, event.Filter{Where: event.Fault, HasWhere: true}),
+	}
 }
 
 // faultJournalListener persists a job's cumulative retry/fault counters on

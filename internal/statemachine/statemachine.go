@@ -92,8 +92,14 @@ type Instance struct {
 // Tracker listens to one execution's events and maintains the activation
 // tree. Create one per Root, register via Listener(), and hand it to the
 // ADG builder.
+//
+// A tracker built with NewEstimator keeps no tree: nobody will read one (the
+// execution has no controller), so an activation's Instance lives only from
+// its Skeleton/Before to its Skeleton/After — long enough to time its
+// muscles — and is then recycled. The estimates it feeds are the same.
 type Tracker struct {
-	est *estimate.Registry
+	est           *estimate.Registry
+	estimatesOnly bool // fixed at construction (NewEstimator)
 
 	// ver counts mutations of the activation tree (instance creation,
 	// completion, muscle records). pendingBranch bookkeeping does not bump
@@ -103,8 +109,10 @@ type Tracker struct {
 	ver atomic.Uint64
 
 	mu        sync.Mutex
+	released  bool // set by Release: no tree, later events ignored
 	instances map[int64]*Instance
 	roots     []*Instance
+	free      []*Instance // estimates-only: finished activations, for reuse
 	// observed accumulates the total duration of completed muscle
 	// invocations — the "work already done" term of the cheap work/span
 	// WCT predictor.
@@ -133,6 +141,25 @@ func NewTracker(est *estimate.Registry) *Tracker {
 		instances:     make(map[int64]*Instance),
 		pendingBranch: make(map[int]pending),
 	}
+}
+
+// NewEstimator builds a tracker that feeds est and keeps no activation
+// tree (see Tracker): for executions nothing will ever predict.
+func NewEstimator(est *estimate.Registry) *Tracker {
+	tr := NewTracker(est)
+	tr.estimatesOnly = true
+	return tr
+}
+
+// Release drops the activation tree and ignores every later event: the
+// execution has resolved, nothing will be predicted from the tree again, and
+// whoever still holds the tracker (a finished job's handle) should not hold
+// a few hundred instances with it. The estimates are untouched.
+func (tr *Tracker) Release() {
+	tr.mu.Lock()
+	tr.released = true
+	tr.instances, tr.roots, tr.free, tr.pendingBranch = nil, nil, nil, nil
+	tr.mu.Unlock()
 }
 
 // Estimates returns the estimate registry the tracker feeds.
@@ -177,6 +204,7 @@ func (tr *Tracker) handle(e *event.Event) {
 				in.Done = true
 				in.EndTime = e.Time
 				tr.ver.Add(1)
+				tr.retire(in)
 			}
 			tr.mu.Unlock()
 		}
@@ -184,6 +212,9 @@ func (tr *Tracker) handle(e *event.Event) {
 	}
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
+	if tr.released {
+		return
+	}
 	switch e.Where {
 	case event.Skeleton:
 		tr.onSkeleton(e)
@@ -198,8 +229,24 @@ func (tr *Tracker) handle(e *event.Event) {
 		tr.onCondition(e)
 		tr.ver.Add(1)
 	case event.NestedSkel:
-		tr.onNested(e)
+		if !tr.estimatesOnly { // structural slots only matter in a tree
+			tr.onNested(e)
+		}
 	}
+}
+
+// retire forgets a finished activation when no tree is kept. The instance
+// was never linked anywhere else, so it can be handed out again.
+func (tr *Tracker) retire(in *Instance) {
+	if !tr.estimatesOnly {
+		return
+	}
+	delete(tr.instances, in.Index)
+	if in.Parent == event.NoParent {
+		tr.free = nil // the execution is over: keep nothing for its handle to pin
+		return
+	}
+	tr.free = append(tr.free, in)
 }
 
 // Version returns the tree mutation counter. Read it before snapshotting
@@ -221,7 +268,11 @@ func (tr *Tracker) onSkeleton(e *event.Event) {
 			in.Done = false
 			return
 		}
-		in := &Instance{
+		in := new(Instance)
+		if n := len(tr.free); n > 0 {
+			in, tr.free = tr.free[n-1], tr.free[:n-1]
+		}
+		*in = Instance{
 			Node:       e.Node,
 			Kind:       e.Node.Kind(),
 			Index:      e.Index,
@@ -229,13 +280,17 @@ func (tr *Tracker) onSkeleton(e *event.Event) {
 			Started:    true,
 			StartTime:  e.Time,
 			ActualCard: -1,
+			Conds:      in.Conds[:0],
+		}
+		tr.instances[e.Index] = in
+		if tr.estimatesOnly {
+			return
 		}
 		if p, ok := tr.pendingBranch[e.Worker]; ok && p.parent == e.Parent {
 			in.Branch = p.branch
 			in.Iter = p.iter
 			delete(tr.pendingBranch, e.Worker)
 		}
-		tr.instances[e.Index] = in
 		if parent, ok := tr.instances[e.Parent]; ok {
 			parent.Children = append(parent.Children, in)
 		} else {
@@ -255,6 +310,7 @@ func (tr *Tracker) onSkeleton(e *event.Event) {
 		tr.est.ObserveDuration(in.Node.Exec().ID(), e.Time.Sub(in.StartTime))
 		tr.observed += e.Time.Sub(in.StartTime)
 	}
+	tr.retire(in)
 }
 
 func (tr *Tracker) onSplit(e *event.Event) {

@@ -315,3 +315,96 @@ func TestFaultClosesInstance(t *testing.T) {
 		t.Fatal("faulted activation polluted the duration estimate")
 	}
 }
+
+// TestEstimatorKeepsNoTree: an estimates-only tracker times a map's muscles
+// like the full one — through a retried child and a faulted one — while an
+// instance lives only from its Skeleton/Before to its After or Fault, is
+// reused afterwards, and nothing is left once the root activation ends.
+func TestEstimatorKeepsNoTree(t *testing.T) {
+	est := estimate.NewRegistry(nil)
+	w := &world{tr: NewEstimator(est), est: est}
+	fe := muscle.NewExecute("fe", func(p any) (any, error) { return p, nil })
+	fs := muscle.NewSplit("fs", func(p any) ([]any, error) { return nil, nil })
+	fm := muscle.NewMerge("fm", func(ps []any) (any, error) { return nil, nil })
+	sub := skel.NewSeq(fe)
+	nd := skel.NewMap(fs, sub, fm)
+	live := func() int { return w.tr.InstanceCount() }
+
+	w.emit(nd, 0, event.NoParent, event.Before, event.Skeleton, 0, nil)
+	w.emit(nd, 0, event.NoParent, event.Before, event.Split, 0, nil)
+	w.emit(nd, 0, event.NoParent, event.After, event.Split, 10, func(e *event.Event) { e.Card = 3 })
+	// Child 1: plain.
+	w.emit(nd, 0, event.NoParent, event.Before, event.NestedSkel, 10, func(e *event.Event) { e.Branch = 0 })
+	w.emit(sub, 1, 0, event.Before, event.Skeleton, 10, nil)
+	if live() != 2 {
+		t.Fatalf("%d live instances inside the first child, want 2", live())
+	}
+	w.emit(sub, 1, 0, event.After, event.Skeleton, 30, nil)
+	first := w.tr.free[0]
+	// Child 2: first attempt fails and is retried; only the second is timed.
+	w.emit(sub, 2, 0, event.Before, event.Skeleton, 30, nil)
+	if w.tr.instances[2] != first {
+		t.Fatal("the finished child's instance was not reused")
+	}
+	w.emit(sub, 2, 0, event.After, event.Retry, 35, func(e *event.Event) { e.Err = exec.ErrMuscleTimeout })
+	w.emit(sub, 2, 0, event.Before, event.Skeleton, 40, nil)
+	w.emit(sub, 2, 0, event.After, event.Skeleton, 80, nil)
+	// Child 3: fails terminally (a skip policy absorbs it); it must not stay.
+	w.emit(sub, 3, 0, event.Before, event.Skeleton, 80, nil)
+	w.emit(sub, 3, 0, event.After, event.Fault, 90, func(e *event.Event) { e.Err = exec.ErrMuscleTimeout })
+	if live() != 1 {
+		t.Fatalf("%d live instances after the children, want the map alone", live())
+	}
+	w.emit(nd, 0, event.NoParent, event.Before, event.Merge, 90, nil)
+	w.emit(nd, 0, event.NoParent, event.After, event.Merge, 95, nil)
+	w.emit(nd, 0, event.NoParent, event.After, event.Skeleton, 95, nil)
+
+	if d, _ := est.Duration(fs.ID()); d != u(10) {
+		t.Fatalf("t(fs) = %v, want 10ms", d)
+	}
+	if c, _ := est.Card(fs.ID()); c != 3 {
+		t.Fatalf("|fs| = %v, want 3", c)
+	}
+	if d, _ := est.Duration(fe.ID()); d != u(30) { // EWMA(0.5) of 20 then 40
+		t.Fatalf("t(fe) = %v, want 30ms", d)
+	}
+	if n := est.DurationObservations(fe.ID()); n != 2 {
+		t.Fatalf("%d observations of fe, want 2 (not the failed attempts)", n)
+	}
+	if d, _ := est.Duration(fm.ID()); d != u(5) {
+		t.Fatalf("t(fm) = %v, want 5ms", d)
+	}
+	if got := w.tr.ObservedWork(); got != u(75) {
+		t.Fatalf("observed work %v, want 75ms", got)
+	}
+	if live() != 0 || w.tr.Root() != nil || w.tr.free != nil || len(w.tr.pendingBranch) != 0 {
+		t.Fatalf("estimates-only tracker kept state: %d instances, root %v, %d free, %d pending",
+			live(), w.tr.Root(), len(w.tr.free), len(w.tr.pendingBranch))
+	}
+}
+
+// TestReleaseDropsTreeAndIgnoresLateEvents: what a goal execution does to
+// its tracker when its future resolves.
+func TestReleaseDropsTreeAndIgnoresLateEvents(t *testing.T) {
+	w := newWorld()
+	fe := muscle.NewExecute("fe", func(p any) (any, error) { return p, nil })
+	nd := skel.NewSeq(fe)
+	w.emit(nd, 0, event.NoParent, event.Before, event.Skeleton, 0, nil)
+	w.emit(nd, 0, event.NoParent, event.After, event.Skeleton, 20, nil)
+	ver := w.tr.Version()
+
+	w.tr.Release()
+	if w.tr.InstanceCount() != 0 || w.tr.Root() != nil {
+		t.Fatalf("released tracker holds %d instances, root %v", w.tr.InstanceCount(), w.tr.Root())
+	}
+	// A muscle that was still running when the execution was canceled.
+	w.emit(nd, 1, event.NoParent, event.Before, event.Skeleton, 30, nil)
+	w.emit(nd, 1, event.NoParent, event.After, event.Skeleton, 90, nil)
+	w.emit(nd, 2, event.NoParent, event.After, event.Fault, 95, func(e *event.Event) { e.Err = exec.ErrMuscleTimeout })
+	if w.tr.InstanceCount() != 0 || w.tr.Version() != ver {
+		t.Fatal("a released tracker tracked a late event")
+	}
+	if d, _ := w.est.Duration(fe.ID()); d != u(20) || w.tr.ObservedWork() != u(20) {
+		t.Fatalf("estimates moved after release: t(fe) %v, observed %v", d, w.tr.ObservedWork())
+	}
+}

@@ -287,9 +287,13 @@ func (st *Stream[P, R]) Input(p P) *Execution[R] {
 	for _, le := range st.cfg.listeners {
 		reg.AddFiltered(le.l, le.filter)
 	}
-	tracker := statemachine.NewTracker(st.est)
+	// The activation tree exists for the controller to predict from. Without
+	// a WCT goal there is no controller, now or later (SetGoal is a no-op
+	// then), so the tracker only feeds the estimators.
+	var tracker *statemachine.Tracker
 	var ctl *core.Controller
 	if st.cfg.goal > 0 {
+		tracker = statemachine.NewTracker(st.est)
 		ctl = core.NewController(core.Config{
 			WCTGoal:          st.cfg.goal,
 			MaxLP:            st.cfg.maxLP,
@@ -304,6 +308,7 @@ func (st *Stream[P, R]) Input(p P) *Execution[R] {
 		ctl.SetStart(st.cfg.clk.Now())
 		core.Attach(reg, tracker, ctl)
 	} else {
+		tracker = statemachine.NewEstimator(st.est)
 		reg.Add(tracker.Listener())
 	}
 	root := exec.NewRoot(st.pool, reg, st.cfg.clk)
@@ -325,11 +330,15 @@ func (st *Stream[P, R]) Input(p P) *Execution[R] {
 	} else {
 		fut = root.Start(st.node, p)
 	}
-	if ctl != nil && st.cfg.analysisTicker > 0 {
+	if ctl != nil {
+		// Once the future resolves nothing is predicted any more: stop the
+		// ticker and let go of the activation tree, which the execution
+		// handle (a daemon keeps those of finished jobs) would otherwise pin.
 		stop := ctl.StartTicker(st.cfg.analysisTicker)
 		go func() {
 			<-fut.Done()
 			stop()
+			tracker.Release()
 		}()
 	}
 	ex := &Execution[R]{fut: fut, ctl: ctl, root: root}

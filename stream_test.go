@@ -462,3 +462,40 @@ func TestWithOptimizeOff(t *testing.T) {
 		}
 	}
 }
+
+// TestGoalExecutionReleasesActivationTree: the tree exists for the
+// controller; once the future resolves nothing predicts from it any more, so
+// the execution handle (a daemon keeps those of finished jobs) must not pin
+// it. Decisions and estimates stay readable. Without a goal there is no
+// controller and no tree to begin with.
+func TestGoalExecutionReleasesActivationTree(t *testing.T) {
+	prog := nestedSleepProgram(4, time.Millisecond)
+	st := NewStream[int, int](prog, WithLP(1), WithMaxLP(4),
+		WithWCTGoal(50*time.Millisecond), WithAnalysisTicker(2*time.Millisecond))
+	defer st.Close()
+	ex := st.Input(0)
+	if _, err := ex.Get(); err != nil {
+		t.Fatal(err)
+	}
+	tr := ex.ctl.Tracker()
+	for deadline := time.Now().Add(5 * time.Second); tr.InstanceCount() != 0 || tr.Root() != nil; {
+		if time.Now().After(deadline) {
+			t.Fatalf("finished goal execution still holds %d instances", tr.InstanceCount())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if ex.Analyses() == 0 || len(st.Profile()) == 0 {
+		t.Fatalf("analyses %d, profile %v: the run taught nothing", ex.Analyses(), st.Profile())
+	}
+
+	plain := NewStream[int, int](prog, WithLP(2))
+	defer plain.Close()
+	if ex := plain.Input(0); ex.ctl != nil {
+		t.Fatal("goal-less execution got a controller")
+	} else if _, err := ex.Get(); err != nil {
+		t.Fatal(err)
+	}
+	if len(plain.Profile()) != len(st.Profile()) {
+		t.Fatalf("goal-less run profiled %d muscles, goal run %d", len(plain.Profile()), len(st.Profile()))
+	}
+}
