@@ -287,7 +287,7 @@ func BenchmarkAblationDecrease(b *testing.B) {
 	}{{"halve", core.DecreaseHalve}, {"none", core.DecreaseNone}, {"exact", core.DecreaseExact}} {
 		b.Run(tc.name, func(b *testing.B) {
 			spec := paperexp.Scenario1()
-			spec.Decrease = tc.pol
+			spec.Policy = core.PaperPolicy{Increase: core.IncreaseMinimal, Decrease: tc.pol}
 			var r *paperexp.Result
 			var err error
 			for i := 0; i < b.N; i++ {
@@ -312,7 +312,7 @@ func BenchmarkAblationIncrease(b *testing.B) {
 	}{{"optimal", core.IncreaseOptimal}, {"minimal", core.IncreaseMinimal}} {
 		b.Run(tc.name, func(b *testing.B) {
 			spec := paperexp.Scenario1()
-			spec.Increase = tc.pol
+			spec.Policy = core.PaperPolicy{Increase: tc.pol}
 			var r *paperexp.Result
 			var err error
 			for i := 0; i < b.N; i++ {

@@ -5,7 +5,7 @@
 //
 //	go run ./cmd/skelrun -goal 9.5s
 //	go run ./cmd/skelrun -goal 9.5s -init            # paper scenario 2
-//	go run ./cmd/skelrun -goal 10.5s -decrease none  # ablation
+//	go run ./cmd/skelrun -goal 10.5s -policy paper-nodecrease  # ablation
 //	go run ./cmd/skelrun -lp 1 -goal 0               # sequential baseline
 //
 // With -daemon it instead submits a real job to a running skelrund and
@@ -39,9 +39,7 @@ func main() {
 	jitter := flag.Float64("jitter", 0, "relative duration noise")
 	seed := flag.Int64("seed", 42, "seed")
 	interval := flag.Duration("interval", 100*time.Millisecond, "analysis throttle")
-	increase := flag.String("increase", "minimal", "increase policy: optimal|minimal")
-	decrease := flag.String("decrease", "halve", "decrease policy: halve|none|exact")
-	policy := flag.String("policy", "", "full adaptation policy by registry name (overrides -increase/-decrease; empty = paper rule)")
+	policy := flag.String("policy", "paper-minimal", "adaptation policy by registry name (daemon mode: sent only when given, else the daemon's default)")
 	csv := flag.Bool("csv", false, "print the active-threads series as CSV")
 	daemon := flag.String("daemon", "", "submit to a running skelrund at this address instead of simulating")
 	skeleton := flag.String("skeleton", "wordcount", "registered skeleton to run (daemon mode)")
@@ -56,8 +54,13 @@ func main() {
 	if *daemon != "" {
 		opts := submitOpts{
 			Retries: *retries, Timeout: *timeout, Partial: *partial,
-			Tenant: *tenant, Priority: *priority, Policy: *policy,
+			Tenant: *tenant, Priority: *priority,
 		}
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "policy" {
+				opts.Policy = *policy
+			}
+		})
 		if err := runDaemonClient(*daemon, *skeleton, *params, *goal, *lp, *maxLP, opts); err != nil {
 			log.Fatal(err)
 		}
@@ -75,37 +78,14 @@ func main() {
 		Rho:              *rho,
 		AnalysisInterval: *interval,
 	}
-	switch *increase {
-	case "optimal":
-		spec.Increase = core.IncreaseOptimal
-	case "minimal":
-		spec.Increase = core.IncreaseMinimal
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -increase %q\n", *increase)
+	p, err := core.NewPolicy(*policy, *seed)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	switch *decrease {
-	case "halve":
-		spec.Decrease = core.DecreaseHalve
-	case "none":
-		spec.Decrease = core.DecreaseNone
-	case "exact":
-		spec.Decrease = core.DecreaseExact
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -decrease %q\n", *decrease)
-		os.Exit(2)
-	}
-	if *policy != "" {
-		p, err := core.NewPolicy(*policy, *seed)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		spec.Policy = p
-	}
+	spec.Policy = p
 
 	var r *paperexp.Result
-	var err error
 	if *goal == 0 {
 		r, err = paperexp.RunFixedLP(spec, *lp)
 	} else {
@@ -119,12 +99,8 @@ func main() {
 		r.Spec.K, r.Spec.M, r.Spec.Tweets, len(r.Counts))
 	fmt.Printf("machine:  %d simulated hardware threads, initial LP %d\n", r.Spec.MaxLP, *lp)
 	if *goal > 0 {
-		rule := fmt.Sprintf("increase=%s decrease=%s", *increase, *decrease)
-		if *policy != "" {
-			rule = "policy=" + *policy
-		}
-		fmt.Printf("QoS:      WCT goal %v, %s, ρ=%.2f, init=%v\n",
-			*goal, rule, *rho, *initEst)
+		fmt.Printf("QoS:      WCT goal %v, policy=%s, ρ=%.2f, init=%v\n",
+			*goal, *policy, *rho, *initEst)
 	}
 	fmt.Printf("result:   finished in %v  (peak LP %d, peak active %d, %d analyses)\n",
 		r.Makespan.Round(time.Millisecond), r.PeakLP, r.PeakActive, r.Analyses)

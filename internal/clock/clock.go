@@ -94,3 +94,33 @@ func Sleep(clk Clock, d time.Duration) {
 	}
 	time.Sleep(d)
 }
+
+// Backoff is the seeded, jittered, capped exponential wait before retry
+// attempt k (1-based: the wait after the k-th failed attempt) that every
+// retry loop of the system shares: base·mult^(k-1) (mult < 1 means 2),
+// capped at limit (0 = uncapped), scaled by a uniform factor in
+// [1-jitter, 1+jitter]. uniform draws the [0,1) variate from the caller's
+// seeded source and is called only when jitter > 0. A non-positive base
+// means no wait.
+func Backoff(attempt int, base, limit time.Duration, mult, jitter float64, uniform func() float64) time.Duration {
+	if base <= 0 {
+		return 0
+	}
+	if mult < 1 {
+		mult = 2
+	}
+	d := float64(base)
+	for i := 1; i < attempt; i++ {
+		d *= mult
+	}
+	if limit > 0 && d > float64(limit) {
+		d = float64(limit)
+	}
+	if jitter > 0 {
+		d *= 1 + jitter*(2*uniform()-1)
+	}
+	if d < 0 {
+		d = 0
+	}
+	return time.Duration(d)
+}

@@ -2,12 +2,12 @@
 // random-skeleton-tree generator plus canonical views of an execution that
 // every backend must agree on.
 //
-// All four consumers of the compiled program IR (internal/plan) — the
-// task-pool interpreter (internal/exec), the discrete-event simulator
-// (internal/sim), the reference evaluator (internal/refeval) and the ADG
-// builder/estimators (internal/adg) — are run over the same generated
-// trees, and the harness asserts that results, activation-tree shapes and
-// ADG spans agree exactly. A future remote/distributed backend joins the
+// Every consumer of the compiled program IR (internal/plan) — the
+// interpreter (internal/exec) under both of its drivers, the task pool and
+// the discrete-event simulator (internal/sim), the reference evaluator
+// (internal/refeval) and the ADG builder/estimators (internal/adg) — is run
+// over the same generated trees, and the harness asserts that results,
+// muscle call counts, activation-tree shapes and ADG spans agree exactly. A future remote/distributed backend joins the
 // harness by implementing the same seam (exec.Root.StartProgram) and being
 // added to the comparison loop in conformance_test.go.
 package conformance

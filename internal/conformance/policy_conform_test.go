@@ -162,7 +162,7 @@ func TestPaperPolicyDecisionsMatchLegacyOnCorpus(t *testing.T) {
 			}
 			combo := combos[int(seed)%len(combos)]
 			cfg := core.Config{WCTGoal: goal, MaxLP: 8,
-				Increase: combo.inc, Decrease: combo.dec}
+				Policy: core.PaperPolicy{Increase: combo.inc, Decrease: combo.dec}}
 			got := controlledRun(t, tree, costs, durs, cfg)
 
 			legacyCfg := cfg

@@ -29,7 +29,7 @@ type LPControl interface {
 	SetLP(n int)
 }
 
-// IncreasePolicy selects how a missed goal raises LP.
+// IncreasePolicy selects how PaperPolicy raises LP on a missed goal.
 type IncreasePolicy int
 
 // Increase policies.
@@ -44,7 +44,8 @@ const (
 	IncreaseMinimal
 )
 
-// DecreasePolicy selects how a comfortably met goal lowers LP.
+// DecreasePolicy selects how PaperPolicy lowers LP on a comfortably met
+// goal.
 type DecreasePolicy int
 
 // Decrease policies.
@@ -72,13 +73,9 @@ type Config struct {
 	// run. Zero analyses on every qualifying event (the paper's "react as
 	// soon as we detect" behaviour; fine for coarse muscles).
 	AnalysisInterval time.Duration
-	// Increase / Decrease select the paper rule's adaptation variants
-	// (paper defaults). Only consulted when Policy is nil.
-	Increase IncreasePolicy
-	Decrease DecreasePolicy
-	// Policy replaces the adaptation rule entirely (see Policy and
-	// NewPolicy). nil means the paper rule configured by Increase/Decrease.
-	// A stateful policy value must not be shared across concurrently
+	// Policy is the adaptation rule (see Policy and NewPolicy); nil means
+	// the paper's, PaperPolicy{}. Its ablations are PaperPolicy values or
+	// the registry's paper-* names. A stateful policy value must not be shared across concurrently
 	// executing controllers — callers fanning one configured value out to
 	// several controllers replicate it with ClonePolicy first.
 	Policy Policy
@@ -518,7 +515,7 @@ func (c *Controller) Analyze(now time.Time) bool {
 	// implementation of the same contract the competitors use.
 	pol := cfg.Policy
 	if pol == nil {
-		pol = PaperPolicy{Increase: cfg.Increase, Decrease: cfg.Decrease}
+		pol = PaperPolicy{}
 	}
 	prop := pol.Observe(pred, Actuation{
 		CurLP: cur, MaxLP: cfg.MaxLP,

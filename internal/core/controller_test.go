@@ -109,7 +109,7 @@ func TestIncreaseToOptimalFig1(t *testing.T) {
 	s := newFig1Setup()
 	s.replayUntil70()
 	lever := &fakeLever{lp: 2}
-	ctl := NewController(Config{WCTGoal: u(100), Increase: IncreaseOptimal},
+	ctl := NewController(Config{WCTGoal: u(100), Policy: PaperPolicy{Increase: IncreaseOptimal}},
 		s.outer, lever, s.est, s.tr, clock.NewVirtual(clock.Epoch))
 	ctl.SetStart(clock.Epoch)
 	if !ctl.Analyze(clock.Epoch.Add(u(70))) {
@@ -139,7 +139,7 @@ func TestIncreaseMinimalFig1(t *testing.T) {
 	s := newFig1Setup()
 	s.replayUntil70()
 	lever := &fakeLever{lp: 2, max: 16}
-	ctl := NewController(Config{WCTGoal: u(100), MaxLP: 16, Increase: IncreaseMinimal},
+	ctl := NewController(Config{WCTGoal: u(100), MaxLP: 16, Policy: PaperPolicy{Increase: IncreaseMinimal}},
 		s.outer, lever, s.est, s.tr, clock.NewVirtual(clock.Epoch))
 	ctl.SetStart(clock.Epoch)
 	ctl.Analyze(clock.Epoch.Add(u(70)))
@@ -170,7 +170,7 @@ func TestDecreaseHalves(t *testing.T) {
 	s := newFig1Setup()
 	s.replayUntil70()
 	lever := &fakeLever{lp: 8}
-	ctl := NewController(Config{WCTGoal: u(500), Decrease: DecreaseHalve},
+	ctl := NewController(Config{WCTGoal: u(500), Policy: PaperPolicy{Decrease: DecreaseHalve}},
 		s.outer, lever, s.est, s.tr, clock.NewVirtual(clock.Epoch))
 	ctl.SetStart(clock.Epoch)
 	ctl.Analyze(clock.Epoch.Add(u(70)))
@@ -188,7 +188,7 @@ func TestDecreaseNone(t *testing.T) {
 	s := newFig1Setup()
 	s.replayUntil70()
 	lever := &fakeLever{lp: 8}
-	ctl := NewController(Config{WCTGoal: u(500), Decrease: DecreaseNone},
+	ctl := NewController(Config{WCTGoal: u(500), Policy: PaperPolicy{Decrease: DecreaseNone}},
 		s.outer, lever, s.est, s.tr, clock.NewVirtual(clock.Epoch))
 	ctl.SetStart(clock.Epoch)
 	ctl.Analyze(clock.Epoch.Add(u(70)))
@@ -202,7 +202,7 @@ func TestDecreaseExact(t *testing.T) {
 	s := newFig1Setup()
 	s.replayUntil70()
 	lever := &fakeLever{lp: 8}
-	ctl := NewController(Config{WCTGoal: u(500), Decrease: DecreaseExact},
+	ctl := NewController(Config{WCTGoal: u(500), Policy: PaperPolicy{Decrease: DecreaseExact}},
 		s.outer, lever, s.est, s.tr, clock.NewVirtual(clock.Epoch))
 	ctl.SetStart(clock.Epoch)
 	ctl.Analyze(clock.Epoch.Add(u(70)))
@@ -217,7 +217,7 @@ func TestDecreaseHoldDamping(t *testing.T) {
 	s := newFig1Setup()
 	s.replayUntil70()
 	lever := &fakeLever{lp: 2}
-	ctl := NewController(Config{WCTGoal: u(100), Increase: IncreaseOptimal,
+	ctl := NewController(Config{WCTGoal: u(100), Policy: PaperPolicy{Increase: IncreaseOptimal},
 		DecreaseHold: u(50)},
 		s.outer, lever, s.est, s.tr, clock.NewVirtual(clock.Epoch))
 	ctl.SetStart(clock.Epoch)
@@ -245,7 +245,7 @@ func TestMaxLPCapsIncrease(t *testing.T) {
 	s := newFig1Setup()
 	s.replayUntil70()
 	lever := &fakeLever{lp: 1, max: 2}
-	ctl := NewController(Config{WCTGoal: u(90), MaxLP: 2, Increase: IncreaseOptimal},
+	ctl := NewController(Config{WCTGoal: u(90), MaxLP: 2, Policy: PaperPolicy{Increase: IncreaseOptimal}},
 		s.outer, lever, s.est, s.tr, clock.NewVirtual(clock.Epoch))
 	ctl.SetStart(clock.Epoch)
 	ctl.Analyze(clock.Epoch.Add(u(70)))

@@ -10,38 +10,6 @@ import (
 	"skandium/internal/clock"
 )
 
-// TestExplicitPaperPolicyMatchesDefault: Config{Policy: PaperPolicy{...}}
-// and the legacy Config{Increase, Decrease} selection drive the controller
-// to identical decision logs on the Fig. 1 snapshot.
-func TestExplicitPaperPolicyMatchesDefault(t *testing.T) {
-	run := func(cfg Config) []Decision {
-		s := newFig1Setup()
-		s.replayUntil70()
-		lever := &fakeLever{lp: 2}
-		ctl := NewController(cfg, s.outer, lever, s.est, s.tr, clock.NewVirtual(clock.Epoch))
-		ctl.SetStart(clock.Epoch)
-		ctl.Analyze(clock.Epoch.Add(u(70)))
-		ctl.Analyze(clock.Epoch.Add(u(80)))
-		return ctl.Decisions()
-	}
-	for _, tc := range []struct {
-		inc IncreasePolicy
-		dec DecreasePolicy
-	}{
-		{IncreaseOptimal, DecreaseHalve},
-		{IncreaseMinimal, DecreaseHalve},
-		{IncreaseOptimal, DecreaseNone},
-		{IncreaseOptimal, DecreaseExact},
-	} {
-		legacy := run(Config{WCTGoal: u(100), Increase: tc.inc, Decrease: tc.dec})
-		viaPolicy := run(Config{WCTGoal: u(100), Policy: PaperPolicy{Increase: tc.inc, Decrease: tc.dec}})
-		if !reflect.DeepEqual(legacy, viaPolicy) {
-			t.Fatalf("inc=%d dec=%d: decisions diverge\ndefault:   %v\nvia Policy: %v",
-				tc.inc, tc.dec, legacy, viaPolicy)
-		}
-	}
-}
-
 // TestDecreaseHoldSequenceClamp is the regression test for the virtual-time
 // hold bug: with AnalysisInterval zero the virtual clock can jump straight
 // past the hold window in one event batch, so a wall-time-only hold damps
@@ -53,7 +21,7 @@ func TestDecreaseHoldSequenceClamp(t *testing.T) {
 	s := newFig1Setup()
 	s.replayUntil70()
 	lever := &fakeLever{lp: 2}
-	ctl := NewController(Config{WCTGoal: u(100), Increase: IncreaseOptimal,
+	ctl := NewController(Config{WCTGoal: u(100), Policy: PaperPolicy{Increase: IncreaseOptimal},
 		DecreaseHold: u(50)},
 		s.outer, lever, s.est, s.tr, clock.NewVirtual(clock.Epoch))
 	ctl.SetStart(clock.Epoch)

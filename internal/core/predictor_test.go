@@ -109,7 +109,7 @@ func TestControllerWithWorkSpanPredictor(t *testing.T) {
 	s := newFig1Setup()
 	s.replayUntil70()
 	lever := &fakeLever{lp: 2}
-	ctl := NewController(Config{WCTGoal: u(100), MaxLP: 16, Increase: IncreaseMinimal,
+	ctl := NewController(Config{WCTGoal: u(100), MaxLP: 16, Policy: PaperPolicy{Increase: IncreaseMinimal},
 		Predictor: WorkSpanPredictor{}},
 		s.outer, lever, s.est, s.tr, clock.NewVirtual(clock.Epoch))
 	ctl.SetStart(clock.Epoch)

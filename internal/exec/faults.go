@@ -192,16 +192,16 @@ func (e *FailureError) Error() string {
 	return msg
 }
 
-// guard invokes fn with panic recovery, turning panics and errors into
-// MuscleError so a buggy muscle aborts its execution instead of the
+// guard invokes fn(m, p) with panic recovery, turning panics and errors
+// into MuscleError so a buggy muscle aborts its execution instead of the
 // process.
-func guard[P, T any](m *muscle.Muscle, trace []*skel.Node, p P, fn func(P) (T, error)) (res T, err error) {
+func guard[P, T any](m *muscle.Muscle, trace []*skel.Node, p P, fn func(*muscle.Muscle, P) (T, error)) (res T, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			err = &MuscleError{Muscle: m, Trace: trace, Err: fmt.Errorf("panic: %v", rec)}
 		}
 	}()
-	res, err = fn(p)
+	res, err = fn(m, p)
 	if err != nil {
 		err = &MuscleError{Muscle: m, Trace: trace, Err: err}
 	}
@@ -214,7 +214,7 @@ func guard[P, T any](m *muscle.Muscle, trace []*skel.Node, p P, fn func(P) (T, e
 // deadline — the abandoned attempt finishes in the background and its
 // result is dropped (running muscles are never interrupted, matching
 // Skandium).
-func callTimed[P, T any](r *Root, m *muscle.Muscle, trace []*skel.Node, p P, fn func(P) (T, error)) (T, error) {
+func callTimed[P, T any](r *Root, m *muscle.Muscle, trace []*skel.Node, p P, fn func(*muscle.Muscle, P) (T, error)) (T, error) {
 	d := r.faults.Timeout
 	if d <= 0 {
 		return guard(m, trace, p, fn)
@@ -241,14 +241,14 @@ func callTimed[P, T any](r *Root, m *muscle.Muscle, trace []*skel.Node, p P, fn 
 	}
 }
 
-// runAttempts invokes one muscle under the root's fault policy. first is
-// the input of the first attempt (its Before event has already been
-// raised by the call site); before each retry, reBefore re-raises the
-// attempt's Before event and returns the (listener-threaded) input, so
-// estimators time each attempt separately and never double-count. Failed
-// attempts raise Retry events while budget remains; the terminal failure
-// raises a Fault event and returns the error.
-func runAttempts[P, T any](em emitter, m *muscle.Muscle, first P, reBefore func() (P, error), fn func(P) (T, error)) (T, error) {
+// runAttempts invokes fn(m, ·) under the root's fault policy. first is the
+// input of the first attempt (its Before event has already been raised by
+// the call site); before each retry, reBefore re-raises the attempt's
+// Before event and returns the (listener-threaded) input, so estimators
+// time each attempt separately and never double-count. Failed attempts
+// raise Retry events while budget remains; the terminal failure raises a
+// Fault event and returns the error.
+func runAttempts[P, T any](em emitter, m *muscle.Muscle, first P, reBefore func() (P, error), fn func(*muscle.Muscle, P) (T, error)) (T, error) {
 	r := em.root
 	pol := r.faults.Retry
 	p := first
@@ -283,27 +283,7 @@ func runAttempts[P, T any](em emitter, m *muscle.Muscle, first P, reBefore func(
 // (1-based: the wait after the k-th failed attempt).
 func (r *Root) backoff(attempt int) time.Duration {
 	pol := r.faults.Retry
-	if pol.BaseDelay <= 0 {
-		return 0
-	}
-	mult := pol.Multiplier
-	if mult < 1 {
-		mult = 2
-	}
-	d := float64(pol.BaseDelay)
-	for i := 1; i < attempt; i++ {
-		d *= mult
-	}
-	if pol.MaxDelay > 0 && d > float64(pol.MaxDelay) {
-		d = float64(pol.MaxDelay)
-	}
-	if pol.Jitter > 0 {
-		d *= 1 + pol.Jitter*(2*r.jitter()-1)
-	}
-	if d < 0 {
-		d = 0
-	}
-	return time.Duration(d)
+	return clock.Backoff(attempt, pol.BaseDelay, pol.MaxDelay, pol.Multiplier, pol.Jitter, r.jitter)
 }
 
 // failedBranch is the result marker a failed fan-out branch reports to its
@@ -318,7 +298,7 @@ type failedBranch struct {
 // (the parent merges around the lost branch) and false when it must fail
 // the whole root: fail-fast policy, a root-level task, or a structural
 // (non-muscle) error.
-func (t *Task) absorb(w *worker, err error) bool {
+func (t *Task) absorb(w *Worker, err error) bool {
 	if t.parent == nil {
 		return false
 	}
@@ -344,8 +324,12 @@ func (t *Task) absorb(w *worker, err error) bool {
 // the root's policy: substitution preserves cardinality, skipping drops the
 // slots. When skipping leaves nothing of a non-empty fan-out, the merge
 // cannot proceed and the activation fails with the FailureError aggregate.
+// Under fail-fast no marker can exist, and results pass through as they are.
 func applyPartial(r *Root, results []any) ([]any, error) {
 	pol := r.faults.Partial
+	if pol.mode == failFast {
+		return results, nil
+	}
 	kept := make([]any, 0, len(results))
 	var lost []BranchFailure
 	for b, res := range results {

@@ -12,17 +12,13 @@ import (
 
 // Instr is one step of skeleton interpretation. interpret may mutate the
 // task (its param and instruction stack) and may return child tasks; when it
-// does, the worker submits the children and parks the task until they all
-// complete. Instructions are created at run time and are used exactly once;
-// pooled instruction types implement releasable and are recycled by the
-// worker right after their single interpret call.
+// does, Step submits the children and parks the task until they all
+// complete. A popped instruction owns itself: pooled instruction types
+// either re-push themselves to resume later or return themselves to their
+// pool before interpret returns.
 type Instr interface {
-	interpret(w *worker, t *Task) (children []*Task, err error)
+	interpret(w *Worker, t *Task) (children []*Task, err error)
 }
-
-// releasable is implemented by pooled instructions; the worker calls
-// release exactly once, after interpret returns.
-type releasable interface{ release() }
 
 // instrPool recycles one instruction type through a sync.Pool.
 type instrPool[T any] struct{ p sync.Pool }
@@ -40,74 +36,103 @@ func (ip *instrPool[T]) put(x *T) {
 	ip.p.Put(x)
 }
 
+// Worker is one execution slot of a driver: a pool goroutine with its
+// work-stealing deque, or one virtual worker of the simulator (no deque).
+// ID is what events report as their Worker.
+type Worker struct {
+	ID int
+	dq *deque
+}
+
+// Scheduler is the driver-specific half of interpretation: who runs the
+// next task. *Pool implements it with work-stealing deques; the simulator
+// with a LIFO queue and a run heap on its virtual clock.
+type Scheduler interface {
+	// Submit makes t runnable: a root task started from outside (w is nil),
+	// a child forked on w, or a parent whose last child just completed on w.
+	Submit(w *Worker, t *Task)
+	// Done receives the final value of the root task r.Inject started in
+	// slot.
+	Done(r *Root, slot int, result any)
+}
+
+// Step is the simulator's entry to the interpreter loop both drivers share
+// (drive). When call is non-nil — the Call an earlier Step on t returned —
+// Step invokes it first. It then runs t's instructions on w until the task
+// pops its next muscle call, which it returns uninvoked for the driver to
+// hold for the muscle's virtual cost, or leaves the worker — completed,
+// parked behind forked children, failed or canceled — and returns nil.
+func Step(w *Worker, t *Task, call *Call) *Call { return drive(w, t, call, true) }
+
+// drive interprets t on w until the task leaves the worker or, when yield is
+// set, pops a muscle call (returned uninvoked). Without yield — the pool —
+// a Call is interpreted in place like any other instruction: the muscle
+// runs at once, on the worker.
+//
+// A panic escaping an instruction — muscle wrappers already convert theirs,
+// so in practice a panicking event listener — fails the root instead of
+// killing the driver.
+func drive(w *Worker, t *Task, call *Call, yield bool) (next *Call) {
+	r := t.root
+	defer func() {
+		if rec := recover(); rec != nil {
+			r.fail(fmt.Errorf("skandium: panic during skeleton interpretation (listener?): %v", rec))
+			next = nil
+		}
+	}()
+	if call != nil {
+		if _, err := call.interpret(w, t); err != nil {
+			t.failed(w, err)
+			return nil
+		}
+	}
+	for {
+		if r.Canceled() {
+			releaseTask(t)
+			return nil
+		}
+		if len(t.stack) == 0 {
+			t.complete(w)
+			return nil
+		}
+		in := t.pop()
+		if c, ok := in.(*Call); ok && yield {
+			return c
+		}
+		children, err := in.interpret(w, t)
+		if err != nil {
+			t.failed(w, err)
+			return nil
+		}
+		if children != nil {
+			for _, c := range children {
+				r.sched.Submit(w, c)
+			}
+			return nil
+		}
+	}
+}
+
 // instrFor builds the entry instruction for one activation of the program
 // step. parent is the activation index of the enclosing skeleton
 // activation (event.NoParent at the root). The instruction's trace is the
 // step's precompiled static trace. A step annotated as the root of a fused
 // serial chain is entered through the single fused instruction; only this
 // static-trace entry takes that path — divide&conquer re-entry with a
-// dynamically grown trace goes through instrWithTrace and stays on the
-// per-step instructions.
+// dynamically grown trace goes through actFor and stays on the per-step
+// instruction.
 func instrFor(step *plan.Step, parent int64) Instr {
 	if fp := step.Fused(); fp != nil {
 		return fusedFor(fp, parent)
 	}
-	return instrWithTrace(step, parent, step.Trace())
-}
-
-// instrWithTrace is instrFor with an explicit trace — divide&conquer
-// recursion re-enters steps with a longer, dynamically grown trace.
-func instrWithTrace(step *plan.Step, parent int64, tr []*skel.Node) Instr {
-	switch step.Op() {
-	case plan.OpExec:
-		in := seqPool.get()
-		in.step, in.parent, in.trace = step, parent, tr
-		return in
-	case plan.OpWrap:
-		in := farmPool.get()
-		in.step, in.parent, in.trace = step, parent, tr
-		return in
-	case plan.OpStages:
-		in := pipePool.get()
-		in.step, in.parent, in.trace = step, parent, tr
-		return in
-	case plan.OpLoop:
-		in := whilePool.get()
-		in.step, in.parent, in.trace = step, parent, tr
-		return in
-	case plan.OpSelect:
-		in := ifPool.get()
-		in.step, in.parent, in.trace = step, parent, tr
-		return in
-	case plan.OpRepeat:
-		in := forPool.get()
-		in.step, in.parent, in.trace = step, parent, tr
-		return in
-	case plan.OpFanOut:
-		in := mapPool.get()
-		in.step, in.parent, in.trace = step, parent, tr
-		return in
-	case plan.OpFanFixed:
-		in := forkPool.get()
-		in.step, in.parent, in.trace = step, parent, tr
-		return in
-	case plan.OpRecurse:
-		in := dacPool.get()
-		in.step, in.parent, in.trace, in.depth = step, parent, tr, 0
-		return in
-	default:
-		// An unknown op is unreachable through Compile, but a forged or
-		// future Step must fail the root cleanly instead of panicking the
-		// worker goroutine.
-		return badOpInst{op: step.Op()}
-	}
+	return actFor(step, parent, step.Trace(), 0)
 }
 
 // badOpInst fails the root for a program operation the interpreter does not
 // know.
 type badOpInst struct{ op plan.Op }
 
-func (in badOpInst) interpret(w *worker, t *Task) ([]*Task, error) {
+func (in badOpInst) interpret(w *Worker, t *Task) ([]*Task, error) {
 	return nil, fmt.Errorf("skandium: unknown program operation %v", in.op)
 }
 
@@ -134,7 +159,7 @@ func (e *MuscleError) Unwrap() error { return e.Err }
 // emitter bundles the arguments common to every event of one activation.
 type emitter struct {
 	root   *Root
-	w      *worker
+	worker int
 	nd     *skel.Node
 	trace  []*skel.Node
 	idx    int64
@@ -160,18 +185,11 @@ func (em emitter) emit(when event.When, where event.Where, param any, mod func(*
 	e.Where = where
 	e.Param = param
 	e.Time = em.root.clk.Now()
-	e.Worker = workerID(em.w)
+	e.Worker = em.worker
 	if mod != nil {
 		mod(e)
 	}
 	p := reg.Emit(e)
 	event.Release(e)
 	return p
-}
-
-func workerID(w *worker) int {
-	if w == nil {
-		return -1
-	}
-	return w.id
 }

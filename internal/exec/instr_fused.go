@@ -5,14 +5,15 @@ import (
 	"skandium/internal/plan"
 )
 
-// fusedInst interprets one fused serial chain (plan.FusedProg) in a single
-// instruction: the whole chain runs back-to-back on one worker, replacing
-// the per-activation push/pop of seq, farm, pipe and for instructions. The
-// micro-op list replays exactly the instruction sequence the unfused
-// interpreter would execute — same event order, same activation-index
-// allocation order, same retry/timeout protocol per execute muscle — so a
-// fused run is observably identical; it just stops paying per-stage Task
-// stack and instruction-pool traffic.
+// fusedInst interprets one fused serial chain (plan.FusedProg) as a single
+// instruction: the chain's seq, farm, pipe and for activations run
+// back-to-back from one program counter, replacing their per-activation
+// push/pop. The micro-op list replays exactly the instruction sequence the
+// per-step interpreter would execute — same event order, same
+// activation-index allocation order, same Call per execute muscle — so a
+// fused run is observably identical. At each FBody the instruction
+// re-pushes itself under the execute's Call and resumes at the same pc,
+// closing that seq activation, once the call has run.
 //
 // Instances are per-activation scratch recycled through the chain's
 // program-owned arena (FusedProg.Scratch), so steady-state execution of a
@@ -20,6 +21,8 @@ import (
 type fusedInst struct {
 	prog   *plan.FusedProg
 	parent int64
+	pc     int
+	inBody bool   // resumed after the FBody at pc: its Call has run
 	frames []actx // open activations, innermost last
 }
 
@@ -36,22 +39,27 @@ func fusedFor(fp *plan.FusedProg, parent int64) Instr {
 
 func (in *fusedInst) release() {
 	fp := in.prog
-	in.prog, in.parent = nil, 0
+	in.prog, in.parent, in.pc, in.inBody = nil, 0, 0, false
 	in.frames = in.frames[:0]
 	fp.Scratch().Put(in)
 }
 
-func (in *fusedInst) interpret(w *worker, t *Task) ([]*Task, error) {
+func (in *fusedInst) interpret(w *Worker, t *Task) ([]*Task, error) {
 	r := t.root
 	ops := in.prog.Ops()
-	for i := range ops {
-		// The unfused interpreter checks for cancellation between
-		// instructions; mirror that between micro-ops. The run loop sees
-		// the canceled root and retires the task.
+	if in.inBody {
+		in.inBody = false
+		in.closeFrame(w, t)
+		in.pc++
+	}
+	for ; in.pc < len(ops); in.pc++ {
+		// The per-step interpreter checks for cancellation between
+		// instructions; mirror that between micro-ops. Step sees the
+		// canceled root and retires the task.
 		if r.Canceled() {
-			return nil, nil
+			break
 		}
-		op := &ops[i]
+		op := &ops[in.pc]
 		switch op.Code {
 		case plan.FBegin:
 			parent := in.parent
@@ -60,36 +68,30 @@ func (in *fusedInst) interpret(w *worker, t *Task) ([]*Task, error) {
 			}
 			in.frames = append(in.frames, begin(op.Step, parent, op.Step.Trace(), w, t))
 		case plan.FBody:
-			a := in.frames[len(in.frames)-1]
-			fe := op.Step.Exec()
-			em := a.em(r, w)
-			// Same protocol as seqInst: each retry re-raises the
-			// Skeleton/Before event so the estimator times only the final
-			// attempt.
-			res, err := runAttempts(em, fe, t.param, func() (any, error) {
-				t.param = em.emit(event.Before, event.Skeleton, t.param, nil)
-				return t.param, nil
-			}, func(p any) (any, error) { return fe.CallExecute(p) })
-			if err != nil {
-				return nil, err
-			}
-			t.param = em.emit(event.After, event.Skeleton, res, nil)
-			in.frames = in.frames[:len(in.frames)-1]
+			in.inBody = true
+			t.push(in)
+			pushCall(t, in.frames[len(in.frames)-1], op.Step.Exec(), t.param, nil, 0)
+			return nil, nil
 		case plan.FEnd:
-			a := in.frames[len(in.frames)-1]
-			t.param = a.em(r, w).emit(event.After, event.Skeleton, t.param, nil)
-			in.frames = in.frames[:len(in.frames)-1]
-		case plan.FNestedBegin:
-			a := in.frames[len(in.frames)-1]
-			t.param = a.em(r, w).emit(event.Before, event.NestedSkel, t.param, func(e *event.Event) {
-				e.Branch, e.Iter = op.Branch, op.Iter
-			})
-		case plan.FNestedEnd:
-			a := in.frames[len(in.frames)-1]
-			t.param = a.em(r, w).emit(event.After, event.NestedSkel, t.param, func(e *event.Event) {
+			in.closeFrame(w, t)
+		case plan.FNestedBegin, plan.FNestedEnd:
+			when := event.Before
+			if op.Code == plan.FNestedEnd {
+				when = event.After
+			}
+			t.param = in.frames[len(in.frames)-1].em(r, w).emit(when, event.NestedSkel, t.param, func(e *event.Event) {
 				e.Branch, e.Iter = op.Branch, op.Iter
 			})
 		}
 	}
+	in.release()
 	return nil, nil
+}
+
+// closeFrame raises the Skeleton/After event of the innermost open
+// activation and pops it.
+func (in *fusedInst) closeFrame(w *Worker, t *Task) {
+	a := in.frames[len(in.frames)-1]
+	t.param = a.em(t.root, w).emit(event.After, event.Skeleton, t.param, nil)
+	in.frames = in.frames[:len(in.frames)-1]
 }

@@ -25,10 +25,6 @@ var ErrPoolClosed = errors.New("exec: pool closed")
 // paper's Figs. 5-7.
 type GaugeFunc func(now time.Time, active, lp int)
 
-// runWrapFunc is the SetRunWrapper hook type (the distributed substrate
-// injects shipping latency and per-node accounting here).
-type runWrapFunc = func(workerID int, run func())
-
 // Pool is a task pool with a dynamically resizable level of parallelism
 // (LP). It is the autonomic lever of the paper: raising LP admits more
 // workers to execute tasks concurrently; lowering it parks surplus workers
@@ -59,7 +55,6 @@ type Pool struct {
 	busyNS   atomic.Int64
 
 	gauge  atomic.Pointer[GaugeFunc]
-	wrap   atomic.Pointer[runWrapFunc]
 	deques atomic.Pointer[[]*deque] // copy-on-write snapshot for stealing
 
 	// overflow is the shared FIFO of externally submitted (root-level)
@@ -145,16 +140,6 @@ func (p *Pool) SetGauge(g GaugeFunc) {
 	p.gauge.Store(&g)
 }
 
-// SetRunWrapper surrounds every task execution with w (nil = direct). The
-// wrapper must call run exactly once. Install before submitting work.
-func (p *Pool) SetRunWrapper(w func(workerID int, run func())) {
-	if w == nil {
-		p.wrap.Store(nil)
-		return
-	}
-	p.wrap.Store(&w)
-}
-
 // LP returns the current level-of-parallelism target. Lock-free.
 func (p *Pool) LP() int { return int(p.lp.Load()) }
 
@@ -236,17 +221,14 @@ func (p *Pool) SetMaxLP(n int) {
 	}
 }
 
-// Submit enqueues a task for execution from outside the pool (a root-level
-// task). External tasks go through the shared FIFO overflow queue, so
-// concurrent stream inputs are served in arrival order. Submitting to a
-// closed pool fails the task's root (resolving its future with
-// ErrPoolClosed) instead of panicking, so a stream racing Close against
-// Input degrades to an errored execution rather than a crash.
-func (p *Pool) Submit(t *Task) { p.submit(nil, t) }
-
-// submit routes t to w's own deque (LIFO, locality) when called from a
-// worker, or to the overflow FIFO otherwise.
-func (p *Pool) submit(w *worker, t *Task) {
+// Submit implements Scheduler. A task forked or resumed on worker w goes to
+// w's own deque (LIFO, locality); a root task (w nil) goes through the
+// shared FIFO overflow queue, so concurrent stream inputs are served in
+// arrival order. Submitting to a closed pool fails the task's root
+// (resolving its future with ErrPoolClosed) instead of panicking, so a
+// stream racing Close against Input degrades to an errored execution rather
+// than a crash.
+func (p *Pool) Submit(w *Worker, t *Task) {
 	if p.closed.Load() {
 		t.root.fail(ErrPoolClosed)
 		return
@@ -263,6 +245,10 @@ func (p *Pool) submit(w *worker, t *Task) {
 	}
 	p.wakeOne()
 }
+
+// Done implements Scheduler: a pool root runs one task, whose value
+// resolves the root's future.
+func (p *Pool) Done(r *Root, _ int, result any) { r.finish(result, nil) }
 
 // popOverflow takes the oldest externally submitted task, if any.
 func (p *Pool) popOverflow() *Task {
@@ -313,7 +299,7 @@ func (p *Pool) maybeSpawn() {
 
 func (p *Pool) ensureWorkersLocked() {
 	for p.spawned < int(p.lp.Load()) {
-		w := &worker{id: p.spawned, dq: newDeque()}
+		w := &Worker{ID: p.spawned, dq: newDeque()}
 		p.spawned++
 		cur := *p.deques.Load()
 		next := make([]*deque, len(cur)+1)
@@ -329,13 +315,6 @@ func (p *Pool) sample() {
 	if g := p.gauge.Load(); g != nil {
 		(*g)(p.clk.Now(), int(p.active.Load()), int(p.lp.Load()))
 	}
-}
-
-// worker identifies one pool goroutine in events and metrics and owns its
-// work-stealing deque.
-type worker struct {
-	id int
-	dq *deque
 }
 
 // acquire claims an execution slot under the LP gate.
@@ -384,7 +363,7 @@ func (p *Pool) wakeOne() {
 // take returns the next task for w: its own deque first (LIFO children),
 // then the shared FIFO overflow (root tasks in arrival order), then a steal
 // sweep over the other workers' deques.
-func (p *Pool) take(w *worker) *Task {
+func (p *Pool) take(w *Worker) *Task {
 	if t := w.dq.pop(); t != nil {
 		p.queued.Add(-1)
 		return t
@@ -397,7 +376,7 @@ func (p *Pool) take(w *worker) *Task {
 	n := len(dqs)
 	for attempt := 0; attempt < 2; attempt++ {
 		for i := 1; i <= n; i++ {
-			d := dqs[(w.id+i)%n]
+			d := dqs[(w.ID+i)%n]
 			if d == w.dq {
 				continue
 			}
@@ -417,7 +396,7 @@ func (p *Pool) take(w *worker) *Task {
 	return nil
 }
 
-func (p *Pool) workerLoop(w *worker) {
+func (p *Pool) workerLoop(w *Worker) {
 	for {
 		if p.closed.Load() {
 			return
@@ -434,59 +413,13 @@ func (p *Pool) workerLoop(w *worker) {
 		}
 		p.sample()
 		runStart := p.clk.Now()
-		if wf := p.wrap.Load(); wf != nil {
-			(*wf)(w.id, func() { p.run(w, t) })
-		} else {
-			p.run(w, t)
-		}
+		drive(w, t, nil, false)
 		p.busyNS.Add(int64(p.clk.Now().Sub(runStart)))
 		p.tasksRun.Add(1)
 		p.active.Add(-1)
 		p.sample()
 		if p.queued.Load() > 0 {
 			p.wakeOne()
-		}
-	}
-}
-
-// run interprets t's instruction stack until the task completes, parks
-// behind children, or its root fails. A panic escaping an instruction —
-// which muscle wrappers already convert, so in practice a panicking event
-// listener — aborts the execution instead of killing the worker. Terminal
-// paths recycle the task; parked parents are recycled by the worker that
-// later completes them.
-func (p *Pool) run(w *worker, t *Task) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			t.root.fail(fmt.Errorf("skandium: panic during skeleton interpretation (listener?): %v", rec))
-		}
-	}()
-	for {
-		if t.root.Canceled() {
-			releaseTask(t)
-			return
-		}
-		if len(t.stack) == 0 {
-			t.complete(w)
-			return
-		}
-		in := t.pop()
-		children, err := in.interpret(w, t)
-		if rel, ok := in.(releasable); ok {
-			rel.release()
-		}
-		if err != nil {
-			if !t.absorb(w, err) {
-				t.root.fail(err)
-			}
-			releaseTask(t)
-			return
-		}
-		if children != nil {
-			for _, c := range children {
-				p.submit(w, c)
-			}
-			return
 		}
 	}
 }

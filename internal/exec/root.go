@@ -1,6 +1,9 @@
-// Package exec is the skeleton interpreter: a task pool with a resizable
-// level of parallelism executing instruction stacks compiled on the fly from
-// skeleton trees, raising the event hooks the autonomic layer observes.
+// Package exec is the skeleton interpreter: the one instruction set that
+// runs a compiled plan.Program, raising the event hooks the autonomic layer
+// observes, plus its real driver — a task pool with a resizable level of
+// parallelism. Every driver runs the same loop; a driver supplies only a
+// Scheduler (who runs the next task) and decides when each muscle Call runs
+// (the pool at once, internal/sim through Step, after its virtual cost).
 package exec
 
 import (
@@ -20,7 +23,7 @@ import (
 // the execution reports to, and the future the caller waits on. Several
 // roots may share one pool.
 type Root struct {
-	pool   *Pool
+	sched  Scheduler
 	events *event.Registry
 	clk    clock.Clock
 
@@ -41,11 +44,12 @@ type Root struct {
 	branchFails []BranchFailure
 }
 
-// NewRoot creates an execution session on pool reporting to events. A nil
-// registry gets a fresh empty one; a nil clock means the system clock.
-func NewRoot(pool *Pool, events *event.Registry, clk clock.Clock) *Root {
-	if pool == nil {
-		panic("exec: NewRoot with nil pool")
+// NewRoot creates an execution session on a scheduler — a *Pool, or the
+// simulator — reporting to events. A nil registry gets a fresh empty one; a
+// nil clock means the system clock.
+func NewRoot(s Scheduler, events *event.Registry, clk clock.Clock) *Root {
+	if s == nil {
+		panic("exec: NewRoot with nil scheduler")
 	}
 	if events == nil {
 		events = event.NewRegistry()
@@ -53,7 +57,7 @@ func NewRoot(pool *Pool, events *event.Registry, clk clock.Clock) *Root {
 	if clk == nil {
 		clk = clock.System
 	}
-	r := &Root{pool: pool, events: events, clk: clk, future: NewFuture()}
+	r := &Root{sched: s, events: events, clk: clk, future: NewFuture()}
 	r.ctrs = &FaultCounters{}
 	return r
 }
@@ -120,9 +124,6 @@ func (r *Root) Failures() *FailureError {
 // Events returns the registry this execution emits to.
 func (r *Root) Events() *event.Registry { return r.events }
 
-// Pool returns the pool executing this root.
-func (r *Root) Pool() *Pool { return r.pool }
-
 // Clock returns the root's time source.
 func (r *Root) Clock() clock.Clock { return r.clk }
 
@@ -146,14 +147,22 @@ func (r *Root) Start(node *skel.Node, param any) *Future {
 }
 
 // StartProgram is Start for a pre-compiled program: the seam through which
-// every backend injects work. A remote/distributed backend ships (or
-// references) the compiled IR once per program instead of re-deriving
-// structure per task; internal/dist exercises it via Cluster.Compile.
+// every backend injects work. A remote backend ships (or references) the
+// compiled IR once per program instead of re-deriving structure per task;
+// internal/remote's workers enter it here.
 func (r *Root) StartProgram(p *plan.Program, param any) *Future {
 	r.start = r.clk.Now()
-	t := newTask(r, nil, 0, param, instrFor(p.Root(), event.NoParent))
-	r.pool.Submit(t)
+	r.Inject(p, param, 0)
 	return r.future
+}
+
+// Inject submits one root task running p on param; the scheduler's Done
+// receives its final value with slot. The pool's roots inject once, through
+// StartProgram; the simulator injects every input of a stream into one root,
+// so activation indices stay unique across the stream its one tracker
+// observes.
+func (r *Root) Inject(p *plan.Program, param any, slot int) {
+	r.sched.Submit(nil, newTask(r, nil, slot, param, instrFor(p.Root(), event.NoParent)))
 }
 
 // nextIndex allocates an activation index; the Before and After events of

@@ -9,24 +9,29 @@ import (
 // the current partial solution (param) and a LIFO stack of instructions to
 // run on it. Data-parallel instructions fork child tasks; the parent task is
 // parked (it holds no worker) until its last child completes, at which point
-// the child's worker re-enqueues the parent. This continuation design is
+// the child's worker re-submits the parent. This continuation design is
 // what makes the level of parallelism a pure resource knob: a map with LP=1
 // still terminates, it just runs its branches sequentially.
 //
-// Tasks are recycled through a sync.Pool: the worker releases a task on its
+// Tasks are recycled through a sync.Pool: Step releases a task on its
 // terminal paths (complete, failure, cancellation), when no other goroutine
 // can still reference it — a task taken from a queue has no outstanding
 // children (a forked parent is parked, not queued, until its last child
 // re-submits it).
 type Task struct {
-	id     uint64
 	root   *Root
 	parent *Task
-	// branch is this task's slot in parent.results.
+	// branch is this task's slot in parent.results; a root task's
+	// Root.Inject slot.
 	branch int
 
 	param any
 	stack []Instr
+
+	// Outputs of the last split and condition Call, read by the
+	// continuation below it (execute and merge results replace param).
+	split []any
+	cond  bool
 
 	// results and pending are set by fork before children are submitted.
 	// Each child writes only its own slot, so no lock is needed; pending is
@@ -35,13 +40,10 @@ type Task struct {
 	pending atomic.Int32
 }
 
-var lastTaskID atomic.Uint64
-
 var taskPool = sync.Pool{New: func() any { return new(Task) }}
 
 func newTask(root *Root, parent *Task, branch int, param any, program ...Instr) *Task {
 	t := taskPool.Get().(*Task)
-	t.id = lastTaskID.Add(1)
 	t.root, t.parent, t.branch, t.param = root, parent, branch, param
 	t.stack = append(t.stack, program...)
 	return t
@@ -54,8 +56,8 @@ func releaseTask(t *Task) {
 		t.stack[i] = nil
 	}
 	t.stack = t.stack[:0]
-	t.id, t.root, t.parent, t.branch = 0, nil, nil, 0
-	t.param, t.results = nil, nil
+	t.root, t.parent, t.branch = nil, nil, 0
+	t.param, t.split, t.cond, t.results = nil, nil, false, nil
 	t.pending.Store(0)
 	taskPool.Put(t)
 }
@@ -72,10 +74,8 @@ func (t *Task) pop() Instr {
 	return in
 }
 
-// fork prepares the bookkeeping for n children and returns the slice the
-// caller fills with newTask values (one per branch, in order). The children
-// must then be returned from the instruction's interpret so the worker
-// submits them after parking this task.
+// fork prepares the bookkeeping for n children, which the instruction then
+// returns from interpret so Step submits them after parking this task.
 func (t *Task) fork(n int) {
 	t.results = make([]any, n)
 	t.pending.Store(int32(n))
@@ -88,24 +88,33 @@ func (t *Task) takeResults() []any {
 	return rs
 }
 
-// childDone records a child's result; the last child re-enqueues the parent
-// on the worker's own deque (w may be nil for non-worker contexts).
-func (t *Task) childDone(w *worker, branch int, result any) {
+// childDone records a child's result; the last child re-submits the parent
+// from its worker w.
+func (t *Task) childDone(w *Worker, branch int, result any) {
 	t.results[branch] = result
 	if t.pending.Add(-1) == 0 {
-		t.root.pool.submit(w, t)
+		t.root.sched.Submit(w, t)
 	}
 }
 
 // complete is called when the stack is empty: the task's value is final.
 // The task is recycled before the parent is notified (the parent never
 // reads the child again).
-func (t *Task) complete(w *worker) {
+func (t *Task) complete(w *Worker) {
 	parent, branch, param, root := t.parent, t.branch, t.param, t.root
 	releaseTask(t)
 	if parent != nil {
 		parent.childDone(w, branch, param)
 		return
 	}
-	root.finish(param, nil)
+	root.sched.Done(root, branch, param)
+}
+
+// failed routes an instruction error to the enclosing fan-out per the
+// root's partial-failure policy, or fails the root, and retires t.
+func (t *Task) failed(w *Worker, err error) {
+	if !t.absorb(w, err) {
+		t.root.fail(err)
+	}
+	releaseTask(t)
 }

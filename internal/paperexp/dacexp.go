@@ -28,16 +28,15 @@ type DaCSpec struct {
 	Leaf     int
 	// Cond/Split/LeafCost/Merge are virtual muscle durations.
 	Cond, Split, LeafCost, Merge time.Duration
-	// Goal, MaxLP, InitialLP, Rho, AnalysisInterval as in Spec. A negative
-	// Goal disables the controller (fixed-LP baseline); zero means the
-	// default goal.
+	// Goal, MaxLP, InitialLP, Rho, AnalysisInterval and Policy as in Spec.
+	// A negative Goal disables the controller (fixed-LP baseline); zero
+	// means the default goal.
 	Goal             time.Duration
 	MaxLP            int
 	InitialLP        int
 	Rho              float64
 	AnalysisInterval time.Duration
-	Increase         core.IncreasePolicy
-	Decrease         core.DecreasePolicy
+	Policy           core.Policy
 	Seed             int64
 }
 
@@ -165,8 +164,7 @@ func RunDaC(spec DaCSpec) (*DaCResult, error) {
 			WCTGoal:          spec.Goal,
 			MaxLP:            spec.MaxLP,
 			AnalysisInterval: spec.AnalysisInterval,
-			Increase:         spec.Increase,
-			Decrease:         spec.Decrease,
+			Policy:           spec.Policy,
 		}, program, eng, est, tracker, eng.Clock())
 		ctl.SetStart(eng.Now())
 		core.Attach(reg, tracker, ctl)

@@ -78,11 +78,11 @@ func TestDaCLooseGoalNoAdaptation(t *testing.T) {
 // TestDaCTighterGoalHigherPeak: shrinking the goal raises the LP peak
 // (same who-wins ordering as Figs. 5 vs 7).
 func TestDaCTighterGoalHigherPeak(t *testing.T) {
-	tight, err := RunDaC(DaCSpec{Goal: 300 * time.Millisecond, Increase: core.IncreaseMinimal})
+	tight, err := RunDaC(DaCSpec{Goal: 300 * time.Millisecond, Policy: core.PaperPolicy{Increase: core.IncreaseMinimal}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	loose, err := RunDaC(DaCSpec{Goal: 900 * time.Millisecond, Increase: core.IncreaseMinimal})
+	loose, err := RunDaC(DaCSpec{Goal: 900 * time.Millisecond, Policy: core.PaperPolicy{Increase: core.IncreaseMinimal}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,8 +72,7 @@ func TestPolicyPredictorMatrix(t *testing.T) {
 			for _, p := range predictors {
 				name := fmt.Sprintf("inc=%d/dec=%d/pred=%v", inc, dec, predName(p))
 				spec := Scenario1()
-				spec.Increase = inc
-				spec.Decrease = dec
+				spec.Policy = core.PaperPolicy{Increase: inc, Decrease: dec}
 				spec.Predictor = p
 				r, err := Run(spec)
 				if err != nil {

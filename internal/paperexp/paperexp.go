@@ -55,11 +55,9 @@ type Spec struct {
 	Seed   int64
 	// Rho is the estimator weight (0 = paper default 0.5).
 	Rho float64
-	// Increase/Decrease select controller policies.
-	Increase core.IncreasePolicy
-	Decrease core.DecreasePolicy
-	// Policy overrides the adaptation rule entirely (nil = the paper rule
-	// built from Increase/Decrease). A stateful policy must be fresh per run.
+	// Policy is the adaptation rule (nil = the paper's; the paper's
+	// ablations are core.PaperPolicy values). A stateful policy must be
+	// fresh per run.
 	Policy core.Policy
 	// Predictor selects the WCT estimation algorithm (nil = ADG).
 	Predictor core.Predictor
@@ -114,19 +112,23 @@ func (s Spec) Defaults() Spec {
 	return s
 }
 
+// minimal is the rule the paper's scenarios run: raise LP only as far as
+// the goal needs.
+var minimal = core.PaperPolicy{Increase: core.IncreaseMinimal}
+
 // Scenario1 is Fig. 5: goal 9.5 s, no initialization.
 func Scenario1() Spec {
-	return Spec{Goal: 9500 * time.Millisecond, Increase: core.IncreaseMinimal, AnalysisInterval: 100 * time.Millisecond}.Defaults()
+	return Spec{Goal: 9500 * time.Millisecond, Policy: minimal, AnalysisInterval: 100 * time.Millisecond}.Defaults()
 }
 
 // Scenario2 is Fig. 6: goal 9.5 s, with initialization.
 func Scenario2() Spec {
-	return Spec{Goal: 9500 * time.Millisecond, Init: true, Increase: core.IncreaseMinimal, AnalysisInterval: 100 * time.Millisecond}.Defaults()
+	return Spec{Goal: 9500 * time.Millisecond, Init: true, Policy: minimal, AnalysisInterval: 100 * time.Millisecond}.Defaults()
 }
 
 // Scenario3 is Fig. 7: goal 10.5 s, no initialization.
 func Scenario3() Spec {
-	return Spec{Goal: 10500 * time.Millisecond, Increase: core.IncreaseMinimal, AnalysisInterval: 100 * time.Millisecond}.Defaults()
+	return Spec{Goal: 10500 * time.Millisecond, Policy: minimal, AnalysisInterval: 100 * time.Millisecond}.Defaults()
 }
 
 // Result is the outcome of one run.
@@ -313,8 +315,6 @@ func (w *world) run(spec Spec, profile estimate.Profile) (*Result, error) {
 			WCTGoal:          spec.Goal,
 			MaxLP:            spec.MaxLP,
 			AnalysisInterval: spec.AnalysisInterval,
-			Increase:         spec.Increase,
-			Decrease:         spec.Decrease,
 			Policy:           spec.Policy,
 			Predictor:        spec.Predictor,
 		}, program, eng, est, tracker, eng.Clock())

@@ -88,9 +88,9 @@ func TestRealEngineScenario(t *testing.T) {
 	est := estimate.NewRegistry(nil)
 	tracker := statemachine.NewTracker(est)
 	ctl := core.NewController(core.Config{
-		WCTGoal:  goal,
-		MaxLP:    24,
-		Increase: core.IncreaseMinimal,
+		WCTGoal: goal,
+		MaxLP:   24,
+		Policy:  core.PaperPolicy{Increase: core.IncreaseMinimal},
 	}, program, pool, est, tracker, nil)
 	core.Attach(reg, tracker, ctl)
 

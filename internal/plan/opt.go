@@ -594,7 +594,7 @@ func countSteps(s *Step) int {
 // CardHint is the live cardinality hint of one fan-out step: the last
 // observed (or statically known) number of parts its split produced.
 // Engines record after every split; consumers use it to size child-result
-// buffers, queue reservations and remote shard batches up front. It is
+// buffers and remote shard batches up front. It is
 // strictly an allocation hint — never a semantic input — so a stale or
 // absent hint costs only an amortized reallocation.
 type CardHint struct {

@@ -1,8 +1,9 @@
 // Package plan compiles a skeleton tree (skel.Node) into an immutable,
 // typed program IR that every engine walks instead of re-deriving structure
-// from the tree: the task-pool interpreter (internal/exec), the
-// discrete-event simulator (internal/sim), the ADG builder and analytic
-// estimators (internal/adg), and the simulated cluster (internal/dist).
+// from the tree: the interpreter (internal/exec), which the task pool and
+// the discrete-event simulator (internal/sim) both drive, the ADG builder
+// and analytic estimators (internal/adg), and the remote coordinator
+// (internal/remote).
 //
 // One compile, many walkers. The paper's WCT guarantee only holds if the
 // controller's predictions (simulator, ADG) describe the same computation

@@ -404,8 +404,8 @@ func (c *Cluster) SetOnNodeEvent(fn func(NodeEvent)) {
 	c.evMu.Unlock()
 }
 
-// The cluster exposes node count as the resource lever, exactly like
-// dist.Cluster and the local pool expose threads.
+// The cluster exposes node count as the resource lever, exactly like the
+// simulator's multi-node mode does and the local pool exposes threads.
 var _ core.LPControl = (*Cluster)(nil)
 
 // LP implements core.LPControl: the number of enabled nodes.

@@ -229,26 +229,15 @@ func newRPC(client *http.Client, clk clock.Clock, pol RPCPolicy) *rpc {
 // backoff computes the jittered exponential wait before retry attempt k
 // (1-based), floored at the server's Retry-After hint when one was given.
 func (r *rpc) backoff(attempt int, retryAfter time.Duration) time.Duration {
-	d := float64(r.pol.BaseDelay)
-	for i := 1; i < attempt; i++ {
-		d *= r.pol.Multiplier
-	}
-	if d > float64(r.pol.MaxDelay) {
-		d = float64(r.pol.MaxDelay)
-	}
-	if r.pol.Jitter > 0 {
-		r.mu.Lock()
-		u := r.rng.Float64()
-		r.mu.Unlock()
-		d *= 1 + r.pol.Jitter*(2*u-1)
-	}
-	if d < 0 {
-		d = 0
-	}
-	if wait := time.Duration(d); wait >= retryAfter {
-		return wait
-	}
-	return retryAfter
+	wait := clock.Backoff(attempt, r.pol.BaseDelay, r.pol.MaxDelay, r.pol.Multiplier, r.pol.Jitter, r.uniform)
+	return max(wait, retryAfter)
+}
+
+// uniform draws the next jitter variate of the seeded sequence.
+func (r *rpc) uniform() float64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.rng.Float64()
 }
 
 // retryAfterHint parses a 429/503 Retry-After header (seconds form only; an

@@ -1,8 +1,9 @@
 // Package sim is a deterministic discrete-event simulator substrate for
-// skeleton programs. It executes the same skeleton trees and emits the same
-// event protocol as the real task-pool engine (internal/exec), but time is
-// virtual: each muscle invocation costs a declared duration and the engine
-// advances a virtual clock from completion to completion.
+// skeleton programs. It is the second driver of internal/exec's
+// interpreter: the same instructions run the same compiled program and
+// raise the same events, but time is virtual — every muscle Call the
+// interpreter yields costs a declared duration, and the engine advances a
+// virtual clock from completion to completion.
 //
 // The simulator exists because the paper's evaluation ran on a 12-core/24-
 // thread Xeon; reproducing the figures requires parallel wall-clock
@@ -10,8 +11,9 @@
 // is the autonomic controller (estimators, ADG, LP decisions) — which only
 // observes events and timestamps — running the identical controller against
 // the simulator preserves exactly the behaviour under test, deterministically.
-// Differential tests (sim vs the real engine) keep the two substrates
-// semantically aligned.
+// What the engine adds is only what the pool does differently: who runs the
+// next task (a LIFO queue, virtual workers, node pinning, partitions and
+// arrivals) and how long a muscle takes (the CostModel).
 package sim
 
 import (
@@ -20,13 +22,15 @@ import (
 
 	"skandium/internal/clock"
 	"skandium/internal/event"
+	"skandium/internal/exec"
 	"skandium/internal/muscle"
 	"skandium/internal/plan"
 	"skandium/internal/skel"
 )
 
 // CostModel declares the virtual duration of one muscle invocation on a
-// given parameter. Called at invocation start; implementations may be
+// given parameter. Called when the interpreter yields the invocation's Call
+// (its Before event raised, the muscle not yet run); implementations may be
 // stateful (e.g. seeded jitter) but must not depend on wall time.
 type CostModel interface {
 	Cost(m *muscle.Muscle, param any) time.Duration
@@ -53,11 +57,11 @@ type Config struct {
 	// Nodes switches the engine into multi-node mode: the machine park of
 	// a simulated cluster. Node i contributes Threads virtual workers, and
 	// every muscle scheduled on it pays an extra 2×Link of virtual time
-	// (the parameter shipped there and the result shipped back, matching
-	// the per-task round trip of internal/dist). With Nodes set, the LP
-	// lever provisions nodes: SetLP(n) enables the first n nodes, so the
-	// unchanged WCT controller scales a simulated cluster in virtual time
-	// exactly like it scales a thread pool.
+	// (the parameter shipped there and the result shipped back — the round
+	// trip internal/remote pays per shard on a real cluster). With Nodes
+	// set, the LP lever provisions nodes: SetLP(n) enables the first n
+	// nodes, so the unchanged WCT controller scales a simulated cluster in
+	// virtual time exactly like it scales a thread pool.
 	Nodes []NodeSpec
 	// Partitions imposes network partitions on the simulated cluster
 	// (multi-node mode only): during [From, Until) after the run starts the
@@ -74,7 +78,7 @@ type Config struct {
 }
 
 // Engine runs one simulated execution at a time. It implements the
-// controller's LPControl lever.
+// controller's LPControl lever and exec.Scheduler.
 type Engine struct {
 	clk    *clock.Virtual
 	events *event.Registry
@@ -93,39 +97,26 @@ type Engine struct {
 	parts    []Partition
 	partBase time.Time // run start the partition windows are relative to
 
-	queue   []*task
+	queue   []*exec.Task
 	running runHeap
 	seq     uint64
 
 	freeSlots []int
 	nextSlot  int
+	// w is the virtual worker handed to exec.Step: the engine is
+	// single-threaded, so one value re-labelled with the slot serves all.
+	w exec.Worker
 
-	idx   int64
+	// root injects every input of the engine's runs: one activation-index
+	// counter across all of them, for the one tracker that observes a
+	// stream. A failed run cancels it; the next run starts a fresh one.
+	root  *exec.Root
 	start time.Time
-	err   error
 
 	arrivals  []arrival
 	nextArr   int
 	results   []StreamResult
 	completed int
-
-	// rootFrom/rootProg cache the entry program of the last streamed
-	// program: entry instructions are immutable, so every injection of the
-	// same program can push the same instructions. Keyed by the Program
-	// (not its node) so optimized and raw programs of one node never share
-	// a cache line.
-	rootFrom *plan.Program
-	rootProg []sinstr
-
-	// Engine-owned freelists (the simulator is single-threaded per engine,
-	// so recycling needs no synchronization): tasks are reused across
-	// activations and injections, fused-chain states across activations.
-	// Both grow in slabs, and fused frame stacks are carved from a shared
-	// arena, so a burst of B concurrent activations costs O(B/slab)
-	// allocations rather than B.
-	taskFree   []*task
-	fusedFree  []*fusedState
-	frameArena []sctx
 }
 
 // NodeSpec describes one node of a simulated cluster: its virtual worker
@@ -366,24 +357,30 @@ func (e *Engine) RunStream(node *skel.Node, injections []Injection) ([]StreamRes
 // observable.
 func (e *Engine) RunStreamProgram(prog *plan.Program, injections []Injection) (results []StreamResult, err error) {
 	defer func() {
-		// Muscle panics are converted by scall; a panic reaching here comes
-		// from an event listener and aborts the run instead of the process.
+		// Muscle and listener panics fail the root inside exec.Step; one
+		// reaching here comes from the cost model or the gauge and aborts
+		// the run instead of the process.
 		if rec := recover(); rec != nil {
 			results = nil
-			err = fmt.Errorf("sim: panic during simulated execution (listener?): %v", rec)
+			err = fmt.Errorf("sim: panic during simulated execution: %v", rec)
 		}
 	}()
 	if len(injections) == 0 {
 		return nil, nil
 	}
+	if e.root == nil || e.root.Canceled() {
+		e.root = exec.NewRoot(e, e.events, e.clk)
+	}
 	e.queue = e.queue[:0]
 	e.running = runHeap{}
-	e.err = nil
 	e.completed = 0
 	runStart := e.clk.Now()
 	e.partBase = runStart
 
 	e.results = make([]StreamResult, len(injections))
+	if cap(e.arrivals) < len(injections) {
+		e.arrivals = make([]arrival, 0, len(injections))
+	}
 	e.arrivals = e.arrivals[:0]
 	for i, inj := range injections {
 		at := runStart.Add(inj.At)
@@ -394,17 +391,17 @@ func (e *Engine) RunStreamProgram(prog *plan.Program, injections []Injection) (r
 	e.nextArr = 0
 	e.admitArrivals(prog)
 
-	for e.completed < len(e.results) && e.err == nil {
+	for e.completed < len(e.results) && !e.root.Canceled() {
 		// Admit ready tasks while capacity remains.
 		for e.running.len() < e.capacity() && len(e.queue) > 0 {
 			t := e.queue[len(e.queue)-1]
 			e.queue = e.queue[:len(e.queue)-1]
-			e.step(t, e.takeSlot())
-			if e.err != nil {
+			e.step(t, e.takeSlot(), nil)
+			if e.root.Canceled() {
 				break
 			}
 		}
-		if e.completed == len(e.results) || e.err != nil {
+		if e.completed == len(e.results) || e.root.Canceled() {
 			break
 		}
 		if e.running.len() == 0 {
@@ -445,15 +442,13 @@ func (e *Engine) RunStreamProgram(prog *plan.Program, injections []Injection) (r
 		}
 		e.clk.Set(r.until)
 		e.sample()
-		r.fin.finish(r.task, r.slot)
-		if e.err != nil {
-			break
-		}
-		// The same virtual worker continues interpreting its task.
-		e.step(r.task, r.slot)
+		// The muscle's time is up: the same virtual worker invokes it and
+		// goes on interpreting its task.
+		e.step(r.task, r.slot, r.call)
 	}
-	if e.err != nil {
-		return nil, e.err
+	if e.root.Canceled() {
+		_, err, _ := e.root.Future().TryGet()
+		return nil, err
 	}
 	return e.results, nil
 }
@@ -464,14 +459,7 @@ func (e *Engine) admitArrivals(prog *plan.Program) {
 	for e.nextArr < len(e.arrivals) && !e.arrivals[e.nextArr].at.After(now) {
 		a := e.arrivals[e.nextArr]
 		e.nextArr++
-		if e.rootFrom != prog {
-			e.rootFrom = prog
-			e.rootProg = progFor(e, prog.Root(), event.NoParent)
-		}
-		root := e.newTask()
-		root.param, root.rootIdx = a.param, a.idx
-		root.push(e.rootProg...)
-		e.submit(root)
+		e.root.Inject(prog, a.param, a.idx)
 	}
 }
 
@@ -484,7 +472,16 @@ func sortArrivals(as []arrival) {
 	}
 }
 
-func (e *Engine) submit(t *task) { e.queue = append(e.queue, t) }
+// Submit implements exec.Scheduler: forked children, resumed parents and
+// injected inputs all join the LIFO ready queue.
+func (e *Engine) Submit(_ *exec.Worker, t *exec.Task) { e.queue = append(e.queue, t) }
+
+// Done implements exec.Scheduler: input slot of the stream completed now.
+func (e *Engine) Done(_ *exec.Root, slot int, result any) {
+	e.results[slot].Result = result
+	e.results[slot].End = e.clk.Now()
+	e.completed++
+}
 
 func (e *Engine) takeSlot() int {
 	var s int
@@ -526,180 +523,25 @@ func (e *Engine) releaseSlot(s int) {
 	e.freeSlots = append(e.freeSlots, s)
 }
 
-// step interprets t until it blocks on a muscle, parks behind children, or
-// completes. slot is the virtual worker identity used in events.
-func (e *Engine) step(t *task, slot int) {
-	for e.err == nil {
-		if len(t.stack) == 0 {
-			e.completeTask(t)
-			e.releaseSlot(slot)
-			return
-		}
-		in := t.pop()
-		switch in := in.(type) {
-		case *emitInstr:
-			in.run(t, slot)
-		case *instant:
-			in.fn(t, slot)
-		case *seqInstr:
-			in.run(t, slot)
-		case *seqBusy:
-			e.park(t, slot, in.dur, in)
-			return
-		case *busy:
-			e.park(t, slot, in.dur, in)
-			return
-		case *fusedEntry:
-			if e.acquireFused(in.prog, in.parent).run(t, slot) {
-				return // parked on a busy period mid-chain
-			}
-		case *fusedState:
-			if in.run(t, slot) {
-				return
-			}
-		case *spawn:
-			if len(in.children) == 0 {
-				continue // zero-cardinality split: continuation runs now
-			}
-			// Reserve queue capacity for the whole fan-out at once (the
-			// optimizer's pre-sizing discipline: the cardinality is exact
-			// here).
-			if need := len(e.queue) + len(in.children); cap(e.queue) < need {
-				nq := make([]*task, len(e.queue), need)
-				copy(nq, e.queue)
-				e.queue = nq
-			}
-			for _, c := range in.children {
-				e.submit(c)
-			}
-			e.releaseSlot(slot)
-			return
-		default:
-			e.err = fmt.Errorf("sim: unknown instruction %T", in)
-			return
-		}
-	}
-}
-
-func (e *Engine) completeTask(t *task) {
-	if t.parent == nil {
-		e.results[t.rootIdx].Result = t.param
-		e.results[t.rootIdx].End = e.clk.Now()
-		e.completed++
-		e.recycleTask(t)
+// step runs t on virtual worker slot through exec's interpreter (first
+// invoking call, the muscle whose virtual time just elapsed, if any) until
+// it yields its next muscle call, which is priced and parked on the run
+// heap, or leaves the worker.
+func (e *Engine) step(t *exec.Task, slot int, call *exec.Call) {
+	e.w.ID = slot
+	if call = exec.Step(&e.w, t, call); call != nil {
+		e.park(t, slot, call)
 		return
 	}
-	p := t.parent
-	p.results[t.branch] = t.param
-	p.pending--
-	if p.pending == 0 {
-		e.submit(p)
-	}
-	e.recycleTask(t)
+	e.releaseSlot(slot)
 }
 
-// taskSlab is the freelist growth quantum: an empty freelist refills from
-// one contiguous allocation of this many tasks.
-const taskSlab = 32
-
-// newTask draws a task from the engine's freelist (per-program arena
-// discipline: the farm hot path reuses a handful of tasks across the whole
-// stream instead of allocating one per activation).
-func (e *Engine) newTask() *task {
-	if n := len(e.taskFree); n > 0 {
-		t := e.taskFree[n-1]
-		e.taskFree = e.taskFree[:n-1]
-		return t
-	}
-	slab := make([]task, taskSlab)
-	for i := taskSlab - 1; i > 0; i-- {
-		e.taskFree = append(e.taskFree, &slab[i])
-	}
-	return &slab[0]
-}
-
-// recycleTask returns a completed task to the freelist. Callers must be
-// done with every field; the stack's backing array is retained.
-func (e *Engine) recycleTask(t *task) {
-	t.param = nil
-	t.parent = nil
-	t.branch = 0
-	t.results = nil
-	t.pending = 0
-	t.rootIdx = 0
-	t.stack = t.stack[:0]
-	e.taskFree = append(e.taskFree, t)
-}
-
-func (e *Engine) fail(err error) {
-	if e.err == nil {
-		e.err = err
-	}
-}
-
-// nextIndex allocates an activation index (shared protocol with exec).
-func (e *Engine) nextIndex() int64 {
-	i := e.idx
-	e.idx++
-	return i
-}
-
-// --- task & instruction plumbing ----------------------------------------------
-
-type task struct {
-	param   any
-	stack   []sinstr
-	parent  *task
-	branch  int
-	results []any
-	pending int
-	// rootIdx is the injection slot for parentless tasks.
-	rootIdx int
-}
-
-func (t *task) push(in ...sinstr) { t.stack = append(t.stack, in...) }
-
-func (t *task) pop() sinstr {
-	in := t.stack[len(t.stack)-1]
-	t.stack[len(t.stack)-1] = nil
-	t.stack = t.stack[:len(t.stack)-1]
-	return in
-}
-
-// sinstr is a simulated instruction: instant bookkeeping, a busy period, or
-// a fork into children.
-type sinstr interface{ simInstr() }
-
-// instant runs immediately (events, stack manipulation).
-type instant struct{ fn func(t *task, slot int) }
-
-// busy occupies the virtual worker for dur, then runs fn.
-type busy struct {
-	dur time.Duration
-	fn  func(t *task, slot int)
-}
-
-// finish implements finisher.
-func (b *busy) finish(t *task, slot int) { b.fn(t, slot) }
-
-// spawn parks the task behind children.
-type spawn struct{ children []*task }
-
-func (*instant) simInstr() {}
-func (*busy) simInstr()    {}
-func (*spawn) simInstr()   {}
-
-// finisher is the continuation of a busy period, invoked when the virtual
-// muscle completes. Typed (rather than a bound closure per busy period) so
-// scheduling a muscle costs no extra allocation.
-type finisher interface {
-	finish(t *task, slot int)
-}
-
-// park schedules t's current busy period of duration d, finishing with fin.
-// In multi-node mode the slot's node adds its round-trip link latency: the
-// muscle's parameter ships to the node and its result ships back.
-func (e *Engine) park(t *task, slot int, d time.Duration, fin finisher) {
+// park prices c with the cost model now, at its Before instant, and holds
+// t's worker for that long. In multi-node mode the slot's node adds its
+// round-trip link latency: the muscle's parameter ships to the node and its
+// result ships back.
+func (e *Engine) park(t *exec.Task, slot int, c *exec.Call) {
+	d := e.costs.Cost(c.Muscle(), c.Param())
 	if d < 0 {
 		d = 0
 	}
@@ -712,17 +554,18 @@ func (e *Engine) park(t *task, slot int, d time.Duration, fin finisher) {
 		seq:   e.seq,
 		task:  t,
 		slot:  slot,
-		fin:   fin,
+		call:  c,
 	})
 	e.sample()
 }
 
+// run is one muscle in flight: its task's worker is held until until.
 type run struct {
 	until time.Time
 	seq   uint64
-	task  *task
+	task  *exec.Task
 	slot  int
-	fin   finisher
+	call  *exec.Call
 }
 
 // runHeap orders running muscles by completion time, FIFO within equal

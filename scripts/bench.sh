@@ -1,7 +1,10 @@
 #!/usr/bin/env sh
 # Runs the repo's benchmark suite and records the results as benchjson JSON.
+# The committed BENCH_*.json recordings are what CI gates against, so the
+# default output is the git-ignored bench_out.json; write a recording on
+# purpose with OUT.
 #
-#   scripts/bench.sh                 # full suite -> BENCH_8.json
+#   scripts/bench.sh                 # full suite -> bench_out.json
 #   OUT=my.json scripts/bench.sh     # choose the output file
 #   BENCHTIME=200x scripts/bench.sh  # fixed iteration count (comparable runs)
 #   FILTER='FarmThroughput|EventOverhead|EngineFanout' scripts/bench.sh
@@ -9,12 +12,12 @@
 #
 # Compare two recordings (fails on >20% regressions, timing advisory-only):
 #
-#   go run ./cmd/benchjson -compare BENCH_baseline.json -against BENCH_8.json -ns-advisory
+#   go run ./cmd/benchjson -compare BENCH_baseline.json -against bench_out.json -ns-advisory
 set -eu
 
 cd "$(dirname "$0")/.."
 
-OUT="${OUT:-BENCH_8.json}"
+OUT="${OUT:-bench_out.json}"
 BENCHTIME="${BENCHTIME:-200x}"
 FILTER="${FILTER:-.}"
 PKGS="${PKGS:-. ./internal/server}"

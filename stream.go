@@ -46,22 +46,6 @@ func NewPolicy(name string, seed int64) (Policy, error) { return core.NewPolicy(
 // PolicyNames lists the registered adaptation policies.
 func PolicyNames() []string { return core.Policies() }
 
-// Increase/decrease policy re-exports for WithPolicies.
-const (
-	// IncreaseOptimal jumps to the optimal LP (peak of the best-effort
-	// timeline) when the goal would be missed — the paper's §4 behaviour.
-	IncreaseOptimal = core.IncreaseOptimal
-	// IncreaseMinimal raises LP to the smallest sufficient value.
-	IncreaseMinimal = core.IncreaseMinimal
-	// DecreaseHalve halves LP when the goal is met with half the threads —
-	// the paper's behaviour.
-	DecreaseHalve = core.DecreaseHalve
-	// DecreaseNone never lowers LP.
-	DecreaseNone = core.DecreaseNone
-	// DecreaseExact lowers LP to the smallest sufficient value.
-	DecreaseExact = core.DecreaseExact
-)
-
 type config struct {
 	lp               int
 	maxLP            int
@@ -71,8 +55,6 @@ type config struct {
 	analysisInterval time.Duration
 	analysisTicker   time.Duration
 	decreaseHold     time.Duration
-	increase         core.IncreasePolicy
-	decrease         core.DecreasePolicy
 	policy           core.Policy
 	predictor        core.Predictor
 	adgBudget        int
@@ -146,15 +128,9 @@ func WithDecreaseHold(d time.Duration) Option {
 	return func(c *config) { c.decreaseHold = d }
 }
 
-// WithPolicies selects the controller's increase/decrease policies
-// (defaults: IncreaseOptimal, DecreaseHalve — the paper's).
-func WithPolicies(inc core.IncreasePolicy, dec core.DecreasePolicy) Option {
-	return func(c *config) { c.increase = inc; c.decrease = dec }
-}
-
-// WithPolicy installs a full adaptation Policy, overriding the paper rule
-// (and the WithPolicies increase/decrease selectors). Use NewPolicy to
-// build one by registry name.
+// WithPolicy installs the adaptation Policy (default: the paper rule). Use
+// NewPolicy to build one by registry name — the paper rule's ablations are
+// "paper-minimal", "paper-nodecrease" and "paper-exact".
 //
 // Each Input drives its controller with an independent instance: stateful
 // policies implementing PolicyCloner (the built-ins hillclimb and bandit
@@ -299,8 +275,6 @@ func (st *Stream[P, R]) Input(p P) *Execution[R] {
 			MaxLP:            st.cfg.maxLP,
 			AnalysisInterval: st.cfg.analysisInterval,
 			DecreaseHold:     st.cfg.decreaseHold,
-			Increase:         st.cfg.increase,
-			Decrease:         st.cfg.decrease,
 			Policy:           core.ClonePolicy(st.cfg.policy),
 			Predictor:        st.cfg.predictor,
 			ADGBudget:        st.cfg.adgBudget,

@@ -308,13 +308,17 @@ func TestDrainContextCancel(t *testing.T) {
 // explicit policies, farm wrapper, and the execution accessors.
 func TestRemainingOptionCoverage(t *testing.T) {
 	prog := Farm(nestedSleepProgram(3, 2*time.Millisecond))
+	minimal, err := NewPolicy("paper-minimal", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	st := NewStream[int, int](prog,
 		WithLP(1),
 		WithMaxLP(8),
 		WithWCTGoal(40*time.Millisecond),
 		WithAnalysisInterval(time.Millisecond),
 		WithDecreaseHold(10*time.Millisecond),
-		WithPolicies(IncreaseMinimal, DecreaseHalve),
+		WithPolicy(minimal),
 		WithClock(nil2clock()),
 	)
 	defer st.Close()
