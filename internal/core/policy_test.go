@@ -10,6 +10,50 @@ import (
 	"skandium/internal/clock"
 )
 
+// TestExplicitPaperPolicyMatchesDefault: the default (nil Policy), the
+// registry names and an explicit Config{Policy: PaperPolicy{...}} drive the
+// controller to identical decision logs on the Fig. 1 snapshot.
+func TestExplicitPaperPolicyMatchesDefault(t *testing.T) {
+	run := func(cfg Config) []Decision {
+		s := newFig1Setup()
+		s.replayUntil70()
+		lever := &fakeLever{lp: 2}
+		ctl := NewController(cfg, s.outer, lever, s.est, s.tr, clock.NewVirtual(clock.Epoch))
+		ctl.SetStart(clock.Epoch)
+		ctl.Analyze(clock.Epoch.Add(u(70)))
+		ctl.Analyze(clock.Epoch.Add(u(80)))
+		return ctl.Decisions()
+	}
+	def := run(Config{WCTGoal: u(100)})
+	if len(def) == 0 {
+		t.Fatal("default policy made no decision on the Fig. 1 snapshot")
+	}
+	if explicit := run(Config{WCTGoal: u(100), Policy: PaperPolicy{}}); !reflect.DeepEqual(def, explicit) {
+		t.Fatalf("decisions diverge\ndefault:  %v\nexplicit: %v", def, explicit)
+	}
+	for _, tc := range []struct {
+		name string
+		inc  IncreasePolicy
+		dec  DecreasePolicy
+	}{
+		{"paper", IncreaseOptimal, DecreaseHalve},
+		{"paper-minimal", IncreaseMinimal, DecreaseHalve},
+		{"paper-nodecrease", IncreaseOptimal, DecreaseNone},
+		{"paper-exact", IncreaseOptimal, DecreaseExact},
+	} {
+		named, err := NewPolicy(tc.name, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		byName := run(Config{WCTGoal: u(100), Policy: named})
+		viaPolicy := run(Config{WCTGoal: u(100), Policy: PaperPolicy{Increase: tc.inc, Decrease: tc.dec}})
+		if !reflect.DeepEqual(byName, viaPolicy) {
+			t.Fatalf("%s: decisions diverge\nby name:    %v\nvia Policy: %v",
+				tc.name, byName, viaPolicy)
+		}
+	}
+}
+
 // TestDecreaseHoldSequenceClamp is the regression test for the virtual-time
 // hold bug: with AnalysisInterval zero the virtual clock can jump straight
 // past the hold window in one event batch, so a wall-time-only hold damps

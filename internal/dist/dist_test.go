@@ -1,20 +1,28 @@
+// Package dist held the goroutine-per-node cluster model; its code is gone
+// and the one cluster model is internal/sim's multi-node mode
+// (sim.Config.Nodes). These tests keep the cluster behaviours it was
+// checked for — execution across nodes, link latency, node scaling, the
+// controller provisioning nodes, virtual-clock shipping and the compiled
+// program seam — pinned against that model, in virtual time.
 package dist
 
 import (
-	"sync"
 	"testing"
 	"time"
 
-	"skandium/internal/clock"
 	"skandium/internal/core"
 	"skandium/internal/estimate"
 	"skandium/internal/event"
 	"skandium/internal/muscle"
+	"skandium/internal/plan"
+	"skandium/internal/sim"
 	"skandium/internal/skel"
 	"skandium/internal/statemachine"
 )
 
-func wordcountish(sleep time.Duration, card int) (*skel.Node, *muscle.Muscle, *muscle.Muscle, *muscle.Muscle) {
+// wordcountish builds map(split into card items, seq(fe), sum) and a cost
+// model in which fe takes work and the split and merge are free.
+func wordcountish(work time.Duration, card int) (*skel.Node, sim.CostModel) {
 	fs := muscle.NewSplit("fs", func(p any) ([]any, error) {
 		out := make([]any, card)
 		for i := range out {
@@ -22,10 +30,7 @@ func wordcountish(sleep time.Duration, card int) (*skel.Node, *muscle.Muscle, *m
 		}
 		return out, nil
 	})
-	fe := muscle.NewExecute("fe", func(p any) (any, error) {
-		time.Sleep(sleep)
-		return 1, nil
-	})
+	fe := muscle.NewExecute("fe", func(p any) (any, error) { return 1, nil })
 	fm := muscle.NewMerge("fm", func(ps []any) (any, error) {
 		s := 0
 		for _, p := range ps {
@@ -33,71 +38,87 @@ func wordcountish(sleep time.Duration, card int) (*skel.Node, *muscle.Muscle, *m
 		}
 		return s, nil
 	})
-	return skel.NewMap(fs, skel.NewSeq(fe), fm), fs, fe, fm
+	costs := sim.CostFunc(func(m *muscle.Muscle, _ any) time.Duration {
+		if m == fe {
+			return work
+		}
+		return 0
+	})
+	return skel.NewMap(fs, skel.NewSeq(fe), fm), costs
+}
+
+// cluster returns n single-threaded nodes behind a link of the given
+// one-way latency.
+func cluster(n int, link time.Duration) []sim.NodeSpec {
+	nodes := make([]sim.NodeSpec, n)
+	for i := range nodes {
+		nodes[i] = sim.NodeSpec{Threads: 1, Link: link}
+	}
+	return nodes
 }
 
 func TestClusterExecutes(t *testing.T) {
-	nd, _, _, _ := wordcountish(time.Millisecond, 6)
-	c := New(Config{Nodes: 3, ShipLatency: 100 * time.Microsecond})
-	defer c.Close()
-	res, err := c.NewExecution(nil).Start(nd, 0).Get()
+	nd, costs := wordcountish(time.Millisecond, 6)
+	link := 100 * time.Microsecond
+	busy := make([]bool, 3)
+	var eng *sim.Engine
+	gauge := func(time.Time, int, int) {
+		for i, n := range eng.NodeOccupancy() {
+			if n > 0 {
+				busy[i] = true
+			}
+		}
+	}
+	eng = sim.NewEngine(sim.Config{Costs: costs, Nodes: cluster(3, link), LP: 3, MaxLP: 3, Gauge: gauge})
+	res, makespan, err := eng.Run(nd, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res != 6 {
 		t.Fatalf("result %v, want 6", res)
 	}
-	stats := c.Stats()
-	if len(stats) == 0 {
-		t.Fatal("no node stats recorded")
-	}
-	total := 0
-	for _, st := range stats {
-		total += st.Tasks
-		if st.BusyTime <= 0 {
-			t.Fatalf("node %d has zero busy time over %d tasks", st.Node, st.Tasks)
+	for i, b := range busy {
+		if !b {
+			t.Fatalf("node %d never ran a muscle", i)
 		}
 	}
-	if total < 6 {
-		t.Fatalf("only %d tasks accounted", total)
+	// split(2 links) + 6 items × (1ms + 2 links) on 3 nodes (2 waves) +
+	// merge(2 links).
+	if want := 2*link + 2*(time.Millisecond+2*link) + 2*link; makespan != want {
+		t.Fatalf("makespan %v, want %v", makespan, want)
 	}
 }
 
 func TestShipLatencySlowsExecution(t *testing.T) {
-	nd, _, _, _ := wordcountish(0, 4)
-	fast := New(Config{Nodes: 1})
-	defer fast.Close()
-	start := time.Now()
-	if _, err := fast.NewExecution(nil).Start(nd, 0).Get(); err != nil {
+	nd, costs := wordcountish(0, 4)
+	fast := sim.NewEngine(sim.Config{Costs: costs, Nodes: cluster(1, 0), LP: 1})
+	_, local, err := fast.Run(nd, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	local := time.Since(start)
 
-	slow := New(Config{Nodes: 1, ShipLatency: 3 * time.Millisecond})
-	defer slow.Close()
-	start = time.Now()
-	if _, err := slow.NewExecution(nil).Start(nd, 0).Get(); err != nil {
+	slow := sim.NewEngine(sim.Config{Costs: costs, Nodes: cluster(1, 3*time.Millisecond), LP: 1})
+	_, remote, err := slow.Run(nd, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	remote := time.Since(start)
 	if remote < local+10*time.Millisecond {
 		t.Fatalf("shipping latency not paid: local %v, remote %v", local, remote)
 	}
 }
 
 func TestNodesScaleThroughput(t *testing.T) {
-	nd, _, _, _ := wordcountish(4*time.Millisecond, 8)
+	nd, costs := wordcountish(4*time.Millisecond, 8)
 	run := func(nodes int) time.Duration {
-		c := New(Config{Nodes: nodes})
-		defer c.Close()
-		start := time.Now()
-		if _, err := c.NewExecution(nil).Start(nd, 0).Get(); err != nil {
+		eng := sim.NewEngine(sim.Config{Costs: costs, Nodes: cluster(nodes, 0), LP: nodes, MaxLP: nodes})
+		_, makespan, err := eng.Run(nd, 0)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return time.Since(start)
+		return makespan
 	}
-	one := run(1)  // ~32ms of sleeps
-	four := run(4) // ~8ms of sleeps
+	one := run(1)  // 32ms of work
+	four := run(4) // 8ms of work
 	if four >= one {
 		t.Fatalf("4 nodes (%v) not faster than 1 node (%v)", four, one)
 	}
@@ -113,27 +134,28 @@ func TestAutonomicClusterScaling(t *testing.T) {
 		}
 		return out, nil
 	})
-	fe := muscle.NewExecute("fe", func(p any) (any, error) {
-		time.Sleep(6 * time.Millisecond)
-		return 1, nil
-	})
+	fe := muscle.NewExecute("fe", func(p any) (any, error) { return 1, nil })
 	fm := muscle.NewMerge("fm", func(ps []any) (any, error) { return len(ps), nil })
 	inner := skel.NewMap(fs, skel.NewSeq(fe), fm)
 	outer := skel.NewMap(fs, inner, fm)
-	// Sequential: 16 × 6ms ≈ 96ms (+ instant splits). Goal: 60ms.
+	costs := sim.CostFunc(func(m *muscle.Muscle, _ any) time.Duration {
+		if m == fe {
+			return 6 * time.Millisecond
+		}
+		return 0
+	})
+	// Sequential: 16 × 6ms = 96ms (+ instant splits). Goal: 60ms.
 
-	c := New(Config{Nodes: 1, MaxNodes: 8})
-	defer c.Close()
 	reg := event.NewRegistry()
+	eng := sim.NewEngine(sim.Config{Costs: costs, Nodes: cluster(8, 0), LP: 1, MaxLP: 8, Events: reg})
 	est := estimate.NewRegistry(nil)
 	tracker := statemachine.NewTracker(est)
 	ctl := core.NewController(core.Config{WCTGoal: 60 * time.Millisecond, MaxLP: 8},
-		outer, c, est, tracker, nil)
+		outer, eng, est, tracker, eng.Clock())
+	ctl.SetStart(eng.Now())
 	core.Attach(reg, tracker, ctl)
 
-	start := time.Now()
-	res, err := c.NewExecution(reg).Start(outer, 0).Get()
-	elapsed := time.Since(start)
+	res, elapsed, err := eng.Run(outer, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,33 +179,12 @@ func TestAutonomicClusterScaling(t *testing.T) {
 	}
 }
 
-func TestConcurrentStatsAccess(t *testing.T) {
-	nd, _, _, _ := wordcountish(100*time.Microsecond, 16)
-	c := New(Config{Nodes: 4})
-	defer c.Close()
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 50; i++ {
-			c.Stats()
-			c.Nodes()
-		}
-	}()
-	if _, err := c.NewExecution(nil).Start(nd, 0).Get(); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-}
-
 // TestCompiledProgramSeam: a coordinator compiles the program once and
-// injects inputs through exec.Root.StartProgram; results match Start.
+// injects inputs through the compiled-program entry; results match Run.
 func TestCompiledProgramSeam(t *testing.T) {
-	nd, _, _, _ := wordcountish(100*time.Microsecond, 5)
-	c := New(Config{Nodes: 2})
-	defer c.Close()
+	nd, costs := wordcountish(100*time.Microsecond, 5)
 
-	prog, err := c.Compile(nd)
+	prog, err := plan.Of(nd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +192,7 @@ func TestCompiledProgramSeam(t *testing.T) {
 		t.Fatal("compiled program not rooted at the source node")
 	}
 	// Compile is cached on the node: recompiling yields the same program.
-	again, err := c.Compile(nd)
+	again, err := plan.Of(nd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,32 +200,31 @@ func TestCompiledProgramSeam(t *testing.T) {
 		t.Fatal("recompiling the same node built a second program")
 	}
 
-	viaProgram, err := c.NewExecution(nil).StartProgram(prog, 0).Get()
+	viaProgram, err := sim.NewEngine(sim.Config{Costs: costs, Nodes: cluster(2, 0), LP: 2}).
+		RunStreamProgram(prog, []sim.Injection{{Param: 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaStart, err := c.NewExecution(nil).Start(nd, 0).Get()
+	viaStart, _, err := sim.NewEngine(sim.Config{Costs: costs, Nodes: cluster(2, 0), LP: 2}).Run(nd, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if viaProgram != viaStart || viaProgram != 5 {
-		t.Fatalf("StartProgram=%v Start=%v, want both 5", viaProgram, viaStart)
+	if viaProgram[0].Result != viaStart || viaStart != 5 {
+		t.Fatalf("RunStreamProgram=%v Run=%v, want both 5", viaProgram[0].Result, viaStart)
 	}
 }
 
-// TestVirtualClockShipLatency: the shipping delay goes through the injected
-// clock, so a virtual-clock cluster simulation with an hour of one-way
-// latency completes in real milliseconds while the virtual clock pays the
-// full round trips. Regression test for dispatch using time.Sleep.
+// TestVirtualClockShipLatency: the shipping delay goes through the
+// simulation's virtual clock, so a cluster with an hour of one-way latency
+// completes in real milliseconds while the virtual clock pays the full
+// round trips.
 func TestVirtualClockShipLatency(t *testing.T) {
-	nd, _, _, _ := wordcountish(0, 4) // instant muscles: only shipping costs
-	vclk := clock.NewVirtual(clock.Epoch)
+	nd, costs := wordcountish(0, 4) // instant muscles: only shipping costs
 	ship := time.Hour
-	c := New(Config{Nodes: 2, ShipLatency: ship, Clock: vclk})
-	defer c.Close()
+	eng := sim.NewEngine(sim.Config{Costs: costs, Nodes: cluster(2, ship), LP: 2})
 
 	start := time.Now()
-	res, err := c.NewExecution(nil).Start(nd, 0).Get()
+	res, _, err := eng.Run(nd, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,8 +234,8 @@ func TestVirtualClockShipLatency(t *testing.T) {
 	if wall := time.Since(start); wall > 30*time.Second {
 		t.Fatalf("virtual shipping burned %v of wall time", wall)
 	}
-	// Every dispatched task pays two one-way ships on the virtual clock.
-	if adv := vclk.Now().Sub(clock.Epoch); adv < 2*ship {
+	// Every dispatched muscle pays two one-way ships on the virtual clock.
+	if adv := eng.Now().Sub(eng.StartTime()); adv < 2*ship {
 		t.Fatalf("virtual clock advanced only %v, want >= %v", adv, 2*ship)
 	}
 }
