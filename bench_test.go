@@ -414,6 +414,107 @@ func BenchmarkPredictorCost(b *testing.B) {
 	}
 }
 
+// BenchmarkAnalyzeSteady measures one controller analysis on a live 8×8
+// two-level map (goal_grid's shape: 82 activities, LP 8, a third of the cells
+// done, four running), alternating the two cases a running job produces:
+// only the clock advanced (the analysis ticker) and one muscle's After was
+// recorded (the estimates and the tree moved). Neither allocates.
+func BenchmarkAnalyzeSteady(b *testing.B) {
+	fs := muscle.NewSplit("fs", func(any) ([]any, error) { return nil, nil })
+	fe := muscle.NewExecute("fe", func(p any) (any, error) { return p, nil })
+	fm := muscle.NewMerge("fm", func([]any) (any, error) { return nil, nil })
+	inner := skel.NewMap(fs, skel.NewSeq(fe), fm)
+	outer := skel.NewMap(fs, inner, fm)
+	cell := inner.Children()[0]
+	est := estimate.NewRegistry(nil)
+	us := func(n int) time.Duration { return time.Duration(n) * time.Microsecond }
+	est.InitDuration(fs.ID(), us(100))
+	est.InitDuration(fe.ID(), 10*time.Millisecond)
+	est.InitDuration(fm.ID(), us(100))
+	est.InitCard(fs.ID(), 8)
+	tr := statemachine.NewTracker(est)
+	emit := func(nd *skel.Node, idx, parent int64, when event.When, where event.Where, at time.Duration, card int) {
+		tr.Listener().Handler(&event.Event{
+			Node: nd, Trace: []*skel.Node{nd}, Index: idx, Parent: parent,
+			When: when, Where: where, Time: clock.Epoch.Add(at), Card: card,
+		})
+	}
+	// Both splits ran; the 64 cells run four at a time in 10 ms waves from
+	// 0.2 ms. At now = 55.2 ms waves 0-4 are done, wave 5 is running.
+	now := us(55200)
+	emit(outer, 0, event.NoParent, event.Before, event.Skeleton, 0, 0)
+	emit(outer, 0, event.NoParent, event.Before, event.Split, 0, 0)
+	emit(outer, 0, event.NoParent, event.After, event.Split, us(100), 8)
+	for i := int64(1); i <= 8; i++ {
+		emit(inner, i, 0, event.Before, event.Skeleton, us(100), 0)
+		emit(inner, i, 0, event.Before, event.Split, us(100), 0)
+		emit(inner, i, 0, event.After, event.Split, us(200), 8)
+	}
+	cellAt := func(c int) (start, end time.Duration) {
+		start = us(200) + time.Duration(c/4)*10*time.Millisecond
+		return start, start + 10*time.Millisecond
+	}
+	for c := 0; c < 64; c++ {
+		start, end := cellAt(c)
+		if start > now {
+			break
+		}
+		idx, parent := int64(9+c), int64(1+c/8)
+		emit(cell, idx, parent, event.Before, event.Skeleton, start, 0)
+		if end <= now {
+			emit(cell, idx, parent, event.After, event.Skeleton, end, 0)
+			if c%8 == 7 { // the inner map's last cell: merge and close it
+				emit(inner, parent, 0, event.Before, event.Merge, end, 0)
+				emit(inner, parent, 0, event.After, event.Merge, end+us(100), 0)
+				emit(inner, parent, 0, event.After, event.Skeleton, end+us(100), 0)
+			}
+		}
+	}
+	// The goal is met at LP 8 and missed at 4: the paper rule holds.
+	ctl := core.NewController(core.Config{WCTGoal: 130 * time.Millisecond},
+		outer, fixedLever(8), est, tr, clock.NewVirtual(clock.Epoch))
+	ctl.SetStart(clock.Epoch)
+	// Cell 0 recorded again with its own times: the versions move, nothing
+	// else does.
+	start0, end0 := cellAt(0)
+	rerun := []event.Event{
+		{Node: cell, Trace: []*skel.Node{cell}, Index: 9, Parent: 1,
+			When: event.Before, Where: event.Skeleton, Time: clock.Epoch.Add(start0)},
+		{Node: cell, Trace: []*skel.Node{cell}, Index: 9, Parent: 1,
+			When: event.After, Where: event.Skeleton, Time: clock.Epoch.Add(end0)},
+	}
+	listener := tr.Listener()
+	step := func(i int) {
+		at := now
+		if i%2 == 1 {
+			at += time.Millisecond // only the clock moved
+		} else {
+			listener.Handler(&rerun[0])
+			listener.Handler(&rerun[1])
+		}
+		if !ctl.Analyze(clock.Epoch.Add(at)) {
+			b.Fatal("analysis did not run")
+		}
+	}
+	step(0)
+	step(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step(i)
+	}
+	b.StopTimer()
+	if d := ctl.Decisions(); len(d) != 0 {
+		b.Fatalf("steady state adapted: %v", d)
+	}
+}
+
+// fixedLever is an LP lever that stays where it is.
+type fixedLever int
+
+func (l fixedLever) LP() int { return int(l) }
+func (fixedLever) SetLP(int) {}
+
 // BenchmarkAnalysisOverhead sweeps the analysis throttle: more frequent
 // analyses react faster but cost controller time (paper §6 lists analyzing
 // estimation overhead as future work).

@@ -17,18 +17,27 @@
 //   - limited LP list-schedules pending activities onto lp slots (greedy,
 //     ready-time order): its makespan predicts the WCT if the current LP is
 //     kept.
+//
+// The graph is flat: activities are pointer-free records in one slice, their
+// times are nanoseconds since the execution start, their muscle is a slot of
+// the graph's muscle table and their predecessors a range of one shared
+// index array. A Graph is meant to be rebuilt in place (Builder.LiveInto) and
+// rescheduled at other instants (set Now, schedule again); every buffer the
+// builder and the schedulers need is kept on it and reused.
 package adg
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"time"
 
 	"skandium/internal/muscle"
+	"skandium/internal/skel"
 )
 
 // State classifies an activity at analysis time.
-type State int
+type State uint8
 
 // Activity states.
 const (
@@ -54,267 +63,319 @@ func (s State) String() string {
 	}
 }
 
-// Activity is one node of the ADG.
+// unset marks a time that is not known (an actual start never recorded) or
+// not scheduled. It orders before every real time.
+const unset = time.Duration(math.MinInt64)
+
+// Activity is one node of the ADG. Every time is a duration since the
+// graph's Start; unknown times read as the most negative duration.
 type Activity struct {
-	ID     int
-	Muscle *muscle.Muscle
-	// Label names the activity in dumps, e.g. "fs", "fe[2]", "~collapsed".
-	Label string
 	// Dur is the estimated duration, used when the end is not actual.
 	Dur time.Duration
-	// ActualStart/ActualEnd are history; valid per HasStart/HasEnd.
-	ActualStart time.Time
-	ActualEnd   time.Time
-	HasStart    bool
-	HasEnd      bool
-	// Preds are the activities that must finish before this one starts.
-	Preds []*Activity
-
+	// ActualStart/ActualEnd are history: the start of running and done
+	// activities, the end of done ones.
+	ActualStart time.Duration
+	ActualEnd   time.Duration
 	// TI and TF are the scheduled start and end times, filled by
 	// ScheduleBestEffort / ScheduleLimited. For Done activities they equal
 	// the actual times.
-	TI time.Time
-	TF time.Time
+	TI time.Duration
+	TF time.Duration
+
+	slot   int32 // muscle slot, or lumpSlot(kind) for a collapsed subtree
+	p0, p1 int32 // predecessors: Graph.preds[p0:p1]
+	state  State
 }
 
 // State returns the activity's classification.
-func (a *Activity) State() State {
-	switch {
-	case a.HasEnd:
-		return Done
-	case a.HasStart:
-		return Running
-	default:
-		return Pending
-	}
-}
+func (a *Activity) State() State { return a.state }
 
-// Graph is an ADG snapshot taken at time Now for an execution that started
-// at Start. Activities are topologically ordered (every activity appears
-// after all of its predecessors).
+// lumpSlot encodes the skeleton kind of a collapsed subtree in place of a
+// muscle slot.
+func lumpSlot(k skel.Kind) int32 { return -1 - int32(k) }
+
+// Graph is an ADG snapshot for an execution that started at Start, to be
+// scheduled as of Now. Activities are topologically ordered (every activity
+// appears after all of its predecessors). Moving Now and scheduling again
+// re-predicts at another instant: building never reads Now.
 type Graph struct {
-	Acts  []*Activity
+	Acts  []Activity
 	Start time.Time
 	Now   time.Time
+
+	preds []int32             // every activity's predecessor ids, back to back
+	slots []muscleSlot        // the muscles the activities run
+	slot  map[muscle.ID]int32 // index of slots by muscle
+	// Builder scratch: predecessor sets in flight and the child lookup
+	// tables of the live walk (both stacks), plus branch keys that fell
+	// outside their table.
+	stk, tab, odd []int32
+	// Scheduler scratch.
+	indeg    []int32
+	first    []int32 // first successor edge per activity (-1 = none)
+	next, to []int32 // successor edges as linked lists
+	ready    queue   // activities whose predecessors have all completed
+	inflight queue   // completions of activities holding a slot
+	// Timeline scratch: interval starts and ends, each sorted.
+	starts, ends []time.Duration
+}
+
+// muscleSlot is one muscle of the graph with its estimates, read once per
+// build.
+type muscleSlot struct {
+	m        *muscle.Muscle
+	dur      time.Duration
+	card     int
+	durOK    bool
+	cardRead bool
+	cardOK   bool
 }
 
 // Len returns the number of activities.
 func (g *Graph) Len() int { return len(g.Acts) }
+
+// Preds returns the ids of activity i's predecessors. The slice aliases the
+// graph and is only valid until the next build.
+func (g *Graph) Preds(i int) []int32 {
+	a := &g.Acts[i]
+	return g.preds[a.p0:a.p1]
+}
+
+// Muscle returns the muscle activity i runs, nil for a collapsed subtree.
+func (g *Graph) Muscle(i int) *muscle.Muscle {
+	if s := g.Acts[i].slot; s >= 0 {
+		return g.slots[s].m
+	}
+	return nil
+}
+
+// Label names activity i in dumps: its muscle's name, or "~kind" for a
+// collapsed subtree.
+func (g *Graph) Label(i int) string {
+	if m := g.Muscle(i); m != nil {
+		return m.Name()
+	}
+	return "~" + skel.Kind(-1-g.Acts[i].slot).String()
+}
+
+// at converts an instant to the graph's time base.
+func (g *Graph) at(t time.Time) time.Duration { return t.Sub(g.Start) }
 
 // ScheduleBestEffort fills TI/TF assuming infinite parallelism (the paper's
 // "best effort" strategy): ti = max over predecessors of tf, clamped to Now
 // if in the past; tf = ti + t(m), clamped to Now for running activities
 // whose estimate has already elapsed.
 func (g *Graph) ScheduleBestEffort() {
-	for _, a := range g.Acts {
-		g.scheduleFixed(a)
-		if a.State() != Pending {
+	now := g.at(g.Now)
+	for i := range g.Acts {
+		a := &g.Acts[i]
+		if a.state != Pending {
+			a.fix(now)
 			continue
 		}
-		ti := g.Now
-		for _, p := range a.Preds {
-			if p.TF.After(ti) {
-				ti = p.TF
-			}
+		ti := now
+		for _, p := range g.preds[a.p0:a.p1] {
+			ti = max(ti, g.Acts[p].TF)
 		}
-		a.TI = ti
-		a.TF = ti.Add(a.Dur)
+		a.TI, a.TF = ti, ti+a.Dur
 	}
 }
 
-// scheduleFixed sets TI/TF for Done and Running activities, which are the
-// same under every strategy.
-func (g *Graph) scheduleFixed(a *Activity) {
-	switch a.State() {
-	case Done:
-		a.TI, a.TF = a.ActualStart, a.ActualEnd
-	case Running:
-		a.TI = a.ActualStart
-		a.TF = a.ActualStart.Add(a.Dur)
-		if a.TF.Before(g.Now) {
-			// The paper: "if ti + t(m) is in the past, tf = currentTime".
-			a.TF = g.Now
-		}
+// fix sets TI/TF of a Done or Running activity, which are the same under
+// every strategy.
+func (a *Activity) fix(now time.Duration) {
+	a.TI = a.ActualStart
+	if a.state == Done {
+		a.TF = a.ActualEnd
+		return
 	}
+	// The paper: "if ti + t(m) is in the past, tf = currentTime".
+	a.TF = max(a.ActualStart+a.Dur, now)
+}
+
+// inFlight reports whether a fixed activity occupies a thread at now: a
+// running one, or one whose recorded end lies after now — a worker can
+// record an After between the moment an analysis reads the clock and the
+// moment it snapshots the tree.
+func (a *Activity) inFlight(now time.Duration) bool {
+	return a.state == Running || (a.state == Done && a.TF > now)
 }
 
 // ScheduleLimited fills TI/TF under a level-of-parallelism cap: pending
 // activities are greedily list-scheduled onto lp slots in ready-time order
-// (ties by creation order), starting from Now. Running activities occupy
-// slots until their estimated end. lp < 1 is treated as 1.
+// (ties by creation order), starting from Now. Activities in flight at Now
+// occupy slots until their end and then release their successors. lp < 1 is
+// treated as 1.
 func (g *Graph) ScheduleLimited(lp int) {
-	if lp < 1 {
-		lp = 1
-	}
-	// indegree counts unfinished predecessors per pending activity;
-	// finished means TF <= the event cursor as the simulation advances.
-	indeg := make(map[*Activity]int, len(g.Acts))
-	succs := make(map[*Activity][]*Activity, len(g.Acts))
-	var completions eventHeap
+	lp = max(lp, 1)
+	now := g.at(g.Now)
+	n := len(g.Acts)
+	g.indeg = resize(g.indeg, n)
+	g.first = resize(g.first, n)
+	g.next, g.to = g.next[:0], g.to[:0]
+	g.ready, g.inflight = g.ready[:0], g.inflight[:0]
 	busy := 0
-	for _, a := range g.Acts {
-		g.scheduleFixed(a)
-		switch a.State() {
-		case Running:
-			busy++
-			completions.push(evt{t: a.TF, act: a})
-		case Pending:
-			a.TI, a.TF = time.Time{}, time.Time{}
-		}
-	}
-	for _, a := range g.Acts {
-		if a.State() != Pending {
+	for i := range g.Acts {
+		a := &g.Acts[i]
+		g.indeg[i], g.first[i] = 0, -1
+		if a.state == Pending {
+			a.TI, a.TF = unset, unset
 			continue
 		}
-		n := 0
-		for _, p := range a.Preds {
-			switch p.State() {
-			case Done:
-				if p.TF.After(g.Now) {
-					n++ // cannot happen (done is history), defensive
-				}
-			case Running:
-				n++
-			case Pending:
-				n++
+		a.fix(now)
+		if a.inFlight(now) {
+			busy++
+			g.inflight.push(item{a.TF, int32(i)})
+		}
+	}
+	// indeg counts the predecessors that have not finished by Now; each
+	// of them releases its successors (a linked list of edges) when its
+	// completion is reached.
+	for i := range g.Acts {
+		a := &g.Acts[i]
+		if a.state != Pending {
+			continue
+		}
+		for _, p := range g.preds[a.p0:a.p1] {
+			if pa := &g.Acts[p]; pa.state == Pending || pa.inFlight(now) {
+				g.indeg[i]++
+				g.next = append(g.next, g.first[p])
+				g.to = append(g.to, int32(i))
+				g.first[p] = int32(len(g.to) - 1)
 			}
 		}
-		indeg[a] = n
-		for _, p := range a.Preds {
-			if p.State() != Done {
-				succs[p] = append(succs[p], a)
-			}
+		if g.indeg[i] == 0 {
+			g.ready.push(item{0, int32(i)})
 		}
 	}
-	// ready holds pending activities whose predecessors have all completed
-	// by the cursor, in (ready time, ID) order.
-	var ready actQueue
-	for _, a := range g.Acts {
-		if a.State() == Pending && indeg[a] == 0 {
-			ready.push(a)
-		}
-	}
-	cursor := g.Now
-	free := lp - busy
-	if free < 0 {
-		free = 0
-	}
+	cursor := now
+	free := max(lp-busy, 0)
 	for {
-		for free > 0 && ready.len() > 0 {
-			a := ready.pop()
-			a.TI = cursor
-			a.TF = cursor.Add(a.Dur)
+		for free > 0 && len(g.ready) > 0 {
+			id := g.ready.pop().id
+			a := &g.Acts[id]
+			a.TI, a.TF = cursor, cursor+a.Dur
 			free--
-			completions.push(evt{t: a.TF, act: a})
+			g.inflight.push(item{a.TF, id})
 		}
-		if completions.len() == 0 {
+		if len(g.inflight) == 0 {
 			return // everything scheduled (or nothing left)
 		}
 		// Advance to the next completion; release its slot and unlock
 		// successors. Process all completions at the same instant.
-		cursor = completions.peek().t
-		for completions.len() > 0 && !completions.peek().t.After(cursor) {
-			e := completions.pop()
+		cursor = g.inflight[0].t
+		for len(g.inflight) > 0 && g.inflight[0].t <= cursor {
+			id := g.inflight.pop().id
 			free++
-			for _, s := range succs[e.act] {
-				indeg[s]--
-				if indeg[s] == 0 {
-					ready.push(s)
+			for e := g.first[id]; e >= 0; e = g.next[e] {
+				s := g.to[e]
+				if g.indeg[s]--; g.indeg[s] == 0 {
+					g.ready.push(item{0, s})
 				}
 			}
 		}
 	}
+}
+
+// end returns the latest scheduled end, or unset when nothing is scheduled.
+func (g *Graph) end() time.Duration {
+	end := unset
+	for i := range g.Acts {
+		end = max(end, g.Acts[i].TF)
+	}
+	return end
 }
 
 // WCT returns the makespan of the last computed schedule as a duration
 // since the execution start.
 func (g *Graph) WCT() time.Duration {
-	var end time.Time
-	for _, a := range g.Acts {
-		if a.TF.After(end) {
-			end = a.TF
-		}
+	if end := g.end(); end != unset {
+		return end
 	}
-	if end.IsZero() {
-		return 0
-	}
-	return end.Sub(g.Start)
+	return 0
 }
 
 // EndTime returns the absolute completion time of the last computed
 // schedule.
 func (g *Graph) EndTime() time.Time {
-	var end time.Time
-	for _, a := range g.Acts {
-		if a.TF.After(end) {
-			end = a.TF
-		}
+	if end := g.end(); end != unset {
+		return g.Start.Add(end)
 	}
-	return end
+	return time.Time{}
 }
 
 // Step is one level of the active-thread timeline: Active threads are in
-// use from T until the next step's T.
+// use from T (since the graph's Start) until the next step's T.
 type Step struct {
-	T      time.Time
+	T      time.Duration
 	Active int
 }
 
+// intervals collects the scheduled [TI, TF) of every activity still in
+// flight after from, starts clamped to from, into the sorted start and end
+// lists of the graph's scratch. Zero-length activities do not contribute,
+// nor do Done ones when history is skipped.
+func (g *Graph) intervals(from time.Duration, history bool) (starts, ends []time.Duration) {
+	starts, ends = g.starts[:0], g.ends[:0]
+	for i := range g.Acts {
+		a := &g.Acts[i]
+		if a.TF > a.TI && a.TF > from && (history || a.state != Done) {
+			starts = append(starts, max(a.TI, from))
+			ends = append(ends, a.TF)
+		}
+	}
+	slices.Sort(starts)
+	slices.Sort(ends)
+	g.starts, g.ends = starts, ends
+	return starts, ends
+}
+
+// peak returns the most intervals in flight at once and the instant that
+// level is first reached. Intervals ending at t have left before those
+// starting at t arrive.
+func peak(starts, ends []time.Duration) (int, time.Duration) {
+	top, at, active, j := 0, unset, 0, 0
+	for _, s := range starts {
+		for ; j < len(ends) && ends[j] <= s; j++ {
+			active--
+		}
+		if active++; active > top {
+			top, at = active, s
+		}
+	}
+	return top, at
+}
+
 // Timeline sweeps the scheduled activities into the step function of
-// Fig. 2: how many activities are in flight at every instant. Zero-length
-// activities do not contribute.
+// Fig. 2: how many activities are in flight at every instant.
 func (g *Graph) Timeline() []Step {
-	type edge struct {
-		t     time.Time
-		delta int
-	}
-	var edges []edge
-	for _, a := range g.Acts {
-		if !a.TF.After(a.TI) {
-			continue
-		}
-		edges = append(edges, edge{a.TI, +1}, edge{a.TF, -1})
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if !edges[i].t.Equal(edges[j].t) {
-			return edges[i].t.Before(edges[j].t)
-		}
-		return edges[i].delta < edges[j].delta // ends before starts at same t
-	})
 	var steps []Step
-	active := 0
-	for i := 0; i < len(edges); {
-		t := edges[i].t
-		for i < len(edges) && edges[i].t.Equal(t) {
-			active += edges[i].delta
-			i++
+	starts, ends := g.intervals(unset, true)
+	active, i, j := 0, 0, 0
+	for j < len(ends) {
+		t := ends[j]
+		if i < len(starts) {
+			t = min(t, starts[i])
 		}
-		if len(steps) > 0 && steps[len(steps)-1].Active == active {
-			continue
+		for ; j < len(ends) && ends[j] == t; j++ {
+			active--
 		}
-		steps = append(steps, Step{T: t, Active: active})
+		for ; i < len(starts) && starts[i] == t; i++ {
+			active++
+		}
+		if len(steps) == 0 || steps[len(steps)-1].Active != active {
+			steps = append(steps, Step{T: t, Active: active})
+		}
 	}
 	return steps
 }
 
-// Peak returns the maximum Active level of the timeline at or after from.
-// It is the paper's optimal LP when applied to a best-effort schedule from
-// Now.
-func Peak(steps []Step, from time.Time) int {
-	peak := 0
-	cur := 0
-	for i, s := range steps {
-		// Determine the level in effect during [s.T, next.T).
-		cur = s.Active
-		endsBefore := i+1 < len(steps) && !steps[i+1].T.After(from)
-		if endsBefore {
-			continue
-		}
-		if cur > peak {
-			peak = cur
-		}
-	}
-	return peak
+// Peak returns the maximum number of activities in flight at or after from
+// in the last computed schedule. Applied to a best-effort schedule from Now
+// it is the paper's optimal LP.
+func (g *Graph) Peak(from time.Time) int {
+	n, _ := peak(g.intervals(g.at(from), true))
+	return n
 }
 
 // OptimalLP computes the paper's optimal level of parallelism: the peak of
@@ -322,11 +383,7 @@ func Peak(steps []Step, from time.Time) int {
 // best-effort.
 func (g *Graph) OptimalLP() int {
 	g.ScheduleBestEffort()
-	p := Peak(g.Timeline(), g.Now)
-	if p < 1 {
-		p = 1
-	}
-	return p
+	return max(g.Peak(g.Now), 1)
 }
 
 // MinLPForGoal returns the smallest lp in [1, ceil] whose limited-LP
@@ -336,18 +393,17 @@ func (g *Graph) OptimalLP() int {
 // plus the (stated) assumption that more threads never hurt, which makes
 // the predicate monotone and binary-searchable.
 func (g *Graph) MinLPForGoal(deadline time.Time, ceil int) (int, bool) {
-	if ceil < 1 {
-		ceil = 1
-	}
+	ceil = max(ceil, 1)
+	d := g.at(deadline)
 	g.ScheduleLimited(ceil)
-	if g.EndTime().After(deadline) {
+	if g.end() > d {
 		return ceil, false
 	}
 	lo, hi := 1, ceil // invariant: hi works
 	for lo < hi {
 		mid := (lo + hi) / 2
 		g.ScheduleLimited(mid)
-		if g.EndTime().After(deadline) {
+		if g.end() > d {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -357,104 +413,67 @@ func (g *Graph) MinLPForGoal(deadline time.Time, ceil int) (int, bool) {
 	return lo, true
 }
 
-// --- small helpers ------------------------------------------------------------
+// --- scheduler queue -------------------------------------------------------------
 
-type evt struct {
-	t   time.Time
-	act *Activity
+// item is one entry of the list scheduler's queues: an activity and a time.
+type item struct {
+	t  time.Duration
+	id int32
 }
 
-// eventHeap is a min-heap of completion events ordered by time then ID.
-type eventHeap struct{ es []evt }
+// queue is a min-heap of items by time, then id. The scheduler keeps the
+// completions of activities in flight in one, and its ready activities in
+// another with t = 0: by id alone, which is creation order — the builder
+// assigns ids in program order, the greedy tie-break of the paper's list
+// scheduler.
+type queue []item
 
-func (h *eventHeap) len() int { return len(h.es) }
-
-func (h *eventHeap) less(i, j int) bool {
-	if !h.es[i].t.Equal(h.es[j].t) {
-		return h.es[i].t.Before(h.es[j].t)
-	}
-	return h.es[i].act.ID < h.es[j].act.ID
+func (q queue) less(i, j int) bool {
+	return q[i].t < q[j].t || (q[i].t == q[j].t && q[i].id < q[j].id)
 }
 
-func (h *eventHeap) push(e evt) {
-	h.es = append(h.es, e)
-	i := len(h.es) - 1
-	for i > 0 {
+func (q *queue) push(it item) {
+	h := append(*q, it)
+	for i := len(h) - 1; i > 0; {
 		p := (i - 1) / 2
-		if h.less(p, i) {
+		if !h.less(i, p) {
 			break
 		}
-		h.es[p], h.es[i] = h.es[i], h.es[p]
+		h[p], h[i] = h[i], h[p]
 		i = p
 	}
+	*q = h
 }
 
-func (h *eventHeap) peek() evt { return h.es[0] }
-
-func (h *eventHeap) pop() evt {
-	top := h.es[0]
-	last := len(h.es) - 1
-	h.es[0] = h.es[last]
-	h.es = h.es[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < len(h.es) && h.less(l, small) {
+func (q *queue) pop() item {
+	h := *q
+	top := h[0]
+	last := len(h) - 1
+	h[0] = h[last]
+	h = h[:last]
+	for i := 0; ; {
+		small, l, r := i, 2*i+1, 2*i+2
+		if l < len(h) && h.less(l, small) {
 			small = l
 		}
-		if r < len(h.es) && h.less(r, small) {
+		if r < len(h) && h.less(r, small) {
 			small = r
 		}
 		if small == i {
 			break
 		}
-		h.es[i], h.es[small] = h.es[small], h.es[i]
+		h[i], h[small] = h[small], h[i]
 		i = small
 	}
+	*q = h
 	return top
 }
 
-// actQueue orders ready activities by ID (creation order), which the
-// builder assigns in program order — the greedy tie-break of the paper's
-// list scheduler.
-type actQueue struct{ as []*Activity }
-
-func (q *actQueue) len() int { return len(q.as) }
-
-func (q *actQueue) push(a *Activity) {
-	q.as = append(q.as, a)
-	i := len(q.as) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if q.as[p].ID < q.as[i].ID {
-			break
-		}
-		q.as[p], q.as[i] = q.as[i], q.as[p]
-		i = p
+// resize returns s with length n, reusing its array when it is big enough.
+// The contents are unspecified.
+func resize(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, n)
 	}
-}
-
-func (q *actQueue) pop() *Activity {
-	top := q.as[0]
-	last := len(q.as) - 1
-	q.as[0] = q.as[last]
-	q.as = q.as[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < len(q.as) && q.as[l].ID < q.as[small].ID {
-			small = l
-		}
-		if r < len(q.as) && q.as[r].ID < q.as[small].ID {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		q.as[i], q.as[small] = q.as[small], q.as[i]
-		i = small
-	}
-	return top
+	return s[:n]
 }

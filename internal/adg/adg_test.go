@@ -2,6 +2,7 @@ package adg
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -133,8 +134,8 @@ func TestBudgetCollapse(t *testing.T) {
 		t.Fatalf("budget ignored: %d activities", g.Len())
 	}
 	collapsed := false
-	for _, a := range g.Acts {
-		if a.Muscle == nil && len(a.Label) > 0 && a.Label[0] == '~' {
+	for i, a := range g.Acts {
+		if label := g.Label(i); g.Muscle(i) == nil && len(label) > 0 && label[0] == '~' {
 			collapsed = true
 			if a.Dur <= 0 {
 				t.Fatal("collapsed activity has no duration")
@@ -375,35 +376,26 @@ func TestMinLPForGoalMinimality(t *testing.T) {
 // --- timeline helpers ---------------------------------------------------------------
 
 func TestTimelineAndPeak(t *testing.T) {
-	mk := func(ti, tf int) *Activity {
-		return &Activity{
-			Dur:         time.Duration(tf-ti) * time.Millisecond,
-			ActualStart: clock.Epoch.Add(u(ti)), HasStart: true,
-			ActualEnd: clock.Epoch.Add(u(tf)), HasEnd: true,
-		}
+	mk := func(ti, tf int) Activity {
+		return Activity{Dur: u(tf - ti), ActualStart: u(ti), ActualEnd: u(tf), state: Done}
 	}
 	g := &Graph{Start: clock.Epoch, Now: clock.Epoch.Add(u(100)),
-		Acts: []*Activity{mk(0, 10), mk(5, 15), mk(5, 8), mk(20, 30)}}
-	for i, a := range g.Acts {
-		a.ID = i
-	}
+		Acts: []Activity{mk(0, 10), mk(5, 15), mk(5, 8), mk(20, 30)}}
 	g.ScheduleBestEffort()
-	steps := g.Timeline()
 	// levels: [0,5)=1 [5,8)=3 [8,10)=2 [10,15)=1 [15,20)=0 [20,30)=1 [30..)=0
-	if Peak(steps, clock.Epoch) != 3 {
-		t.Fatalf("peak = %d, want 3", Peak(steps, clock.Epoch))
+	want := []Step{{0, 1}, {u(5), 3}, {u(8), 2}, {u(10), 1}, {u(15), 0}, {u(20), 1}, {u(30), 0}}
+	if steps := g.Timeline(); !slices.Equal(steps, want) {
+		t.Fatalf("timeline %v, want %v", steps, want)
 	}
-	if Peak(steps, clock.Epoch.Add(u(9))) != 2 {
-		t.Fatalf("peak from 9 = %d, want 2", Peak(steps, clock.Epoch.Add(u(9))))
-	}
-	if Peak(steps, clock.Epoch.Add(u(16))) != 1 {
-		t.Fatalf("peak from 16 = %d, want 1", Peak(steps, clock.Epoch.Add(u(16))))
+	for from, want := range map[int]int{0: 3, 9: 2, 16: 1, 30: 0} {
+		if got := g.Peak(clock.Epoch.Add(u(from))); got != want {
+			t.Errorf("peak from %d = %d, want %d", from, got, want)
+		}
 	}
 }
 
 func TestZeroDurationActivitiesIgnoredInTimeline(t *testing.T) {
-	a := &Activity{ID: 0, Dur: 0}
-	g := &Graph{Start: clock.Epoch, Now: clock.Epoch, Acts: []*Activity{a}}
+	g := &Graph{Start: clock.Epoch, Now: clock.Epoch, Acts: []Activity{{state: Pending}}}
 	g.ScheduleBestEffort()
 	if steps := g.Timeline(); len(steps) != 0 {
 		t.Fatalf("zero-duration produced steps: %v", steps)
@@ -455,4 +447,38 @@ func newTrackerWithWhileHistory(t *testing.T, est *estimate.Registry, nd *skel.N
 	emit(nd, 0, event.NoParent, event.After, event.Condition, 14, 1, true)
 	emit(seq, 2, 0, event.Before, event.Skeleton, 14, 0, false)
 	return tr.Root()
+}
+
+// TestLimitedLateFinishedPredecessor: a predecessor whose recorded end lies
+// after the analysis instant — a worker recorded its After between the
+// analysis reading the clock and snapshotting the tree — is in flight at
+// Now: it holds a slot until its end, then releases its successors instead
+// of stranding them unscheduled.
+func TestLimitedLateFinishedPredecessor(t *testing.T) {
+	w := newLiveWorld()
+	fa := muscle.NewExecute("a", func(p any) (any, error) { return p, nil })
+	fb := muscle.NewExecute("b", func(p any) (any, error) { return p, nil })
+	nd := skel.NewPipe(skel.NewSeq(fa), skel.NewSeq(fb))
+	w.est.InitDuration(fa.ID(), u(3))
+	w.est.InitDuration(fb.ID(), u(20))
+	// a ran over [8, 11]; the analysis instant is 10.
+	w.emit(nd, 0, event.NoParent, event.Before, event.Skeleton, 8, nil)
+	w.emit(nd.Children()[0], 1, 0, event.Before, event.Skeleton, 8, nil)
+	w.emit(nd.Children()[0], 1, 0, event.After, event.Skeleton, 11, nil)
+
+	g := w.graph(t, 10)
+	g.ScheduleBestEffort()
+	if wct := g.WCT(); wct != u(31) {
+		t.Fatalf("best effort WCT %v, want 31ms\n%s", wct, g.Render(time.Millisecond))
+	}
+	for _, lp := range []int{1, 2} {
+		g.ScheduleLimited(lp)
+		if err := g.CheckSchedule(lp); err != nil {
+			t.Fatal(err)
+		}
+		if b := g.Acts[1]; g.WCT() != u(31) || b.TI != u(11) || b.TF != u(31) {
+			t.Fatalf("limited(%d): WCT %v, b over [%v, %v], want 31ms and [11ms, 31ms]\n%s",
+				lp, g.WCT(), b.TI, b.TF, g.Render(time.Millisecond))
+		}
+	}
 }

@@ -3,6 +3,7 @@ package adg
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"skandium/internal/estimate"
@@ -51,31 +52,32 @@ type Builder struct {
 	Budget int
 }
 
-type build struct {
-	est    *estimate.Registry
-	now    time.Time
-	budget int
-	acts   []*Activity
-	err    error
+// BuildLive snapshots the ADG of a running execution into a new graph (see
+// LiveInto).
+func (b Builder) BuildLive(root *statemachine.Instance, start, now time.Time) (*Graph, error) {
+	g := new(Graph)
+	if err := b.LiveInto(g, root, start, now); err != nil {
+		return nil, err
+	}
+	return g, nil
 }
 
-// BuildLive snapshots the ADG of a running execution: root is the tracker's
-// root instance, start the execution start time, now the analysis instant.
-// The walk pairs each live activation with its compiled program step.
-func (b Builder) BuildLive(root *statemachine.Instance, start, now time.Time) (*Graph, error) {
+// LiveInto snapshots the ADG of a running execution into g, reusing its
+// buffers: root is the tracker's root instance, start the execution start
+// time, now the analysis instant (only recorded as g.Now: the build itself
+// does not depend on it). The walk pairs each live activation with its
+// compiled program step. On error g holds no usable graph.
+func (b Builder) LiveInto(g *Graph, root *statemachine.Instance, start, now time.Time) error {
 	if root == nil {
-		return nil, fmt.Errorf("adg: no root activation yet")
+		return fmt.Errorf("adg: no root activation yet")
 	}
 	p, err := plan.Of(root.Node)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	bd := b.newBuild(now)
-	bd.liveInst(root, p.Root(), nil)
-	if bd.err != nil {
-		return nil, bd.err
-	}
-	return &Graph{Acts: bd.acts, Start: start, Now: now}, nil
+	bd := b.begin(g, start, now)
+	bd.liveInst(root, p.Root(), span{})
+	return bd.err
 }
 
 // BuildVirtual constructs the a-priori ADG of a program that has not
@@ -86,23 +88,45 @@ func (b Builder) BuildVirtual(node *skel.Node, start time.Time) (*Graph, error) 
 	if err != nil {
 		return nil, err
 	}
-	bd := b.newBuild(start)
-	bd.virtual(p.Root(), nil)
+	g := new(Graph)
+	bd := b.begin(g, start, start)
+	bd.virtual(p.Root(), span{})
 	if bd.err != nil {
 		return nil, bd.err
 	}
-	return &Graph{Acts: bd.acts, Start: start, Now: start}, nil
+	return g, nil
 }
 
-func (b Builder) newBuild(now time.Time) *build {
+// begin empties g for a new build.
+func (b Builder) begin(g *Graph, start, now time.Time) *build {
 	budget := b.Budget
 	if budget <= 0 {
 		budget = DefaultBudget
 	}
-	return &build{est: b.Est, now: now, budget: budget}
+	g.Acts, g.preds, g.slots = g.Acts[:0], g.preds[:0], g.slots[:0]
+	g.stk, g.tab = g.stk[:0], g.tab[:0]
+	if g.slot == nil {
+		g.slot = make(map[muscle.ID]int32)
+	}
+	clear(g.slot)
+	g.Start, g.Now = start, now
+	return &build{g: g, est: b.Est, budget: budget, last: -1}
 }
 
-// --- activity constructors ----------------------------------------------------
+// build is the state of one walk. Predecessor sets travel as spans of the
+// graph's stack: every expansion returns its exit set at the stack position
+// it found on entry, so a fan-out's branches leave their exits side by side
+// for the merge.
+type build struct {
+	g      *Graph
+	est    *estimate.Registry
+	budget int
+	err    error
+	last   int32 // slot of the previous muscle looked up
+}
+
+// span is a set of activity ids: g.stk[lo:hi].
+type span struct{ lo, hi int32 }
 
 func (bd *build) fail(err error) {
 	if bd.err == nil {
@@ -110,193 +134,224 @@ func (bd *build) fail(err error) {
 	}
 }
 
-func (bd *build) dur(m *muscle.Muscle) time.Duration {
-	d, ok := bd.est.Duration(m.ID())
+// top returns the current stack height: the position an expansion's exit
+// set will occupy.
+func (bd *build) top() int32 { return int32(len(bd.g.stk)) }
+
+// single leaves the set {id} at position m.
+func (bd *build) single(m, id int32) span {
+	bd.g.stk = append(bd.g.stk[:m], id)
+	return span{m, m + 1}
+}
+
+// at moves the set s to position m and drops everything above it.
+func (bd *build) at(m int32, s span) span {
+	n := s.hi - s.lo
+	switch {
+	case s.lo < m: // the caller's own set: copy it up
+		bd.g.stk = append(bd.g.stk[:m], bd.g.stk[s.lo:s.hi]...)
+	case s.lo > m:
+		copy(bd.g.stk[m:], bd.g.stk[s.lo:s.hi])
+	}
+	bd.g.stk = bd.g.stk[:m+n]
+	return span{m, m + n}
+}
+
+// none leaves the empty set at position m (the walk failed).
+func (bd *build) none(m int32) span {
+	bd.g.stk = bd.g.stk[:m]
+	return span{m, m}
+}
+
+// --- muscle slots and activities ----------------------------------------------
+
+// slotOf returns m's slot, reading its duration estimate the first time m is
+// seen in this build.
+func (bd *build) slotOf(m *muscle.Muscle) int32 {
+	g := bd.g
+	if bd.last >= 0 && g.slots[bd.last].m == m {
+		return bd.last
+	}
+	s, ok := g.slot[m.ID()]
 	if !ok {
-		bd.fail(&IncompleteError{Muscle: m})
-		return 0
+		s = int32(len(g.slots))
+		d, ok := bd.est.Duration(m.ID())
+		g.slots = append(g.slots, muscleSlot{m: m, dur: max(d, 0), durOK: ok})
+		g.slot[m.ID()] = s
 	}
-	if d < 0 {
-		d = 0
-	}
-	return d
+	bd.last = s
+	return s
 }
 
 func (bd *build) card(m *muscle.Muscle) int {
-	c, ok := bd.est.Card(m.ID())
-	if !ok {
+	sl := &bd.g.slots[bd.slotOf(m)]
+	if !sl.cardRead {
+		c, ok := bd.est.Card(m.ID())
+		sl.cardRead, sl.cardOK, sl.card = true, ok, max(int(math.Round(c)), 0)
+	}
+	if !sl.cardOK {
 		bd.fail(&IncompleteError{Muscle: m, Card: true})
 		return 0
 	}
-	k := int(math.Round(c))
-	if k < 0 {
-		k = 0
-	}
-	return k
+	return sl.card
 }
 
-// act appends a new activity. rec carries the actual times when the muscle
-// has started/finished.
-func (bd *build) act(m *muscle.Muscle, label string, rec statemachine.ActivityRec, preds []*Activity) *Activity {
-	a := &Activity{
-		ID:     len(bd.acts),
-		Muscle: m,
-		Label:  label,
-		Dur:    bd.dur(m),
-		Preds:  preds,
+// act appends an activity running m. rec carries the actual times when the
+// muscle has started/finished.
+func (bd *build) act(m *muscle.Muscle, rec statemachine.ActivityRec, preds span) int32 {
+	s := bd.slotOf(m)
+	sl := &bd.g.slots[s]
+	if !sl.durOK {
+		bd.fail(&IncompleteError{Muscle: m})
 	}
+	return bd.add(s, sl.dur, rec, preds)
+}
+
+func (bd *build) add(slot int32, dur time.Duration, rec statemachine.ActivityRec, preds span) int32 {
+	g := bd.g
+	a := Activity{
+		Dur:         dur,
+		ActualStart: unset, ActualEnd: unset, TI: unset, TF: unset,
+		slot:  slot,
+		p0:    int32(len(g.preds)),
+		state: Pending,
+	}
+	g.preds = append(g.preds, g.stk[preds.lo:preds.hi]...)
+	a.p1 = int32(len(g.preds))
 	if rec.Started {
-		a.ActualStart, a.HasStart = rec.Start, true
+		a.ActualStart, a.state = g.at(rec.Start), Running
 	}
 	if rec.Ended {
-		a.ActualEnd, a.HasEnd = rec.End, true
+		a.ActualEnd, a.state = g.at(rec.End), Done
 	}
-	bd.acts = append(bd.acts, a)
+	g.Acts = append(g.Acts, a)
 	bd.budget--
-	return a
-}
-
-// collapsed replaces a whole subtree with one pending activity whose
-// duration is the analytic sequential estimate — the budget fallback.
-func (bd *build) collapsed(st *plan.Step, preds []*Activity) []*Activity {
-	return bd.lump(st, 1, preds)
+	return int32(len(g.Acts) - 1)
 }
 
 // lump replaces count repetitions of a subtree with one pending activity of
 // count times the analytic sequential estimate. It keeps over-budget graphs
 // bounded: the remaining work is modelled pessimistically (sequential) but
 // the analysis stays cheap.
-func (bd *build) lump(st *plan.Step, count int, preds []*Activity) []*Activity {
+func (bd *build) lump(st *plan.Step, count int, preds span) span {
+	m := bd.top()
 	if count <= 0 {
-		return preds
+		return bd.at(m, preds)
 	}
 	d, err := seqEst(bd.est, st)
 	if err != nil {
 		bd.fail(err)
-		return nil
+		return bd.none(m)
 	}
-	a := &Activity{
-		ID:    len(bd.acts),
-		Label: "~" + st.Kind().String(),
-		Dur:   time.Duration(count) * d,
-		Preds: preds,
+	var none statemachine.ActivityRec
+	return bd.single(m, bd.add(lumpSlot(st.Kind()), time.Duration(count)*d, none, preds))
+}
+
+// worst picks the branch of an undecided if by analytic sequential
+// estimate (the paper leaves If unsupported; this plans for the worst case).
+func (bd *build) worst(st *plan.Step) *plan.Step {
+	t, errT := seqEst(bd.est, st.Child(0))
+	f, errF := seqEst(bd.est, st.Child(1))
+	if errT != nil || (errF == nil && f > t) {
+		return st.Child(1)
 	}
-	bd.acts = append(bd.acts, a)
-	bd.budget--
-	return []*Activity{a}
+	return st.Child(0)
 }
 
 // --- virtual expansion (structure that has not started) ------------------------
 
 // virtual expands the program step into pending activities and returns the
 // exit set.
-func (bd *build) virtual(st *plan.Step, preds []*Activity) []*Activity {
+func (bd *build) virtual(st *plan.Step, preds span) span {
+	m := bd.top()
 	if bd.err != nil {
-		return nil
+		return bd.none(m)
 	}
 	if bd.budget <= 0 {
-		return bd.collapsed(st, preds)
+		return bd.lump(st, 1, preds)
 	}
-	none := statemachine.ActivityRec{}
+	var none statemachine.ActivityRec
 	switch st.Op() {
 	case plan.OpExec:
-		return []*Activity{bd.act(st.Exec(), st.Exec().Name(), none, preds)}
+		return bd.single(m, bd.act(st.Exec(), none, preds))
 	case plan.OpWrap:
 		return bd.virtual(st.Child(0), preds)
 	case plan.OpStages:
 		for _, stage := range st.Children() {
-			preds = bd.virtual(stage, preds)
+			preds = bd.at(m, bd.virtual(stage, preds))
 		}
-		return preds
+		return bd.at(m, preds)
 	case plan.OpRepeat:
 		for i := 0; i < st.N(); i++ {
 			if bd.budget <= 0 {
-				return bd.lump(st.Child(0), st.N()-i, preds)
+				return bd.at(m, bd.lump(st.Child(0), st.N()-i, preds))
 			}
-			preds = bd.virtual(st.Child(0), preds)
+			preds = bd.at(m, bd.virtual(st.Child(0), preds))
 		}
-		return preds
+		return bd.at(m, preds)
 	case plan.OpLoop:
 		k := bd.card(st.Cond())
 		for i := 0; i < k; i++ {
 			if bd.budget <= 0 {
-				return bd.lump(st, 1, preds) // remaining loop as one lump
+				return bd.at(m, bd.lump(st, 1, preds)) // remaining loop as one lump
 			}
-			cond := bd.act(st.Cond(), st.Cond().Name(), none, preds)
-			preds = bd.virtual(st.Child(0), []*Activity{cond})
+			cond := bd.act(st.Cond(), none, preds)
+			preds = bd.at(m, bd.virtual(st.Child(0), bd.single(m, cond)))
 		}
-		final := bd.act(st.Cond(), st.Cond().Name(), none, preds)
-		return []*Activity{final}
+		return bd.single(m, bd.act(st.Cond(), none, preds))
 	case plan.OpSelect:
-		cond := bd.act(st.Cond(), st.Cond().Name(), none, preds)
-		// Extension (paper leaves If unsupported): plan for the worst-case
-		// branch by analytic sequential estimate.
-		t, errT := seqEst(bd.est, st.Child(0))
-		f, errF := seqEst(bd.est, st.Child(1))
-		branch := st.Child(0)
-		if errT != nil || (errF == nil && f > t) {
-			branch = st.Child(1)
-		}
-		return bd.virtual(branch, []*Activity{cond})
+		cond := bd.act(st.Cond(), none, preds)
+		return bd.at(m, bd.virtual(bd.worst(st), bd.single(m, cond)))
 	case plan.OpFanOut:
-		split := bd.act(st.Split(), st.Split().Name(), none, preds)
+		split := bd.single(m, bd.act(st.Split(), none, preds))
 		k := bd.card(st.Split())
-		exits := make([]*Activity, 0, k)
 		for i := 0; i < k; i++ {
 			if bd.budget <= 0 {
-				exits = append(exits, bd.lump(st.Child(0), k-i, []*Activity{split})...)
+				bd.lump(st.Child(0), k-i, split)
 				break
 			}
-			exits = append(exits, bd.virtual(st.Child(0), []*Activity{split})...)
+			bd.virtual(st.Child(0), split)
 		}
-		merge := bd.act(st.Merge(), st.Merge().Name(), none, exits)
-		return []*Activity{merge}
+		return bd.single(m, bd.act(st.Merge(), none, span{split.hi, bd.top()}))
 	case plan.OpFanFixed:
-		split := bd.act(st.Split(), st.Split().Name(), none, preds)
-		var exits []*Activity
+		split := bd.single(m, bd.act(st.Split(), none, preds))
 		for _, sub := range st.Children() {
-			exits = append(exits, bd.virtual(sub, []*Activity{split})...)
+			bd.virtual(sub, split)
 		}
-		merge := bd.act(st.Merge(), st.Merge().Name(), none, exits)
-		return []*Activity{merge}
+		return bd.single(m, bd.act(st.Merge(), none, span{split.hi, bd.top()}))
 	case plan.OpRecurse:
-		depth := bd.card(st.Cond())
-		return bd.virtualDaC(st, preds, depth)
+		return bd.virtualDaC(st, preds, bd.card(st.Cond()))
 	default:
 		bd.fail(fmt.Errorf("adg: unknown program operation %v", st.Op()))
-		return nil
+		return bd.none(m)
 	}
 }
 
 // virtualDaC expands a divide-and-conquer with `remaining` estimated levels
 // of recursion left before the leaf.
-func (bd *build) virtualDaC(st *plan.Step, preds []*Activity, remaining int) []*Activity {
+func (bd *build) virtualDaC(st *plan.Step, preds span, remaining int) span {
+	m := bd.top()
 	if bd.err != nil {
-		return nil
+		return bd.none(m)
 	}
 	if bd.budget <= 0 {
-		return bd.collapsed(st, preds)
+		return bd.lump(st, 1, preds)
 	}
-	none := statemachine.ActivityRec{}
-	cond := bd.act(st.Cond(), st.Cond().Name(), none, preds)
+	var none statemachine.ActivityRec
+	cond := bd.single(m, bd.act(st.Cond(), none, preds))
 	if remaining <= 0 {
-		return bd.virtual(st.Child(0), []*Activity{cond})
+		return bd.at(m, bd.virtual(st.Child(0), cond))
 	}
-	split := bd.act(st.Split(), st.Split().Name(), none, []*Activity{cond})
-	k := bd.card(st.Split())
-	if k < 1 {
-		k = 1
-	}
-	var exits []*Activity
+	split := bd.single(m, bd.act(st.Split(), none, cond))
+	k := max(bd.card(st.Split()), 1)
 	for i := 0; i < k; i++ {
 		if bd.budget <= 0 {
-			exits = append(exits, bd.lump(st, k-i, []*Activity{split})...)
+			bd.lump(st, k-i, split)
 			break
 		}
-		exits = append(exits, bd.virtualDaC(st, []*Activity{split}, remaining-1)...)
+		bd.virtualDaC(st, split, remaining-1)
 	}
-	merge := bd.act(st.Merge(), st.Merge().Name(), none, exits)
-	return []*Activity{merge}
+	return bd.single(m, bd.act(st.Merge(), none, span{split.hi, bd.top()}))
 }
 
 // --- live expansion (activations that exist) -----------------------------------
@@ -304,12 +359,13 @@ func (bd *build) virtualDaC(st *plan.Step, preds []*Activity, remaining int) []*
 // liveInst expands a live activation, mixing actual history with estimated
 // futures, and returns the exit set. st is the compiled step the activation
 // was executed from (d&c recursion levels share their node's single step).
-func (bd *build) liveInst(in *statemachine.Instance, st *plan.Step, preds []*Activity) []*Activity {
+func (bd *build) liveInst(in *statemachine.Instance, st *plan.Step, preds span) span {
+	m := bd.top()
 	if bd.err != nil {
-		return nil
+		return bd.none(m)
 	}
 	if bd.budget <= 0 {
-		return bd.collapsed(st, preds)
+		return bd.lump(st, 1, preds)
 	}
 	switch st.Op() {
 	case plan.OpExec:
@@ -318,62 +374,71 @@ func (bd *build) liveInst(in *statemachine.Instance, st *plan.Step, preds []*Act
 			// Fig. 3: the seq activation brackets exactly the fe muscle.
 			rec = statemachine.ActivityRec{Start: in.StartTime, Started: in.Started}
 		}
-		return []*Activity{bd.act(st.Exec(), st.Exec().Name(), rec, preds)}
+		return bd.single(m, bd.act(st.Exec(), rec, preds))
 	case plan.OpWrap:
-		return bd.singleBody(in, st, preds)
+		if len(in.Children) > 0 {
+			return bd.liveInst(in.Children[0], st.Child(0), preds)
+		}
+		return bd.virtual(st.Child(0), preds)
 	case plan.OpStages:
-		byBranch := childrenByBranch(in)
+		kids := bd.index(in, false)
 		for i, stage := range st.Children() {
-			if c, ok := byBranch[i]; ok {
-				preds = bd.liveInst(c, stage, preds)
-			} else {
-				preds = bd.virtual(stage, preds)
-			}
+			preds = bd.at(m, bd.expand(kids.get(bd, i), stage, preds))
 		}
-		return preds
+		bd.drop(kids)
+		return bd.at(m, preds)
 	case plan.OpRepeat:
-		byIter := childrenByIter(in)
+		kids := bd.index(in, true)
 		for i := 0; i < st.N(); i++ {
-			if c, ok := byIter[i]; ok {
-				preds = bd.liveInst(c, st.Child(0), preds)
-			} else {
-				preds = bd.virtual(st.Child(0), preds)
-			}
+			preds = bd.at(m, bd.expand(kids.get(bd, i), st.Child(0), preds))
 		}
-		return preds
+		bd.drop(kids)
+		return bd.at(m, preds)
 	case plan.OpLoop:
 		return bd.liveWhile(in, st, preds)
 	case plan.OpSelect:
 		return bd.liveIf(in, st, preds)
 	case plan.OpFanOut, plan.OpFanFixed:
-		return bd.liveSplitMerge(in, st, preds, nil)
+		return bd.liveSplitMerge(in, st, preds)
 	case plan.OpRecurse:
 		return bd.liveDaC(in, st, preds)
 	default:
 		bd.fail(fmt.Errorf("adg: unknown program operation %v", st.Op()))
-		return nil
+		return bd.none(m)
 	}
 }
 
-// singleBody handles wrappers with exactly one nested evaluation (farm).
-func (bd *build) singleBody(in *statemachine.Instance, st *plan.Step, preds []*Activity) []*Activity {
-	if len(in.Children) > 0 {
-		return bd.liveInst(in.Children[0], st.Child(0), preds)
+// expand plans st from its live activation when there is one, virtually
+// otherwise.
+func (bd *build) expand(in *statemachine.Instance, st *plan.Step, preds span) span {
+	if in != nil {
+		return bd.liveInst(in, st, preds)
 	}
-	return bd.virtual(st.Child(0), preds)
+	return bd.virtual(st, preds)
 }
 
-func (bd *build) liveWhile(in *statemachine.Instance, st *plan.Step, preds []*Activity) []*Activity {
+// cond appends the activity of a condition check: its first recorded
+// invocation, or a pending one.
+func (bd *build) cond(in *statemachine.Instance, fc *muscle.Muscle, preds span) int32 {
+	var rec statemachine.ActivityRec
+	if len(in.Conds) > 0 {
+		rec = in.Conds[0]
+	}
+	return bd.act(fc, rec, preds)
+}
+
+func (bd *build) liveWhile(in *statemachine.Instance, st *plan.Step, preds span) span {
+	m := bd.top()
 	fc := st.Cond()
 	body := st.Child(0)
-	byIter := childrenByIter(in)
+	kids := bd.index(in, true)
+	defer bd.drop(kids)
 	// Recorded condition checks alternate with body iterations. A check
 	// still running is assumed true when the |fc| estimate predicts more
 	// iterations, false otherwise.
 	assumed := 0
 	for i, rec := range in.Conds {
-		cond := bd.act(fc, fc.Name(), rec, preds)
-		preds = []*Activity{cond}
+		preds = bd.single(m, bd.act(fc, rec, preds))
 		last := i == len(in.Conds)-1
 		if in.CondClosed && last {
 			return preds // final false verdict: the while is structurally over
@@ -384,179 +449,170 @@ func (bd *build) liveWhile(in *statemachine.Instance, st *plan.Step, preds []*Ac
 			}
 			assumed = 1
 		}
-		if c, ok := byIter[i]; ok {
-			preds = bd.liveInst(c, body, preds)
-		} else {
-			preds = bd.virtual(body, preds)
-		}
+		preds = bd.at(m, bd.expand(kids.get(bd, i), body, preds))
 	}
 	// Future iterations: the |fc| estimate minus the true verdicts already
 	// seen (and the one assumed above).
+	var none statemachine.ActivityRec
 	k := bd.card(fc) - in.TrueIters - assumed
 	for i := 0; i < k; i++ {
-		cond := bd.act(fc, fc.Name(), statemachine.ActivityRec{}, preds)
-		preds = bd.virtual(body, []*Activity{cond})
+		cond := bd.act(fc, none, preds)
+		preds = bd.at(m, bd.virtual(body, bd.single(m, cond)))
 	}
-	final := bd.act(fc, fc.Name(), statemachine.ActivityRec{}, preds)
-	return []*Activity{final}
+	return bd.single(m, bd.act(fc, none, preds))
 }
 
-func (bd *build) liveIf(in *statemachine.Instance, st *plan.Step, preds []*Activity) []*Activity {
-	fc := st.Cond()
-	var cond *Activity
-	if len(in.Conds) > 0 {
-		cond = bd.act(fc, fc.Name(), in.Conds[0], preds)
-	} else {
-		cond = bd.act(fc, fc.Name(), statemachine.ActivityRec{}, preds)
-	}
+func (bd *build) liveIf(in *statemachine.Instance, st *plan.Step, preds span) span {
+	m := bd.top()
+	cond := bd.single(m, bd.cond(in, st.Cond(), preds))
 	if len(in.Children) > 0 {
 		// The chosen branch is recorded on the child instance.
 		b := in.Children[0].Branch
 		if b < 0 || b > 1 {
 			b = 0
 		}
-		return bd.liveInst(in.Children[0], st.Child(b), []*Activity{cond})
+		return bd.at(m, bd.liveInst(in.Children[0], st.Child(b), cond))
 	}
 	// Branch not chosen yet: worst case, as in the virtual expansion.
-	t, errT := seqEst(bd.est, st.Child(0))
-	f, errF := seqEst(bd.est, st.Child(1))
-	branch := st.Child(0)
-	if errT != nil || (errF == nil && f > t) {
-		branch = st.Child(1)
-	}
-	return bd.virtual(branch, []*Activity{cond})
+	return bd.at(m, bd.virtual(bd.worst(st), cond))
 }
 
-// liveSplitMerge handles map and fork (and the split arm of d&c when extra
-// entry predecessors are supplied).
-func (bd *build) liveSplitMerge(in *statemachine.Instance, st *plan.Step, preds []*Activity, entry []*Activity) []*Activity {
-	splitPreds := preds
-	if entry != nil {
-		splitPreds = entry
-	}
-	split := bd.act(st.Split(), st.Split().Name(), in.Split, splitPreds)
+// liveSplitMerge handles map and fork.
+func (bd *build) liveSplitMerge(in *statemachine.Instance, st *plan.Step, preds span) span {
+	m := bd.top()
+	split := bd.single(m, bd.act(st.Split(), in.Split, preds))
+	fixed := st.Op() == plan.OpFanFixed
+	subs := st.Children()
 	k := in.ActualCard
-	var subFor func(branch int) *plan.Step
-	if st.Op() == plan.OpFanFixed {
-		subs := st.Children()
-		if k < 0 {
+	if k < 0 {
+		if fixed {
 			k = len(subs)
-		}
-		subFor = func(b int) *plan.Step {
-			if b < len(subs) {
-				return subs[b]
-			}
-			return subs[len(subs)-1]
-		}
-	} else {
-		if k < 0 {
+		} else {
 			k = bd.card(st.Split())
 		}
-		subFor = func(int) *plan.Step { return st.Child(0) }
 	}
-	byBranch := childrenByBranch(in)
-	var exits []*Activity
+	kids := bd.index(in, false)
 	for b := 0; b < k; b++ {
+		sub := subs[min(b, len(subs)-1)]
 		if bd.budget <= 0 {
-			exits = append(exits, bd.lump(subFor(b), k-b, []*Activity{split})...)
+			bd.lump(sub, k-b, split)
 			break
 		}
-		if c, ok := byBranch[b]; ok {
-			exits = append(exits, bd.liveInst(c, subFor(b), []*Activity{split})...)
-		} else {
-			exits = append(exits, bd.virtual(subFor(b), []*Activity{split})...)
-		}
+		bd.expand(kids.get(bd, b), sub, split)
 	}
-	merge := bd.act(st.Merge(), st.Merge().Name(), in.Merge, exits)
-	return []*Activity{merge}
+	bd.drop(kids)
+	return bd.single(m, bd.act(st.Merge(), in.Merge, span{split.hi, bd.top()}))
 }
 
-func (bd *build) liveDaC(in *statemachine.Instance, st *plan.Step, preds []*Activity) []*Activity {
+func (bd *build) liveDaC(in *statemachine.Instance, st *plan.Step, preds span) span {
+	m := bd.top()
 	fc := st.Cond()
-	var cond *Activity
-	if len(in.Conds) > 0 {
-		cond = bd.act(fc, fc.Name(), in.Conds[0], preds)
-	} else {
-		cond = bd.act(fc, fc.Name(), statemachine.ActivityRec{}, preds)
-	}
-	entry := []*Activity{cond}
+	entry := bd.single(m, bd.cond(in, fc, preds))
 	switch {
 	case in.Split.Started || in.ActualCard >= 0:
 		// Condition held: recursive arm. Children are dacs one level deeper.
-		return bd.liveSplitMergeDaC(in, st, entry)
+		return bd.at(m, bd.liveSplitMergeDaC(in, st, entry))
 	case in.CondClosed:
 		// Leaf: the nested skeleton solves it.
 		if len(in.Children) > 0 {
-			return bd.liveInst(in.Children[0], st.Child(0), entry)
+			return bd.at(m, bd.liveInst(in.Children[0], st.Child(0), entry))
 		}
-		return bd.virtual(st.Child(0), entry)
+		return bd.at(m, bd.virtual(st.Child(0), entry))
 	default:
 		// Condition still running/unknown: expand virtually from the
 		// estimated remaining depth.
-		est := bd.card(fc)
-		remaining := est - in.Depth
+		remaining := bd.card(fc) - in.Depth
 		if remaining <= 0 {
-			return bd.virtual(st.Child(0), entry)
+			return bd.at(m, bd.virtual(st.Child(0), entry))
 		}
-		split := bd.act(st.Split(), st.Split().Name(), statemachine.ActivityRec{}, entry)
-		k := bd.card(st.Split())
-		if k < 1 {
-			k = 1
-		}
-		var exits []*Activity
+		var none statemachine.ActivityRec
+		split := bd.single(m, bd.act(st.Split(), none, entry))
+		k := max(bd.card(st.Split()), 1)
 		for i := 0; i < k; i++ {
-			exits = append(exits, bd.virtualDaC(st, []*Activity{split}, remaining-1)...)
+			bd.virtualDaC(st, split, remaining-1)
 		}
-		merge := bd.act(st.Merge(), st.Merge().Name(), statemachine.ActivityRec{}, exits)
-		return []*Activity{merge}
+		return bd.single(m, bd.act(st.Merge(), none, span{split.hi, bd.top()}))
 	}
 }
 
-func (bd *build) liveSplitMergeDaC(in *statemachine.Instance, st *plan.Step, entry []*Activity) []*Activity {
-	split := bd.act(st.Split(), st.Split().Name(), in.Split, entry)
+func (bd *build) liveSplitMergeDaC(in *statemachine.Instance, st *plan.Step, entry span) span {
+	m := bd.top()
+	split := bd.single(m, bd.act(st.Split(), in.Split, entry))
 	k := in.ActualCard
 	if k < 0 {
-		k = bd.card(st.Split())
-		if k < 1 {
-			k = 1
-		}
+		k = max(bd.card(st.Split()), 1)
 	}
-	byBranch := childrenByBranch(in)
+	kids := bd.index(in, false)
 	est := bd.card(st.Cond())
-	var exits []*Activity
 	for b := 0; b < k; b++ {
-		if c, ok := byBranch[b]; ok {
+		if c := kids.get(bd, b); c != nil {
 			// Recursive children re-enter the same d&c step one level deeper.
-			exits = append(exits, bd.liveInst(c, st, []*Activity{split})...)
+			bd.liveInst(c, st, split)
 		} else {
-			remaining := est - (in.Depth + 1)
-			exits = append(exits, bd.virtualDaC(st, []*Activity{split}, remaining)...)
+			bd.virtualDaC(st, split, est-(in.Depth+1))
 		}
 	}
-	merge := bd.act(st.Merge(), st.Merge().Name(), in.Merge, exits)
-	return []*Activity{merge}
+	bd.drop(kids)
+	return bd.single(m, bd.act(st.Merge(), in.Merge, span{split.hi, bd.top()}))
 }
 
-func childrenByBranch(in *statemachine.Instance) map[int]*statemachine.Instance {
-	m := make(map[int]*statemachine.Instance, len(in.Children))
-	for i, c := range in.Children {
-		b := c.Branch
-		if _, dup := m[b]; dup {
-			b = i // fall back to arrival order on branch collisions
-		}
-		m[b] = c
-	}
-	return m
+// --- child lookup ----------------------------------------------------------------
+
+// children indexes an activation's children by structural slot: table
+// g.tab[base:base+n] holds, per slot, the position of its child in
+// Children (-1 = not activated yet).
+type children struct {
+	in      *statemachine.Instance
+	base, n int32
 }
 
-func childrenByIter(in *statemachine.Instance) map[int]*statemachine.Instance {
-	m := make(map[int]*statemachine.Instance, len(in.Children))
-	for i, c := range in.Children {
-		it := c.Iter
-		if _, dup := m[it]; dup {
-			it = i
+// index builds the slot table of in's children, keyed by Branch (or by Iter
+// for loops). A key already taken — retries and substitutions can repeat
+// one — falls back to the child's arrival position, which may displace an
+// earlier child.
+func (bd *build) index(in *statemachine.Instance, byIter bool) children {
+	g := bd.g
+	key := func(c *statemachine.Instance) int {
+		if byIter {
+			return c.Iter
 		}
-		m[it] = c
+		return c.Branch
 	}
-	return m
+	n := len(in.Children)
+	for _, c := range in.Children {
+		n = max(n, key(c)+1)
+	}
+	base := len(g.tab)
+	g.tab = slices.Grow(g.tab, n)[:base+n]
+	tab := g.tab[base:]
+	for i := range tab {
+		tab[i] = -1
+	}
+	g.odd = g.odd[:0] // keys below zero: never looked up, but they can collide
+	for i, c := range in.Children {
+		k := key(c)
+		if (k >= 0 && tab[k] >= 0) || (k < 0 && slices.Contains(g.odd, int32(k))) {
+			k = i
+		}
+		if k >= 0 {
+			tab[k] = int32(i)
+		} else {
+			g.odd = append(g.odd, int32(k))
+		}
+	}
+	return children{in: in, base: int32(base), n: int32(n)}
 }
+
+// get returns the child in slot b, or nil.
+func (c children) get(bd *build, b int) *statemachine.Instance {
+	if b < 0 || b >= int(c.n) {
+		return nil
+	}
+	if i := bd.g.tab[int(c.base)+b]; i >= 0 {
+		return c.in.Children[i]
+	}
+	return nil
+}
+
+// drop pops the table (and any a nested walk left above it).
+func (bd *build) drop(c children) { bd.g.tab = bd.g.tab[:c.base] }

@@ -15,8 +15,9 @@ func (g *Graph) DOT(unit time.Duration) string {
 	b.WriteString("digraph adg {\n")
 	b.WriteString("  rankdir=LR;\n")
 	b.WriteString("  node [shape=record, fontname=\"monospace\"];\n")
-	fmt.Fprintf(&b, "  label=\"ADG @ now=%s (unit %v)\";\n", fmtT(g.Now, g.Start, unit), unit)
-	for _, a := range g.Acts {
+	fmt.Fprintf(&b, "  label=\"ADG @ now=%s (unit %v)\";\n", fmtT(g.at(g.Now), unit), unit)
+	for i := range g.Acts {
+		a := &g.Acts[i]
 		fill := "white"
 		switch a.State() {
 		case Done:
@@ -25,12 +26,11 @@ func (g *Graph) DOT(unit time.Duration) string {
 			fill = "orange"
 		}
 		fmt.Fprintf(&b, "  a%d [style=filled, fillcolor=%s, label=\"{%s|%s .. %s}\"];\n",
-			a.ID, fill, escapeDot(a.Label),
-			fmtT(a.TI, g.Start, unit), fmtT(a.TF, g.Start, unit))
+			i, fill, escapeDot(g.Label(i)), fmtT(a.TI, unit), fmtT(a.TF, unit))
 	}
-	for _, a := range g.Acts {
-		for _, p := range a.Preds {
-			fmt.Fprintf(&b, "  a%d -> a%d;\n", p.ID, a.ID)
+	for i := range g.Acts {
+		for _, p := range g.Preds(i) {
+			fmt.Fprintf(&b, "  a%d -> a%d;\n", p, i)
 		}
 	}
 	b.WriteString("}\n")

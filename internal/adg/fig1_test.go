@@ -142,10 +142,9 @@ func TestFig1OptimalLP(t *testing.T) {
 	// is 3, at 90 it drops.
 	steps := g.Timeline()
 	levelAt := func(ms int) int {
-		at := w.start.Add(u(ms))
 		lvl := 0
 		for _, s := range steps {
-			if s.T.After(at) {
+			if s.T > u(ms) {
 				break
 			}
 			lvl = s.Active

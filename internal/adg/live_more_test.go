@@ -79,8 +79,8 @@ func TestLiveFork(t *testing.T) {
 	}
 	// The pending branch must cost feB's 30ms, not feA's 10ms.
 	foundB := false
-	for _, a := range g.Acts {
-		if a.Muscle == feB && a.State() == Pending && a.Dur == u(30) {
+	for i, a := range g.Acts {
+		if g.Muscle(i) == feB && a.State() == Pending && a.Dur == u(30) {
 			foundB = true
 		}
 	}
@@ -164,8 +164,8 @@ func TestLiveDaCLeaf(t *testing.T) {
 	if wct := g.WCT(); wct != u(22) {
 		t.Fatalf("WCT %v, want 22ms\n%s", wct, g.Render(time.Millisecond))
 	}
-	for _, a := range g.Acts {
-		if a.Muscle == fs || a.Muscle == fm {
+	for i := range g.Acts {
+		if m := g.Muscle(i); m == fs || m == fm {
 			t.Fatalf("leaf-mode d&c planned split/merge\n%s", g.Render(time.Millisecond))
 		}
 	}

@@ -2,7 +2,6 @@ package adg
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -53,15 +52,15 @@ func addCard(m *muscle.Muscle, seen map[muscle.ID]bool, out *[]muscle.ID) {
 func (g *Graph) Render(unit time.Duration) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "ADG @ now=%s (start=0, unit=%v, %d activities)\n",
-		fmtT(g.Now, g.Start, unit), unit, len(g.Acts))
-	for _, a := range g.Acts {
-		preds := make([]string, 0, len(a.Preds))
-		for _, p := range a.Preds {
-			preds = append(preds, fmt.Sprintf("#%d", p.ID))
+		fmtT(g.at(g.Now), unit), unit, len(g.Acts))
+	for i := range g.Acts {
+		a := &g.Acts[i]
+		preds := make([]string, 0, a.p1-a.p0)
+		for _, p := range g.Preds(i) {
+			preds = append(preds, fmt.Sprintf("#%d", p))
 		}
 		fmt.Fprintf(&b, "  #%-4d %-12s [%7s %7s) %-7s <- %s\n",
-			a.ID, a.Label,
-			fmtT(a.TI, g.Start, unit), fmtT(a.TF, g.Start, unit),
+			i, g.Label(i), fmtT(a.TI, unit), fmtT(a.TF, unit),
 			a.State(), strings.Join(preds, ","))
 	}
 	return b.String()
@@ -70,22 +69,20 @@ func (g *Graph) Render(unit time.Duration) string {
 // RenderTimeline prints the Fig. 2 style step function "active threads vs
 // time" of the last schedule.
 func (g *Graph) RenderTimeline(unit time.Duration) string {
-	steps := g.Timeline()
 	var b strings.Builder
 	b.WriteString("t      active\n")
-	for _, s := range steps {
-		fmt.Fprintf(&b, "%-7s %d %s\n", fmtT(s.T, g.Start, unit), s.Active,
+	for _, s := range g.Timeline() {
+		fmt.Fprintf(&b, "%-7s %d %s\n", fmtT(s.T, unit), s.Active,
 			strings.Repeat("█", min(s.Active, 80)))
 	}
 	return b.String()
 }
 
-func fmtT(t, start time.Time, unit time.Duration) string {
-	if t.IsZero() {
+func fmtT(t, unit time.Duration) string {
+	if t == unset {
 		return "-"
 	}
-	v := float64(t.Sub(start)) / float64(unit)
-	return fmt.Sprintf("%.4g", v)
+	return fmt.Sprintf("%.4g", float64(t)/float64(unit))
 }
 
 // Series converts the timeline into (t, active) pairs in the given unit,
@@ -94,29 +91,25 @@ func (g *Graph) Series(unit time.Duration) [][2]float64 {
 	steps := g.Timeline()
 	out := make([][2]float64, 0, len(steps))
 	for _, s := range steps {
-		out = append(out, [2]float64{float64(s.T.Sub(g.Start)) / float64(unit), float64(s.Active)})
+		out = append(out, [2]float64{float64(s.T) / float64(unit), float64(s.Active)})
 	}
 	return out
 }
 
-// Validate checks internal graph invariants (DAG order, pred scheduling
-// consistency after a schedule). Intended for tests and debugging.
+// Validate checks internal graph invariants (DAG order, well-formed
+// predecessor ranges). Intended for tests and debugging.
 func (g *Graph) Validate() error {
-	pos := make(map[*Activity]int, len(g.Acts))
-	for i, a := range g.Acts {
-		if a.ID != i {
-			return fmt.Errorf("adg: activity %d carries ID %d", i, a.ID)
+	for i := range g.Acts {
+		a := &g.Acts[i]
+		if a.p0 < 0 || a.p0 > a.p1 || int(a.p1) > len(g.preds) {
+			return fmt.Errorf("adg: activity #%d has predecessor range [%d,%d) outside %d", i, a.p0, a.p1, len(g.preds))
 		}
-		pos[a] = i
-	}
-	for i, a := range g.Acts {
-		for _, p := range a.Preds {
-			j, ok := pos[p]
-			if !ok {
-				return fmt.Errorf("adg: activity #%d has foreign predecessor", i)
-			}
-			if j >= i {
-				return fmt.Errorf("adg: activity #%d precedes its predecessor #%d", i, j)
+		if s := a.slot; s >= int32(len(g.slots)) {
+			return fmt.Errorf("adg: activity #%d runs unknown muscle slot %d", i, s)
+		}
+		for _, p := range g.Preds(i) {
+			if p < 0 || int(p) >= i {
+				return fmt.Errorf("adg: activity #%d precedes its predecessor #%d", i, p)
 			}
 		}
 	}
@@ -128,57 +121,23 @@ func (g *Graph) Validate() error {
 // non-historical work. Done activities are exempt from the lp check (they
 // are history). Returns the first violation.
 func (g *Graph) CheckSchedule(lp int) error {
-	for _, a := range g.Acts {
-		if a.TF.Before(a.TI) {
-			return fmt.Errorf("adg: #%d ends before it starts", a.ID)
+	for i := range g.Acts {
+		a := &g.Acts[i]
+		if a.TF < a.TI {
+			return fmt.Errorf("adg: #%d ends before it starts", i)
 		}
-		for _, p := range a.Preds {
-			if a.State() == Pending && a.TI.Before(p.TF) {
-				return fmt.Errorf("adg: #%d starts at %v before pred #%d ends at %v",
-					a.ID, a.TI, p.ID, p.TF)
+		for _, p := range g.Preds(i) {
+			if pf := g.Acts[p].TF; a.state == Pending && a.TI < pf {
+				return fmt.Errorf("adg: #%d starts at %v before pred #%d ends at %v", i, a.TI, p, pf)
 			}
 		}
 	}
 	if lp <= 0 {
 		return nil
 	}
-	type edge struct {
-		t     time.Time
-		delta int
-	}
-	var edges []edge
-	for _, a := range g.Acts {
-		if a.State() == Done || !a.TF.After(a.TI) {
-			continue
-		}
-		ti := a.TI
-		if ti.Before(g.Now) {
-			ti = g.Now // running activities only count from the snapshot on
-		}
-		if !a.TF.After(ti) {
-			continue
-		}
-		edges = append(edges, edge{ti, +1}, edge{a.TF, -1})
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if !edges[i].t.Equal(edges[j].t) {
-			return edges[i].t.Before(edges[j].t)
-		}
-		return edges[i].delta < edges[j].delta
-	})
-	active := 0
-	for _, e := range edges {
-		active += e.delta
-		if active > lp {
-			return fmt.Errorf("adg: schedule uses %d > lp=%d slots at %v", active, lp, e.t)
-		}
+	// Running activities only count from the snapshot on.
+	if n, at := peak(g.intervals(g.at(g.Now), false)); n > lp {
+		return fmt.Errorf("adg: schedule uses %d > lp=%d slots at %v", n, lp, at)
 	}
 	return nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -82,8 +82,8 @@ func TestStateStrings(t *testing.T) {
 
 func TestValidateCatchesCorruptGraph(t *testing.T) {
 	g := renderGraph(t)
-	// Corrupt: make activity 0 depend on the last (forward edge).
-	g.Acts[0].Preds = []*Activity{g.Acts[len(g.Acts)-1]}
+	// Corrupt: make the first fe depend on the merge (forward edge).
+	g.Preds(1)[0] = int32(len(g.Acts) - 1)
 	if err := g.Validate(); err == nil {
 		t.Fatal("forward dependency accepted")
 	}
@@ -93,8 +93,7 @@ func TestCheckScheduleCatchesViolation(t *testing.T) {
 	g := renderGraph(t)
 	g.ScheduleBestEffort()
 	// Corrupt the merge to start before its predecessors end.
-	last := g.Acts[len(g.Acts)-1]
-	last.TI = clock.Epoch
+	g.Acts[len(g.Acts)-1].TI = 0
 	if err := g.CheckSchedule(0); err == nil {
 		t.Fatal("dependency violation accepted")
 	}

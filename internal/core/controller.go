@@ -102,6 +102,9 @@ type Config struct {
 // achievable end instead of burning peak parallelism for microseconds.
 const unreachableSlack = 0.05
 
+// paperPolicy is the default Policy, converted to the interface once.
+var paperPolicy Policy = PaperPolicy{}
+
 // errNoRoot gates analyses before the outermost skeleton has activated.
 var errNoRoot = fmt.Errorf("core: no root activation yet")
 
@@ -166,13 +169,17 @@ type Controller struct {
 	reqDur  []muscle.ID
 	reqCard []muscle.ID
 
-	// anMu serializes analyses and guards gateOpen/memo. Kept separate from
-	// mu so Demand/Decisions readers never wait behind an ADG build, and so
-	// the memoized Prediction's closures (single-goroutine by contract) are
-	// only ever exercised by one analysis at a time.
+	// anMu serializes analyses and guards gateOpen/released/memo/live. Kept
+	// separate from mu so Demand/Decisions readers never wait behind an ADG
+	// build, and so the memoized Prediction's closures (single-goroutine by
+	// contract) are only ever exercised by one analysis at a time.
 	anMu     sync.Mutex
 	gateOpen bool
-	memo     *analysisMemo
+	released bool
+	memo     analysisMemo
+	// live is the ADG predictor's graph, kept across analyses (nil before
+	// the first ADG analysis and once the execution is over).
+	live *liveADG
 
 	mu           sync.Mutex
 	cfg          Config // goal and MaxLP are adjustable at runtime
@@ -306,6 +313,36 @@ func (c *Controller) noteRootDone(e *event.Event) {
 		c.mu.Lock()
 		c.finished = true
 		c.mu.Unlock()
+		// Nothing analyses a finished execution: let go of its graph before
+		// the future resolves.
+		c.anMu.Lock()
+		c.dropAnalysis()
+		c.anMu.Unlock()
+	}
+}
+
+// Release drops everything the controller keeps for analysing — the ADG,
+// the memoized prediction and the tracker's activation tree. Call it once
+// the execution has resolved (whoever keeps a finished execution's handle
+// would otherwise pin them); later analyses report false. Decisions and
+// Demand stay readable.
+func (c *Controller) Release() {
+	c.anMu.Lock()
+	c.released = true
+	c.dropAnalysis()
+	c.anMu.Unlock()
+	c.tracker.Release()
+}
+
+// dropAnalysis forgets the graph and the memo. Caller holds anMu. A second
+// drop (Release after the root finished) only reads the fields: whoever
+// holds the finished execution may be reading them too.
+func (c *Controller) dropAnalysis() {
+	if c.live != nil {
+		c.live = nil
+	}
+	if c.memo.pred != nil {
+		c.memo = analysisMemo{}
 	}
 }
 
@@ -381,10 +418,10 @@ func (c *Controller) Decisions() []Decision {
 }
 
 // analysisMemo is one cached predictor snapshot together with the inputs
-// it was computed from. Versions are read before predicting, so an equal
-// (estVer, topoVer) on a later analysis proves the knowledge base did not
-// change in between — at worst the memo is newer than its key (a wasted
-// recompute next time), never staler.
+// it was computed from (pred == nil: none). Versions are read before
+// predicting, so an equal (estVer, topoVer) on a later analysis proves the
+// knowledge base did not change in between — at worst the memo is newer
+// than its key (a wasted recompute next time), never staler.
 type analysisMemo struct {
 	estVer  uint64
 	topoVer uint64
@@ -392,6 +429,13 @@ type analysisMemo struct {
 	now     time.Time
 	budget  int
 	pred    *Prediction
+}
+
+// sameKnowledge reports whether the memo was computed from the given
+// versions, start and budget — whatever its instant.
+func (m *analysisMemo) sameKnowledge(estVer, topoVer uint64, start time.Time, budget int) bool {
+	return m.pred != nil && m.estVer == estVer && m.topoVer == topoVer &&
+		m.start.Equal(start) && m.budget == budget
 }
 
 // memoLimited wraps a Prediction's LimitedEnd with a per-LP cache: graph
@@ -414,15 +458,19 @@ func memoLimited(f func(int) time.Time) func(int) time.Time {
 // estimates). It is normally invoked from the event listener but is
 // exported for tests, the simulator and external schedulers.
 func (c *Controller) Analyze(now time.Time) bool {
+	c.anMu.Lock()
+	defer c.anMu.Unlock()
+	// finished is read under anMu: an analysis that starts after the root
+	// finished (a ticker racing the last After) must not build a graph again
+	// once noteRootDone has dropped it.
 	c.mu.Lock()
 	cfg := c.cfg // goal/MaxLP may be adjusted at runtime; analyze a snapshot
 	start := c.start
+	finished := c.finished
 	c.mu.Unlock()
-	if cfg.WCTGoal <= 0 {
+	if cfg.WCTGoal <= 0 || finished || c.released {
 		return false
 	}
-	c.anMu.Lock()
-	defer c.anMu.Unlock()
 	// Gate: all muscles observed or initialized (the paper's "wait until
 	// all muscles have been executed at least once"). Estimates are never
 	// forgotten, so the gate is monotone: once open the scan is skipped.
@@ -437,37 +485,55 @@ func (c *Controller) Analyze(now time.Time) bool {
 	if predictor == nil {
 		predictor = ADGPredictor{}
 	}
-	// Versions are read before predicting (see analysisMemo). When neither
-	// the estimates nor the activation tree changed since the last analysis
-	// at the same instant — common in virtual-time runs, where one event
-	// batch shares a timestamp — the previous schedule is still exact and
-	// the ADG build is skipped entirely. now must be part of the key: live
-	// builds clamp running activities by elapsed wall-clock time.
+	_, graphed := predictor.(ADGPredictor)
+	// Versions are read before predicting (see analysisMemo). The memo is
+	// reused at three depths: nothing changed since the last analysis at
+	// the same instant (virtual-time event batches share a timestamp) —
+	// reuse the prediction; only the instant moved (the analysis ticker,
+	// or a throttled event) — reschedule the kept ADG at now, skipping the
+	// tree snapshot and the build; the estimates or the tree changed —
+	// rebuild the ADG in place.
 	estVer := c.est.Version()
 	topoVer := c.tracker.Version()
+	m := &c.memo
 	var pred *Prediction
-	if m := c.memo; m != nil && m.estVer == estVer && m.topoVer == topoVer &&
-		m.start.Equal(start) && m.now.Equal(now) && m.budget == cfg.ADGBudget {
+	switch known := m.sameKnowledge(estVer, topoVer, start, cfg.ADGBudget); {
+	case known && m.now.Equal(now):
 		pred = m.pred
-	} else {
-		p, err := predictor.Predict(PredictorInput{
+	case known && graphed:
+		c.live.reschedule(now)
+		pred = m.pred
+	default:
+		in := PredictorInput{
 			Node:    c.node,
 			Tracker: c.tracker,
 			Est:     c.est,
 			Start:   start,
 			Now:     now,
 			Budget:  cfg.ADGBudget,
-		})
-		if err != nil {
-			return false // not started yet, or estimates raced away; retry later
 		}
-		p.LimitedEnd = memoLimited(p.LimitedEnd)
-		pred = p
-		c.memo = &analysisMemo{
-			estVer: estVer, topoVer: topoVer,
-			start: start, now: now, budget: cfg.ADGBudget,
-			pred: pred,
+		if graphed {
+			if c.live == nil {
+				c.live = newLiveADG()
+			}
+			if err := c.live.build(in); err != nil {
+				m.pred = nil // the graph is half rebuilt
+				return false
+			}
+			pred = &c.live.pred
+		} else {
+			p, err := predictor.Predict(in)
+			if err != nil {
+				return false // not started yet, or estimates raced away; retry later
+			}
+			p.LimitedEnd = memoLimited(p.LimitedEnd)
+			pred = p
 		}
+	}
+	*m = analysisMemo{
+		estVer: estVer, topoVer: topoVer,
+		start: start, now: now, budget: cfg.ADGBudget,
+		pred: pred,
 	}
 	cur := c.lever.LP()
 	deadline := start.Add(cfg.WCTGoal)
@@ -515,7 +581,7 @@ func (c *Controller) Analyze(now time.Time) bool {
 	// implementation of the same contract the competitors use.
 	pol := cfg.Policy
 	if pol == nil {
-		pol = PaperPolicy{}
+		pol = paperPolicy
 	}
 	prop := pol.Observe(pred, Actuation{
 		CurLP: cur, MaxLP: cfg.MaxLP,

@@ -377,3 +377,48 @@ func TestStartTickerLifecycle(t *testing.T) {
 	time.Sleep(5 * time.Millisecond)
 	stop2()
 }
+
+// TestControllerDropsGraphWhenDone: the controller keeps one ADG across
+// analyses — rescheduled in place when only the instant moves, rebuilt in
+// place when the knowledge does — and holds neither it nor the memoized
+// prediction once the root activation has finished or the controller is
+// released; a released controller analyses nothing.
+func TestControllerDropsGraphWhenDone(t *testing.T) {
+	for _, release := range []bool{false, true} {
+		s := newFig1Setup()
+		s.replayUntil70()
+		ctl := NewController(Config{WCTGoal: u(100)}, s.outer, &fakeLever{lp: 3}, s.est, s.tr,
+			clock.NewVirtual(clock.Epoch))
+		ctl.SetStart(clock.Epoch)
+		if !ctl.Analyze(clock.Epoch.Add(u(70))) {
+			t.Fatal("first analysis did not run")
+		}
+		kept := ctl.live
+		if kept == nil || ctl.memo.pred != &kept.pred {
+			t.Fatal("the ADG predictor kept no graph")
+		}
+		ctl.Analyze(clock.Epoch.Add(u(75)))
+		s.est.InitDuration(s.fe.ID(), u(16))
+		ctl.Analyze(clock.Epoch.Add(u(75)))
+		if ctl.live != kept {
+			t.Fatal("the graph was replaced instead of reused")
+		}
+		if release {
+			ctl.Release()
+			if s.tr.Root() != nil {
+				t.Fatal("Release kept the activation tree")
+			}
+		} else {
+			ctl.Listener().Handler(&event.Event{
+				Node: s.outer, Trace: []*skel.Node{s.outer}, Index: 0, Parent: event.NoParent,
+				When: event.After, Where: event.Skeleton, Time: clock.Epoch.Add(u(120)),
+			})
+		}
+		if ctl.live != nil || ctl.memo.pred != nil {
+			t.Fatalf("release=%v: graph %p, memo %p still held", release, ctl.live, ctl.memo.pred)
+		}
+		if ctl.Analyze(clock.Epoch.Add(u(130))) {
+			t.Fatalf("release=%v: analysed after the end", release)
+		}
+	}
+}

@@ -52,7 +52,8 @@ type Predictor interface {
 // ADGPredictor implements the paper's estimation: build the Activity
 // Dependency Graph of the live execution, list-schedule it under candidate
 // LPs, and read the optimal LP off the best-effort timeline. Most accurate,
-// cost grows with the remaining structure (bounded by Budget).
+// cost grows with the remaining structure (bounded by Budget). A Controller
+// using it keeps one graph across analyses; Predict builds a fresh one.
 type ADGPredictor struct{}
 
 // Name implements Predictor.
@@ -60,8 +61,38 @@ func (ADGPredictor) Name() string { return "adg" }
 
 // Predict implements Predictor.
 func (ADGPredictor) Predict(in PredictorInput) (*Prediction, error) {
-	builder := adg.Builder{Est: in.Est, Budget: in.Budget}
-	var g *adg.Graph
+	l := newLiveADG()
+	if err := l.build(in); err != nil {
+		return nil, err
+	}
+	return &l.pred, nil
+}
+
+// liveADG is one ADG and the Prediction read off it, its closures bound
+// once. The controller keeps one across analyses: build refills the graph's
+// buffers when the estimates or the activation tree changed, reschedule
+// re-predicts at another instant when only time moved — the builder never
+// reads the analysis instant, the schedulers do.
+type liveADG struct {
+	g    adg.Graph
+	pred Prediction
+	ends []lpEnd // LimitedEnd answers at the current instant
+}
+
+type lpEnd struct {
+	lp  int
+	end time.Time
+}
+
+func newLiveADG() *liveADG {
+	l := &liveADG{}
+	l.pred.LimitedEnd = l.limitedEnd
+	l.pred.MinLP = l.g.MinLPForGoal
+	return l
+}
+
+// build snapshots the tracker's tree into the graph and predicts at in.Now.
+func (l *liveADG) build(in PredictorInput) error {
 	var err error
 	// Build under the tracker's lock: workers mutate the instance tree on
 	// every event, so the snapshot must be consistent.
@@ -70,28 +101,35 @@ func (ADGPredictor) Predict(in PredictorInput) (*Prediction, error) {
 			err = errNoRoot
 			return
 		}
-		g, err = builder.BuildLive(roots[0], in.Start, in.Now)
+		err = adg.Builder{Est: in.Est, Budget: in.Budget}.LiveInto(&l.g, roots[0], in.Start, in.Now)
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	g.ScheduleBestEffort()
-	bestEnd := g.EndTime()
-	optimal := adg.Peak(g.Timeline(), in.Now)
-	if optimal < 1 {
-		optimal = 1
+	l.reschedule(in.Now)
+	return nil
+}
+
+// reschedule predicts at now from the graph as built.
+func (l *liveADG) reschedule(now time.Time) {
+	l.g.Now = now
+	l.pred.OptimalLP = l.g.OptimalLP() // leaves the graph scheduled best-effort
+	l.pred.BestEnd = l.g.EndTime()
+	l.ends = l.ends[:0]
+}
+
+// limitedEnd schedules the graph at lp once per instant: one analysis
+// probes a handful of LPs (current, half, the minimal-search probes).
+func (l *liveADG) limitedEnd(lp int) time.Time {
+	for _, e := range l.ends {
+		if e.lp == lp {
+			return e.end
+		}
 	}
-	return &Prediction{
-		LimitedEnd: func(lp int) time.Time {
-			g.ScheduleLimited(lp)
-			return g.EndTime()
-		},
-		BestEnd:   bestEnd,
-		OptimalLP: optimal,
-		MinLP: func(deadline time.Time, ceil int) (int, bool) {
-			return g.MinLPForGoal(deadline, ceil)
-		},
-	}, nil
+	l.g.ScheduleLimited(lp)
+	end := l.g.EndTime()
+	l.ends = append(l.ends, lpEnd{lp, end})
+	return end
 }
 
 // --- work/span predictor (cheap analytic variant) --------------------------------

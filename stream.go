@@ -306,13 +306,14 @@ func (st *Stream[P, R]) Input(p P) *Execution[R] {
 	}
 	if ctl != nil {
 		// Once the future resolves nothing is predicted any more: stop the
-		// ticker and let go of the activation tree, which the execution
-		// handle (a daemon keeps those of finished jobs) would otherwise pin.
+		// ticker and let go of the ADG and the activation tree, which the
+		// execution handle (a daemon keeps those of finished jobs) would
+		// otherwise pin.
 		stop := ctl.StartTicker(st.cfg.analysisTicker)
 		go func() {
 			<-fut.Done()
 			stop()
-			tracker.Release()
+			ctl.Release()
 		}()
 	}
 	ex := &Execution[R]{fut: fut, ctl: ctl, root: root}

@@ -467,6 +467,31 @@ func TestWithOptimizeOff(t *testing.T) {
 	}
 }
 
+// TestGoalExecutionSleepGrid8x8: goal_grid's shape on the real pool — an
+// 8×8 two-level map of sleeping cells from LP 1, under a goal it meets only
+// by adapting — with an analysis on every After (1 ms throttle) and a 1 ms
+// ticker, so rebuilds of the controller's kept graph and reschedules at the
+// ticker's instants run while workers record events. make race runs it
+// under the race detector.
+func TestGoalExecutionSleepGrid8x8(t *testing.T) {
+	prog := nestedSleepProgram(8, 2*time.Millisecond)
+	st := NewStream[int, int](prog, WithLP(1), WithMaxLP(16), WithWCTGoal(80*time.Millisecond),
+		WithAnalysisInterval(time.Millisecond), WithAnalysisTicker(time.Millisecond))
+	defer st.Close()
+	for i := 0; i < 3; i++ {
+		ex := st.Input(0)
+		if got, err := ex.Get(); err != nil || got != 64 {
+			t.Fatalf("input %d: got %d, %v; want 64", i, got, err)
+		}
+		if ex.Analyses() == 0 {
+			t.Fatalf("input %d: no analysis ran", i)
+		}
+		if i == 0 && len(ex.Decisions()) == 0 {
+			t.Fatal("a 128 ms grid under an 80 ms goal from LP 1 never adapted")
+		}
+	}
+}
+
 // TestGoalExecutionReleasesActivationTree: the tree exists for the
 // controller; once the future resolves nothing predicts from it any more, so
 // the execution handle (a daemon keeps those of finished jobs) must not pin
