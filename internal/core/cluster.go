@@ -1,89 +1,23 @@
 package core
 
-import (
-	"time"
-
-	"skandium/internal/clock"
-)
-
-// ClusterArbiter extends the single-node Arbiter across machines: instead
-// of dividing one machine's LP budget over the jobs running on it, it
-// divides a cluster-wide LP budget over worker *nodes*, granting each node
-// the level of parallelism it may spend. The paper's §6 frames node count
-// as "adding or removing workers like adding or removing threads in a
-// centralised manner" — the same asymmetric policy one level up again:
-// grants rise eagerly toward a node's wish, fall by halving, and the sum of
-// all per-node grants never exceeds the global budget (the invariant the
-// coordinator relies on to promise bounded cluster load).
+// Node-level arbitration. The Arbiter that divides one machine's LP budget
+// over the jobs running on it also divides a cluster-wide LP budget over
+// worker *nodes*, granting each node the level of parallelism it may spend.
+// The paper's §6 frames node count as "adding or removing workers like
+// adding or removing threads in a centralised manner" — the same asymmetric
+// policy one level up again: grants rise eagerly toward a node's wish, fall
+// by halving, and the sum of all per-node grants never exceeds the global
+// budget (the invariant the coordinator relies on to promise bounded
+// cluster load).
 //
 // Members are node proxies (remote.Cluster adapts each worker endpoint into
 // a Member whose Demand is built from the worker's reported counters via
-// NodeDemand and whose Grant pushes the share to the worker's pool). Node
-// loss is ReleaseNode — the dead node's share flows to the survivors on the
-// very next rebalance, which is what makes SIGKILL-resilient rebalancing
-// budget-safe.
-type ClusterArbiter struct {
-	arb *Arbiter
-}
-
-// NewClusterArbiter creates a cluster-wide arbiter over a global LP budget
-// (minimum 1). A nil clock means the system clock; on the virtual clock the
-// whole grant history is deterministic, which is how the multi-node
-// simulator tests assert the Σ grants ≤ budget invariant.
-func NewClusterArbiter(budget int, clk clock.Clock) *ClusterArbiter {
-	return &ClusterArbiter{arb: NewArbiter(budget, clk)}
-}
-
-// Budget returns the global cluster LP budget.
-func (c *ClusterArbiter) Budget() int { return c.arb.Budget() }
-
-// AdmitNode adds a worker node under its address and rebalances. It fails
-// with ErrNoCapacity when the budget cannot guarantee every node one worker.
-func (c *ClusterArbiter) AdmitNode(addr string, m Member) error {
-	return c.arb.Admit(addr, m)
-}
-
-// AdmitNodeFor admits a worker node dedicated to a tenant pool: its grant
-// competes inside that tenant's weighted share of the cluster budget, so a
-// deployment can pin worker groups to tenants without a second arbiter.
-func (c *ClusterArbiter) AdmitNodeFor(addr, tenant string, m Member) error {
-	return c.arb.AdmitFor(addr, tenant, m)
-}
-
-// SetTenantWeight fixes a tenant pool's relative weight in the cluster
-// budget division (minimum 1; unconfigured pools weigh 1).
-func (c *ClusterArbiter) SetTenantWeight(tenant string, w int) {
-	c.arb.SetTenantWeight(tenant, w)
-}
-
-// TenantGrants returns the summed per-node grants of every tenant pool.
-func (c *ClusterArbiter) TenantGrants() map[string]int { return c.arb.TenantGrants() }
-
-// ReleaseNode removes a node (decommissioned or lost) and immediately
-// redistributes its grant to the surviving nodes. Unknown addresses are a
-// no-op, so probe loops may release unconditionally.
-func (c *ClusterArbiter) ReleaseNode(addr string) { c.arb.Release(addr) }
-
-// Nodes returns the admitted node addresses in admission order.
-func (c *ClusterArbiter) Nodes() []string { return c.arb.Members() }
-
-// Grants returns the current per-node LP grant of every admitted node.
-func (c *ClusterArbiter) Grants() map[string]int { return c.arb.Grants() }
-
-// Granted returns the sum of all per-node grants (always <= Budget).
-func (c *ClusterArbiter) Granted() int { return c.arb.Granted() }
-
-// Decisions returns the grant-change log (Job holds the node address).
-func (c *ClusterArbiter) Decisions() []GrantDecision { return c.arb.Decisions() }
-
-// Rebalance re-divides the budget according to the nodes' current demands.
-func (c *ClusterArbiter) Rebalance() { c.arb.Rebalance() }
-
-// StartTicker rebalances every d until the returned stop function is
-// called. Only meaningful on real-time clocks.
-func (c *ClusterArbiter) StartTicker(d time.Duration) (stop func()) {
-	return c.arb.StartTicker(d)
-}
+// NodeDemand and whose Grant pushes the share to the worker's pool), keyed
+// by node address. Node loss is Release — the dead node's share flows to
+// the survivors on the very next rebalance, which is what makes
+// SIGKILL-resilient rebalancing budget-safe. On the virtual clock the whole
+// grant history is deterministic, which is how the multi-node simulator
+// tests assert the Σ grants ≤ budget invariant.
 
 // NodeReport is a worker node's self-reported runtime state, as carried by
 // its health probe response.

@@ -22,7 +22,7 @@ func (n *clusterNode) Grant(g int)    { n.grant = g }
 func TestClusterArbiterBudgetInvariant(t *testing.T) {
 	vclk := clock.NewVirtual(clock.Epoch)
 	budget := 8
-	ca := NewClusterArbiter(budget, vclk)
+	ca := NewArbiter(budget, vclk)
 
 	nodes := map[string]*clusterNode{
 		"w1": {rep: NodeReport{LP: 1, Active: 4, Queued: 12, MaxLP: 8}},
@@ -48,7 +48,7 @@ func TestClusterArbiterBudgetInvariant(t *testing.T) {
 	}
 
 	for _, addr := range []string{"w1", "w2", "w3"} {
-		if err := ca.AdmitNode(addr, nodes[addr]); err != nil {
+		if err := ca.Admit(addr, nodes[addr]); err != nil {
 			t.Fatalf("admit %s: %v", addr, err)
 		}
 		checkSum("after admit " + addr)
@@ -65,14 +65,14 @@ func TestClusterArbiterBudgetInvariant(t *testing.T) {
 	// Node loss: the dead node's share flows to the survivors.
 	vclk.Advance(time.Second)
 	before := ca.Granted()
-	ca.ReleaseNode("w2")
+	ca.Release("w2")
 	delete(nodes, "w2")
 	ca.Rebalance()
 	checkSum("after node loss")
 	if ca.Granted() < before-nodes["w1"].grant { // survivors re-absorb budget
 		t.Fatalf("budget not redistributed after node loss: %d granted", ca.Granted())
 	}
-	for _, addr := range ca.Nodes() {
+	for _, addr := range ca.Members() {
 		if addr == "w2" {
 			t.Fatal("released node still admitted")
 		}

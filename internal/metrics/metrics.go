@@ -10,8 +10,21 @@ import (
 	"strings"
 	"sync"
 	"time"
+)
 
-	"skandium/internal/event"
+// Canonical shed reasons (admission-control rejections) so dashboards can
+// rely on stable label values.
+const (
+	ShedQueueFull  = "queue-full"
+	ShedInfeasible = "goal-infeasible"
+	ShedDraining   = "draining"
+	// ShedPressure is the weighted probabilistic shed on the admission
+	// ladder's middle rung: the queue is filling and the submission drew an
+	// unlucky (weight-biased) lot before the hard queue-full wall.
+	ShedPressure = "queue-pressure"
+	// ShedBrownout marks optional work refused while the server is browned
+	// out — sustained overload detected, only guaranteed traffic admitted.
+	ShedBrownout = "brownout"
 )
 
 // Sample is one gauge observation.
@@ -28,8 +41,6 @@ type Recorder struct {
 	start   time.Time
 	started bool
 	samples []Sample
-	retries uint64
-	faults  uint64
 }
 
 // NewRecorder returns an empty recorder. The first sample anchors t=0
@@ -53,32 +64,6 @@ func (r *Recorder) Gauge(now time.Time, active, lp int) {
 	r.mu.Unlock()
 }
 
-// FaultListener returns an event listener tallying retry and terminal-fault
-// events into the recorder — the telemetry face of the fault-tolerance
-// layer. Install it next to the gauge hook.
-func (r *Recorder) FaultListener() event.Listener {
-	return event.Func(func(e *event.Event) any {
-		switch e.Where {
-		case event.Retry:
-			r.mu.Lock()
-			r.retries++
-			r.mu.Unlock()
-		case event.Fault:
-			r.mu.Lock()
-			r.faults++
-			r.mu.Unlock()
-		}
-		return e.Param
-	})
-}
-
-// FaultCounts returns the retry and terminal-fault events observed so far.
-func (r *Recorder) FaultCounts() (retries, faults uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.retries, r.faults
-}
-
 // Samples returns a copy of the raw observations in time order.
 func (r *Recorder) Samples() []Sample {
 	r.mu.Lock()
@@ -86,18 +71,6 @@ func (r *Recorder) Samples() []Sample {
 	out := append([]Sample(nil), r.samples...)
 	sort.SliceStable(out, func(i, j int) bool { return out[i].T.Before(out[j].T) })
 	return out
-}
-
-// Last returns the most recent observation, if any.
-func (r *Recorder) Last() (Sample, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.samples) == 0 {
-		return Sample{}, false
-	}
-	// Samples arrive roughly time-ordered; the append order's tail is the
-	// freshest observation for gauge-style consumers.
-	return r.samples[len(r.samples)-1], true
 }
 
 // Point is one (time, value) pair of an exported series, time in units.

@@ -87,7 +87,7 @@ type Config struct {
 // static endpoint list, health-probes them through a per-node state machine
 // (healthy → suspect → down → probation), shards fan-out tasks across the
 // serving ones with transient-fault RPC retries, idempotent re-dispatch and
-// requeue-on-node-loss, and runs a cluster-wide core.ClusterArbiter so Σ
+// requeue-on-node-loss, and runs a cluster-wide core.Arbiter over nodes so Σ
 // per-node LP grants never exceeds the global budget. When healthy capacity
 // collapses mid-job it degrades gracefully: remaining shards drain to a
 // local pool instead of failing the job. It implements core.LPControl — the
@@ -96,7 +96,7 @@ type Config struct {
 type Cluster struct {
 	cfg    Config
 	clk    clock.Clock
-	arb    *core.ClusterArbiter
+	arb    *core.Arbiter
 	client *http.Client
 	rpc    *rpc
 	id     string
@@ -234,7 +234,7 @@ func New(cfg Config) (*Cluster, error) {
 	c := &Cluster{
 		cfg:       cfg,
 		clk:       cfg.Clock,
-		arb:       core.NewClusterArbiter(cfg.Budget, cfg.Clock),
+		arb:       core.NewArbiter(cfg.Budget, cfg.Clock),
 		client:    client,
 		rpc:       newRPC(client, cfg.Clock, cfg.RPC),
 		id:        fmt.Sprintf("%x", time.Now().UnixNano()),
@@ -356,7 +356,7 @@ func (c *Cluster) noteOK(n *node) {
 		// restarted worker is back at its own default LP), so forget it —
 		// an identical re-grant must not be deduped away.
 		n.grant.Store(0)
-		_ = c.arb.AdmitNode(n.addr, n)
+		_ = c.arb.Admit(n.addr, n)
 	}
 	if from != to {
 		c.emit(NodeEvent{Addr: n.addr, From: from, To: to, Up: to.Serving(), Time: c.clk.Now()})
@@ -379,7 +379,7 @@ func (c *Cluster) noteFail(n *node, cause Cause, err error) {
 	n.mu.Unlock()
 	if to == StateDown && n.admitted {
 		n.admitted = false
-		c.arb.ReleaseNode(n.addr)
+		c.arb.Release(n.addr)
 	}
 	if from != to {
 		c.emit(NodeEvent{Addr: n.addr, From: from, To: to, Up: to.Serving(),

@@ -102,6 +102,11 @@ type admission struct {
 	pressureSince time.Time
 	calmSince     time.Time
 
+	// sheds counts every refused submission by tenant and reason: the
+	// ladder's own rulings and the server's draining and goal-infeasible
+	// refusals (see refused).
+	sheds map[string]map[string]uint64
+
 	completions [drainCap]time.Time
 	chead, clen int
 }
@@ -130,6 +135,7 @@ func newAdmission(cfg admissionConfig) *admission {
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		weights: map[string]int{},
 		queued:  map[string]int{},
+		sheds:   map[string]map[string]uint64{},
 	}
 	for t, w := range cfg.Tenants {
 		if w < 1 {
@@ -193,6 +199,7 @@ func (a *admission) decideLocked(tenant string, priority int, now time.Time) ver
 	// Over quota or low priority: this is optional work, the shed ladder
 	// applies.
 	shed := func(reason string) verdict {
+		a.countShedLocked(tenant, reason)
 		return verdict{
 			reason: reason, queued: a.queuedTotal,
 			retryAfter: a.retryAfterLocked(now),
@@ -251,6 +258,23 @@ func (a *admission) started(tenant string) {
 
 // dequeued releases a queue slot without a start (cancel, drain race).
 func (a *admission) dequeued(tenant string) { a.started(tenant) }
+
+// refused counts a submission the server refused outside the ladder
+// (draining, goal infeasible). Counter-only.
+func (a *admission) refused(tenant, reason string) {
+	a.mu.Lock()
+	a.countShedLocked(tenant, reason)
+	a.mu.Unlock()
+}
+
+func (a *admission) countShedLocked(tenant, reason string) {
+	ts := a.sheds[tenant]
+	if ts == nil {
+		ts = map[string]uint64{}
+		a.sheds[tenant] = ts
+	}
+	ts[reason]++
+}
 
 // enqueued reserves a queue slot without a decision — journal recovery
 // re-queues jobs that were admitted before the crash. Counter-only.
@@ -381,17 +405,30 @@ type admissionStats struct {
 	Queued     map[string]int
 	Quotas     map[string]int
 	Weights    map[string]int
+	// Sheds counts refusals by reason, TenantSheds by tenant and reason.
+	Sheds       map[string]uint64
+	TenantSheds map[string]map[string]uint64
 }
 
 func (a *admission) stats() admissionStats {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	st := admissionStats{
-		BrownedOut: a.brownedOut,
-		Brownouts:  a.brownouts,
-		Queued:     make(map[string]int, len(a.weights)),
-		Quotas:     make(map[string]int, len(a.weights)),
-		Weights:    make(map[string]int, len(a.weights)),
+		BrownedOut:  a.brownedOut,
+		Brownouts:   a.brownouts,
+		Queued:      make(map[string]int, len(a.weights)),
+		Quotas:      make(map[string]int, len(a.weights)),
+		Weights:     make(map[string]int, len(a.weights)),
+		Sheds:       map[string]uint64{},
+		TenantSheds: make(map[string]map[string]uint64, len(a.sheds)),
+	}
+	for t, ts := range a.sheds {
+		m := make(map[string]uint64, len(ts))
+		for r, n := range ts {
+			m[r] = n
+			st.Sheds[r] += n
+		}
+		st.TenantSheds[t] = m
 	}
 	for t, w := range a.weights {
 		st.Weights[t] = w

@@ -297,6 +297,34 @@ func TestAdmissionEntitledMatchesGuaranteed(t *testing.T) {
 	}
 }
 
+// TestFleetSheds: shed counters accumulate per reason and tenant, from the
+// ladder's rulings and the server's own refusals alike, and stats returns
+// copies the caller cannot use to corrupt the ladder's maps.
+func TestFleetSheds(t *testing.T) {
+	a := newTestAdmission(1, clock.NewVirtual(clock.Epoch), nil)
+	if st := a.stats(); len(st.Sheds) != 0 || len(st.TenantSheds) != 0 {
+		t.Fatalf("fresh ladder sheds = %v / %v, want empty", st.Sheds, st.TenantSheds)
+	}
+	if !a.decide("alpha", 0).admit { // takes the one slot
+		t.Fatal("first submission shed")
+	}
+	a.decide("alpha", 0)
+	a.decide("alpha", 1)
+	a.refused("beta", metrics.ShedInfeasible)
+	st := a.stats()
+	if st.Sheds[metrics.ShedQueueFull] != 2 || st.Sheds[metrics.ShedInfeasible] != 1 || st.Sheds[metrics.ShedDraining] != 0 {
+		t.Fatalf("sheds = %v, want queue-full 2 / goal-infeasible 1", st.Sheds)
+	}
+	if st.TenantSheds["alpha"][metrics.ShedQueueFull] != 2 || st.TenantSheds["beta"][metrics.ShedInfeasible] != 1 {
+		t.Fatalf("tenant sheds = %v", st.TenantSheds)
+	}
+	st.Sheds[metrics.ShedQueueFull] = 99
+	st.TenantSheds["alpha"][metrics.ShedQueueFull] = 99
+	if again := a.stats(); again.Sheds[metrics.ShedQueueFull] != 2 || again.TenantSheds["alpha"][metrics.ShedQueueFull] != 2 {
+		t.Fatalf("stats returned shared maps: %v / %v", again.Sheds, again.TenantSheds)
+	}
+}
+
 func TestAdmissionUnboundedQueueAdmitsAll(t *testing.T) {
 	a := newAdmission(admissionConfig{QueueMax: 0, Clock: clock.NewVirtual(clock.Epoch)})
 	for i := 0; i < 100; i++ {

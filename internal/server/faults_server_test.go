@@ -81,6 +81,7 @@ func TestServerChaosgridRetryRecovers(t *testing.T) {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
+	assertFleetSumsJobs(t, base, "retries_total", "faults_total")
 }
 
 // TestServerChaosgridSkipFailed: under partial=skip the job completes with

@@ -1,21 +1,24 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"net/http"
-	"net/http/pprof"
 	"reflect"
 	"sort"
 	"strconv"
 	"time"
 
 	"skandium"
+	"skandium/internal/exec"
+	"skandium/internal/journal"
 )
 
-// Handler returns the daemon's HTTP API:
+// Handler returns the daemon's HTTP API (skelrund serves net/http/pprof on
+// a listener of its own, never on this one):
 //
 //	GET    /healthz                   liveness + drain state
 //	GET    /metrics                   text exposition of fleet/job/pool gauges
@@ -29,7 +32,6 @@ import (
 //	PATCH  /jobs/{id}/qos             adjust WCT goal / max LP at runtime
 //	DELETE /jobs/{id}                 cancel a job
 //	GET    /arbiter                   budget, grants and grant decisions
-//	GET    /debug/pprof/...           runtime profiling
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -42,14 +44,8 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /jobs/{id}/events", s.handleEvents)
 	mux.HandleFunc("GET /jobs/{id}/timeline", s.handleTimeline)
 	mux.HandleFunc("PATCH /jobs/{id}/qos", s.handleQoS)
-	mux.HandleFunc("POST /jobs/{id}/qos", s.handleQoS) // curl-friendly alias
 	mux.HandleFunc("DELETE /jobs/{id}", s.handleCancel)
 	mux.HandleFunc("GET /arbiter", s.handleArbiter)
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
 }
 
@@ -83,10 +79,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if n := s.RecoveredJobs(); n > 0 {
 		body["recovered"] = n
 	}
-	if sheds := s.fleet.Sheds(); len(sheds) > 0 {
-		body["shed"] = sheds
-	}
 	ast := s.adm.stats()
+	if len(ast.Sheds) > 0 {
+		body["shed"] = ast.Sheds
+	}
 	adm := map[string]any{
 		"browned_out": ast.BrownedOut,
 		"brownouts":   ast.Brownouts,
@@ -155,51 +151,19 @@ func (s *Server) handleSkeletons(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// submitRequest is the POST /jobs body.
-type submitRequest struct {
-	Skeleton  string          `json:"skeleton"`
-	Params    skandium.Params `json:"params"`
-	GoalMS    float64         `json:"goal_ms"`
-	MaxLP     int             `json:"max_lp"`
-	InitialLP int             `json:"initial_lp"`
-	Policy    string          `json:"policy"`
-	// Tenant identity and admission priority (both optional; the
-	// X-Skel-Tenant header wins over the body field when both are set).
-	Tenant   string `json:"tenant"`
-	Priority int    `json:"priority"`
-	// Fault tolerance (all optional).
-	TimeoutMS      float64 `json:"timeout_ms"`
-	Retries        int     `json:"retries"`
-	RetryBackoffMS float64 `json:"retry_backoff_ms"`
-	Partial        string  `json:"partial"`
-	Substitute     any     `json:"substitute"`
-}
-
+// handleSubmit decodes POST /jobs straight into the journal's form of a
+// submission, which is already in the API's JSON units. The X-Skel-Tenant
+// header wins over the body's tenant field when both are set.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req submitRequest
+	var req journal.Spec
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad submit body: %w", err))
 		return
 	}
-	tenant := req.Tenant
 	if h := r.Header.Get("X-Skel-Tenant"); h != "" {
-		tenant = h
+		req.Tenant = h
 	}
-	j, err := s.Submit(SubmitSpec{
-		Skeleton:      req.Skeleton,
-		Params:        req.Params,
-		Goal:          time.Duration(req.GoalMS * float64(time.Millisecond)),
-		MaxLP:         req.MaxLP,
-		InitialLP:     req.InitialLP,
-		Policy:        req.Policy,
-		Tenant:        tenant,
-		Priority:      req.Priority,
-		MuscleTimeout: time.Duration(req.TimeoutMS * float64(time.Millisecond)),
-		RetryAttempts: req.Retries,
-		RetryBackoff:  time.Duration(req.RetryBackoffMS * float64(time.Millisecond)),
-		Partial:       req.Partial,
-		Substitute:    req.Substitute,
-	})
+	j, err := s.Submit(fromJournalSpec(req))
 	var over *OverloadError
 	var infeasible *InfeasibleError
 	switch {
@@ -295,25 +259,13 @@ type jobView struct {
 	EventsDropped int64 `json:"events_dropped,omitempty"`
 }
 
-// sinceStart renders a timestamp as ms since the fleet start (0 for zero
+// sinceStart renders a timestamp as ms since the server start (0 for zero
 // times), keeping the API clock-agnostic.
 func (s *Server) sinceStart(t time.Time) float64 {
 	if t.IsZero() {
 		return 0
 	}
-	start := time.Time{}
-	if smp := s.fleetStart(); !smp.IsZero() {
-		start = smp
-	}
-	return float64(t.Sub(start)) / float64(time.Millisecond)
-}
-
-func (s *Server) fleetStart() time.Time {
-	// The fleet start was fixed in New; recover it from any recorder-free
-	// path by caching on the server would be overkill — store once.
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.startTime
+	return float64(t.Sub(s.startTime)) / float64(time.Millisecond)
 }
 
 func (s *Server) jobView(j *job) jobView {
@@ -398,10 +350,8 @@ func summarize(v any) string {
 
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	var out []jobView
-	for _, id := range s.JobIDs() {
-		if j, ok := s.Job(id); ok {
-			out = append(out, s.jobView(j))
-		}
+	for _, j := range s.jobList() {
+		out = append(out, s.jobView(j))
 	}
 	writeJSON(w, http.StatusOK, out)
 }
@@ -603,18 +553,50 @@ func (s *Server) handleArbiter(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMetrics exposes the fleet in Prometheus text exposition format
-// (hand-rolled: no dependency for a text format).
+// (hand-rolled: no dependency for a text format). The fleet-wide fault
+// totals are the sums of the per-job lines, so the job lines are rendered
+// first and written last.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	var perJob bytes.Buffer
+	var retries, faults uint64
+	for _, j := range s.jobList() {
+		state, grant, h, _, _, _, _ := j.snapshot()
+		lp, active := 0, 0
+		var stats exec.Stats
+		fs := j.totalFaults(h)
+		if h != nil {
+			if !state.terminal() {
+				lp, active = h.LP(), h.Active()
+			}
+			stats = h.Stats()
+		}
+		retries += fs.Retries
+		faults += fs.Faults
+		lbl := fmt.Sprintf("{job=%q,skeleton=%q}", j.id, j.skeleton)
+		fmt.Fprintf(&perJob, "skelrund_job_lp%s %d\n", lbl, lp)
+		fmt.Fprintf(&perJob, "skelrund_job_active%s %d\n", lbl, active)
+		fmt.Fprintf(&perJob, "skelrund_job_grant%s %d\n", lbl, grant)
+		fmt.Fprintf(&perJob, "skelrund_job_tasks_total%s %d\n", lbl, stats.TasksRun)
+		fmt.Fprintf(&perJob, "skelrund_job_busy_seconds%s %g\n", lbl, stats.BusyTime.Seconds())
+		fmt.Fprintf(&perJob, "skelrund_job_workers_spawned%s %d\n", lbl, stats.Spawned)
+		fmt.Fprintf(&perJob, "skelrund_job_retries_total%s %d\n", lbl, fs.Retries)
+		fmt.Fprintf(&perJob, "skelrund_job_faults_total%s %d\n", lbl, fs.Faults)
+		fmt.Fprintf(&perJob, "skelrund_job_timeouts_total%s %d\n", lbl, fs.Timeouts)
+		fmt.Fprintf(&perJob, "skelrund_job_skipped_total%s %d\n", lbl, fs.Skipped)
+		fmt.Fprintf(&perJob, "skelrund_job_substituted_total%s %d\n", lbl, fs.Substituted)
+		fmt.Fprintf(&perJob, "skelrund_job_events_dropped%s %d\n", lbl, j.log.droppedCount())
+	}
+
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	fmt.Fprintf(w, "# HELP skelrund_budget machine-wide LP budget\n")
 	fmt.Fprintf(w, "skelrund_budget %d\n", s.Budget())
 	fmt.Fprintf(w, "# HELP skelrund_granted sum of current arbiter grants\n")
 	fmt.Fprintf(w, "skelrund_granted %d\n", s.arb.Granted())
+	totalLP, peakLP := s.lps.read()
 	fmt.Fprintf(w, "# HELP skelrund_total_lp sum of all job pools' current LP\n")
-	fmt.Fprintf(w, "skelrund_total_lp %d\n", s.fleet.TotalLP())
+	fmt.Fprintf(w, "skelrund_total_lp %d\n", totalLP)
 	fmt.Fprintf(w, "# HELP skelrund_peak_total_lp peak of the aggregate LP series\n")
-	fmt.Fprintf(w, "skelrund_peak_total_lp %d\n", s.fleet.PeakTotalLP())
-	retries, faults := s.fleet.TotalFaults()
+	fmt.Fprintf(w, "skelrund_peak_total_lp %d\n", peakLP)
 	fmt.Fprintf(w, "# HELP skelrund_retries_total muscle attempts retried, fleet-wide\n")
 	fmt.Fprintf(w, "skelrund_retries_total %d\n", retries)
 	fmt.Fprintf(w, "# HELP skelrund_faults_total terminal muscle failures, fleet-wide\n")
@@ -625,16 +607,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# HELP skelrund_queue_max wait-queue bound (0 = unbounded)\n")
 	fmt.Fprintf(w, "skelrund_queue_max %d\n", queueMax)
 	fmt.Fprintf(w, "# HELP skelrund_shed_total submissions rejected by admission control\n")
-	sheds := s.fleet.Sheds()
-	reasons := make([]string, 0, len(sheds))
-	for r := range sheds {
-		reasons = append(reasons, r)
-	}
-	sort.Strings(reasons)
-	for _, r := range reasons {
-		fmt.Fprintf(w, "skelrund_shed_total{reason=%q} %d\n", r, sheds[r])
-	}
 	ast := s.adm.stats()
+	for _, r := range sortedKeys(ast.Sheds) {
+		fmt.Fprintf(w, "skelrund_shed_total{reason=%q} %d\n", r, ast.Sheds[r])
+	}
 	brown := 0
 	if ast.BrownedOut {
 		brown = 1
@@ -643,33 +619,17 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "skelrund_browned_out %d\n", brown)
 	fmt.Fprintf(w, "# HELP skelrund_brownouts_total brownout episodes entered since start\n")
 	fmt.Fprintf(w, "skelrund_brownouts_total %d\n", ast.Brownouts)
-	grants := s.arb.TenantGrants()
-	if len(grants) > 0 {
+	if grants := s.arb.TenantGrants(); len(grants) > 0 {
 		fmt.Fprintf(w, "# HELP skelrund_tenant_granted_lp current arbiter LP granted per tenant\n")
-		tenants := make([]string, 0, len(grants))
-		for t := range grants {
-			tenants = append(tenants, t)
-		}
-		sort.Strings(tenants)
-		for _, t := range tenants {
+		for _, t := range sortedKeys(grants) {
 			fmt.Fprintf(w, "skelrund_tenant_granted_lp{tenant=%q} %d\n", t, grants[t])
 		}
 	}
-	if tsheds := s.fleet.TenantSheds(); len(tsheds) > 0 {
+	if len(ast.TenantSheds) > 0 {
 		fmt.Fprintf(w, "# HELP skelrund_tenant_shed_total submissions rejected per tenant and reason\n")
-		tenants := make([]string, 0, len(tsheds))
-		for t := range tsheds {
-			tenants = append(tenants, t)
-		}
-		sort.Strings(tenants)
-		for _, t := range tenants {
-			rs := make([]string, 0, len(tsheds[t]))
-			for r := range tsheds[t] {
-				rs = append(rs, r)
-			}
-			sort.Strings(rs)
-			for _, r := range rs {
-				fmt.Fprintf(w, "skelrund_tenant_shed_total{tenant=%q,reason=%q} %d\n", t, r, tsheds[t][r])
+		for _, t := range sortedKeys(ast.TenantSheds) {
+			for _, r := range sortedKeys(ast.TenantSheds[t]) {
+				fmt.Fprintf(w, "skelrund_tenant_shed_total{tenant=%q,reason=%q} %d\n", t, r, ast.TenantSheds[t][r])
 			}
 		}
 	}
@@ -720,52 +680,23 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for _, st := range statesInOrder(counts) {
 		fmt.Fprintf(w, "skelrund_jobs{state=%q} %d\n", st, counts[st])
 	}
-	for _, id := range s.JobIDs() {
-		j, ok := s.Job(id)
-		if !ok {
-			continue
-		}
-		state, grant, h, _, _, _, _ := j.snapshot()
-		lp, active := 0, 0
-		var stats statsView
-		faults := j.totalFaults(h)
-		if h != nil {
-			if !state.terminal() {
-				lp, active = h.LP(), h.Active()
-			}
-			ps := h.Stats()
-			stats = statsView{Tasks: ps.TasksRun, BusySec: ps.BusyTime.Seconds(), Spawned: ps.Spawned}
-		}
-		lbl := fmt.Sprintf("{job=%q,skeleton=%q}", j.id, j.skeleton)
-		fmt.Fprintf(w, "skelrund_job_lp%s %d\n", lbl, lp)
-		fmt.Fprintf(w, "skelrund_job_active%s %d\n", lbl, active)
-		fmt.Fprintf(w, "skelrund_job_grant%s %d\n", lbl, grant)
-		fmt.Fprintf(w, "skelrund_job_tasks_total%s %d\n", lbl, stats.Tasks)
-		fmt.Fprintf(w, "skelrund_job_busy_seconds%s %g\n", lbl, stats.BusySec)
-		fmt.Fprintf(w, "skelrund_job_workers_spawned%s %d\n", lbl, stats.Spawned)
-		fmt.Fprintf(w, "skelrund_job_retries_total%s %d\n", lbl, faults.Retries)
-		fmt.Fprintf(w, "skelrund_job_faults_total%s %d\n", lbl, faults.Faults)
-		fmt.Fprintf(w, "skelrund_job_timeouts_total%s %d\n", lbl, faults.Timeouts)
-		fmt.Fprintf(w, "skelrund_job_skipped_total%s %d\n", lbl, faults.Skipped)
-		fmt.Fprintf(w, "skelrund_job_substituted_total%s %d\n", lbl, faults.Substituted)
-		fmt.Fprintf(w, "skelrund_job_events_dropped%s %d\n", lbl, j.log.droppedCount())
+	_, _ = perJob.WriteTo(w)
+}
+
+// sortedKeys returns a map's keys in order, for deterministic exposition.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
+	sort.Strings(keys)
+	return keys
 }
 
-type statsView struct {
-	Tasks   uint64
-	BusySec float64
-	Spawned int
-}
-
-// sortTimeline orders records by time, stable across types.
+// sortTimeline orders records by time, stable across types. It is an
+// insertion sort: timelines are mostly ordered already (two pre-sorted
+// series merged), where insertion sort is linear.
 func sortTimeline(recs []timelineRecord) {
-	metricsSortSlice(recs)
-}
-
-// metricsSortSlice is a tiny insertion sort: timelines are mostly ordered
-// already (two pre-sorted series merged), where insertion sort is linear.
-func metricsSortSlice(recs []timelineRecord) {
 	for i := 1; i < len(recs); i++ {
 		for k := i; k > 0 && recs[k].TMS < recs[k-1].TMS; k-- {
 			recs[k], recs[k-1] = recs[k-1], recs[k]

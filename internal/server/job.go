@@ -42,7 +42,8 @@ type job struct {
 	maxLP    int
 	initLP   int
 	// policy names the adaptation rule driving this job's controller
-	// ("" = the paper rule); resolved against the server default at submit.
+	// ("" = the paper rule); resolved against the server default when the
+	// job is built (newJob), at submit and at recovery alike.
 	policy string
 	// tenant (canonical, never "") and priority place the job on the
 	// admission ladder and in the arbiter's weighted budget division.
@@ -53,6 +54,8 @@ type job struct {
 	partial  skandium.PartialPolicy
 	log      *eventLog
 	rec      *metrics.Recorder
+	// lp is the LP the job's gauge last reported, its term in Server.lps.
+	lp atomic.Int64
 	// remoteOK marks the job routable to the cluster: eligible blueprint,
 	// no local-only QoS/fault knobs (shardability is checked at start).
 	remoteOK bool
@@ -137,4 +140,36 @@ func (j *job) totalFaults(h skandium.Handle) skandium.FaultStats {
 // terminal reports whether the state is final.
 func (s jobState) terminal() bool {
 	return s == stateDone || s == stateFailed || s == stateCanceled
+}
+
+// lpTotal is the fleet-wide LP aggregate behind skelrund_total_lp and
+// skelrund_peak_total_lp: the sum of every job's last reported LP, and the
+// largest that sum has been.
+type lpTotal struct {
+	mu        sync.Mutex
+	sum, peak int64
+}
+
+func (t *lpTotal) read() (sum, peak int64) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.sum, t.peak
+}
+
+// gauge is every job's pool gauge hook: it records the sample for the
+// job's /timeline and moves the fleet aggregate by the job's LP change. A
+// report that leaves the LP where it was costs the aggregate one atomic
+// load. A change swaps the job's term and moves the sum under one lock:
+// workers of one job report concurrently, and two changes applied out of
+// order would count a job twice in the peak.
+func (s *Server) gauge(j *job, now time.Time, active, lp int) {
+	j.rec.Gauge(now, active, lp)
+	n := int64(lp)
+	if j.lp.Load() == n {
+		return
+	}
+	s.lps.mu.Lock()
+	s.lps.sum += n - j.lp.Swap(n)
+	s.lps.peak = max(s.lps.peak, s.lps.sum)
+	s.lps.mu.Unlock()
 }

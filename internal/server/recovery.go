@@ -9,6 +9,7 @@ import (
 	"skandium"
 	"skandium/internal/core"
 	"skandium/internal/journal"
+	"skandium/internal/metrics"
 )
 
 // recover rebuilds the job table from a journal replay. Terminal jobs are
@@ -72,69 +73,32 @@ func (s *Server) restoreLocked(st journal.JobState) {
 	}
 	j.log = newEventLog(1, j.created)
 	j.log.close()
-	j.rec = s.fleet.Job(j.id)
+	j.rec = metrics.NewRecorder()
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
 }
 
-// requeueLocked rebuilds a queued/running job's runner from its journaled
-// spec and puts it back on the wait queue. A spec that no longer builds
-// (blueprint unregistered, params now invalid) is rehydrated as failed —
-// and that outcome is journaled, so the next restart does not retry it
-// forever. Caller holds s.mu.
+// requeueLocked rebuilds a queued/running job from its journaled spec and
+// puts it back on the wait queue. A spec that no longer builds (blueprint
+// unregistered, params now invalid) is rehydrated as failed — and that
+// outcome is journaled, so the next restart does not retry it forever.
+// Caller holds s.mu.
 func (s *Server) requeueLocked(st journal.JobState) {
 	spec := fromJournalSpec(st.Spec)
-	fail := func(err error) {
+	j, err := s.newJob(&spec)
+	if err != nil {
 		st.State = journal.StateFailed
 		st.Error = fmt.Sprintf("recovery: %v", err)
 		s.restoreLocked(st)
 		if s.jn != nil {
 			_ = s.jn.Finish(st.ID, journal.StateFailed, "", st.Error, st.Faults)
 		}
-	}
-	bp, ok := skandium.LookupBlueprint(spec.Skeleton)
-	if !ok {
-		fail(fmt.Errorf("unknown skeleton %q", spec.Skeleton))
 		return
 	}
-	runner, err := bp.Build(spec.Params)
-	if err != nil {
-		fail(fmt.Errorf("build %s: %w", spec.Skeleton, err))
-		return
-	}
-	partial, err := parsePartial(spec.Partial, spec.Substitute)
-	if err != nil {
-		fail(err)
-		return
-	}
-	if spec.InitialLP < 1 {
-		spec.InitialLP = 1
-	}
-	j := &job{
-		id:        st.ID,
-		skeleton:  spec.Skeleton,
-		program:   runner.Program(),
-		params:    spec.Params,
-		runner:    runner,
-		goal:      spec.Goal,
-		maxLP:     spec.MaxLP,
-		initLP:    spec.InitialLP,
-		policy:    spec.Policy,
-		tenant:    core.CanonTenant(spec.Tenant),
-		priority:  spec.Priority,
-		timeout:   spec.MuscleTimeout,
-		retry:     skandium.RetryPolicy{MaxAttempts: spec.RetryAttempts, BaseDelay: spec.RetryBackoff},
-		partial:   partial,
-		recovered: true,
-		prior:     faultStats(st.Faults),
-		created:   s.clk.Now(),
-		state:     stateQueued,
-	}
-	j.log = newEventLog(s.cfg.EventLog, j.created)
-	j.rec = s.fleet.Job(j.id)
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
-	s.queue = append(s.queue, j)
+	j.id = st.ID
+	j.recovered = true
+	j.prior = faultStats(st.Faults)
+	s.enqueueLocked(j)
 	// The crash already admitted this job once; re-reserve its queue slot
 	// so the ladder's tenant accounting matches the rebuilt queue.
 	s.adm.enqueued(j.tenant)
@@ -180,7 +144,8 @@ func toJournalSpec(spec SubmitSpec, program string) journal.Spec {
 	}
 }
 
-// fromJournalSpec is the inverse, for re-queuing a recovered job.
+// fromJournalSpec is the inverse, for a recovered job and for a POST /jobs
+// body, which is decoded as a journal.Spec.
 func fromJournalSpec(js journal.Spec) SubmitSpec {
 	return SubmitSpec{
 		Skeleton:      js.Skeleton,

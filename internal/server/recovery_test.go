@@ -107,6 +107,8 @@ func TestRecoveryRoundTrip(t *testing.T) {
 	if rerun.Retries < 3 || rerun.Faults < 1 {
 		t.Fatalf("job-2 fault counters = %d/%d, want journaled 3/1 preserved", rerun.Retries, rerun.Faults)
 	}
+	// The fleet-wide fault totals count the journaled history too.
+	assertFleetSumsJobs(t, base, "retries_total", "faults_total")
 	queued := waitState(t, base, "job-3", "done", 20*time.Second)
 	if queued.Result != "16" || !queued.Recovered {
 		t.Fatalf("re-queued job-3 = %+v, want result 16 and recovered", queued)

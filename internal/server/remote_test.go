@@ -13,7 +13,7 @@ import (
 
 // newTestCluster serves in-process workers over loopback HTTP and builds a
 // coordinator on them, returning the worker servers for mid-test sabotage.
-func newTestClusterDaemon(t *testing.T, workers int) (*Server, *httptest.Server, []*httptest.Server) {
+func newTestCluster(t *testing.T, workers int) (*remote.Cluster, []*httptest.Server) {
 	t.Helper()
 	var endpoints []string
 	wss := make([]*httptest.Server, workers)
@@ -34,6 +34,13 @@ func newTestClusterDaemon(t *testing.T, workers int) (*Server, *httptest.Server,
 		t.Fatal(err)
 	}
 	t.Cleanup(cl.Close)
+	return cl, wss
+}
+
+// newTestClusterDaemon boots a daemon on a fresh test cluster.
+func newTestClusterDaemon(t *testing.T, workers int) (*Server, *httptest.Server, []*httptest.Server) {
+	t.Helper()
+	cl, wss := newTestCluster(t, workers)
 	srv, ts := newTestDaemon(t, Config{Budget: 4, Cluster: cl})
 	return srv, ts, wss
 }
@@ -118,6 +125,37 @@ func TestServerRoutesEligibleJobToCluster(t *testing.T) {
 	resp.Body.Close()
 	if !strings.Contains(string(body), `"cluster"`) || !strings.Contains(string(body), `"healthy": 2`) {
 		t.Fatalf("/healthz lacks the cluster section:\n%s", body)
+	}
+}
+
+// TestServerRecoveredJobRoutesToCluster: journal recovery builds a
+// re-queued job with the same constructor as a submission, so a
+// cluster-eligible job the crash left queued routes to the workers exactly
+// as a freshly submitted one does.
+func TestServerRecoveredJobRoutesToCluster(t *testing.T) {
+	dir := t.TempDir()
+	jn1, _ := openJournal(t, dir)
+	if err := jn1.Submit("job-1", sleepSpec(2)); err != nil {
+		t.Fatalf("journal submit: %v", err)
+	}
+	_ = jn1.Close() // crash: the job never started
+
+	jn2, states := openJournal(t, dir)
+	cl, _ := newTestCluster(t, 2)
+	srv, _ := newTestDaemon(t, Config{Budget: 4, Cluster: cl, Journal: jn2, Recover: states})
+	j, ok := srv.Job("job-1")
+	if !ok {
+		t.Fatal("job-1 not recovered")
+	}
+	res, err := waitJobDone(t, j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res != 16 {
+		t.Fatalf("result %v, want 16 surviving cells", res)
+	}
+	if evs := jobEvents(j); !strings.Contains(evs, "cluster@route") {
+		t.Fatalf("recovered job ran locally; its event log lacks the cluster routing marker:\n%s", evs)
 	}
 }
 

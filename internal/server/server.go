@@ -81,18 +81,19 @@ type Config struct {
 	Cluster *remote.Cluster
 }
 
-// Server owns the job table, the arbiter and the fleet metrics. Build one
-// with New, expose Handler over HTTP, stop with Drain/Close.
+// Server owns the job table, the arbiter and the admission ladder — the
+// only records of jobs, sheds and faults. Build one with New, expose
+// Handler over HTTP, stop with Drain/Close.
 type Server struct {
 	cfg       Config
 	arb       *core.Arbiter
-	fleet     *metrics.Fleet
 	clk       clock.Clock
 	stopArb   func()
 	startTime time.Time
 	jn        *journal.Journal   // nil = memory-only
 	profiles  *core.ProfileStore // per-skeleton work/span, feeds admission
 	adm       *admission         // tenant-fair front door (ladder + brownout)
+	lps       lpTotal            // Σ of every job's last reported LP
 
 	mu         sync.Mutex
 	jobs       map[string]*job
@@ -127,7 +128,6 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:        cfg,
 		arb:        core.NewArbiter(cfg.Budget, cfg.Clock),
-		fleet:      metrics.NewFleet(),
 		clk:        cfg.Clock,
 		jn:         cfg.Journal,
 		profiles:   core.NewProfileStore(),
@@ -162,7 +162,6 @@ func New(cfg Config) *Server {
 		cfg.Cluster.SetOnNodeEvent(s.onNodeEvent)
 	}
 	s.startTime = s.clk.Now()
-	s.fleet.SetStart(s.startTime)
 	s.stopArb = s.arb.StartTicker(cfg.Rebalance)
 	s.recover(cfg.Recover)
 	return s
@@ -173,9 +172,6 @@ func (s *Server) Budget() int { return s.arb.Budget() }
 
 // Arbiter exposes the budget arbiter (API handlers, tests).
 func (s *Server) Arbiter() *core.Arbiter { return s.arb }
-
-// Fleet exposes the aggregate metrics recorder.
-func (s *Server) Fleet() *metrics.Fleet { return s.fleet }
 
 // SubmitSpec is a decoded job submission.
 type SubmitSpec struct {
@@ -214,8 +210,62 @@ func parsePartial(name string, sub any) (skandium.PartialPolicy, error) {
 	case "substitute":
 		return skandium.Substitute(sub), nil
 	default:
-		return skandium.PartialPolicy{}, fmt.Errorf("server: unknown partial policy %q (want failfast, skip or substitute)", name)
+		return skandium.PartialPolicy{}, fmt.Errorf("unknown partial policy %q (want failfast, skip or substitute)", name)
 	}
+}
+
+// newJob is the one job constructor, shared by Submit and journal
+// recovery: it looks the blueprint up and builds it, parses the
+// partial-failure policy, fills the LP and policy defaults, decides cluster
+// eligibility and gives the job its event log and recorder. The job it
+// returns has no id and is in no table yet. spec is normalised in place, so
+// the journal records what runs.
+func (s *Server) newJob(spec *SubmitSpec) (*job, error) {
+	bp, ok := skandium.LookupBlueprint(spec.Skeleton)
+	if !ok {
+		return nil, fmt.Errorf("unknown skeleton %q", spec.Skeleton)
+	}
+	if spec.Params == nil {
+		spec.Params = skandium.Params{}
+	}
+	runner, err := bp.Build(spec.Params)
+	if err != nil {
+		return nil, fmt.Errorf("build %s: %w", spec.Skeleton, err)
+	}
+	partial, err := parsePartial(spec.Partial, spec.Substitute)
+	if err != nil {
+		return nil, err
+	}
+	if spec.InitialLP < 1 {
+		spec.InitialLP = 1
+	}
+	policy := spec.Policy
+	if policy == "" {
+		policy = s.cfg.DefaultPolicy
+	}
+	j := &job{
+		skeleton: spec.Skeleton,
+		program:  runner.Program(),
+		params:   spec.Params,
+		runner:   runner,
+		goal:     spec.Goal,
+		maxLP:    spec.MaxLP,
+		initLP:   spec.InitialLP,
+		policy:   policy,
+		tenant:   core.CanonTenant(spec.Tenant),
+		priority: spec.Priority,
+		timeout:  spec.MuscleTimeout,
+		retry:    skandium.RetryPolicy{MaxAttempts: spec.RetryAttempts, BaseDelay: spec.RetryBackoff},
+		partial:  partial,
+		rec:      metrics.NewRecorder(),
+		created:  s.clk.Now(),
+		state:    stateQueued,
+		remoteOK: s.cfg.Cluster != nil && bp.Remote != nil &&
+			spec.Goal == 0 && spec.MuscleTimeout == 0 &&
+			spec.RetryAttempts <= 1 && spec.Partial == "",
+	}
+	j.log = newEventLog(s.cfg.EventLog, j.created)
+	return j, nil
 }
 
 // Submit accepts a job: the blueprint is compiled immediately (rejecting
@@ -226,55 +276,35 @@ func parsePartial(name string, sub any) (skandium.PartialPolicy, error) {
 // profile proves unreachable under the whole budget is rejected with
 // InfeasibleError rather than accepted and missed.
 func (s *Server) Submit(spec SubmitSpec) (*job, error) {
-	tenant := core.CanonTenant(spec.Tenant)
-	bp, ok := skandium.LookupBlueprint(spec.Skeleton)
-	if !ok {
-		return nil, fmt.Errorf("server: unknown skeleton %q", spec.Skeleton)
-	}
-	if spec.Params == nil {
-		spec.Params = skandium.Params{}
-	}
-	runner, err := bp.Build(spec.Params)
+	j, err := s.newJob(&spec)
 	if err != nil {
-		return nil, fmt.Errorf("server: build %s: %w", spec.Skeleton, err)
+		return nil, fmt.Errorf("server: %w", err)
 	}
-	if spec.InitialLP < 1 {
-		spec.InitialLP = 1
-	}
-	partial, err := parsePartial(spec.Partial, spec.Substitute)
-	if err != nil {
-		return nil, err
-	}
-	policy := spec.Policy
-	if policy == "" {
-		policy = s.cfg.DefaultPolicy
-	}
-	if policy != "" {
-		if _, err := core.NewPolicy(policy, 0); err != nil {
+	if j.policy != "" {
+		if _, err := core.NewPolicy(j.policy, 0); err != nil {
 			return nil, err
 		}
 	}
-	if spec.Goal > 0 {
-		if pr, ok := s.profiles.Lookup(spec.Skeleton); ok &&
-			!core.Feasible(spec.Goal, pr.Work, pr.Span, s.arb.Budget()) {
-			s.fleet.ShedTenant(tenant, metrics.ShedInfeasible)
+	if j.goal > 0 {
+		if pr, ok := s.profiles.Lookup(j.skeleton); ok &&
+			!core.Feasible(j.goal, pr.Work, pr.Span, s.arb.Budget()) {
+			s.adm.refused(j.tenant, metrics.ShedInfeasible)
 			return nil, &InfeasibleError{
-				Skeleton: spec.Skeleton, Goal: spec.Goal,
+				Skeleton: j.skeleton, Goal: j.goal,
 				Work: pr.Work, Span: pr.Span, Budget: s.arb.Budget(),
 			}
 		}
 	}
 	if s.Draining() {
-		s.fleet.ShedTenant(tenant, metrics.ShedDraining)
+		s.adm.refused(j.tenant, metrics.ShedDraining)
 		return nil, ErrDraining
 	}
 
 	// The ladder rules outside s.mu (admission is a leaf component with its
 	// own queue accounting), so a brownout transition it trips can call
 	// straight back into the server.
-	v := s.adm.decide(tenant, spec.Priority)
+	v := s.adm.decide(j.tenant, j.priority)
 	if !v.admit {
-		s.fleet.ShedTenant(tenant, v.reason)
 		return nil, &OverloadError{Reason: v.reason, Queued: v.queued, RetryAfter: v.retryAfter}
 	}
 
@@ -283,37 +313,13 @@ func (s *Server) Submit(spec SubmitSpec) (*job, error) {
 		// Drain began between the ladder ruling and here: give the reserved
 		// queue slot back and refuse.
 		s.mu.Unlock()
-		s.adm.dequeued(tenant)
-		s.fleet.ShedTenant(tenant, metrics.ShedDraining)
+		s.adm.dequeued(j.tenant)
+		s.adm.refused(j.tenant, metrics.ShedDraining)
 		return nil, ErrDraining
 	}
 	s.nextID++
-	j := &job{
-		id:       fmt.Sprintf("job-%d", s.nextID),
-		skeleton: spec.Skeleton,
-		program:  runner.Program(),
-		params:   spec.Params,
-		runner:   runner,
-		goal:     spec.Goal,
-		maxLP:    spec.MaxLP,
-		initLP:   spec.InitialLP,
-		policy:   policy,
-		tenant:   tenant,
-		priority: spec.Priority,
-		timeout:  spec.MuscleTimeout,
-		retry:    skandium.RetryPolicy{MaxAttempts: spec.RetryAttempts, BaseDelay: spec.RetryBackoff},
-		partial:  partial,
-		created:  s.clk.Now(),
-		state:    stateQueued,
-		remoteOK: s.cfg.Cluster != nil && bp.Remote != nil &&
-			spec.Goal == 0 && spec.MuscleTimeout == 0 &&
-			spec.RetryAttempts <= 1 && spec.Partial == "",
-	}
-	j.log = newEventLog(s.cfg.EventLog, j.created)
-	j.rec = s.fleet.Job(j.id)
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
-	s.queue = append(s.queue, j)
+	j.id = fmt.Sprintf("job-%d", s.nextID)
+	s.enqueueLocked(j)
 	if s.jn != nil {
 		// Write-ahead: the submission is durable before the job can start.
 		_ = s.jn.Submit(j.id, toJournalSpec(spec, j.program))
@@ -321,6 +327,14 @@ func (s *Server) Submit(spec SubmitSpec) (*job, error) {
 	s.admitLocked()
 	s.mu.Unlock()
 	return j, nil
+}
+
+// enqueueLocked enters a queued job into the job table and the wait queue.
+// Caller holds s.mu.
+func (s *Server) enqueueLocked(j *job) {
+	s.jobs[j.id] = j
+	s.order = append(s.order, j.id)
+	s.queue = append(s.queue, j)
 }
 
 // policySeed derives a stable per-job seed for stochastic policies.
@@ -424,11 +438,10 @@ func (s *Server) start(j *job) {
 		skandium.WithMaxLP(j.maxLP),
 		skandium.WithLPCap(grant),
 		skandium.WithClock(s.clk),
-		skandium.WithGauge(j.rec.Gauge),
+		skandium.WithGauge(func(now time.Time, active, lp int) { s.gauge(j, now, active, lp) }),
 		skandium.WithListener(j.log.listener()),
 		skandium.WithPartialFailure(j.partial),
 	}
-	opts = append(opts, onFaultEvents(j.rec.FaultListener())...)
 	if j.timeout > 0 {
 		opts = append(opts, skandium.WithMuscleTimeout(j.timeout))
 	}
@@ -550,7 +563,7 @@ func (s *Server) watch(j *job, h skandium.Handle) {
 	}
 	s.adm.finished(now) // feed the drain-rate estimate behind Retry-After
 
-	j.rec.Gauge(now, 0, 0) // the aggregate series drops to reality
+	s.gauge(j, now, 0, 0) // the aggregate drops to reality
 	j.log.close()
 	s.arb.Release(j.id)
 	h.Close()
@@ -581,6 +594,17 @@ func (s *Server) JobIDs() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return append([]string(nil), s.order...)
+}
+
+// jobList returns every job in submission order.
+func (s *Server) jobList() []*job {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	jobs := make([]*job, 0, len(s.order))
+	for _, id := range s.order {
+		jobs = append(jobs, s.jobs[id])
+	}
+	return jobs
 }
 
 // Cancel aborts a job. Queued jobs are canceled in place; running jobs are
@@ -750,12 +774,9 @@ func (s *Server) Drain(ctx context.Context) error {
 		}
 		select {
 		case <-ctx.Done():
-			for _, id := range s.JobIDs() {
-				if j, ok := s.Job(id); ok {
-					st, _, _, _, _, _, _ := j.snapshot()
-					if !st.terminal() {
-						s.Cancel(id)
-					}
+			for _, j := range s.jobList() {
+				if st, _, _, _, _, _, _ := j.snapshot(); !st.terminal() {
+					s.Cancel(j.id)
 				}
 			}
 			return ctx.Err()

@@ -168,7 +168,7 @@ func TestMultiNodeClusterArbiterBudget(t *testing.T) {
 		members[i] = &simNodeMember{rep: core.NodeReport{LP: 1, MaxLP: nodes[i].Threads}}
 	}
 
-	var ca *core.ClusterArbiter
+	var ca *core.Arbiter
 	pressured := false
 	var violation error
 	gauge := func(now time.Time, active, lp int) {
@@ -200,9 +200,9 @@ func TestMultiNodeClusterArbiterBudget(t *testing.T) {
 	}
 
 	eng = NewEngine(Config{Costs: costs, Nodes: nodes, LP: 3, Gauge: gauge})
-	ca = core.NewClusterArbiter(budget, eng.Clock())
+	ca = core.NewArbiter(budget, eng.Clock())
 	for i, m := range members {
-		if err := ca.AdmitNode(fmt.Sprintf("sim-node-%d", i), m); err != nil {
+		if err := ca.Admit(fmt.Sprintf("sim-node-%d", i), m); err != nil {
 			t.Fatalf("admit node %d: %v", i, err)
 		}
 	}
