@@ -311,6 +311,41 @@ func TestCancel(t *testing.T) {
 	}
 }
 
+// TestPoolWaitOutlastsRunningMuscle: Close leaves a running muscle running,
+// and Wait returns only after it has finished and been counted.
+func TestPoolWaitOutlastsRunningMuscle(t *testing.T) {
+	started := make(chan struct{})
+	release := make(chan struct{})
+	fe := muscle.NewExecute("slow", func(p any) (any, error) {
+		close(started)
+		<-release
+		return p, nil
+	})
+	pool := NewPool(clock.System, 2, 0)
+	root := NewRoot(pool, nil, nil)
+	fut := root.Start(skel.NewSeq(fe), 0)
+	<-started
+	root.Cancel(errors.New("abort"))
+	pool.Close()
+	<-fut.Done()
+	ran := pool.Stats().TasksRun
+	waited := make(chan struct{})
+	go func() {
+		pool.Wait()
+		close(waited)
+	}()
+	select {
+	case <-waited:
+		t.Fatal("Wait returned while a muscle was still running")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	<-waited
+	if got := pool.Stats().TasksRun; got != ran+1 {
+		t.Fatalf("after Wait, tasks run = %d, want %d", got, ran+1)
+	}
+}
+
 func TestInvalidSkeletonFailsFast(t *testing.T) {
 	// Hand-build an invalid node via zero value semantics is impossible from
 	// outside skel; instead check Validate wiring with a valid tree.

@@ -68,6 +68,7 @@ type Pool struct {
 	cond     *sync.Cond
 	spawned  int
 	sleepers atomic.Int32
+	workers  sync.WaitGroup // one per spawned worker, done when it exits
 }
 
 // Stats is a snapshot of pool counters.
@@ -286,6 +287,11 @@ func (p *Pool) Close() {
 	p.overflowMu.Unlock()
 }
 
+// Wait blocks, after Close, until every worker has exited: the muscles
+// running at Close have finished, and with them every counter and gauge
+// sample the pool will ever produce.
+func (p *Pool) Wait() { p.workers.Wait() }
+
 // maybeSpawn brings the worker count up to the current LP; fast-path
 // lock-free when enough workers already exist.
 func (p *Pool) maybeSpawn() {
@@ -297,10 +303,16 @@ func (p *Pool) maybeSpawn() {
 	p.mu.Unlock()
 }
 
+// ensureWorkersLocked spawns workers up to LP. A closed pool spawns none
+// (a new worker would only exit), so Wait never races a late spawn.
 func (p *Pool) ensureWorkersLocked() {
+	if p.closed.Load() {
+		return
+	}
 	for p.spawned < int(p.lp.Load()) {
 		w := &Worker{ID: p.spawned, dq: newDeque()}
 		p.spawned++
+		p.workers.Add(1)
 		cur := *p.deques.Load()
 		next := make([]*deque, len(cur)+1)
 		copy(next, cur)
@@ -397,6 +409,7 @@ func (p *Pool) take(w *Worker) *Task {
 }
 
 func (p *Pool) workerLoop(w *Worker) {
+	defer p.workers.Done()
 	for {
 		if p.closed.Load() {
 			return

@@ -5,8 +5,10 @@
 package metrics
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -34,13 +36,35 @@ type Sample struct {
 	LP     int
 }
 
+// gauge is a sample as the recorder keeps it: 16 bytes and no pointers, so
+// a job's series costs the collector nothing to mark. Its T is
+// base.Add(off), and Add carries the monotonic reading along, so every Sub
+// of a rebuilt T gives what the observed one gave.
+type gauge struct {
+	off        int64 // nanoseconds since the recorder's first sample
+	active, lp int32 // clamped, never wrapped
+}
+
+// firstGauges is the room the first sample reserves: a one-cell job's whole
+// series (256 bytes), which doubling from one sample would reach only after
+// four more allocations.
+const firstGauges = 16
+
+// Clamp32 keeps an out-of-range count at the int32 bound instead of
+// wrapping it: a level, fan-out or iteration count past 2^31 does not fit
+// in memory, but a wrapped one would be a lie in a packed record.
+func Clamp32(v int) int32 {
+	return int32(max(math.MinInt32, min(math.MaxInt32, v)))
+}
+
 // Recorder accumulates gauge samples. Safe for concurrent use (the real
 // pool calls it from many workers).
 type Recorder struct {
 	mu      sync.Mutex
 	start   time.Time
 	started bool
-	samples []Sample
+	base    time.Time // the first sample's T
+	samples []gauge
 }
 
 // NewRecorder returns an empty recorder. The first sample anchors t=0
@@ -60,16 +84,33 @@ func (r *Recorder) Gauge(now time.Time, active, lp int) {
 	if !r.started {
 		r.start, r.started = now, true
 	}
-	r.samples = append(r.samples, Sample{T: now, Active: active, LP: lp})
+	if len(r.samples) == 0 {
+		r.base = now
+		r.samples = make([]gauge, 0, firstGauges)
+	}
+	r.samples = append(r.samples, gauge{off: int64(now.Sub(r.base)), active: Clamp32(active), lp: Clamp32(lp)})
 	r.mu.Unlock()
+}
+
+// snapshot copies the series out in time order (concurrent gauges can
+// report out of order; ties keep their arrival order), each T rebuilt as
+// base.Add(off), with the series origin.
+func (r *Recorder) snapshot() (start time.Time, out []Sample) {
+	r.mu.Lock()
+	start, base := r.start, r.base
+	gs := slices.Clone(r.samples)
+	r.mu.Unlock()
+	slices.SortStableFunc(gs, func(a, b gauge) int { return cmp.Compare(a.off, b.off) })
+	out = make([]Sample, len(gs))
+	for i, g := range gs {
+		out[i] = Sample{T: base.Add(time.Duration(g.off)), Active: int(g.active), LP: int(g.lp)}
+	}
+	return start, out
 }
 
 // Samples returns a copy of the raw observations in time order.
 func (r *Recorder) Samples() []Sample {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := append([]Sample(nil), r.samples...)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].T.Before(out[j].T) })
+	_, out := r.snapshot()
 	return out
 }
 
@@ -91,11 +132,7 @@ func (r *Recorder) LPSeries(unit time.Duration) []Point {
 }
 
 func (r *Recorder) series(unit time.Duration, f func(Sample) int) []Point {
-	r.mu.Lock()
-	start := r.start
-	samples := append([]Sample(nil), r.samples...)
-	r.mu.Unlock()
-	sort.SliceStable(samples, func(i, j int) bool { return samples[i].T.Before(samples[j].T) })
+	start, samples := r.snapshot()
 	var out []Point
 	for _, s := range samples {
 		p := Point{T: float64(s.T.Sub(start)) / float64(unit), V: f(s)}
@@ -136,11 +173,7 @@ func (r *Recorder) PeakLP() int {
 // FirstLPAbove returns the instant (since start) the LP target first
 // exceeded n, and whether it ever did.
 func (r *Recorder) FirstLPAbove(n int) (time.Duration, bool) {
-	r.mu.Lock()
-	start := r.start
-	samples := append([]Sample(nil), r.samples...)
-	r.mu.Unlock()
-	sort.SliceStable(samples, func(i, j int) bool { return samples[i].T.Before(samples[j].T) })
+	start, samples := r.snapshot()
 	for _, s := range samples {
 		if s.LP > n {
 			return s.T.Sub(start), true
@@ -149,14 +182,11 @@ func (r *Recorder) FirstLPAbove(n int) (time.Duration, bool) {
 	return 0, false
 }
 
-// CSV renders the active-thread series as "t,active" lines, time in unit.
+// CSV renders the series as "t,active,lp" lines, time in unit.
 func (r *Recorder) CSV(unit time.Duration) string {
 	var b strings.Builder
 	b.WriteString("t,active,lp\n")
-	samples := r.Samples()
-	r.mu.Lock()
-	start := r.start
-	r.mu.Unlock()
+	start, samples := r.snapshot()
 	for _, s := range samples {
 		fmt.Fprintf(&b, "%.4f,%d,%d\n", float64(s.T.Sub(start))/float64(unit), s.Active, s.LP)
 	}

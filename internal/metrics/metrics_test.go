@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -102,6 +103,68 @@ func TestRecorderConcurrent(t *testing.T) {
 	wg.Wait()
 	if len(r.Samples()) != 2000 {
 		t.Fatalf("lost samples: %d", len(r.Samples()))
+	}
+}
+
+// TestRecorderRebuildsObservedTimes: a sample is kept as an offset from the
+// first one and handed back as base.Add(off). With real clock readings
+// (monotonic part included) and a start taken before the first sample, every
+// rebuilt T measures the same distance from the start as the observed one,
+// and compares equal to it.
+func TestRecorderRebuildsObservedTimes(t *testing.T) {
+	r := NewRecorder()
+	start := time.Now()
+	r.SetStart(start)
+	var seen []time.Time
+	for i := 0; i < 50; i++ {
+		now := time.Now()
+		seen = append(seen, now)
+		r.Gauge(now, i, i+1)
+	}
+	got := r.Samples()
+	if len(got) != len(seen) {
+		t.Fatalf("%d samples, want %d", len(got), len(seen))
+	}
+	for i, s := range got {
+		if s.T.Sub(start) != seen[i].Sub(start) || !s.T.Equal(seen[i]) {
+			t.Fatalf("sample %d: T-start %v, want %v", i, s.T.Sub(start), seen[i].Sub(start))
+		}
+		if s.Active != i || s.LP != i+1 {
+			t.Fatalf("sample %d: active %d lp %d, want %d %d", i, s.Active, s.LP, i, i+1)
+		}
+	}
+	if d, ok := r.FirstLPAbove(10); !ok || d != seen[10].Sub(start) {
+		t.Fatalf("FirstLPAbove(10) = %v/%v, want %v", d, ok, seen[10].Sub(start))
+	}
+}
+
+// TestRecorderClampsLevels: a level past the int32 range is kept at the
+// bound, not wrapped.
+func TestRecorderClampsLevels(t *testing.T) {
+	r := NewRecorder()
+	r.Gauge(at(0), math.MaxInt32+5, math.MinInt32-5)
+	s := r.Samples()[0]
+	if s.Active != math.MaxInt32 || s.LP != math.MinInt32 {
+		t.Fatalf("active %d lp %d, want the int32 bounds", s.Active, s.LP)
+	}
+}
+
+// BenchmarkRecorderGauge is the allocation gate of the pool's gauge hook in
+// steady state: one op appends one sample, and a fresh recorder takes over
+// every 1024 samples (a fine-grained job's series), so the series' growth
+// is amortized and its memory bounded however long the benchmark runs.
+func BenchmarkRecorderGauge(b *testing.B) {
+	const perJob = 1024
+	r := NewRecorder()
+	now := clock.Epoch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%perJob == perJob-1 {
+			r = NewRecorder()
+		}
+		now = now.Add(time.Microsecond)
+		r.Gauge(now, i&7, 8)
 	}
 }
 

@@ -3,7 +3,7 @@ package server
 import (
 	"context"
 	"io"
-	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -11,6 +11,7 @@ import (
 	"unicode/utf8"
 
 	"skandium/internal/event"
+	"skandium/internal/metrics"
 	"skandium/internal/skel"
 )
 
@@ -79,13 +80,6 @@ func newEventLog(capacity int, start time.Time) *eventLog {
 	return &eventLog{start: start, cap: int64(capacity)}
 }
 
-// clamp32 keeps an out-of-range count at the int32 bound instead of
-// wrapping it (a fan-out or iteration count past 2^31 does not fit in
-// memory, but a wrapped one would be a lie in the stream).
-func clamp32(v int) int32 {
-	return int32(max(math.MinInt32, min(math.MaxInt32, v)))
-}
-
 // listener adapts the log to the stream's event hook. It copies what it
 // keeps (the *Event is recycled after the call) and builds no strings: a
 // failed muscle's error text is the one allocation, on error events only.
@@ -95,10 +89,10 @@ func (l *eventLog) listener() event.Listener {
 			t:      int64(e.Time.Sub(l.start)),
 			index:  e.Index,
 			parent: e.Parent,
-			card:   clamp32(e.Card),
-			branch: clamp32(e.Branch),
-			iter:   clamp32(e.Iter),
-			worker: clamp32(e.Worker),
+			card:   metrics.Clamp32(e.Card),
+			branch: metrics.Clamp32(e.Branch),
+			iter:   metrics.Clamp32(e.Iter),
+			worker: metrics.Clamp32(e.Worker),
 			kind:   uint8(e.Node.Kind()),
 			when:   uint8(e.When),
 			where:  uint8(e.Where),
@@ -169,10 +163,17 @@ func (l *eventLog) wakeLocked() {
 	l.parked = l.parked[:0]
 }
 
-// close marks the log complete (job finished) and wakes all followers.
+// close marks the log complete (job finished) and wakes all followers. A
+// log still in its first chunk, which has not wrapped, is trimmed to the
+// records it holds: a tiny job's 18 records would otherwise keep 32 slots.
+// An append after close grows the chunk again the way a short first chunk
+// always grows.
 func (l *eventLog) close() {
 	l.mu.Lock()
 	l.closed = true
+	if len(l.chunks) == 1 && l.n < int64(len(l.chunks[0])) {
+		l.chunks[0] = slices.Clone(l.chunks[0][:l.n])
+	}
 	l.wakeLocked()
 	l.mu.Unlock()
 }

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"skandium/internal/event"
+	"skandium/internal/metrics"
 	"skandium/internal/muscle"
 	"skandium/internal/skel"
 )
@@ -286,6 +287,42 @@ func TestEventLogModel(t *testing.T) {
 	}
 }
 
+// TestEventLogTrimmedAtClose: closing a log that is still in its first
+// chunk and has not wrapped cuts the chunk to the records it holds, and the
+// log stays what the reference says it is — when read, and when appended to
+// after the close, past the next growth and past the wrap.
+func TestEventLogTrimmedAtClose(t *testing.T) {
+	for _, tc := range []struct{ capacity, before, trimmed int }{
+		{8192, 1, 1}, {8192, 18, 18}, {8192, 64, 64}, {8192, 300, 256}, {20, 18, 18}, {20, 20, 20}, {20, 25, 20},
+	} {
+		rng := rand.New(rand.NewSource(int64(tc.before)))
+		p := newPair(tc.capacity)
+		for i := 0; i < tc.before; i++ {
+			p.appendRandom(rng)
+		}
+		p.close()
+		if got := len(p.log.chunks[0]); got != tc.trimmed {
+			t.Fatalf("cap %d, %d records: first chunk holds %d slots after close, want %d",
+				tc.capacity, tc.before, got, tc.trimmed)
+		}
+		check := func(when string) {
+			t.Helper()
+			for _, from := range []int64{0, int64(tc.before) / 2, p.log.len()} {
+				got, _ := drain(p.log.reader(from))
+				want, _, _ := p.ref.read(from)
+				if got != want {
+					t.Fatalf("cap %d, %d records, %s, from %d:\n got: %s\nwant: %s", tc.capacity, tc.before, when, from, got, want)
+				}
+			}
+		}
+		check("closed")
+		for i := 0; i < 2*tc.capacity && i < 600; i++ {
+			p.appendRandom(rng)
+		}
+		check("appended after close")
+	}
+}
+
 // TestEventLogFollowers: several followers attached at different cursors
 // while a producer appends and then closes. Each must see every sequence
 // number from its cursor on exactly once and in order — delivered, or
@@ -425,7 +462,7 @@ func FuzzEventRecordNDJSON(f *testing.F) {
 				Ev:  text, Kind: "cluster", When: text, Where: "cluster", Err: text,
 			}
 		} else {
-			fits := func(v int) int { return int(clamp32(v)) }
+			fits := func(v int) int { return int(metrics.Clamp32(v)) }
 			e := &event.Event{
 				Node: kindNodes[int(kind)%len(kindNodes)], When: event.When(when % 2),
 				Where: event.Where(where % uint8(event.Fault+1)), Index: index, Parent: parent,

@@ -269,7 +269,7 @@ func (s *Server) sinceStart(t time.Time) float64 {
 }
 
 func (s *Server) jobView(j *job) jobView {
-	state, grant, h, started, finished, result, jerr := j.snapshot()
+	state, grant, h, started, finished, summary, jerr := j.snapshot()
 	v := jobView{
 		ID:         j.id,
 		Skeleton:   j.skeleton,
@@ -290,7 +290,7 @@ func (s *Server) jobView(j *job) jobView {
 	v.TimeoutMS = float64(j.timeout) / float64(time.Millisecond)
 	v.RetryAttempts = j.retry.MaxAttempts
 	v.Partial = j.partial.String()
-	v.Recovered = j.recovered || j.restored
+	v.Recovered = j.recovered
 	v.EventsDropped = j.log.droppedCount()
 	fs := j.totalFaults(h)
 	v.Retries, v.Faults, v.Timeouts = fs.Retries, fs.Faults, fs.Timeouts
@@ -315,13 +315,10 @@ func (s *Server) jobView(j *job) jobView {
 	}
 	if state.terminal() {
 		v.LP = 0
-		switch {
-		case jerr != nil:
+		if jerr != nil {
 			v.Error = jerr.Error()
-		case j.restored:
-			v.Result = j.resultSummary // already summarized when journaled
-		default:
-			v.Result = summarize(result)
+		} else {
+			v.Result = summary
 		}
 	}
 	return v

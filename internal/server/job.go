@@ -8,6 +8,7 @@ import (
 
 	"skandium"
 	"skandium/internal/core"
+	"skandium/internal/exec"
 	"skandium/internal/metrics"
 )
 
@@ -32,12 +33,14 @@ var errShutdown = fmt.Errorf("server: daemon shutting down")
 // job is one submitted execution: the erased runner plus its QoS, event
 // log, timeline recorder and arbitration state. It implements core.Member,
 // so the arbiter reads its controller's demand and imposes grants directly.
+// A finished job is its outcome: its runner is dropped and its handle is a
+// frozenHandle.
 type job struct {
 	id       string
 	skeleton string
 	program  string
 	params   skandium.Params
-	runner   skandium.Runner
+	runner   skandium.Runner // nil once the job is finished
 	goal     time.Duration
 	maxLP    int
 	initLP   int
@@ -60,18 +63,16 @@ type job struct {
 	// no local-only QoS/fault knobs (shardability is checked at start).
 	remoteOK bool
 
-	// Crash-recovery state. recovered marks a job re-queued from the
-	// journal (it re-runs; muscles are pure). restored marks a terminal job
-	// rehydrated from the snapshot: it has no runner or handle, only its
-	// persisted outcome. prior carries fault counters journaled before the
-	// crash; faultRetries/faultFaults accumulate this run's, for mid-run
-	// journaling (listener goroutines, hence atomics).
-	recovered     bool
-	restored      bool
-	resultSummary string
-	prior         skandium.FaultStats
-	faultRetries  atomic.Uint64
-	faultFaults   atomic.Uint64
+	// Crash-recovery state. recovered marks a job that survived a restart:
+	// re-queued from the journal (it re-runs; muscles are pure) or restored
+	// from the snapshot, terminal, with a frozen handle of zero counters.
+	// prior carries fault counters journaled before the crash;
+	// faultRetries/faultFaults accumulate this run's, for mid-run journaling
+	// (listener goroutines, hence atomics).
+	recovered    bool
+	prior        skandium.FaultStats
+	faultRetries atomic.Uint64
+	faultFaults  atomic.Uint64
 
 	mu       sync.Mutex
 	state    jobState
@@ -80,7 +81,9 @@ type job struct {
 	created  time.Time
 	started  time.Time
 	finished time.Time
-	result   any
+	// summary is a done job's result as the job view shows it, rendered
+	// once when the job finishes (or as the journal persisted it).
+	summary  string
 	err      error
 	canceled bool
 }
@@ -116,14 +119,23 @@ func (j *job) Grant(n int) {
 }
 
 // snapshot returns the mutable fields under the job lock.
-func (j *job) snapshot() (state jobState, grant int, h skandium.Handle, started, finished time.Time, result any, err error) {
+func (j *job) snapshot() (state jobState, grant int, h skandium.Handle, started, finished time.Time, summary string, err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.state, j.grant, j.handle, j.started, j.finished, j.result, j.err
+	return j.state, j.grant, j.handle, j.started, j.finished, j.summary, j.err
+}
+
+// freezeLocked makes a terminal job its outcome: h (nil for a job that
+// never ran; else closed and stopped, so its readings are final) gives way
+// to its frozen form, and the runner is dropped. What stays reachable from
+// the job is what its views read. Caller holds j.mu.
+func (j *job) freezeLocked(h skandium.Handle, res any) {
+	j.handle = freeze(h, res, j.err)
+	j.runner = nil
 }
 
 // totalFaults merges the fault counters journaled before a crash with this
-// run's (h is nil for restored or still-queued jobs).
+// run's (h is nil for still-queued jobs).
 func (j *job) totalFaults(h skandium.Handle) skandium.FaultStats {
 	fs := j.prior
 	if h != nil {
@@ -141,6 +153,59 @@ func (j *job) totalFaults(h skandium.Handle) skandium.FaultStats {
 func (s jobState) terminal() bool {
 	return s == stateDone || s == stateFailed || s == stateCanceled
 }
+
+// frozenHandle is the handle of a finished job: every reader returns what
+// the live handle returned once it had stopped, the pool's readings are 0
+// (there is no pool any more), and every lever does nothing. The job's
+// views, Cancel, AdjustQoS and Close cannot tell it from the live one; the
+// stream, pool, deques, listener registry, estimators, controller and
+// program behind the live one become garbage.
+type frozenHandle struct {
+	res       any
+	err       error
+	decisions []skandium.Decision
+	analyses  int
+	demand    skandium.Demand
+	stats     exec.Stats
+	faults    skandium.FaultStats
+	failures  *skandium.FailureError
+}
+
+// resolved is the Done channel of every frozen handle.
+var resolved = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
+
+// freeze takes h's final readings; a nil h freezes to zero counters.
+func freeze(h skandium.Handle, res any, err error) *frozenHandle {
+	f := &frozenHandle{res: res, err: err}
+	if h != nil {
+		f.decisions, f.analyses, f.demand = h.Decisions(), h.Analyses(), h.Demand()
+		f.stats, f.faults, f.failures = h.Stats(), h.FaultStats(), h.Failures()
+	}
+	return f
+}
+
+func (f *frozenHandle) Done() <-chan struct{}            { return resolved }
+func (f *frozenHandle) Result() (any, error)             { return f.res, f.err }
+func (f *frozenHandle) Decisions() []skandium.Decision   { return f.decisions }
+func (f *frozenHandle) Analyses() int                    { return f.analyses }
+func (f *frozenHandle) Demand() skandium.Demand          { return f.demand }
+func (f *frozenHandle) LP() int                          { return 0 }
+func (f *frozenHandle) Active() int                      { return 0 }
+func (f *frozenHandle) Cap() int                         { return 0 }
+func (f *frozenHandle) Stats() exec.Stats                { return f.stats }
+func (f *frozenHandle) FaultStats() skandium.FaultStats  { return f.faults }
+func (f *frozenHandle) Failures() *skandium.FailureError { return f.failures }
+func (f *frozenHandle) SetLP(int)                        {}
+func (f *frozenHandle) SetCap(int)                       {}
+func (f *frozenHandle) SetGoal(time.Duration)            {}
+func (f *frozenHandle) SetMaxLP(int)                     {}
+func (f *frozenHandle) Cancel(error)                     {}
+func (f *frozenHandle) Close()                           {}
+func (f *frozenHandle) Wait()                            {}
 
 // lpTotal is the fleet-wide LP aggregate behind skelrund_total_lp and
 // skelrund_peak_total_lp: the sum of every job's last reported LP, and the

@@ -49,28 +49,30 @@ func jobNum(id string) (int, bool) {
 	return n, err == nil
 }
 
-// restoreLocked rehydrates one terminal job from its persisted outcome.
-// Caller holds s.mu.
+// restoreLocked rehydrates one terminal job from its persisted outcome, in
+// the form watch leaves a finished job in: a frozen handle (with zero
+// counters; the journaled ones are prior) and no runner. Caller holds s.mu.
 func (s *Server) restoreLocked(st journal.JobState) {
 	j := &job{
-		id:            st.ID,
-		skeleton:      st.Spec.Skeleton,
-		program:       st.Spec.Program,
-		params:        st.Spec.Params,
-		goal:          msToDur(st.Spec.GoalMS),
-		maxLP:         st.Spec.MaxLP,
-		policy:        st.Spec.Policy,
-		tenant:        core.CanonTenant(st.Spec.Tenant),
-		priority:      st.Spec.Priority,
-		restored:      true,
-		resultSummary: st.Result,
-		prior:         faultStats(st.Faults),
-		state:         restoredState(st.State),
-		created:       s.clk.Now(),
+		id:        st.ID,
+		skeleton:  st.Spec.Skeleton,
+		program:   st.Spec.Program,
+		params:    st.Spec.Params,
+		goal:      msToDur(st.Spec.GoalMS),
+		maxLP:     st.Spec.MaxLP,
+		policy:    st.Spec.Policy,
+		tenant:    core.CanonTenant(st.Spec.Tenant),
+		priority:  st.Spec.Priority,
+		recovered: true,
+		summary:   st.Result,
+		prior:     faultStats(st.Faults),
+		state:     restoredState(st.State),
+		created:   s.clk.Now(),
 	}
 	if st.Error != "" {
 		j.err = fmt.Errorf("%s", st.Error)
 	}
+	j.freezeLocked(nil, nil)
 	j.log = newEventLog(1, j.created)
 	j.log.close()
 	j.rec = metrics.NewRecorder()

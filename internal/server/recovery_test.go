@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"net"
 	"net/http"
 	"os"
@@ -136,6 +137,38 @@ func TestRecoveryRoundTrip(t *testing.T) {
 	}
 	if fc := byID["job-2"].Faults; fc.Retries < 3 || fc.Faults < 1 {
 		t.Fatalf("journaled job-2 faults = %+v, want >= 3/1", fc)
+	}
+}
+
+// TestJournalThreeFsyncsPerJob: on an always-sync journal a job costs
+// exactly three appends (submit, start, finish) and one fsync each — the
+// journal.fsyncs_per_job == 3 the benchmark's durable_tiny workload is
+// sized on. Drain returns once every job is finished and journaled, so the
+// counters are exact the moment it does.
+func TestJournalThreeFsyncsPerJob(t *testing.T) {
+	const jobs = 25
+	jn, _ := openJournal(t, t.TempDir())
+	defer jn.Close()
+	srv, _ := newTestDaemon(t, Config{Budget: 4, Journal: jn})
+	for i := 0; i < jobs; i++ {
+		if _, err := srv.Submit(SubmitSpec{Skeleton: "sleepgrid",
+			Params: map[string]any{"k": 1, "m": 1, "cell_ms": 0.05}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	if err := srv.Drain(ctx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	c := jn.Counters()
+	if c.Appends != 3*jobs || c.Fsyncs != 3*jobs {
+		t.Fatalf("%d jobs: %d appends and %d fsyncs, want %d of each", jobs, c.Appends, c.Fsyncs, 3*jobs)
+	}
+	for _, st := range jn.States() {
+		if st.State != journal.StateDone {
+			t.Fatalf("%s journaled as %s, want done", st.ID, st.State)
+		}
 	}
 }
 

@@ -3,10 +3,7 @@ package server
 import (
 	"fmt"
 	"sync"
-	"time"
 
-	"skandium"
-	"skandium/internal/exec"
 	"skandium/internal/plan"
 	"skandium/internal/remote"
 )
@@ -90,16 +87,17 @@ func (s *Server) onNodeEvent(ev remote.NodeEvent) {
 
 // remoteHandle is the erased face of a cluster-routed job. The cluster owns
 // execution (sharding, retry, per-node LP via the cluster arbiter), so the
-// per-stream levers are inert: there is no local pool to cap and no
-// controller to re-aim. Result/Done/Cancel behave exactly like the local
-// handle, which is all the daemon's watch loop relies on.
+// per-stream levers are inert and the local counters zero — a frozenHandle
+// with nothing in it but the result supplies both: there is no local pool
+// to cap and no controller to re-aim, and no local counter for Wait to
+// wait on. Result/Done/Cancel behave exactly like the local handle, which
+// is all the daemon's watch loop relies on.
 type remoteHandle struct {
-	cluster *remote.Cluster
-	done    chan struct{}
-	once    sync.Once
-	mu      sync.Mutex
-	res     any
-	err     error
+	frozenHandle // res and err are set once, by finish, under mu
+	cluster      *remote.Cluster
+	done         chan struct{}
+	once         sync.Once
+	mu           sync.Mutex
 }
 
 func (h *remoteHandle) finish(res any, err error) {
@@ -120,24 +118,8 @@ func (h *remoteHandle) Result() (any, error) {
 	return h.res, h.err
 }
 
-func (h *remoteHandle) Decisions() []skandium.Decision { return nil }
-func (h *remoteHandle) Analyses() int                  { return 0 }
-func (h *remoteHandle) Demand() skandium.Demand        { return skandium.Demand{} }
-func (h *remoteHandle) LP() int                        { return h.cluster.LP() }
-func (h *remoteHandle) Active() int                    { return 0 }
-func (h *remoteHandle) SetLP(int)                      {}
-func (h *remoteHandle) SetCap(int)                     {}
-func (h *remoteHandle) Cap() int                       { return 0 }
-func (h *remoteHandle) SetGoal(time.Duration)          {}
-func (h *remoteHandle) SetMaxLP(int)                   {}
-func (h *remoteHandle) Stats() exec.Stats              { return exec.Stats{} }
-func (h *remoteHandle) FaultStats() skandium.FaultStats {
-	return skandium.FaultStats{}
-}
-func (h *remoteHandle) Failures() *skandium.FailureError { return nil }
+func (h *remoteHandle) LP() int { return h.cluster.LP() }
 
 // Cancel resolves the handle with err; the in-flight cluster tasks finish
 // on their workers but their results are discarded.
 func (h *remoteHandle) Cancel(err error) { h.finish(nil, err) }
-
-func (h *remoteHandle) Close() {}

@@ -3,12 +3,12 @@ package server
 import (
 	"context"
 	"io"
-	"reflect"
 	"runtime"
 	"testing"
 	"time"
 
 	"skandium"
+	"skandium/internal/journal"
 )
 
 // retainedPerJob runs warm jobs (plan cache, estimators, pools of the
@@ -36,26 +36,53 @@ func retainedPerJob(t *testing.T, jobs int, run func() *job) (int64, *job) {
 }
 
 // finish follows j's event log past its end, as bench/ waits for its jobs,
-// and checks it succeeded.
+// waits for the job to be frozen to its outcome, and checks it succeeded
+// and keeps neither its runner nor its live handle.
 func finish(t *testing.T, j *job) *job {
 	t.Helper()
 	j.log.reader(1<<62).stream(context.Background(), io.Discard, func() {}, true)
-	if st, _, _, _, _, res, err := j.snapshot(); st != stateDone || err != nil {
-		t.Fatalf("%s: state %s, result %v, error %v", j.id, st, res, err)
+	waitFrozen(t, j)
+	if st, _, _, _, _, sum, err := j.snapshot(); st != stateDone || err != nil {
+		t.Fatalf("%s: state %s, result %s, error %v", j.id, st, sum, err)
 	}
 	return j
+}
+
+// waitFrozen blocks until watch has replaced j's live handle with its
+// frozen form, then checks the runner is gone with it.
+func waitFrozen(t *testing.T, j *job) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		j.mu.Lock()
+		_, frozen := j.handle.(*frozenHandle)
+		runner := j.runner
+		j.mu.Unlock()
+		if frozen {
+			if runner != nil {
+				t.Fatalf("%s: frozen, but its runner is still held", j.id)
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: never frozen (handle %T)", j.id, j.handle)
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
 }
 
 // TestFinishedJobRetention: what a finished fine-grained job keeps the daemon
 // from freeing. Each of the 200 jobs is the benchmark's fanout_fine shape
 // (a 500-way map: 502 tasks, 2006 events) with a follower attached past the
 // end, as bench/ waits for its jobs. Before the compact log and the
-// tree-less tracker a job retained 612 KB; the bound leaves the 2006 records
-// (96 KB), the gauge series and the job itself.
+// tree-less tracker a job retained 612 KB; with them, 148.6 KB, of which the
+// stream, pool and 40-byte gauge samples went when a finished job became its
+// outcome: 117.9 KB. The bound leaves the 2006 records (96 KB), the packed
+// gauge series and the job itself.
 func TestFinishedJobRetention(t *testing.T) {
 	const (
 		jobs     = 200
-		perJobKB = 200
+		perJobKB = 125
 	)
 	srv := New(Config{Budget: 4})
 	defer srv.Close()
@@ -83,14 +110,15 @@ func TestFinishedJobRetention(t *testing.T) {
 // goal_grid's shape — an 8×8 sleepgrid from LP 1, here with 1 ms cells and a
 // 200 ms goal that a race-detector run still meets — whose controller keeps
 // an ADG and a memoized prediction while the job runs. Once the job resolves
-// nothing reachable from it may pin either. Before the controller's graph
-// became one flat graph kept across analyses and dropped at the end, a
-// finished goal job retained 62.7–62.9 KB here (five runs); the bound is
-// that figure. With it: 45.6–46.5 KB.
+// nothing reachable from it may pin either: its handle is the frozen form,
+// which holds no controller at all. Before the controller's graph became one
+// flat graph kept across analyses and dropped at the end, a finished goal job
+// retained 62.7–62.9 KB here; after it, 44.9 KB; with the job frozen to its
+// outcome, 29.8 KB.
 func TestFinishedGoalJobRetention(t *testing.T) {
 	const (
 		jobs     = 40
-		perJobKB = 63
+		perJobKB = 32
 	)
 	srv := New(Config{Budget: 16})
 	defer srv.Close()
@@ -109,9 +137,6 @@ func TestFinishedGoalJobRetention(t *testing.T) {
 		if j.handle.Analyses() > 0 {
 			analysed++
 		}
-		if graph, memo := controllerHolds(j); graph || memo {
-			t.Fatalf("%s: finished, its controller still holds its graph (%v) or memo (%v)", j.id, graph, memo)
-		}
 		return j
 	})
 	if analysed == 0 {
@@ -123,11 +148,38 @@ func TestFinishedGoalJobRetention(t *testing.T) {
 	}
 }
 
-// controllerHolds reports whether the controller behind a job's handle
-// still references its ADG or its memoized prediction. It reads the fields
-// through reflection (handle → execution → controller), so a rename fails
-// here loudly rather than passing vacuously.
-func controllerHolds(j *job) (graph, memo bool) {
-	ctl := reflect.ValueOf(j.handle).Elem().FieldByName("ex").Elem().FieldByName("ctl").Elem()
-	return !ctl.FieldByName("live").IsNil(), !ctl.FieldByName("memo").FieldByName("pred").IsNil()
+// TestFinishedTinyJobRetention: the same for durable_tiny's shape — a
+// one-cell sleepgrid of 50 µs on a journaled daemon — where the job's own
+// bookkeeping is all there is: its event log of 18 records (trimmed from 32
+// slots when it closes), its view fields, its journal entry. A finished tiny
+// job retained 11.1 KB while it kept its runner and live handle.
+func TestFinishedTinyJobRetention(t *testing.T) {
+	const (
+		jobs     = 300
+		perJobKB = 4
+	)
+	jn, _, err := journal.Open(t.TempDir(), journal.Options{Fsync: journal.FsyncInterval})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jn.Close()
+	srv := New(Config{Budget: 4, Journal: jn})
+	defer srv.Close()
+	perJob, last := retainedPerJob(t, jobs, func() *job {
+		j, err := srv.Submit(SubmitSpec{
+			Skeleton: "sleepgrid",
+			Params:   skandium.Params{"k": 1, "m": 1, "cell_ms": 0.05},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return finish(t, j)
+	})
+	if n := last.log.len(); n != 18 {
+		t.Fatalf("a tiny job logged %d events, want 18", n)
+	}
+	t.Logf("retained per finished tiny job: %.2f KB", float64(perJob)/1024)
+	if perJob > perJobKB<<10 {
+		t.Fatalf("a finished tiny job retains %.2f KB, want at most %d KB", float64(perJob)/1024, perJobKB)
+	}
 }

@@ -102,7 +102,13 @@ type Server struct {
 	queue      []*job // accepted, waiting for budget (FIFO)
 	nextID     int
 	draining   bool
-	recovered  int // jobs rehydrated or re-queued from the journal
+	recovered  int           // jobs rehydrated or re-queued from the journal
+	live       int           // jobs accepted and not yet finished
+	idle       chan struct{} // closed when live reaches 0 while Drain waits
+
+	// beforeFreeze, when set, sees each job that watch is about to freeze:
+	// terminal, journaled, stopped, its live handle still in place (tests).
+	beforeFreeze func(*job)
 }
 
 // New builds a server and starts the arbiter's rebalance ticker.
@@ -335,6 +341,17 @@ func (s *Server) enqueueLocked(j *job) {
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
 	s.queue = append(s.queue, j)
+	s.live++
+}
+
+// finishedLocked counts a job out of the live set once it is terminal and
+// journaled; the last one wakes Drain. Caller holds s.mu.
+func (s *Server) finishedLocked() {
+	s.live--
+	if s.live == 0 && s.idle != nil {
+		close(s.idle)
+		s.idle = nil
+	}
 }
 
 // policySeed derives a stable per-job seed for stochastic policies.
@@ -521,14 +538,19 @@ func (s *Server) faultJournalListener(j *job) event.Listener {
 }
 
 // watch waits for a job to finish, persists the outcome, returns its
-// budget and admits the next queued job.
+// budget, admits the next queued job and, once the job has stopped, freezes
+// it to its outcome.
 func (s *Server) watch(j *job, h skandium.Handle) {
 	res, err := h.Result()
 	now := s.clk.Now()
+	var summary string
+	if err == nil {
+		summary = summarize(res)
+	}
 
 	j.mu.Lock()
 	j.finished = now
-	j.result, j.err = res, err
+	j.summary, j.err = summary, err
 	switch {
 	case err == nil:
 		j.state = stateDone
@@ -544,7 +566,7 @@ func (s *Server) watch(j *job, h skandium.Handle) {
 		fc := faultCounts(j.totalFaults(h))
 		switch state {
 		case stateDone:
-			_ = s.jn.Finish(j.id, journal.StateDone, summarize(res), "", fc)
+			_ = s.jn.Finish(j.id, journal.StateDone, summary, "", fc)
 		case stateFailed:
 			_ = s.jn.Finish(j.id, journal.StateFailed, "", err.Error(), fc)
 		case stateCanceled:
@@ -569,8 +591,20 @@ func (s *Server) watch(j *job, h skandium.Handle) {
 	h.Close()
 
 	s.mu.Lock()
+	s.finishedLocked()
 	s.admitLocked()
 	s.mu.Unlock()
+
+	// Close leaves running muscles running, and their counts land after
+	// them: the readings are final, and the job can be frozen, only once it
+	// has stopped. The budget is already back, so nothing waits on this.
+	h.Wait()
+	if s.beforeFreeze != nil {
+		s.beforeFreeze(j)
+	}
+	j.mu.Lock()
+	j.freezeLocked(h, res)
+	j.mu.Unlock()
 }
 
 // faultCounts converts the fault stats into their journal form.
@@ -638,17 +672,23 @@ func (s *Server) Cancel(id string) bool {
 		j.state = stateCanceled
 		j.finished = s.clk.Now()
 		j.err = errCanceled
+		j.freezeLocked(nil, nil)
 		canceledInPlace = true
 	}
 	j.mu.Unlock()
 	if h != nil {
 		h.Cancel(errCanceled) // watch journals the terminal state
-	} else {
-		if canceledInPlace && s.jn != nil {
+		return true
+	}
+	if canceledInPlace {
+		if s.jn != nil {
 			_ = s.jn.Cancel(j.id, errCanceled.Error())
 		}
-		j.log.close()
+		s.mu.Lock()
+		s.finishedLocked()
+		s.mu.Unlock()
 	}
+	j.log.close()
 	return true
 }
 
@@ -761,42 +801,33 @@ func (s *Server) RecoveredJobs() int {
 func (s *Server) Journal() *journal.Journal { return s.jn }
 
 // Drain refuses new submissions and waits until every accepted job reached
-// a terminal state or ctx expires; on expiry the stragglers are canceled
+// a terminal state and was journaled (the last one to get there wakes it),
+// or ctx expires; on expiry the stragglers are canceled
 // (running muscles still finish — the pool never interrupts them). The
 // returned error is ctx's when the deadline cut the drain short.
 func (s *Server) Drain(ctx context.Context) error {
-	s.BeginDrain()
-	tick := time.NewTicker(2 * time.Millisecond)
-	defer tick.Stop()
-	for {
-		if s.liveJobs() == 0 {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			for _, j := range s.jobList() {
-				if st, _, _, _, _, _, _ := j.snapshot(); !st.terminal() {
-					s.Cancel(j.id)
-				}
-			}
-			return ctx.Err()
-		case <-tick.C:
-		}
-	}
-}
-
-func (s *Server) liveJobs() int {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, j := range s.jobs {
-		j.mu.Lock()
-		if !j.state.terminal() {
-			n++
-		}
-		j.mu.Unlock()
+	s.draining = true
+	if s.live == 0 {
+		s.mu.Unlock()
+		return nil
 	}
-	return n
+	if s.idle == nil {
+		s.idle = make(chan struct{})
+	}
+	idle := s.idle
+	s.mu.Unlock()
+	select {
+	case <-idle:
+		return nil
+	case <-ctx.Done():
+		for _, j := range s.jobList() {
+			if st, _, _, _, _, _, _ := j.snapshot(); !st.terminal() {
+				s.Cancel(j.id)
+			}
+		}
+		return ctx.Err()
+	}
 }
 
 // Close stops the arbiter and tears every job down (canceling what still
@@ -814,21 +845,28 @@ func (s *Server) Close() {
 	for _, j := range jobs {
 		j.mu.Lock()
 		h := j.handle
-		if h == nil && !j.state.terminal() {
+		canceledInPlace := h == nil && !j.state.terminal()
+		if canceledInPlace {
 			j.state = stateCanceled
 			j.err = errShutdown
 			j.finished = s.clk.Now()
+			j.freezeLocked(nil, nil)
 		}
 		j.mu.Unlock()
 		if h != nil {
 			h.Cancel(errShutdown)
 			h.Close()
 		}
+		if canceledInPlace {
+			s.mu.Lock()
+			s.finishedLocked()
+			s.mu.Unlock()
+		}
 		j.log.close()
 	}
 }
 
-// sortedStates summarizes job states for /healthz and /metrics.
+// stateCounts summarizes job states for /healthz and /metrics.
 func (s *Server) stateCounts() map[jobState]int {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -158,6 +158,10 @@ type Handle interface {
 	Cancel(err error)
 	// Close shuts the job's stream down (idempotent).
 	Close()
+	// Wait blocks, after Close and once the execution has resolved, until
+	// the job has stopped: the muscles running at Close have finished and
+	// the controller has let go, so no reading changes any more.
+	Wait()
 }
 
 // NewRunner erases a typed skeleton program and its input into a Runner —
@@ -213,6 +217,10 @@ func (h *handle[P, R]) FaultStats() FaultStats  { return h.st.FaultStats() }
 func (h *handle[P, R]) Failures() *FailureError { return h.ex.Failures() }
 func (h *handle[P, R]) Cancel(err error)        { h.ex.Cancel(err) }
 func (h *handle[P, R]) Close()                  { h.st.Close() }
+func (h *handle[P, R]) Wait() {
+	h.st.pool.Wait()
+	h.ex.released.Wait()
+}
 
 // The process-wide blueprint registry. Register at init time; the daemon
 // lists and looks blueprints up by name.

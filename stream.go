@@ -304,19 +304,21 @@ func (st *Stream[P, R]) Input(p P) *Execution[R] {
 	} else {
 		fut = root.Start(st.node, p)
 	}
+	ex := &Execution[R]{fut: fut, ctl: ctl, root: root}
 	if ctl != nil {
 		// Once the future resolves nothing is predicted any more: stop the
 		// ticker and let go of the ADG and the activation tree, which the
 		// execution handle (a daemon keeps those of finished jobs) would
 		// otherwise pin.
 		stop := ctl.StartTicker(st.cfg.analysisTicker)
+		ex.released.Add(1)
 		go func() {
+			defer ex.released.Done()
 			<-fut.Done()
 			stop()
 			ctl.Release()
 		}()
 	}
-	ex := &Execution[R]{fut: fut, ctl: ctl, root: root}
 	st.inFlight = append(st.inFlight, fut.Done())
 	// Track unresolved roots so Close can fail their futures (otherwise a
 	// concurrent Drain would wait forever on tasks a closed pool dropped);
@@ -432,6 +434,9 @@ type Execution[R any] struct {
 	fut  *exec.Future
 	ctl  *core.Controller
 	root *exec.Root
+	// released is done once the resolved execution's controller has let go:
+	// no analysis, hence no decision, follows it.
+	released sync.WaitGroup
 }
 
 // Get blocks until the execution finishes and returns the typed result.
