@@ -2,17 +2,17 @@
 
 GO ?= go
 
-.PHONY: all build test race bench benchmod figures examples vet fmt lint cover check chaos overload tournament clean
+.PHONY: all build test race bench benchmod figures examples vet fmt lint cover check chaos overload tournament fuzz clean
 
 all: check
 
 # check is the pre-merge gate: compile, full tests, vet/fmt, static
 # analysis, then the race detector over the concurrency-heavy packages
 # (pool, controller+arbiter, daemon), the cross-backend conformance
-# harness (twice: IR optimizer on, then off via SKANDIUM_OPT=off), the
-# stream lifecycle tests of the root package, the cluster chaos suite
-# (network faults, partitions, flaps), the virtual-time overload
-# harness (multi-tenant fairness invariants), the seeded policy
+# harness (its differential runs each tree's raw and optimized program side
+# by side), the stream lifecycle tests of the root package, the cluster
+# chaos suite (network faults, partitions, flaps), the virtual-time
+# overload harness (multi-tenant fairness invariants), the seeded policy
 # tournament (adaptation policies raced across the scenario corpus), and
 # the nested benchmark module's vet + self-test.
 check: build test vet lint race chaos overload tournament benchmod
@@ -25,7 +25,6 @@ test:
 
 race:
 	$(GO) test -race ./internal/exec ./internal/event ./internal/sim ./internal/core ./internal/server ./internal/chaos ./internal/journal ./internal/plan ./internal/conformance ./internal/remote ./internal/tournament
-	SKANDIUM_OPT=off $(GO) test -race -count=1 ./internal/conformance
 	$(GO) test -race -run 'TestClose|TestDrain|TestStream|TestChaos|TestWithRetry|TestWCTGoal|TestGoalExecution' .
 
 # chaos runs the seeded cluster chaos scenarios (RPC drops, one
@@ -44,6 +43,17 @@ chaos:
 # ok → browned-out → ok. Deterministic per seed; COUNT repeats it.
 overload:
 	$(GO) test -race -count=$(COUNT) -run 'TestOverload|TestAdmission' ./internal/server
+
+# fuzz runs every native fuzz target for FUZZTIME each (go test -fuzz takes
+# one target per run). Not part of check: each run explores new inputs.
+FUZZTIME ?= 10s
+fuzz:
+	@set -e; for f in $$(grep -rl --include='*_test.go' --exclude-dir=bench '^func Fuzz' .); do \
+		for t in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\).*/\1/p' $$f); do \
+			echo "fuzz $$t ($$(dirname $$f))"; \
+			$(GO) test -run '^$$' -fuzz "^$$t\$$" -fuzztime $(FUZZTIME) $$(dirname $$f); \
+		done; \
+	done
 
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .

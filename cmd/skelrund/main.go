@@ -15,6 +15,10 @@
 // SIGINT/SIGTERM starts a graceful shutdown: new submissions are refused,
 // running and queued jobs drain within -drain, then the listener closes.
 // A second signal exits immediately.
+//
+// The flags cover deployment, capacity and the settings that callers use
+// with more than one value. Periods, thresholds and pool sizes are
+// constants of the packages that own them (DESIGN.md §16 lists each).
 package main
 
 import (
@@ -34,7 +38,6 @@ import (
 
 	"skandium"
 	"skandium/internal/journal"
-	"skandium/internal/plan"
 	"skandium/internal/remote"
 	"skandium/internal/server"
 )
@@ -42,33 +45,15 @@ import (
 func main() {
 	addr := flag.String("addr", "localhost:8080", "listen address")
 	budget := flag.Int("budget", 0, "machine-wide LP budget (0 = 2×GOMAXPROCS)")
-	rebalance := flag.Duration("rebalance", 25*time.Millisecond, "arbiter rebalance period")
-	analysisTick := flag.Duration("analysis-tick", 5*time.Millisecond, "per-job periodic re-analysis")
-	analysisInterval := flag.Duration("analysis-interval", 2*time.Millisecond, "event-driven analysis throttle")
-	eventLog := flag.Int("eventlog", 8192, "per-job event ring size")
 	drain := flag.Duration("drain", 15*time.Second, "graceful-shutdown drain deadline")
 	journalDir := flag.String("journal-dir", "", "directory for the durable job journal (empty = no persistence)")
 	queueMax := flag.Int("queue-max", 0, "max queued jobs before submissions are shed with 429 (0 = unbounded)")
 	tenants := flag.String("tenants", "", "tenant weights as name:weight,... (e.g. alpha:3,beta:2); unlisted tenants weigh 1")
-	brownoutAfter := flag.Duration("brownout-after", 0, "sustained queue pressure before brownout shedding of optional work (0 = default 1s)")
-	brownoutExit := flag.Duration("brownout-exit", 0, "sustained calm before brownout clears (0 = default 2s)")
-	shedSeed := flag.Int64("shed-seed", 0, "seed for probabilistic shedding and Retry-After jitter (0 = default 1)")
 	fsyncMode := flag.String("fsync", "interval", "journal durability: always | interval | never")
-	fsyncEvery := flag.Duration("fsync-interval", 100*time.Millisecond, "sync period when -fsync=interval")
-	rotateBytes := flag.Int64("journal-rotate", 1<<20, "journal size that triggers compaction into the snapshot")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = off)")
 	workers := flag.String("workers", "", "comma-separated skelworker endpoints; eligible jobs route to the cluster")
 	clusterBudget := flag.Int("cluster-budget", 0, "cluster-wide LP budget divided across workers (0 = 4×workers)")
-	rpcAttempts := flag.Int("rpc-attempts", 0, "worker RPC attempts before the failure counts against the node (0 = default 3)")
-	rpcBase := flag.Duration("rpc-base-delay", 0, "base RPC retry backoff, grown exponentially with jitter (0 = default 25ms)")
-	suspectAfter := flag.Int("suspect-after", 0, "consecutive node failures before suspect (0 = default 1)")
-	downAfter := flag.Int("down-after", 0, "consecutive node failures before the node is retired (0 = default 3)")
-	probationProbes := flag.Int("probation-probes", 0, "consecutive successes a recovering node needs to re-earn full trust (0 = default 2)")
-	probationCap := flag.Int("probation-cap", 0, "LP share cap while a re-admitted node is on probation (0 = default 1)")
-	noDegrade := flag.Bool("no-degrade", false, "fail cluster jobs instead of draining remaining shards to the local pool")
-	localLP := flag.Int("degrade-lp", 0, "parallelism of the local degradation pool (0 = default 4)")
 	hedgeAfter := flag.Duration("hedge-after", 0, "re-enqueue a claimed task stalled this long so a second node races it (0 = off)")
-	opt := flag.Bool("opt", true, "run the IR optimizer on compiled plans (fusion, static specialization, pre-sizing)")
 	policyName := flag.String("policy", "", "default adaptation policy for jobs that do not pick one (see skandium.PolicyNames; empty = paper rule)")
 	flag.Parse()
 
@@ -76,10 +61,6 @@ func main() {
 		if _, err := skandium.NewPolicy(*policyName, 0); err != nil {
 			log.Fatalf("skelrund: %v", err)
 		}
-	}
-
-	if !*opt {
-		plan.SetOptimizeEnabled(false)
 	}
 
 	if *pprofAddr != "" {
@@ -103,11 +84,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("skelrund: %v", err)
 		}
-		jn, recovered, err = journal.Open(*journalDir, journal.Options{
-			Fsync:       policy,
-			FsyncEvery:  *fsyncEvery,
-			RotateBytes: *rotateBytes,
-		})
+		jn, recovered, err = journal.Open(*journalDir, journal.Options{Fsync: policy})
 		if err != nil {
 			log.Fatalf("skelrund: open journal: %v", err)
 		}
@@ -135,17 +112,8 @@ func main() {
 		}
 		var err error
 		cluster, err = remote.New(remote.Config{
-			Workers: endpoints,
-			Budget:  *clusterBudget,
-			RPC:     remote.RPCPolicy{MaxAttempts: *rpcAttempts, BaseDelay: *rpcBase},
-			Health: remote.HealthConfig{
-				SuspectAfter:    *suspectAfter,
-				DownAfter:       *downAfter,
-				ProbationProbes: *probationProbes,
-				ProbationCap:    *probationCap,
-			},
-			NoDegrade:  *noDegrade,
-			LocalLP:    *localLP,
+			Workers:    endpoints,
+			Budget:     *clusterBudget,
 			HedgeAfter: *hedgeAfter,
 		})
 		if err != nil {
@@ -157,20 +125,13 @@ func main() {
 	}
 
 	srv := server.New(server.Config{
-		Budget:           *budget,
-		Rebalance:        *rebalance,
-		AnalysisTick:     *analysisTick,
-		AnalysisInterval: *analysisInterval,
-		DefaultPolicy:    *policyName,
-		EventLog:         *eventLog,
-		Journal:          jn,
-		Recover:          recovered,
-		QueueMax:         *queueMax,
-		Tenants:          tenantWeights,
-		BrownoutAfter:    *brownoutAfter,
-		BrownoutExit:     *brownoutExit,
-		ShedSeed:         *shedSeed,
-		Cluster:          cluster,
+		Budget:        *budget,
+		DefaultPolicy: *policyName,
+		Journal:       jn,
+		Recover:       recovered,
+		QueueMax:      *queueMax,
+		Tenants:       tenantWeights,
+		Cluster:       cluster,
 	})
 	httpd := &http.Server{Addr: *addr, Handler: srv.Handler()}
 

@@ -9,7 +9,7 @@
 // legality rule under which the annotated path is observably identical
 // (byte-identical events, activation indices, results and virtual
 // timestamps) to the un-annotated one. The conformance harness checks that
-// equivalence over the full 240-tree corpus with the optimizer on and off.
+// equivalence over the full 240-tree corpus, raw program against optimized.
 //
 // Passes:
 //
@@ -34,7 +34,6 @@ package plan
 import (
 	"fmt"
 	"math"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -42,23 +41,6 @@ import (
 	"skandium/internal/muscle"
 	"skandium/internal/skel"
 )
-
-// optimizeOn gates the pipeline inside Of. Default on; SKANDIUM_OPT=off in
-// the environment (or SetOptimizeEnabled / the skelrund -opt flag /
-// skandium.WithOptimize) turns it off so the raw 1:1 lowering runs — CI
-// exercises the conformance suite both ways.
-var optimizeOn atomic.Bool
-
-func init() {
-	optimizeOn.Store(os.Getenv("SKANDIUM_OPT") != "off")
-}
-
-// OptimizeEnabled reports whether Of runs the optimizer pipeline.
-func OptimizeEnabled() bool { return optimizeOn.Load() }
-
-// SetOptimizeEnabled toggles the optimizer pipeline inside Of. Programs
-// already cached on their nodes are unaffected.
-func SetOptimizeEnabled(on bool) { optimizeOn.Store(on) }
 
 // PassReport describes what one optimizer pass did to a program.
 type PassReport struct {
@@ -68,8 +50,8 @@ type PassReport struct {
 }
 
 // Optimize returns an optimized copy of p. The input program is never
-// mutated — Of relies on that to publish either a raw or an optimized
-// program atomically, and tests rely on it to run both side by side.
+// mutated: the conformance differential relies on that to run the raw and
+// the optimized program side by side.
 // Structure (steps, indices, traces, muscle slots) is preserved exactly;
 // only annotations are added.
 func Optimize(p *Program) *Program {

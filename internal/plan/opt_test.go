@@ -267,21 +267,6 @@ func TestOfCachesOptimizedProgram(t *testing.T) {
 	}
 }
 
-func TestOfRespectsDisable(t *testing.T) {
-	SetOptimizeEnabled(false)
-	defer SetOptimizeEnabled(true)
-	nd := skel.NewPipe(skel.NewSeq(fe("a")), skel.NewSeq(fe("b")))
-	p, err := Of(nd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range p.Steps() {
-		if s.Fused() != nil || s.Analytic() != nil || s.CardHint() != nil {
-			t.Fatal("optimizer ran while disabled")
-		}
-	}
-}
-
 // TestRewriteOptimizeRace: plan.Of must compose with skel.Optimize rewrites —
 // racing callers on the original and the rewritten tree each observe exactly
 // one cached program per node, and every published program is optimized.

@@ -260,15 +260,14 @@ func (p *Program) compile(nd *skel.Node, parentTrace []*skel.Node) (*Step, error
 	return s, nil
 }
 
-// Of returns the compiled program for executions rooted at node, compiling
-// (and, unless disabled, optimizing) and caching it on the node on first
-// use. The cached Program is shared by all concurrent executions and all
-// consumers of node; it stays alive exactly as long as the node does (it is
-// stored on the node, not in a global table). Rewrites (skel.Optimize)
-// construct fresh nodes and so can never observe a stale cache; the
-// optimizer runs before the CAS publish, so racing callers always observe
-// either the one cached optimized program or none — never a raw program
-// that later "becomes" optimized.
+// Of returns the compiled program for executions rooted at node, compiling,
+// optimizing and caching it on the node on first use. The cached Program is
+// shared by all concurrent executions and all consumers of node; it stays
+// alive exactly as long as the node does (it is stored on the node, not in a
+// global table). Rewrites (skel.Optimize) construct fresh nodes and so can
+// never observe a stale cache; the optimizer runs before the CAS publish, so
+// racing callers always observe either the one cached optimized program or
+// none — never a raw program that later "becomes" optimized.
 func Of(node *skel.Node) (*Program, error) {
 	if c := node.CachedPlan(); c != nil {
 		return c.(*Program), nil
@@ -277,10 +276,7 @@ func Of(node *skel.Node) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	if OptimizeEnabled() {
-		p = Optimize(p)
-	}
-	return node.CachePlan(p).(*Program), nil
+	return node.CachePlan(Optimize(p)).(*Program), nil
 }
 
 // Node returns the skeleton root the program was compiled from.

@@ -114,7 +114,6 @@ func TestClusterExactlyOnceUnderChaos(t *testing.T) {
 		Workers:       []string{s1.URL, s2.URL},
 		Budget:        4,
 		ProbeInterval: 20 * time.Millisecond,
-		Rebalance:     20 * time.Millisecond,
 		HTTPTimeout:   5 * time.Second,
 		RPC:           RPCPolicy{MaxAttempts: 4, BaseDelay: 2 * time.Millisecond, MaxDelay: 20 * time.Millisecond, Seed: 7},
 		Transport:     inj.Transport(nil),
@@ -181,7 +180,6 @@ func TestClusterDedupAbsorbsAmbiguousReplays(t *testing.T) {
 		Workers:       []string{s.URL},
 		Budget:        4,
 		ProbeInterval: 20 * time.Millisecond,
-		Rebalance:     20 * time.Millisecond,
 		HTTPTimeout:   5 * time.Second,
 		RPC:           RPCPolicy{MaxAttempts: 20, BaseDelay: time.Millisecond, MaxDelay: 10 * time.Millisecond, Seed: 7},
 		Transport:     inj.Transport(nil),
@@ -234,7 +232,6 @@ func TestClusterProbationReadmission(t *testing.T) {
 		Workers:       []string{addr},
 		Budget:        8,
 		ProbeInterval: 20 * time.Millisecond,
-		Rebalance:     20 * time.Millisecond,
 		Health:        HealthConfig{ProbationProbes: 4, ProbationCap: 1},
 		OnNodeEvent:   log.add,
 	})
@@ -463,7 +460,6 @@ func TestClusterHedgesStragglers(t *testing.T) {
 		Workers:       []string{good.URL, stall.URL},
 		Budget:        8,
 		ProbeInterval: 20 * time.Millisecond,
-		Rebalance:     20 * time.Millisecond,
 		HTTPTimeout:   30 * time.Second, // the stall must outlive the job
 		HedgeAfter:    100 * time.Millisecond,
 		NoDegrade:     true,
@@ -512,10 +508,8 @@ func TestClusterDegradesToLocalPool(t *testing.T) {
 		Workers:       []string{s.URL},
 		Budget:        4,
 		ProbeInterval: 20 * time.Millisecond,
-		Rebalance:     20 * time.Millisecond,
 		HTTPTimeout:   time.Second,
 		RPC:           RPCPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond},
-		LocalLP:       4,
 		OnNodeEvent:   log.add,
 	})
 	if err != nil {

@@ -43,11 +43,9 @@ type Config struct {
 	// Budget is the cluster-wide LP budget the arbiter divides into
 	// per-node grants (default: 4 × workers).
 	Budget int
-	// ProbeInterval paces the health probe loop and the dispatch
-	// supervisor (default 250ms).
+	// ProbeInterval paces the health probe loop, the arbiter's grant
+	// re-division and the dispatch supervisor (default 250ms).
 	ProbeInterval time.Duration
-	// Rebalance paces the arbiter's grant re-division (default 250ms).
-	Rebalance time.Duration
 	// HTTPTimeout bounds every worker round-trip *attempt* (default 10s);
 	// the RPC policy bounds how many attempts are made.
 	HTTPTimeout time.Duration
@@ -64,12 +62,6 @@ type Config struct {
 	// collapses mid-job the job fails (the pre-partition-tolerance
 	// behaviour) instead of draining the remaining shards locally.
 	NoDegrade bool
-	// LocalLP is the parallelism of the degradation pool (default 4).
-	LocalLP int
-	// MinServing is the serving-node threshold that triggers mid-job local
-	// draining (default 1): when fewer nodes still serve, the local pool
-	// joins the dispatch as one more consumer.
-	MinServing int
 	// HedgeAfter, when positive, re-enqueues a claimed-but-unfinished task
 	// after this stall so a second node can race the straggler — only when
 	// the cluster arbiter has budget slack. Worker-side dedup keeps the
@@ -215,17 +207,8 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = 250 * time.Millisecond
 	}
-	if cfg.Rebalance <= 0 {
-		cfg.Rebalance = 250 * time.Millisecond
-	}
 	if cfg.HTTPTimeout <= 0 {
 		cfg.HTTPTimeout = 10 * time.Second
-	}
-	if cfg.LocalLP < 1 {
-		cfg.LocalLP = 4
-	}
-	if cfg.MinServing < 1 {
-		cfg.MinServing = 1
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = clock.System
@@ -251,7 +234,7 @@ func New(cfg Config) (*Cluster, error) {
 	for _, n := range c.nodes {
 		c.probeOne(n)
 	}
-	c.stopArb = c.arb.StartTicker(cfg.Rebalance)
+	c.stopArb = c.arb.StartTicker(cfg.ProbeInterval)
 	c.probeWG.Add(1)
 	go c.probeLoop()
 	return c, nil
@@ -290,7 +273,7 @@ func (c *Cluster) probeLoop() {
 				c.probeOne(n)
 			}
 			// Divide the budget on the reports just read, not up to a
-			// rebalance period later: the arbiter's own ticker runs out of
+			// probe interval later: the arbiter's own ticker runs out of
 			// phase with this one.
 			c.arb.Rebalance()
 		}
@@ -818,13 +801,13 @@ func (c *Cluster) dispatch(jr *jobRun) error {
 			}
 			startLocal()
 		}
-		if serving < c.cfg.MinServing {
-			if c.cfg.NoDegrade {
-				if len(running) == 0 && serving == 0 {
-					return fmt.Errorf("remote: all workers lost with %d tasks unfinished", jr.remaining.Load())
-				}
-			} else {
+		// When no node serves any more, the local pool joins the dispatch
+		// as one more consumer.
+		if serving == 0 {
+			if !c.cfg.NoDegrade {
 				startLocal()
+			} else if len(running) == 0 {
+				return fmt.Errorf("remote: all workers lost with %d tasks unfinished", jr.remaining.Load())
 			}
 		}
 		if c.cfg.HedgeAfter > 0 && !c.hedgeOff.Load() {
@@ -870,12 +853,15 @@ func (c *Cluster) hedgeStragglers(jr *jobRun) {
 	}
 }
 
+// localLP is the parallelism of the degradation pool.
+const localLP = 4
+
 // localPool lazily builds the degradation pool.
 func (c *Cluster) localPool() *exec.Pool {
 	c.poolMu.Lock()
 	defer c.poolMu.Unlock()
 	if c.lpool == nil {
-		c.lpool = exec.NewPool(c.clk, c.cfg.LocalLP, 0)
+		c.lpool = exec.NewPool(c.clk, localLP, 0)
 	}
 	return c.lpool
 }
@@ -886,7 +872,7 @@ func (c *Cluster) localPool() *exec.Pool {
 // for the remainder and the exactly-once guard arbitrates.
 func (c *Cluster) localRunner(jr *jobRun) {
 	pool := c.localPool()
-	sem := make(chan struct{}, c.cfg.LocalLP)
+	sem := make(chan struct{}, localLP)
 	for {
 		select {
 		case <-jr.done:

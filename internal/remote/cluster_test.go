@@ -171,7 +171,6 @@ func TestClusterRepushesGrantAfterRestart(t *testing.T) {
 		Workers:       []string{addr},
 		Budget:        5,
 		ProbeInterval: 20 * time.Millisecond,
-		Rebalance:     20 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -268,7 +267,6 @@ func TestClusterSurvivesWorkerSIGKILL(t *testing.T) {
 		Workers:       []string{w1.addr, w2.addr},
 		Budget:        4,
 		ProbeInterval: 50 * time.Millisecond,
-		Rebalance:     50 * time.Millisecond,
 		OnNodeEvent: func(ev NodeEvent) {
 			evMu.Lock()
 			events = append(events, ev)

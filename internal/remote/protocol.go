@@ -50,7 +50,8 @@ type ProgramResponse struct {
 
 // TaskRequest is one NDJSON line of a task batch (POST /tasks): a fan-out
 // part, encoded by the blueprint's RemoteCodec, tagged with the
-// coordinator's sequence number.
+// coordinator's sequence number. Seq is never negative: a reply line with
+// Seq -1 rejects the whole batch.
 type TaskRequest struct {
 	Seq  int             `json:"seq"`
 	Part json.RawMessage `json:"part"`

@@ -228,10 +228,11 @@ func (w *Worker) slotFor(seq int) (s *taskSlot, fresh bool) {
 }
 
 // handleTasks runs one NDJSON batch. The whole batch is parsed and
-// validated before any task starts, so a torn or oversized frame, a job
-// mismatch, or an admission shed fails the request atomically (nothing
-// executed) and the coordinator can retry or requeue the batch without
-// partial execution. Replayed tasks are served from the dedup slots.
+// validated before any task starts, so a torn or oversized frame, a
+// negative seq, a job mismatch, or an admission shed fails the request
+// atomically (nothing executed) and the coordinator can retry or requeue
+// the batch without partial execution. Replayed tasks are served from the
+// dedup slots.
 func (w *Worker) handleTasks(rw http.ResponseWriter, r *http.Request) {
 	w.mu.Lock()
 	codec, body, job := w.codec, w.body, w.job
@@ -258,6 +259,10 @@ func (w *Worker) handleTasks(rw http.ResponseWriter, r *http.Request) {
 		var tr TaskRequest
 		if err := json.Unmarshal(line, &tr); err != nil {
 			writeJSON(rw, http.StatusBadRequest, TaskResponse{Seq: -1, Error: "torn task frame: " + err.Error()})
+			return
+		}
+		if tr.Seq < 0 {
+			writeJSON(rw, http.StatusBadRequest, TaskResponse{Seq: -1, Error: fmt.Sprintf("negative task seq %d", tr.Seq)})
 			return
 		}
 		if tr.Job != "" && tr.Job != job {

@@ -191,6 +191,33 @@ func TestWorkerOversizedFrame(t *testing.T) {
 	}
 }
 
+// TestWorkerNegativeSeq: a frame with a negative seq fails the batch like a
+// torn one — 400 before any task starts — because the coordinator reads a
+// seq -1 reply line as a whole-batch rejection, even after the work ran.
+func TestWorkerNegativeSeq(t *testing.T) {
+	w, srv := newTestWorker(t, WorkerConfig{})
+	loadGrid(t, srv.URL, 8)
+
+	body := `{"seq":0,"part":{"N":1,"SleepMS":0}}` + "\n" + `{"seq":-1,"part":{"N":2,"SleepMS":0}}` + "\n"
+	resp, err := http.Post(srv.URL+"/tasks", "application/x-ndjson", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400", resp.StatusCode)
+	}
+	if n := w.tasks.Load(); n != 0 {
+		t.Fatalf("%d tasks ran from a rejected batch, want 0", n)
+	}
+	w.mu.Lock()
+	slots := len(w.slots)
+	w.mu.Unlock()
+	if slots != 0 {
+		t.Fatalf("%d slots started from a rejected batch, want 0", slots)
+	}
+}
+
 // TestWorkerHealthReport: the probe carries the pool counters and the
 // loaded blueprint.
 func TestWorkerHealthReport(t *testing.T) {

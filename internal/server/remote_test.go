@@ -28,7 +28,6 @@ func newTestCluster(t *testing.T, workers int) (*remote.Cluster, []*httptest.Ser
 		Workers:       endpoints,
 		Budget:        4,
 		ProbeInterval: 25 * time.Millisecond,
-		Rebalance:     25 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -65,15 +65,6 @@ type Config struct {
 	// Tenants maps tenant names to their weights in both the LP budget
 	// division and the queue-quota math (unlisted tenants weigh 1).
 	Tenants map[string]int
-	// BrownoutAfter/BrownoutExit tune the overload hysteresis: how long
-	// queue pressure must persist before the server browns out (sheds all
-	// optional work, disables hedging) and how long calm must persist
-	// before it recovers. Defaults 1s / 2s.
-	BrownoutAfter time.Duration
-	BrownoutExit  time.Duration
-	// ShedSeed seeds the probabilistic shed and Retry-After jitter
-	// (default 1; fix it to make overload behaviour reproducible).
-	ShedSeed int64
 
 	// Cluster, when set, routes eligible jobs (cluster-eligible blueprint,
 	// shardable program, no WCT goal or fault envelope) to remote workers
@@ -141,13 +132,10 @@ func New(cfg Config) *Server {
 		remoteJobs: map[string]*job{},
 	}
 	s.adm = newAdmission(admissionConfig{
-		QueueMax:      cfg.QueueMax,
-		Tenants:       cfg.Tenants,
-		BrownoutAfter: cfg.BrownoutAfter,
-		BrownoutExit:  cfg.BrownoutExit,
-		Seed:          cfg.ShedSeed,
-		Clock:         cfg.Clock,
-		OnBrownout:    s.onBrownout,
+		QueueMax:   cfg.QueueMax,
+		Tenants:    cfg.Tenants,
+		Clock:      cfg.Clock,
+		OnBrownout: s.onBrownout,
 	})
 	for t, w := range cfg.Tenants {
 		s.arb.SetTenantWeight(t, w)
@@ -157,7 +145,7 @@ func New(cfg Config) *Server {
 		// skelrund validates the name at startup; an unknown name here (New
 		// called programmatically) keeps the paper contract — loudly, so a
 		// misspelled default is not silently misreported by job views.
-		if p, err := core.NewPolicy(cfg.DefaultPolicy, cfg.ShedSeed); err == nil {
+		if p, err := core.NewPolicy(cfg.DefaultPolicy, 0); err == nil {
 			s.arb.SetPolicy(p)
 		} else {
 			log.Printf("server: default policy %q unknown, keeping the paper contract: %v",

@@ -12,7 +12,7 @@
 #
 # Compare two recordings (fails on >20% regressions, timing advisory-only):
 #
-#   go run ./cmd/benchjson -compare BENCH_baseline.json -against bench_out.json -ns-advisory
+#   go run ./cmd/benchjson -compare BENCH_baseline.json -against bench_out.json
 set -eu
 
 cd "$(dirname "$0")/.."

@@ -13,7 +13,6 @@ import (
 	"skandium/internal/estimate"
 	"skandium/internal/event"
 	"skandium/internal/exec"
-	"skandium/internal/plan"
 	"skandium/internal/skel"
 	"skandium/internal/statemachine"
 )
@@ -65,7 +64,6 @@ type config struct {
 	faultTimeout     time.Duration
 	faultRetry       exec.RetryPolicy
 	faultPartial     exec.PartialPolicy
-	noOptimize       bool
 }
 
 type listenerEntry struct {
@@ -172,15 +170,6 @@ func WithGauge(g func(now time.Time, active, lp int)) Option {
 // muscle identity, so the seeding run must share the muscle handles.
 func WithProfile(p estimate.Profile) Option { return func(c *config) { c.profile = p } }
 
-// WithOptimize toggles the IR optimizer for this stream's inputs (default
-// on). When off, every input runs the raw 1:1 compiled program, bypassing
-// the node's (optimized) plan cache — useful for debugging optimizer passes
-// and for differential testing; the optimizer is observation-equivalent, so
-// results, events and estimates are identical either way. The controller's
-// predictions always use the cached program: they are numerically the same
-// on both.
-func WithOptimize(on bool) Option { return func(c *config) { c.noOptimize = !on } }
-
 // WithListener registers an event listener for all subsequent inputs. The
 // optional filter narrows delivery.
 func WithListener(l event.Listener, filter ...event.Filter) Option {
@@ -209,11 +198,6 @@ type Stream[P, R any] struct {
 	closed   bool
 	inFlight []<-chan struct{}
 	live     []*exec.Root // unresolved executions, canceled on Close
-
-	// Raw (unoptimized) program, compiled once when WithOptimize(false).
-	rawOnce sync.Once
-	rawProg *plan.Program
-	rawErr  error
 }
 
 // NewStream builds an execution stream for a skeleton program.
@@ -292,18 +276,7 @@ func (st *Stream[P, R]) Input(p P) *Execution[R] {
 		Partial:  st.cfg.faultPartial,
 		Counters: st.ctrs,
 	})
-	var fut *exec.Future
-	if st.cfg.noOptimize {
-		prog, errp := st.rawProgram()
-		if errp != nil {
-			root.Cancel(errp)
-			fut = root.Future()
-		} else {
-			fut = root.StartProgram(prog, p)
-		}
-	} else {
-		fut = root.Start(st.node, p)
-	}
+	fut := root.Start(st.node, p)
 	ex := &Execution[R]{fut: fut, ctl: ctl, root: root}
 	if ctl != nil {
 		// Once the future resolves nothing is predicted any more: stop the
@@ -331,12 +304,6 @@ func (st *Stream[P, R]) Input(p P) *Execution[R] {
 	}
 	st.live = append(kept, root)
 	return ex
-}
-
-// rawProgram compiles the stream's node without the optimizer, once.
-func (st *Stream[P, R]) rawProgram() (*plan.Program, error) {
-	st.rawOnce.Do(func() { st.rawProg, st.rawErr = plan.Compile(st.node) })
-	return st.rawProg, st.rawErr
 }
 
 // Drain blocks until every execution injected so far has resolved, or ctx

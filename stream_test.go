@@ -442,31 +442,6 @@ func TestAnalysisTickerCatchesStraggler(t *testing.T) {
 	}
 }
 
-// TestWithOptimizeOff: a stream with the optimizer disabled runs every
-// input through the raw 1:1 compiled program (no annotations) and still
-// computes identical results; the node's cached (optimized) plan is left
-// untouched for other streams of the same skeleton.
-func TestWithOptimizeOff(t *testing.T) {
-	prog := nestedSleepProgram(3, time.Millisecond)
-
-	raw := NewStream[int, int](prog, WithLP(2), WithOptimize(false))
-	defer raw.Close()
-	opt := NewStream[int, int](prog, WithLP(2))
-	defer opt.Close()
-
-	const jobs = 3
-	for i := 0; i < jobs; i++ {
-		r1, err1 := raw.Input(i).Get()
-		r2, err2 := opt.Input(i).Get()
-		if err1 != nil || err2 != nil {
-			t.Fatalf("job %d: raw err %v, optimized err %v", i, err1, err2)
-		}
-		if r1 != r2 || r1 != 9 {
-			t.Fatalf("job %d: raw %d, optimized %d, want 9", i, r1, r2)
-		}
-	}
-}
-
 // TestGoalExecutionSleepGrid8x8: goal_grid's shape on the real pool — an
 // 8×8 two-level map of sleeping cells from LP 1, under a goal it meets only
 // by adapting — with an analysis on every After (1 ms throttle) and a 1 ms
