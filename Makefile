@@ -29,12 +29,13 @@ race:
 
 # chaos runs the seeded cluster chaos scenarios (RPC drops, one
 # partition/heal cycle, ambiguous replays, probation re-admission,
-# straggler hedging, local degradation) under the race detector. The
-# fault schedule is deterministic per seed; goroutine interleavings are
-# not, so CI repeats it with COUNT=3.
+# straggler hedging, local degradation, node grants raised at dispatch and
+# held until the job returns, ordered grant pushes) under the race
+# detector. The fault schedule is deterministic per seed; goroutine
+# interleavings are not, so CI repeats it with COUNT=3.
 COUNT ?= 1
 chaos:
-	$(GO) test -race -count=$(COUNT) -run 'TestClusterExactlyOnceUnderChaos|TestClusterDedupAbsorbsAmbiguousReplays|TestClusterProbationReadmission|TestWorkerAdmissionControl|TestWorkerJobFencing|TestClusterHedgesStragglers|TestClusterDegradesToLocalPool' ./internal/remote
+	$(GO) test -race -count=$(COUNT) -run 'TestClusterExactlyOnceUnderChaos|TestClusterDedupAbsorbsAmbiguousReplays|TestClusterProbationReadmission|TestWorkerAdmissionControl|TestWorkerJobFencing|TestClusterHedgesStragglers|TestClusterHedgesStragglersUncapped|TestClusterDegradesToLocalPool|TestClusterRaisesGrantAtDispatch|TestClusterGrantHoldsWhileDispatching|TestClusterGrantPushesLandInOrder' ./internal/remote
 
 # overload replays the seeded 2× oversubscription episode (~190k synthetic
 # submissions, virtual time) through the real admission ladder and arbiter

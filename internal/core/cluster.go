@@ -11,8 +11,9 @@ package core
 // cluster load).
 //
 // Members are node proxies (remote.Cluster adapts each worker endpoint into
-// a Member whose Demand is built from the worker's reported counters via
-// NodeDemand and whose Grant pushes the share to the worker's pool), keyed
+// a Member whose Demand is its thread cap while a job is dispatched and is
+// built from the worker's reported counters via NodeDemand between jobs,
+// and whose Grant pushes the share to the worker's pool), keyed
 // by node address. Node loss is Release — the dead node's share flows to
 // the survivors on the very next rebalance, which is what makes
 // SIGKILL-resilient rebalancing budget-safe. On the virtual clock the whole
@@ -36,7 +37,11 @@ type NodeReport struct {
 // policy divides by: a node asks for as many workers as it could employ
 // right now (running plus queued tasks, clamped to its thread cap), with a
 // floor of one so an idle node keeps a grant to accept the next task
-// without a round trip through the arbiter. Nodes have no WCT goal of
+// without a round trip through the arbiter. It is a node's demand between
+// jobs only: while a job holds the cluster, remote.Cluster's node proxies
+// ask for their whole thread cap instead, because a report sampled mid-job
+// shows no more work than the grant already sized the batches for, and
+// would shrink the very share the job is using. Nodes have no WCT goal of
 // their own (goals belong to jobs), so node demands are never "severe" —
 // under budget pressure the largest grant is halved first, exactly the
 // slack-pays-before-need rule of the single-node arbiter.

@@ -497,6 +497,67 @@ func TestClusterHedgesStragglers(t *testing.T) {
 	}
 }
 
+// TestClusterHedgesStragglersUncapped is TestClusterHedgesStragglers beside
+// an uncapped good worker (skelworker's default -max-lp 0). During the job
+// that worker asks for the whole budget, so Σ grants equals the budget and
+// the cluster never has grant slack; the straggler must still be hedged
+// once every shard is claimed.
+func TestClusterHedgesStragglersUncapped(t *testing.T) {
+	_, good := newTestWorker(t, WorkerConfig{LP: 2})
+	hang := make(chan struct{})
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, `{"ok":true,"lp":1,"active":0,"queued":0,"max_lp":1}`)
+	})
+	mux.HandleFunc("POST /program", func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, `{"ok":true,"program":"farm(map)"}`)
+	})
+	mux.HandleFunc("POST /lp", func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, `{"lp":1}`)
+	})
+	mux.HandleFunc("POST /tasks", func(w http.ResponseWriter, r *http.Request) {
+		<-hang
+	})
+	stall := httptest.NewServer(mux)
+	defer stall.Close()
+	defer close(hang)
+
+	c, err := New(Config{
+		Workers:       []string{good.URL, stall.URL},
+		Budget:        8,
+		ProbeInterval: 20 * time.Millisecond,
+		HTTPTimeout:   30 * time.Second,
+		HedgeAfter:    100 * time.Millisecond,
+		NoDegrade:     true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	const n = 12
+	done := make(chan error, 1)
+	go func() {
+		res, err := c.Run("remotetest-grid", skandium.Params{"n": n, "sleep_ms": 5})
+		if err == nil && res != gridSum(n) {
+			err = fmt.Errorf("result %v, want %d", res, gridSum(n))
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("job stalled behind the black-hole worker: %d of budget %d granted, %d hedged",
+			c.Granted(), c.Budget(), c.Hedged())
+	}
+	if c.Hedged() == 0 {
+		t.Fatal("no task was hedged despite a stalled claim")
+	}
+}
+
 // TestClusterDegradesToLocalPool: when the whole cluster browns out mid-job
 // the remaining shards drain to the local pool instead of failing the job.
 func TestClusterDegradesToLocalPool(t *testing.T) {

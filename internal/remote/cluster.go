@@ -43,8 +43,11 @@ type Config struct {
 	// Budget is the cluster-wide LP budget the arbiter divides into
 	// per-node grants (default: 4 × workers).
 	Budget int
-	// ProbeInterval paces the health probe loop, the arbiter's grant
-	// re-division and the dispatch supervisor (default 250ms).
+	// ProbeInterval paces the cluster's one tick (default 250ms): each
+	// round probes every node, re-divides the grants on the reports just
+	// read and wakes the running job's dispatch supervisor. While a job
+	// holds the cluster a round cannot move the grants (see node.Demand);
+	// between jobs it settles them on the idle reports.
 	ProbeInterval time.Duration
 	// HTTPTimeout bounds every worker round-trip *attempt* (default 10s);
 	// the RPC policy bounds how many attempts are made.
@@ -63,10 +66,11 @@ type Config struct {
 	// behaviour) instead of draining the remaining shards locally.
 	NoDegrade bool
 	// HedgeAfter, when positive, re-enqueues a claimed-but-unfinished task
-	// after this stall so a second node can race the straggler — only when
-	// the cluster arbiter has budget slack. Worker-side dedup keeps the
-	// hedge harmless when both attempts land on the same node; result
-	// consumption is exactly-once either way. Zero disables hedging.
+	// after this stall so a second node can race the straggler — only once
+	// every shard of the job is claimed, when a runner still asking for
+	// work has idle capacity. Worker-side dedup keeps the hedge harmless
+	// when both attempts land on the same node; result consumption is
+	// exactly-once either way. Zero disables hedging.
 	HedgeAfter time.Duration
 	// Clock stamps events and decisions (default system clock).
 	Clock clock.Clock
@@ -95,16 +99,20 @@ type Cluster struct {
 
 	stopProbe chan struct{}
 	probeWG   sync.WaitGroup
-	stopArb   func()
+	// probed wakes the running job's dispatch supervisor after each probe
+	// round; one slot, because a wake-up that finds one pending adds nothing.
+	probed chan struct{}
 
 	evMu    sync.Mutex
 	onEvent func(NodeEvent)
 
 	// jobMu serialises remote jobs: a worker holds one program at a time,
 	// so the coordinator ships one job's tasks at a time. Concurrent
-	// eligible jobs queue here (see DESIGN §11).
-	jobMu  sync.Mutex
-	jobSeq atomic.Int64
+	// eligible jobs queue here (see DESIGN §11). holding is set while a job
+	// holds jobMu; it switches the node demand to the thread cap.
+	jobMu   sync.Mutex
+	holding atomic.Bool
+	jobSeq  atomic.Int64
 
 	poolMu sync.Mutex
 	lpool  *exec.Pool
@@ -121,12 +129,14 @@ type Cluster struct {
 
 // node is the coordinator's proxy for one worker endpoint. It is the
 // core.Member the cluster arbiter divides the budget over: Demand derives
-// from the last probed report (clamped to the probation cap while the node
-// re-earns trust), Grant pushes the share to the worker's pool.
+// from the dispatch state and the last probed report (clamped to the
+// probation cap while the node re-earns trust), Grant pushes the share to
+// the worker's pool.
 type node struct {
-	addr   string
-	client *http.Client
-	hp     *health
+	addr string
+	c    *Cluster
+	idx  int // position in the endpoint list; SetLP enables a prefix
+	hp   *health
 
 	// tmu serialises health-transition side effects (arbiter admission,
 	// release, event emission) so concurrent probe/dispatch outcomes can
@@ -141,15 +151,34 @@ type node struct {
 
 	grant atomic.Int64
 	tasks atomic.Int64
+
+	// pushMu guards the grant sender: pushWant is the latest grant not yet
+	// sent (0 = none), pushing marks a sender goroutine running.
+	pushMu   sync.Mutex
+	pushWant int
+	pushing  bool
 }
 
 func (n *node) state() NodeState { return n.hp.State() }
 
+// Demand is the node's wish. While a job holds the cluster, an enabled
+// node asks for its thread cap — the reported MaxLP, or the whole budget
+// when the worker is uncapped: the job being dispatched is the parent's
+// contract, so the share is set as the job takes the cluster and no probe
+// can move it until the job returns. Outside a job the wish follows the
+// last probed report. Only serving nodes are arbiter members, so only they
+// are ever asked.
 func (n *node) Demand() core.Demand {
 	n.mu.Lock()
 	rep := n.report
 	n.mu.Unlock()
 	d := core.NodeDemand(rep)
+	if n.c.holding.Load() && n.c.isEnabled(n) {
+		d.DesiredLP = rep.MaxLP
+		if d.DesiredLP < 1 {
+			d.DesiredLP = n.c.cfg.Budget
+		}
+	}
 	if n.hp.State() == StateProbation {
 		d = core.CapDemand(d, n.hp.cfg.ProbationCap)
 	}
@@ -163,18 +192,39 @@ func (n *node) Grant(g int) {
 	n.pushLP(g)
 }
 
-// pushLP ships a grant to the worker's pool. Asynchronous: grants are
-// advisory pacing, the next probe re-reads the truth, and the arbiter must
-// never block on a slow node.
+// pushLP ships a grant to the worker's pool. Asynchronous, because the
+// arbiter must never block on a slow node, but ordered: one sender per node
+// posts the latest grant, so a raise that follows a shrink can never be
+// overtaken by it.
 func (n *node) pushLP(g int) {
-	go func() {
+	n.pushMu.Lock()
+	n.pushWant = g
+	start := !n.pushing
+	n.pushing = true
+	n.pushMu.Unlock()
+	if start {
+		go n.sendGrants()
+	}
+}
+
+// sendGrants posts the latest pending grant until none is left.
+func (n *node) sendGrants() {
+	for {
+		n.pushMu.Lock()
+		g := n.pushWant
+		n.pushWant = 0
+		n.pushing = g != 0
+		n.pushMu.Unlock()
+		if g == 0 {
+			return
+		}
 		body, _ := json.Marshal(LPRequest{LP: g})
-		resp, err := n.client.Post(n.addr+"/lp", "application/json", bytes.NewReader(body))
+		resp, err := n.c.client.Post(n.addr+"/lp", "application/json", bytes.NewReader(body))
 		if err == nil {
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
 		}
-	}()
+	}
 }
 
 // NodeStatus is one worker's coordinator-side accounting, exported to
@@ -196,7 +246,7 @@ type NodeStatus struct {
 
 // New builds a coordinator over the configured workers, probes them once
 // synchronously (so callers start with a live view), and starts the probe
-// and rebalance loops.
+// loop.
 func New(cfg Config) (*Cluster, error) {
 	if len(cfg.Workers) == 0 {
 		return nil, fmt.Errorf("remote: no worker endpoints configured")
@@ -222,25 +272,25 @@ func New(cfg Config) (*Cluster, error) {
 		rpc:       newRPC(client, cfg.Clock, cfg.RPC),
 		id:        fmt.Sprintf("%x", time.Now().UnixNano()),
 		stopProbe: make(chan struct{}),
+		probed:    make(chan struct{}, 1),
 		enabled:   len(cfg.Workers),
 		onEvent:   cfg.OnNodeEvent,
 	}
-	for _, addr := range cfg.Workers {
+	for i, addr := range cfg.Workers {
 		if len(addr) < 7 || (addr[:7] != "http://" && (len(addr) < 8 || addr[:8] != "https://")) {
 			addr = "http://" + addr
 		}
-		c.nodes = append(c.nodes, &node{addr: addr, client: c.client, hp: newHealth(cfg.Health)})
+		c.nodes = append(c.nodes, &node{addr: addr, c: c, idx: i, hp: newHealth(cfg.Health)})
 	}
 	for _, n := range c.nodes {
 		c.probeOne(n)
 	}
-	c.stopArb = c.arb.StartTicker(cfg.ProbeInterval)
 	c.probeWG.Add(1)
 	go c.probeLoop()
 	return c, nil
 }
 
-// Close stops the probe and rebalance loops and the degradation pool.
+// Close stops the probe loop and the degradation pool.
 func (c *Cluster) Close() {
 	c.mu.Lock()
 	if c.closed {
@@ -251,7 +301,6 @@ func (c *Cluster) Close() {
 	c.mu.Unlock()
 	close(c.stopProbe)
 	c.probeWG.Wait()
-	c.stopArb()
 	c.poolMu.Lock()
 	if c.lpool != nil {
 		c.lpool.Close()
@@ -272,10 +321,13 @@ func (c *Cluster) probeLoop() {
 			for _, n := range c.snapshotNodes() {
 				c.probeOne(n)
 			}
-			// Divide the budget on the reports just read, not up to a
-			// probe interval later: the arbiter's own ticker runs out of
-			// phase with this one.
+			// The cluster's one tick: divide the budget on the reports just
+			// read, then let the running job's supervisor re-evaluate.
 			c.arb.Rebalance()
+			select {
+			case c.probed <- struct{}{}:
+			default:
+			}
 		}
 	}
 }
@@ -291,7 +343,7 @@ func (c *Cluster) snapshotNodes() []*node {
 // probeOne refreshes one node's report and feeds the state machine. Probes
 // are single-attempt on purpose — the probe loop is itself the retry.
 func (c *Cluster) probeOne(n *node) {
-	resp, err := n.client.Get(n.addr + "/healthz")
+	resp, err := c.client.Get(n.addr + "/healthz")
 	if err != nil {
 		c.noteFail(n, ClassifyErr(err), err)
 		return
@@ -312,11 +364,11 @@ func (c *Cluster) probeOne(n *node) {
 	n.mu.Lock()
 	n.report = core.NodeReport{LP: h.LP, Active: h.Active, Queued: h.Queued, MaxLP: h.MaxLP}
 	n.mu.Unlock()
-	if g := int(n.grant.Load()); g > 0 && h.LP > g {
-		// The worker runs above its standing grant — the restart signature:
-		// it came back at its own default LP behind a blip too short to
-		// retire the node, so neither the arbiter (grant unchanged) nor the
-		// node cache would re-push. Reconcile directly from the probe.
+	if g := int(n.grant.Load()); g > 0 && h.LP != g {
+		// The worker runs off its standing grant: it restarted at its own
+		// default LP behind a blip too short to retire the node, or lost a
+		// push. Neither the arbiter (grant unchanged) nor the node cache
+		// would re-push, so reconcile directly from the probe.
 		n.pushLP(g)
 	}
 	c.noteOK(n)
@@ -411,6 +463,13 @@ func (c *Cluster) SetLP(n int) {
 		n = len(c.nodes)
 	}
 	c.enabled = n
+}
+
+// isEnabled reports whether SetLP currently ships work to n.
+func (c *Cluster) isEnabled(n *node) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return n.idx < c.enabled
 }
 
 // Budget returns the cluster-wide LP budget.
@@ -629,6 +688,12 @@ func (c *Cluster) Run(blueprint string, params skandium.Params) (any, error) {
 func (c *Cluster) RunAs(tenant, blueprint string, params skandium.Params) (any, error) {
 	c.jobMu.Lock()
 	defer c.jobMu.Unlock()
+	// The job takes the cluster: every node asks for its cap from now until
+	// the job returns, and the raise happens here, so the first batch is
+	// already grant-sized.
+	c.holding.Store(true)
+	defer c.holding.Store(false)
+	c.arb.Rebalance()
 
 	bp, ok := skandium.LookupBlueprint(blueprint)
 	if !ok {
@@ -715,10 +780,11 @@ type runnerExit struct {
 
 // dispatch shards the job over the serving nodes: one runner goroutine per
 // node pulls tasks from the shared queue in grant-sized batches. A
-// supervisor loop relaunches runners on nodes that recover mid-job
-// (probation re-admission), hedges stragglers when the arbiter has slack,
-// and — when serving capacity drops below the threshold — drains the
-// remaining tasks to the local pool instead of failing the job.
+// supervisor loop, woken by runner exits and by each probe round,
+// relaunches runners on nodes that recover mid-job (probation
+// re-admission), hedges stragglers once every shard is claimed, and — when
+// serving capacity drops below the threshold — drains the remaining tasks
+// to the local pool instead of failing the job.
 func (c *Cluster) dispatch(jr *jobRun) error {
 	if len(jr.encParts) == 0 {
 		jr.finish()
@@ -764,8 +830,6 @@ func (c *Cluster) dispatch(jr *jobRun) error {
 		startLocal()
 	}
 
-	tick := time.NewTicker(c.cfg.ProbeInterval)
-	defer tick.Stop()
 	for {
 		select {
 		case <-jr.done:
@@ -778,7 +842,7 @@ func (c *Cluster) dispatch(jr *jobRun) error {
 			if ex.refused {
 				refused[ex.n.addr] = ex.err
 			}
-		case <-tick.C:
+		case <-c.probed:
 		}
 
 		// Re-evaluate the fleet: relaunch runners on nodes that recovered
@@ -827,11 +891,14 @@ func (c *Cluster) SetHedging(on bool) { c.hedgeOff.Store(!on) }
 func (c *Cluster) HedgingEnabled() bool { return !c.hedgeOff.Load() }
 
 // hedgeStragglers re-enqueues tasks that have been claimed longer than
-// HedgeAfter, once each, when the cluster arbiter has budget slack — a
-// second node races the straggler, and the exactly-once completion guard
-// discards whichever copy loses.
+// HedgeAfter, once each, when the job's pending queue is drained — every
+// shard is claimed, so a runner still waiting for work has idle capacity.
+// A second node races the straggler, and the exactly-once completion guard
+// discards whichever copy loses. (Grant slack is no gate: during a job
+// every node asks for its cap, so a cluster whose caps cover the budget
+// never has any.)
 func (c *Cluster) hedgeStragglers(jr *jobRun) {
-	if c.arb.Granted() >= c.arb.Budget() {
+	if len(jr.pending) > 0 {
 		return
 	}
 	now := c.clk.Now().UnixNano()

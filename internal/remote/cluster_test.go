@@ -202,6 +202,125 @@ func TestClusterRepushesGrantAfterRestart(t *testing.T) {
 	waitFor("grant re-pushed to the restarted worker", func() bool { return w2.Report().LP == 1 })
 }
 
+// TestClusterRaisesGrantAtDispatch: a job that takes the cluster raises
+// every node to its share at once, so even a flat fan-out whose batches
+// never show a probe more work than the grant runs grant-sized batches
+// from the first one. No probe runs during the test.
+func TestClusterRaisesGrantAtDispatch(t *testing.T) {
+	w1, s1 := newTestWorker(t, WorkerConfig{LP: 1, MaxLP: 8})
+	w2, s2 := newTestWorker(t, WorkerConfig{LP: 1, MaxLP: 8})
+	c, err := New(Config{Workers: []string{s1.URL, s2.URL}, Budget: 8, ProbeInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	const n = 32
+	start := time.Now()
+	res, err := c.Run("remotetest-grid", skandium.Params{"n": n, "sleep_ms": 10})
+	took := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res != gridSum(n) {
+		t.Fatalf("result %v, want %d", res, gridSum(n))
+	}
+	for i, w := range []*Worker{w1, w2} {
+		waitCond(t, fmt.Sprintf("worker %d at its share of 4", i), 2*time.Second,
+			func() bool { return w.Report().LP == 4 })
+	}
+	// 32 cells of 10 ms on 2×4 slots is 40 ms of sleeping; at a grant of 1
+	// per node it is 160 ms.
+	if took >= 100*time.Millisecond {
+		t.Fatalf("job took %v, want < 100ms at grant 4 per node", took)
+	}
+}
+
+// TestClusterGrantHoldsWhileDispatching: while a job holds the cluster no
+// probe shrinks a node's grant, however often it finds the node idle or
+// short of work — here every 5 ms, across five nested jobs.
+func TestClusterGrantHoldsWhileDispatching(t *testing.T) {
+	_, s1 := newTestWorker(t, WorkerConfig{LP: 1, MaxLP: 8})
+	_, s2 := newTestWorker(t, WorkerConfig{LP: 1, MaxLP: 8})
+	c, err := New(Config{Workers: []string{s1.URL, s2.URL}, Budget: 8, ProbeInterval: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	const k, m = 16, 4
+	for job := 0; job < 5; job++ {
+		resetCellSpan()
+		res, err := c.Run("remotetest-nested", skandium.Params{"k": k, "m": m, "sleep_ms": 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res != gridSum(k*m) {
+			t.Fatalf("job %d: result %v, want %d", job, res, gridSum(k*m))
+		}
+		cellSpan.Lock()
+		first, last := cellSpan.first, cellSpan.last
+		cellSpan.Unlock()
+		// Cells run only between the job taking the cluster and returning.
+		for _, d := range c.arb.Decisions() {
+			if d.NewLP < d.OldLP && !d.Time.Before(first) && !d.Time.After(last) {
+				t.Errorf("job %d: grant shrunk mid-job: %v", job, d)
+			}
+		}
+	}
+}
+
+// lpDelay holds the first POST /lp back for delay: it closes sent when
+// that request reaches the transport and landed once the worker has
+// answered it.
+type lpDelay struct {
+	delay        time.Duration
+	once         sync.Once
+	sent, landed chan struct{}
+}
+
+func (h *lpDelay) RoundTrip(r *http.Request) (*http.Response, error) {
+	first := false
+	if r.Method == http.MethodPost && r.URL.Path == "/lp" {
+		h.once.Do(func() { first = true })
+	}
+	if !first {
+		return http.DefaultTransport.RoundTrip(r)
+	}
+	close(h.sent)
+	time.Sleep(h.delay)
+	defer close(h.landed)
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// TestClusterGrantPushesLandInOrder: two grants in a row reach the worker
+// in order, even when the first push is slow, and the worker ends at the
+// second — a shrink that lands after the raise it preceded would leave the
+// worker running grant-sized batches at the old LP.
+func TestClusterGrantPushesLandInOrder(t *testing.T) {
+	w, s := newTestWorker(t, WorkerConfig{LP: 2, MaxLP: 8})
+	slow := &lpDelay{delay: 100 * time.Millisecond, sent: make(chan struct{}), landed: make(chan struct{})}
+	// New admits the idle node at a grant of 1; that push is the slow one.
+	c, err := New(Config{Workers: []string{s.URL}, Budget: 8, ProbeInterval: time.Hour, Transport: slow})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	waitClosed := func(ch chan struct{}, what string) {
+		t.Helper()
+		select {
+		case <-ch:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("the slow grant push never %s", what)
+		}
+	}
+	waitClosed(slow.sent, "left the coordinator")
+	c.nodes[0].Grant(5)
+	waitClosed(slow.landed, "landed")
+	waitCond(t, "worker at the second grant", 2*time.Second, func() bool { return w.Report().LP == 5 })
+}
+
 // workerProc is one re-exec'd skelworker process (see TestMain).
 type workerProc struct {
 	addr string

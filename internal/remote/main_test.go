@@ -5,6 +5,7 @@ import (
 	"log"
 	"net/http"
 	"os"
+	"sync"
 	"testing"
 	"time"
 
@@ -16,6 +17,7 @@ import (
 // names, which is exactly the registry-as-code-distribution contract.
 func init() {
 	skandium.RegisterBlueprint(testGridBlueprint())
+	skandium.RegisterBlueprint(testNestedBlueprint())
 	skandium.RegisterBlueprint(skandium.Blueprint{
 		Name:        "remotetest-local",
 		Description: "a blueprint with no remote codec: never cluster-eligible",
@@ -71,6 +73,90 @@ func testGridBlueprint() skandium.Blueprint {
 			})
 			program := skandium.Farm(skandium.Map(fs, skandium.Seq(fe), fm))
 			return skandium.NewRunner(program, n), nil
+		},
+	}
+}
+
+// gridRow is one shard of the remotetest nested grid: m cells, numbered
+// from Row·m, that the worker splits again and runs on its own pool.
+type gridRow struct {
+	Row, M  int
+	SleepMS int
+}
+
+// cellSpan records when the cells of the in-process workers ran: the first
+// start and the last end since reset. A test reads it as the stretch of a
+// job during which its shards were certainly being dispatched.
+var cellSpan struct {
+	sync.Mutex
+	first, last time.Time
+}
+
+func resetCellSpan() {
+	cellSpan.Lock()
+	cellSpan.first, cellSpan.last = time.Time{}, time.Time{}
+	cellSpan.Unlock()
+}
+
+func noteCell(start, end time.Time) {
+	cellSpan.Lock()
+	if cellSpan.first.IsZero() || start.Before(cellSpan.first) {
+		cellSpan.first = start
+	}
+	if end.After(cellSpan.last) {
+		cellSpan.last = end
+	}
+	cellSpan.Unlock()
+}
+
+// testNestedBlueprint is a two-level map, the shape of the daemon's
+// sleepgrid: k rows of m cells, each sleeping sleep_ms and returning its
+// global index squared. The coordinator shards the rows; each worker runs a
+// row's cells in parallel on its pool, so a row's speed follows the node's
+// grant.
+func testNestedBlueprint() skandium.Blueprint {
+	return skandium.Blueprint{
+		Name:        "remotetest-nested",
+		Description: "map(map) of sleeping square cells, k rows of m, for cluster tests",
+		Defaults:    skandium.Params{"k": 4, "m": 4, "sleep_ms": 0},
+		Remote:      skandium.JSONCodec[gridRow, int](),
+		Build: func(p skandium.Params) (skandium.Runner, error) {
+			k, m := p.Int("k", 4), p.Int("m", 4)
+			sleep := p.Int("sleep_ms", 0)
+			if k < 1 || m < 1 {
+				return nil, fmt.Errorf("remotetest-nested: k and m must be >= 1")
+			}
+			rows := skandium.NewSplit("rows", func(total int) ([]gridRow, error) {
+				out := make([]gridRow, total/m)
+				for i := range out {
+					out[i] = gridRow{Row: i, M: m, SleepMS: sleep}
+				}
+				return out, nil
+			})
+			cells := skandium.NewSplit("cells", func(r gridRow) ([]gridCell, error) {
+				out := make([]gridCell, r.M)
+				for i := range out {
+					out[i] = gridCell{N: r.Row*r.M + i, SleepMS: r.SleepMS}
+				}
+				return out, nil
+			})
+			fe := skandium.NewExec("square", func(c gridCell) (int, error) {
+				start := time.Now()
+				if c.SleepMS > 0 {
+					time.Sleep(time.Duration(c.SleepMS) * time.Millisecond)
+				}
+				noteCell(start, time.Now())
+				return c.N * c.N, nil
+			})
+			sum := skandium.NewMerge("sum", func(parts []int) (int, error) {
+				s := 0
+				for _, v := range parts {
+					s += v
+				}
+				return s, nil
+			})
+			inner := skandium.Map(cells, skandium.Seq(fe), sum)
+			return skandium.NewRunner(skandium.Map(rows, inner, sum), k*m), nil
 		},
 	}
 }
