@@ -7,11 +7,8 @@ GO ?= go
 all: check
 
 # check is the pre-merge gate: compile, full tests, vet/fmt, static
-# analysis, then the race detector over the concurrency-heavy packages
-# (pool, controller+arbiter, daemon), the cross-backend conformance
-# harness (its differential runs each tree's raw and optimized program side
-# by side), the stream lifecycle tests of the root package, the cluster
-# chaos suite (network faults, partitions, flaps), the virtual-time
+# analysis, then the race detector over every package of the module, the
+# cluster chaos suite (network faults, partitions, flaps), the virtual-time
 # overload harness (multi-tenant fairness invariants), the seeded policy
 # tournament (adaptation policies raced across the scenario corpus), and
 # the nested benchmark module's vet + self-test.
@@ -23,9 +20,10 @@ build:
 test:
 	$(GO) test ./...
 
+# race runs the whole suite under the race detector: every package, the
+# root package's stream tests included, and no -run filter.
 race:
-	$(GO) test -race ./internal/exec ./internal/event ./internal/sim ./internal/core ./internal/server ./internal/chaos ./internal/journal ./internal/plan ./internal/conformance ./internal/remote ./internal/tournament
-	$(GO) test -race -run 'TestClose|TestDrain|TestStream|TestChaos|TestWithRetry|TestWCTGoal|TestGoalExecution' .
+	$(GO) test -race ./...
 
 # chaos runs the seeded cluster chaos scenarios (RPC drops, one
 # partition/heal cycle, ambiguous replays, probation re-admission,

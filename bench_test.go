@@ -354,64 +354,26 @@ func BenchmarkAblationMuscleSharing(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPredictor compares the paper's ADG estimation against
-// the cheap analytic work/span model (the paper's §6 "different WCT
-// estimation algorithms comparing its overhead costs"): same scenario, the
-// metrics show prediction-quality differences (goal adherence, peak LP)
-// while ns/op shows the end-to-end cost difference.
-func BenchmarkAblationPredictor(b *testing.B) {
-	for _, tc := range []struct {
-		name string
-		p    core.Predictor
-	}{{"adg", core.ADGPredictor{}}, {"workspan", core.WorkSpanPredictor{}}} {
-		b.Run(tc.name, func(b *testing.B) {
-			spec := paperexp.Scenario1()
-			spec.Predictor = tc.p
-			var r *paperexp.Result
-			var err error
-			for i := 0; i < b.N; i++ {
-				r, err = paperexp.Run(spec)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(r.Makespan.Seconds(), "makespan_s")
-			b.ReportMetric(float64(r.PeakLP), "peakLP")
-			missed := 0.0
-			if r.Makespan > spec.Goal {
-				missed = 1
-			}
-			b.ReportMetric(missed, "goalMissed")
-		})
-	}
-}
-
-// BenchmarkPredictorCost isolates the per-analysis cost of each predictor
-// on the Fig. 1 snapshot.
+// BenchmarkPredictorCost isolates the cost of one fresh ADG prediction on
+// the Fig. 1 snapshot.
 func BenchmarkPredictorCost(b *testing.B) {
-	for _, tc := range []struct {
-		name string
-		p    core.Predictor
-	}{{"adg", core.ADGPredictor{}}, {"workspan", core.WorkSpanPredictor{}}} {
-		b.Run(tc.name, func(b *testing.B) {
-			f := newFig1()
-			in := core.PredictorInput{
-				Node:    f.outer,
-				Tracker: f.tr,
-				Est:     f.est,
-				Start:   clock.Epoch,
-				Now:     clock.Epoch.Add(70 * time.Millisecond),
+	b.Run("adg", func(b *testing.B) {
+		f := newFig1()
+		in := core.PredictorInput{
+			Tracker: f.tr,
+			Est:     f.est,
+			Start:   clock.Epoch,
+			Now:     clock.Epoch.Add(70 * time.Millisecond),
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			pred, err := core.ADGPredictor{}.Predict(in)
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				pred, err := tc.p.Predict(in)
-				if err != nil {
-					b.Fatal(err)
-				}
-				pred.LimitedEnd(2)
-			}
-		})
-	}
+			pred.LimitedEnd(2)
+		}
+	})
 }
 
 // BenchmarkAnalyzeSteady measures one controller analysis on a live 8×8

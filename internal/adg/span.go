@@ -12,10 +12,8 @@ import (
 // SpanEstimate computes the estimated span of a program: the WCT under
 // infinite parallelism (the critical path of the virtual ADG), from the
 // current t(m)/|m| estimates, in closed form. Together with SeqEstimate
-// (the work) it powers the cheap work/span WCT predictor
-// (core.WorkSpanPredictor) used to ablate estimation overhead, in the
-// spirit of Lobachev et al.'s sequential-work + parallel-penalty model
-// that the paper contrasts with its ADG approach.
+// (the work) it bounds a fresh execution's WCT from below at any LP:
+// max(span, work/LP), the bound core.Feasible applies.
 func SpanEstimate(est *estimate.Registry, node *skel.Node) (time.Duration, error) {
 	p, err := plan.Of(node)
 	if err != nil {

@@ -40,7 +40,7 @@ func (r *reuseCheck) Observe(pred *core.Prediction, act core.Actuation) core.Pro
 
 func (r *reuseCheck) compare(kept *core.Prediction, act core.Actuation) string {
 	fresh, err := core.ADGPredictor{}.Predict(core.PredictorInput{
-		Node: r.node, Tracker: r.tracker, Est: r.est, Start: act.Start, Now: act.Now,
+		Tracker: r.tracker, Est: r.est, Start: act.Start, Now: act.Now,
 	})
 	if err != nil {
 		return fmt.Sprintf("at %v: fresh build: %v", act.Now, err)

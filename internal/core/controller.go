@@ -79,11 +79,6 @@ type Config struct {
 	// executing controllers — callers fanning one configured value out to
 	// several controllers replicate it with ClonePolicy first.
 	Policy Policy
-	// ADGBudget caps ADG size (0 = adg.DefaultBudget).
-	ADGBudget int
-	// Predictor selects the WCT estimation algorithm (nil = the paper's
-	// ADGPredictor; WorkSpanPredictor is the cheap analytic variant).
-	Predictor Predictor
 	// DecreaseHold suppresses decreases for this long after an increase,
 	// damping the raise/halve oscillation that per-event analyses can
 	// produce when estimates are still settling. Zero keeps the paper's
@@ -160,7 +155,6 @@ type Demand struct {
 // tracker on the same event registry (Attach does both in order), so state
 // machines observe an event before the controller analyses it.
 type Controller struct {
-	node    *skel.Node
 	lever   LPControl
 	est     *estimate.Registry
 	tracker *statemachine.Tracker
@@ -177,8 +171,8 @@ type Controller struct {
 	gateOpen bool
 	released bool
 	memo     analysisMemo
-	// live is the ADG predictor's graph, kept across analyses (nil before
-	// the first ADG analysis and once the execution is over).
+	// live is the ADG every analysis predicts from, kept across analyses
+	// (nil before the first analysis and once the execution is over).
 	live *liveADG
 
 	mu           sync.Mutex
@@ -210,7 +204,6 @@ func NewController(cfg Config, node *skel.Node, lever LPControl, est *estimate.R
 	dur, card := adg.RequiredEstimates(node)
 	return &Controller{
 		cfg:     cfg,
-		node:    node,
 		lever:   lever,
 		est:     est,
 		tracker: tracker,
@@ -417,7 +410,7 @@ func (c *Controller) Decisions() []Decision {
 	return append([]Decision(nil), c.decisions...)
 }
 
-// analysisMemo is one cached predictor snapshot together with the inputs
+// analysisMemo is one cached ADG prediction together with the inputs
 // it was computed from (pred == nil: none). Versions are read before
 // predicting, so an equal (estVer, topoVer) on a later analysis proves the
 // knowledge base did not change in between — at worst the memo is newer
@@ -427,30 +420,13 @@ type analysisMemo struct {
 	topoVer uint64
 	start   time.Time
 	now     time.Time
-	budget  int
 	pred    *Prediction
 }
 
 // sameKnowledge reports whether the memo was computed from the given
-// versions, start and budget — whatever its instant.
-func (m *analysisMemo) sameKnowledge(estVer, topoVer uint64, start time.Time, budget int) bool {
-	return m.pred != nil && m.estVer == estVer && m.topoVer == topoVer &&
-		m.start.Equal(start) && m.budget == budget
-}
-
-// memoLimited wraps a Prediction's LimitedEnd with a per-LP cache: graph
-// predictors reschedule the whole ADG per call, and analyses repeatedly ask
-// for the same handful of LPs (current, half, minimal-search probes).
-func memoLimited(f func(int) time.Time) func(int) time.Time {
-	cache := make(map[int]time.Time, 4)
-	return func(lp int) time.Time {
-		if t, ok := cache[lp]; ok {
-			return t
-		}
-		t := f(lp)
-		cache[lp] = t
-		return t
-	}
+// versions and start — whatever its instant.
+func (m *analysisMemo) sameKnowledge(estVer, topoVer uint64, start time.Time) bool {
+	return m.pred != nil && m.estVer == estVer && m.topoVer == topoVer && m.start.Equal(start)
 }
 
 // Analyze runs one full estimation/adaptation cycle at time now and
@@ -481,11 +457,6 @@ func (c *Controller) Analyze(now time.Time) bool {
 		c.gateOpen = true
 	}
 
-	predictor := cfg.Predictor
-	if predictor == nil {
-		predictor = ADGPredictor{}
-	}
-	_, graphed := predictor.(ADGPredictor)
 	// Versions are read before predicting (see analysisMemo). The memo is
 	// reused at three depths: nothing changed since the last analysis at
 	// the same instant (virtual-time event batches share a timestamp) —
@@ -496,45 +467,28 @@ func (c *Controller) Analyze(now time.Time) bool {
 	estVer := c.est.Version()
 	topoVer := c.tracker.Version()
 	m := &c.memo
-	var pred *Prediction
-	switch known := m.sameKnowledge(estVer, topoVer, start, cfg.ADGBudget); {
+	switch known := m.sameKnowledge(estVer, topoVer, start); {
 	case known && m.now.Equal(now):
-		pred = m.pred
-	case known && graphed:
+		// the kept prediction stands
+	case known:
 		c.live.reschedule(now)
-		pred = m.pred
 	default:
-		in := PredictorInput{
-			Node:    c.node,
+		if c.live == nil {
+			c.live = newLiveADG()
+		}
+		err := c.live.build(PredictorInput{
 			Tracker: c.tracker,
 			Est:     c.est,
 			Start:   start,
 			Now:     now,
-			Budget:  cfg.ADGBudget,
-		}
-		if graphed {
-			if c.live == nil {
-				c.live = newLiveADG()
-			}
-			if err := c.live.build(in); err != nil {
-				m.pred = nil // the graph is half rebuilt
-				return false
-			}
-			pred = &c.live.pred
-		} else {
-			p, err := predictor.Predict(in)
-			if err != nil {
-				return false // not started yet, or estimates raced away; retry later
-			}
-			p.LimitedEnd = memoLimited(p.LimitedEnd)
-			pred = p
+		})
+		if err != nil {
+			m.pred = nil // not started yet, or the graph is half rebuilt; retry later
+			return false
 		}
 	}
-	*m = analysisMemo{
-		estVer: estVer, topoVer: topoVer,
-		start: start, now: now, budget: cfg.ADGBudget,
-		pred: pred,
-	}
+	pred := &c.live.pred
+	*m = analysisMemo{estVer: estVer, topoVer: topoVer, start: start, now: now, pred: pred}
 	cur := c.lever.LP()
 	deadline := start.Add(cfg.WCTGoal)
 

@@ -59,8 +59,6 @@ type Spec struct {
 	// ablations are core.PaperPolicy values). A stateful policy must be
 	// fresh per run.
 	Policy core.Policy
-	// Predictor selects the WCT estimation algorithm (nil = ADG).
-	Predictor core.Predictor
 	// AnalysisInterval throttles analyses (0 = every After event).
 	AnalysisInterval time.Duration
 	// Tweets sizes the synthetic corpus (0 = small default; corpus size
@@ -316,7 +314,6 @@ func (w *world) run(spec Spec, profile estimate.Profile) (*Result, error) {
 			MaxLP:            spec.MaxLP,
 			AnalysisInterval: spec.AnalysisInterval,
 			Policy:           spec.Policy,
-			Predictor:        spec.Predictor,
 		}, program, eng, est, tracker, eng.Clock())
 		ctl.SetStart(eng.Now())
 		core.Attach(reg, tracker, ctl)

@@ -2,6 +2,7 @@ package remote
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -59,7 +60,8 @@ type Config struct {
 	// suspect after 1 failure, down after 3, 2 probation probes, cap 1).
 	Health HealthConfig
 	// Transport substitutes the HTTP transport of every worker connection
-	// (nil = default). The seam the chaos.NetInjector plugs into.
+	// (nil = a private clone of the default transport, whose connections
+	// Close releases). The seam the chaos.NetInjector plugs into.
 	Transport http.RoundTripper
 	// NoDegrade disables the local-pool fallback: when healthy capacity
 	// collapses mid-job the job fails (the pre-partition-tolerance
@@ -86,9 +88,8 @@ type Config struct {
 // requeue-on-node-loss, and runs a cluster-wide core.Arbiter over nodes so Σ
 // per-node LP grants never exceeds the global budget. When healthy capacity
 // collapses mid-job it degrades gracefully: remaining shards drain to a
-// local pool instead of failing the job. It implements core.LPControl — the
-// lever is the number of enabled nodes, so the unchanged autonomic
-// machinery can scale the cluster like it scales a thread pool.
+// local pool instead of failing the job. The node set is fixed at New; the
+// lever is each node's grant.
 type Cluster struct {
 	cfg    Config
 	clk    clock.Clock
@@ -96,9 +97,19 @@ type Cluster struct {
 	client *http.Client
 	rpc    *rpc
 	id     string
+	nodes  []*node
+	// transport is the cluster's own clone of the default transport (nil
+	// when Config.Transport was given), so Close can release exactly the
+	// connections the cluster opened.
+	transport *http.Transport
 
 	stopProbe chan struct{}
 	probeWG   sync.WaitGroup
+	// pushCtx is the grant pushes' context, canceled by Close through
+	// stopPushes; pushWG counts the per-node senders.
+	pushCtx    context.Context
+	stopPushes context.CancelFunc
+	pushWG     sync.WaitGroup
 	// probed wakes the running job's dispatch supervisor after each probe
 	// round; one slot, because a wake-up that finds one pending adds nothing.
 	probed chan struct{}
@@ -121,10 +132,8 @@ type Cluster struct {
 	hedged   atomic.Int64 // straggler tasks re-enqueued for hedging
 	hedgeOff atomic.Bool  // brownout: speculative duplicates suspended
 
-	mu      sync.Mutex
-	nodes   []*node
-	enabled int
-	closed  bool
+	mu     sync.Mutex
+	closed bool
 }
 
 // node is the coordinator's proxy for one worker endpoint. It is the
@@ -135,7 +144,6 @@ type Cluster struct {
 type node struct {
 	addr string
 	c    *Cluster
-	idx  int // position in the endpoint list; SetLP enables a prefix
 	hp   *health
 
 	// tmu serialises health-transition side effects (arbiter admission,
@@ -161,8 +169,8 @@ type node struct {
 
 func (n *node) state() NodeState { return n.hp.State() }
 
-// Demand is the node's wish. While a job holds the cluster, an enabled
-// node asks for its thread cap — the reported MaxLP, or the whole budget
+// Demand is the node's wish. While a job holds the cluster, a node asks
+// for its thread cap — the reported MaxLP, or the whole budget
 // when the worker is uncapped: the job being dispatched is the parent's
 // contract, so the share is set as the job takes the cluster and no probe
 // can move it until the job returns. Outside a job the wish follows the
@@ -173,7 +181,7 @@ func (n *node) Demand() core.Demand {
 	rep := n.report
 	n.mu.Unlock()
 	d := core.NodeDemand(rep)
-	if n.c.holding.Load() && n.c.isEnabled(n) {
+	if n.c.holding.Load() {
 		d.DesiredLP = rep.MaxLP
 		if d.DesiredLP < 1 {
 			d.DesiredLP = n.c.cfg.Budget
@@ -203,8 +211,23 @@ func (n *node) pushLP(g int) {
 	n.pushing = true
 	n.pushMu.Unlock()
 	if start {
-		go n.sendGrants()
+		n.c.goPush(n.sendGrants)
 	}
+}
+
+// goPush runs a grant sender unless the cluster is closed: a push started
+// after Close would reopen a connection Close has just released.
+func (c *Cluster) goPush(send func()) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		return
+	}
+	c.pushWG.Add(1)
+	go func() {
+		defer c.pushWG.Done()
+		send()
+	}()
 }
 
 // sendGrants posts the latest pending grant until none is left.
@@ -219,7 +242,9 @@ func (n *node) sendGrants() {
 			return
 		}
 		body, _ := json.Marshal(LPRequest{LP: g})
-		resp, err := n.c.client.Post(n.addr+"/lp", "application/json", bytes.NewReader(body))
+		req, _ := http.NewRequestWithContext(n.c.pushCtx, http.MethodPost, n.addr+"/lp", bytes.NewReader(body))
+		req.Header.Set("Content-Type", "application/json")
+		resp, err := n.c.client.Do(req)
 		if err == nil {
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
@@ -233,7 +258,6 @@ type NodeStatus struct {
 	Addr    string
 	Healthy bool // state == healthy
 	State   string
-	Enabled bool
 	Grant   int
 	Tasks   int64
 	// ConsecFails is the current consecutive-failure streak.
@@ -263,24 +287,33 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = clock.System
 	}
-	client := &http.Client{Timeout: cfg.HTTPTimeout, Transport: cfg.Transport}
-	c := &Cluster{
-		cfg:       cfg,
-		clk:       cfg.Clock,
-		arb:       core.NewArbiter(cfg.Budget, cfg.Clock),
-		client:    client,
-		rpc:       newRPC(client, cfg.Clock, cfg.RPC),
-		id:        fmt.Sprintf("%x", time.Now().UnixNano()),
-		stopProbe: make(chan struct{}),
-		probed:    make(chan struct{}, 1),
-		enabled:   len(cfg.Workers),
-		onEvent:   cfg.OnNodeEvent,
+	var own *http.Transport
+	transport := cfg.Transport
+	if transport == nil {
+		own = http.DefaultTransport.(*http.Transport).Clone()
+		transport = own
 	}
-	for i, addr := range cfg.Workers {
+	client := &http.Client{Timeout: cfg.HTTPTimeout, Transport: transport}
+	pushCtx, cancel := context.WithCancel(context.Background())
+	c := &Cluster{
+		cfg:        cfg,
+		clk:        cfg.Clock,
+		arb:        core.NewArbiter(cfg.Budget, cfg.Clock),
+		client:     client,
+		rpc:        newRPC(client, cfg.Clock, cfg.RPC),
+		id:         fmt.Sprintf("%x", time.Now().UnixNano()),
+		transport:  own,
+		stopProbe:  make(chan struct{}),
+		pushCtx:    pushCtx,
+		stopPushes: cancel,
+		probed:     make(chan struct{}, 1),
+		onEvent:    cfg.OnNodeEvent,
+	}
+	for _, addr := range cfg.Workers {
 		if len(addr) < 7 || (addr[:7] != "http://" && (len(addr) < 8 || addr[:8] != "https://")) {
 			addr = "http://" + addr
 		}
-		c.nodes = append(c.nodes, &node{addr: addr, c: c, idx: i, hp: newHealth(cfg.Health)})
+		c.nodes = append(c.nodes, &node{addr: addr, c: c, hp: newHealth(cfg.Health)})
 	}
 	for _, n := range c.nodes {
 		c.probeOne(n)
@@ -290,7 +323,8 @@ func New(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// Close stops the probe loop and the degradation pool.
+// Close stops the probe loop, the grant pushes and the degradation pool,
+// then closes the cluster's idle worker connections.
 func (c *Cluster) Close() {
 	c.mu.Lock()
 	if c.closed {
@@ -301,12 +335,17 @@ func (c *Cluster) Close() {
 	c.mu.Unlock()
 	close(c.stopProbe)
 	c.probeWG.Wait()
+	c.stopPushes()
+	c.pushWG.Wait()
 	c.poolMu.Lock()
 	if c.lpool != nil {
 		c.lpool.Close()
 		c.lpool = nil
 	}
 	c.poolMu.Unlock()
+	if c.transport != nil {
+		c.transport.CloseIdleConnections()
+	}
 }
 
 func (c *Cluster) probeLoop() {
@@ -318,7 +357,7 @@ func (c *Cluster) probeLoop() {
 		case <-c.stopProbe:
 			return
 		case <-t.C:
-			for _, n := range c.snapshotNodes() {
+			for _, n := range c.nodes {
 				c.probeOne(n)
 			}
 			// The cluster's one tick: divide the budget on the reports just
@@ -330,14 +369,6 @@ func (c *Cluster) probeLoop() {
 			}
 		}
 	}
-}
-
-func (c *Cluster) snapshotNodes() []*node {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]*node, len(c.nodes))
-	copy(out, c.nodes)
-	return out
 }
 
 // probeOne refreshes one node's report and feeds the state machine. Probes
@@ -439,38 +470,9 @@ func (c *Cluster) SetOnNodeEvent(fn func(NodeEvent)) {
 	c.evMu.Unlock()
 }
 
-// The cluster exposes node count as the resource lever, exactly like the
-// simulator's multi-node mode does and the local pool exposes threads.
-var _ core.LPControl = (*Cluster)(nil)
-
-// LP implements core.LPControl: the number of enabled nodes.
-func (c *Cluster) LP() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.enabled
-}
-
-// SetLP implements core.LPControl: enable the first n configured nodes.
-// Like decommissioning pool threads, disabled nodes finish the batch they
-// hold; they simply receive no further work.
-func (c *Cluster) SetLP(n int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if n < 1 {
-		n = 1
-	}
-	if n > len(c.nodes) {
-		n = len(c.nodes)
-	}
-	c.enabled = n
-}
-
-// isEnabled reports whether SetLP currently ships work to n.
-func (c *Cluster) isEnabled(n *node) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return n.idx < c.enabled
-}
+// LP returns the number of configured nodes, the LP a cluster-routed job
+// reports.
+func (c *Cluster) LP() int { return len(c.nodes) }
 
 // Budget returns the cluster-wide LP budget.
 func (c *Cluster) Budget() int { return c.arb.Budget() }
@@ -489,7 +491,7 @@ func (c *Cluster) Hedged() int64 { return c.hedged.Load() }
 // probation nodes still serve; see Serving).
 func (c *Cluster) Healthy() int {
 	h := 0
-	for _, n := range c.snapshotNodes() {
+	for _, n := range c.nodes {
 		if n.state() == StateHealthy {
 			h++
 		}
@@ -497,14 +499,11 @@ func (c *Cluster) Healthy() int {
 	return h
 }
 
-// Serving counts enabled nodes the coordinator currently ships work to
+// Serving counts the nodes the coordinator currently ships work to
 // (healthy, suspect or probation).
 func (c *Cluster) Serving() int {
-	c.mu.Lock()
-	enabled := c.nodes[:c.enabled]
-	c.mu.Unlock()
 	s := 0
-	for _, n := range enabled {
+	for _, n := range c.nodes {
 		if n.state().Serving() {
 			s++
 		}
@@ -514,20 +513,14 @@ func (c *Cluster) Serving() int {
 
 // Nodes exports per-node accounting in endpoint order.
 func (c *Cluster) Nodes() []NodeStatus {
-	c.mu.Lock()
-	nodes := make([]*node, len(c.nodes))
-	copy(nodes, c.nodes)
-	enabled := c.enabled
-	c.mu.Unlock()
-	out := make([]NodeStatus, len(nodes))
-	for i, n := range nodes {
+	out := make([]NodeStatus, len(c.nodes))
+	for i, n := range c.nodes {
 		st := n.state()
 		n.mu.Lock()
 		out[i] = NodeStatus{
 			Addr:        n.addr,
 			Healthy:     st == StateHealthy,
 			State:       st.String(),
-			Enabled:     i < enabled,
 			Grant:       int(n.grant.Load()),
 			Tasks:       n.tasks.Load(),
 			ConsecFails: n.hp.ConsecFails(),
@@ -791,7 +784,7 @@ func (c *Cluster) dispatch(jr *jobRun) error {
 		return nil
 	}
 
-	exits := make(chan runnerExit, len(c.snapshotNodes())+1)
+	exits := make(chan runnerExit, len(c.nodes)+1)
 	running := map[string]bool{}  // addr → runner active
 	refused := map[string]error{} // addr → deterministic program refusal
 	localStarted := false
@@ -812,15 +805,7 @@ func (c *Cluster) dispatch(jr *jobRun) error {
 		running[n.addr] = true
 		go func() { exits <- c.nodeRunner(n, jr) }()
 	}
-	enabledNodes := func() []*node {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		out := make([]*node, c.enabled)
-		copy(out, c.nodes[:c.enabled])
-		return out
-	}
-
-	for _, n := range enabledNodes() {
+	for _, n := range c.nodes {
 		launch(n)
 	}
 	if len(running) == 0 {
@@ -845,17 +830,16 @@ func (c *Cluster) dispatch(jr *jobRun) error {
 		case <-c.probed:
 		}
 
-		// Re-evaluate the fleet: relaunch runners on nodes that recovered
-		// (or were re-enabled), and decide whether to degrade locally.
-		nodes := enabledNodes()
+		// Re-evaluate the fleet: relaunch runners on nodes that recovered,
+		// and decide whether to degrade locally.
 		serving := 0
-		for _, n := range nodes {
+		for _, n := range c.nodes {
 			if n.state().Serving() && refused[n.addr] == nil {
 				serving++
 			}
 			launch(n)
 		}
-		if len(refused) == len(nodes) && len(running) == 0 && !localStarted {
+		if len(refused) == len(c.nodes) && len(running) == 0 && !localStarted {
 			// Every worker deterministically refused the program: the job
 			// cannot run remotely, and locally only if degradation is on.
 			if c.cfg.NoDegrade {
@@ -885,10 +869,6 @@ func (c *Cluster) dispatch(jr *jobRun) error {
 // duplicate is optional work, and optional work is the first load shed
 // under sustained overload.
 func (c *Cluster) SetHedging(on bool) { c.hedgeOff.Store(!on) }
-
-// HedgingEnabled reports whether straggler hedging is currently allowed
-// (it still requires HedgeAfter > 0 to do anything).
-func (c *Cluster) HedgingEnabled() bool { return !c.hedgeOff.Load() }
 
 // hedgeStragglers re-enqueues tasks that have been claimed longer than
 // HedgeAfter, once each, when the job's pending queue is drained — every

@@ -10,6 +10,7 @@ import (
 	"os/exec"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -319,6 +320,70 @@ func TestClusterGrantPushesLandInOrder(t *testing.T) {
 	c.nodes[0].Grant(5)
 	waitClosed(slow.landed, "landed")
 	waitCond(t, "worker at the second grant", 2*time.Second, func() bool { return w.Report().LP == 5 })
+}
+
+// TestClusterCloseReleasesConnections: Close leaves no connection to a
+// worker open — neither the keep-alives of the probes, task batches and
+// grant pushes, nor one that a grant push in flight at Close, or a grant
+// arriving after it, would reopen. The workers' listeners count them.
+func TestClusterCloseReleasesConnections(t *testing.T) {
+	var open atomic.Int64
+	lpArrived := make(chan struct{}, 16)
+	var urls []string
+	for i := 0; i < 2; i++ {
+		w := NewWorker(WorkerConfig{LP: 2, MaxLP: 4})
+		h := w.Handler()
+		srv := httptest.NewUnstartedServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/lp" {
+				lpArrived <- struct{}{}
+				time.Sleep(50 * time.Millisecond) // the push is in flight meanwhile
+			}
+			h.ServeHTTP(rw, r)
+		}))
+		srv.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+			switch st {
+			case http.StateNew:
+				open.Add(1)
+			case http.StateClosed, http.StateHijacked:
+				open.Add(-1)
+			}
+		}
+		srv.Start()
+		t.Cleanup(func() { srv.Close(); w.Close() })
+		urls = append(urls, srv.URL)
+	}
+	c, err := New(Config{Workers: urls, Budget: 4, ProbeInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := c.Run("remotetest-grid", skandium.Params{"n": 8}); err != nil || res != gridSum(8) {
+		t.Fatalf("result %v, %v; want %d", res, err, gridSum(8))
+	}
+	// Let the pushes of the run land, then close with one in flight.
+	waitCond(t, "the run's grant pushes landed", 2*time.Second, func() bool {
+		for _, n := range c.nodes {
+			n.pushMu.Lock()
+			busy := n.pushing
+			n.pushMu.Unlock()
+			if busy {
+				return false
+			}
+		}
+		return true
+	})
+	for len(lpArrived) > 0 {
+		<-lpArrived
+	}
+	n := c.nodes[0]
+	n.Grant(int(n.grant.Load()) + 1)
+	select {
+	case <-lpArrived:
+	case <-time.After(2 * time.Second):
+		t.Fatal("the grant push never reached the worker")
+	}
+	c.Close()
+	n.Grant(int(n.grant.Load()) + 1) // a rebalance racing Close
+	waitCond(t, "every worker connection closed", 2*time.Second, func() bool { return open.Load() == 0 })
 }
 
 // workerProc is one re-exec'd skelworker process (see TestMain).

@@ -109,7 +109,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		views := make([]map[string]any, 0, len(nodes))
 		for _, n := range nodes {
 			v := map[string]any{
-				"addr": n.Addr, "healthy": n.Healthy, "state": n.State, "enabled": n.Enabled,
+				"addr": n.Addr, "healthy": n.Healthy, "state": n.State,
 				"grant": n.Grant, "tasks": n.Tasks,
 				"lp": n.Report.LP, "active": n.Report.Active, "queued": n.Report.Queued,
 			}

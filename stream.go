@@ -50,13 +50,10 @@ type config struct {
 	maxLP            int
 	lpCap            int
 	goal             time.Duration
-	estimator        estimate.Factory
 	analysisInterval time.Duration
 	analysisTicker   time.Duration
 	decreaseHold     time.Duration
 	policy           core.Policy
-	predictor        core.Predictor
-	adgBudget        int
 	clk              clock.Clock
 	gauge            exec.GaugeFunc
 	profile          estimate.Profile
@@ -91,18 +88,6 @@ func WithLPCap(n int) Option { return func(c *config) { c.lpCap = n } }
 // controller adapts the pool so each execution finishes within d of its
 // injection. Zero disables autonomic adaptation.
 func WithWCTGoal(d time.Duration) Option { return func(c *config) { c.goal = d } }
-
-// WithRho sets the estimator weight ρ of the paper's EWMA formula
-// (default 0.5).
-func WithRho(rho float64) Option {
-	return func(c *config) { c.estimator = estimate.EWMAFactory(rho) }
-}
-
-// WithEstimator replaces the estimator factory entirely (ablation variants:
-// estimate.MeanFactory, estimate.WindowFactory, ...).
-func WithEstimator(f estimate.Factory) Option {
-	return func(c *config) { c.estimator = f }
-}
 
 // WithAnalysisInterval throttles controller analyses (default: analyze on
 // every qualifying event).
@@ -141,20 +126,6 @@ func WithDecreaseHold(d time.Duration) Option {
 func WithPolicy(p core.Policy) Option {
 	return func(c *config) { c.policy = p }
 }
-
-// WithADGBudget caps the size of analysis graphs (0 = default).
-func WithADGBudget(n int) Option { return func(c *config) { c.adgBudget = n } }
-
-// WithPredictor selects the controller's WCT estimation algorithm: the
-// paper's Activity Dependency Graph (ADGPredictor, the default) or the
-// cheap analytic work/span model (WorkSpanPredictor).
-func WithPredictor(p core.Predictor) Option { return func(c *config) { c.predictor = p } }
-
-// Predictor variants, re-exported for WithPredictor.
-var (
-	PredictADG      core.Predictor = core.ADGPredictor{}
-	PredictWorkSpan core.Predictor = core.WorkSpanPredictor{}
-)
 
 // WithClock substitutes the time source (virtual clocks in tests).
 func WithClock(clk clock.Clock) Option { return func(c *config) { c.clk = clk } }
@@ -219,7 +190,7 @@ func NewStream[P, R any](s Skeleton[P, R], opts ...Option) *Stream[P, R] {
 	if cfg.gauge != nil {
 		pool.SetGauge(cfg.gauge)
 	}
-	est := estimate.NewRegistry(cfg.estimator)
+	est := estimate.NewRegistry(nil) // the paper's EWMA, ρ = 0.5
 	if cfg.profile != nil {
 		est.Restore(cfg.profile)
 	}
@@ -260,8 +231,6 @@ func (st *Stream[P, R]) Input(p P) *Execution[R] {
 			AnalysisInterval: st.cfg.analysisInterval,
 			DecreaseHold:     st.cfg.decreaseHold,
 			Policy:           core.ClonePolicy(st.cfg.policy),
-			Predictor:        st.cfg.predictor,
-			ADGBudget:        st.cfg.adgBudget,
 		}, st.node, st.pool, st.est, tracker, st.cfg.clk)
 		ctl.SetStart(st.cfg.clk.Now())
 		core.Attach(reg, tracker, ctl)

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"skandium/internal/estimate"
 	"skandium/internal/exec"
 )
 
@@ -76,92 +75,6 @@ func TestConcurrentAutonomicInputs(t *testing.T) {
 	}
 	if adapted == 0 {
 		t.Fatal("no execution adapted")
-	}
-}
-
-// TestWithRhoChangesEstimator: ρ=1 keeps only the last observation.
-func TestWithRhoChangesEstimator(t *testing.T) {
-	fe := NewExec("varying", func(d time.Duration) (int, error) {
-		time.Sleep(d)
-		return 0, nil
-	})
-	st := NewStream[time.Duration, int](Seq(fe), WithRho(1))
-	defer st.Close()
-	if _, err := st.Do(8 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Do(1 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	d, ok := st.Estimates().Duration(fe.Muscle().ID())
-	if !ok {
-		t.Fatal("no estimate")
-	}
-	// With ρ=1 the estimate is the last (~1ms) run, not a blend (~4.5ms).
-	if d > 4*time.Millisecond {
-		t.Fatalf("ρ=1 estimate %v still blends history", d)
-	}
-}
-
-// TestWithEstimatorVariant: the median window survives one outlier.
-func TestWithEstimatorVariant(t *testing.T) {
-	fe := NewExec("spiky", func(d time.Duration) (int, error) {
-		time.Sleep(d)
-		return 0, nil
-	})
-	st := NewStream[time.Duration, int](Seq(fe), WithEstimator(estimate.MedianFactory(5)))
-	defer st.Close()
-	for _, d := range []time.Duration{2, 2, 40, 2, 2} {
-		if _, err := st.Do(d * time.Millisecond); err != nil {
-			t.Fatal(err)
-		}
-	}
-	d, ok := st.Estimates().Duration(fe.Muscle().ID())
-	if !ok {
-		t.Fatal("no estimate")
-	}
-	if d > 10*time.Millisecond {
-		t.Fatalf("median estimate %v dominated by the outlier", d)
-	}
-}
-
-// TestWithPredictorWorkSpan: the analytic predictor drives adaptation too.
-func TestWithPredictorWorkSpan(t *testing.T) {
-	prog := nestedSleepProgram(4, 5*time.Millisecond)
-	st := NewStream[int, int](prog,
-		WithLP(1),
-		WithMaxLP(16),
-		WithWCTGoal(60*time.Millisecond),
-		WithPredictor(PredictWorkSpan))
-	defer st.Close()
-	ex := st.Input(0)
-	res, err := ex.Get()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res != 16 {
-		t.Fatalf("result %d", res)
-	}
-	if len(ex.Decisions()) == 0 {
-		t.Fatal("work/span predictor never adapted")
-	}
-}
-
-// TestWithADGBudgetStillWorks: a tiny analysis budget degrades gracefully.
-func TestWithADGBudgetStillWorks(t *testing.T) {
-	prog := nestedSleepProgram(4, 3*time.Millisecond)
-	st := NewStream[int, int](prog,
-		WithLP(1),
-		WithMaxLP(8),
-		WithWCTGoal(50*time.Millisecond),
-		WithADGBudget(4))
-	defer st.Close()
-	res, err := st.Do(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res != 16 {
-		t.Fatalf("result %d", res)
 	}
 }
 
