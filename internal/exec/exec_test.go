@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -58,19 +59,13 @@ func run(t *testing.T, nd *skel.Node, param any, lp int) (any, error) {
 	return res, err
 }
 
-func testCtx(t *testing.T) timeoutCtx { return timeoutCtx{t} }
-
-// timeoutCtx adapts testing deadlines to context for future gets.
-type timeoutCtx struct{ t *testing.T }
-
-func (c timeoutCtx) Deadline() (time.Time, bool) { return time.Now().Add(30 * time.Second), true }
-func (c timeoutCtx) Done() <-chan struct{} {
-	ch := make(chan struct{})
-	go func() { time.Sleep(30 * time.Second); close(ch) }()
-	return ch
+// testCtx bounds a future wait at 30 s; the context is released when the
+// test ends.
+func testCtx(t *testing.T) context.Context {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	t.Cleanup(cancel)
+	return ctx
 }
-func (c timeoutCtx) Err() error    { return errors.New("test timeout") }
-func (c timeoutCtx) Value(any) any { return nil }
 
 // --- functional correctness -------------------------------------------------
 

@@ -116,15 +116,9 @@ func drive(w *Worker, t *Task, call *Call, yield bool) (next *Call) {
 // instrFor builds the entry instruction for one activation of the program
 // step. parent is the activation index of the enclosing skeleton
 // activation (event.NoParent at the root). The instruction's trace is the
-// step's precompiled static trace. A step annotated as the root of a fused
-// serial chain is entered through the single fused instruction; only this
-// static-trace entry takes that path — divide&conquer re-entry with a
-// dynamically grown trace goes through actFor and stays on the per-step
-// instruction.
+// step's precompiled static trace; divide&conquer re-entry with a
+// dynamically grown trace calls actFor directly.
 func instrFor(step *plan.Step, parent int64) Instr {
-	if fp := step.Fused(); fp != nil {
-		return fusedFor(fp, parent)
-	}
 	return actFor(step, parent, step.Trace(), 0)
 }
 

@@ -34,9 +34,6 @@ func (s *Step) dump(b *strings.Builder, depth int) {
 		fmt.Fprintf(b, "  n=%d", s.n)
 	}
 	fmt.Fprintf(b, "  depth=%d", len(s.trace))
-	if s.fused != nil {
-		fmt.Fprintf(b, "  [fused: %d µops, %d acts]", len(s.fused.Ops()), s.fused.Activations())
-	}
 	if s.analytic != nil {
 		fmt.Fprintf(b, "  [analytic: work=%d span=%d aops]", len(s.analytic.WorkOps()), len(s.analytic.SpanOps()))
 	}

@@ -13,28 +13,20 @@
 //
 // Passes:
 //
-//  1. fuse-serial: a chain of serial ops (OpExec, OpWrap, OpStages,
-//     OpRepeat) never forks — the interpreter keeps one worker and the
-//     simulator one slot for the whole chain — so the chain is flattened
-//     into a FusedProg micro-op list executed by a single instruction,
-//     eliminating the per-stage Task/Instr push-pop churn.
-//  2. specialize-static: a static subtree (no OpLoop/OpSelect/OpRecurse) is
+//  1. specialize-static: a static subtree (no OpLoop/OpSelect/OpRecurse) is
 //     the subclass whose analytic work/span the conformance harness proves
 //     exact, so the recursive estimator walk is precompiled into flat
 //     postfix programs evaluated without touching the subtree.
-//  3. presize-fanout: fan-out steps get a cardinality hint slot — exact for
+//  2. presize-fanout: fan-out steps get a cardinality hint slot — exact for
 //     OpFanFixed, recorded live after every split otherwise — that
 //     consumers use to size buffers and shard batches up front.
-//  4. arena: each fused chain carries a program-owned scratch pool so the
-//     interpreter's per-activation state is recycled across roots instead
-//     of reallocated (the simulator recycles through engine-owned
-//     freelists, which need no synchronization at all).
+//
+// No pass rewrites the step tree or changes how the engines run a step.
 package plan
 
 import (
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -63,13 +55,10 @@ func Optimize(p *Program) *Program {
 // for cmd/adgdump -opt and tests.
 func OptimizeWithReport(p *Program) (*Program, []PassReport) {
 	np := cloneProgram(p)
-	reports := []PassReport{
-		fusePass(np),
+	return np, []PassReport{
 		analyticPass(np),
 		cardHintPass(np),
 	}
-	reports = append(reports, arenaReport(np))
-	return np, reports
 }
 
 // cloneProgram deep-copies the step tree so annotations never leak into the
@@ -111,235 +100,7 @@ func (p *Program) cloneStep(s *Step) *Step {
 }
 
 // ---------------------------------------------------------------------------
-// Pass 1: seq fusion.
-
-// Budget caps for one fused chain. OpRepeat unrolls, so a for(10⁶, seq)
-// would otherwise compile into millions of micro-ops; over-budget chains
-// simply stay unfused (the per-step instructions remain fully functional).
-const (
-	maxFuseOps    = 512
-	maxFuseFrames = 64
-)
-
-// FuseCode is a fused micro-operation. The five codes reproduce exactly the
-// instruction sequences the per-step interpreter and simulator would push
-// for a serial chain, in the same order — which is the fusion legality
-// argument: serial ops never fork, both engines process a non-forking chain
-// on one worker/slot without interleaving other instructions of the same
-// task, so running the flattened list inline emits the same events, in the
-// same order, with the same activation indices and (in the simulator) the
-// same virtual timestamps.
-type FuseCode uint8
-
-const (
-	// FBegin opens the activation of Step: allocate the next activation
-	// index and emit Before/Skeleton, pushing an activation frame.
-	FBegin FuseCode = iota
-	// FBody runs the execute muscle of the open OpExec activation (with the
-	// full retry/timeout protocol), emits After/Skeleton, and pops the
-	// frame.
-	FBody
-	// FEnd closes the open control activation: emit After/Skeleton, pop.
-	FEnd
-	// FNestedBegin emits Before/NestedSkel on the open activation with the
-	// op's Branch/Iter.
-	FNestedBegin
-	// FNestedEnd emits After/NestedSkel on the open activation.
-	FNestedEnd
-)
-
-// String names the micro-op code.
-func (c FuseCode) String() string {
-	switch c {
-	case FBegin:
-		return "begin"
-	case FBody:
-		return "body"
-	case FEnd:
-		return "end"
-	case FNestedBegin:
-		return "nested-begin"
-	case FNestedEnd:
-		return "nested-end"
-	default:
-		return fmt.Sprintf("FuseCode(%d)", int(c))
-	}
-}
-
-// FuseOp is one fused micro-operation.
-type FuseOp struct {
-	Code   FuseCode
-	Step   *Step // the step the op belongs to (FBegin/FBody: the opened step)
-	Branch int   // FNestedBegin/FNestedEnd: pipeline stage index
-	Iter   int   // FNestedBegin/FNestedEnd: repeat iteration index
-}
-
-// FusedProg is the flattened micro-op form of one serial chain, annotated
-// on the chain's root step. It also owns the interpreter's scratch pool
-// (pass 4): per-activation state for this chain is recycled here across
-// roots, so steady-state execution of the chain allocates nothing.
-type FusedProg struct {
-	root        *Step
-	ops         []FuseOp
-	activations int // number of FBegin ops (skeleton activations covered)
-	maxFrames   int // deepest activation nesting, sizes frame stacks exactly
-
-	scratch sync.Pool // interpreter fused-instruction state (internal/exec)
-}
-
-// Root returns the chain's root step.
-func (f *FusedProg) Root() *Step { return f.root }
-
-// Ops returns the micro-op list. Callers must not modify it.
-func (f *FusedProg) Ops() []FuseOp { return f.ops }
-
-// Activations returns how many skeleton activations the chain covers.
-func (f *FusedProg) Activations() int { return f.activations }
-
-// MaxFrames returns the deepest activation nesting of the chain.
-func (f *FusedProg) MaxFrames() int { return f.maxFrames }
-
-// Scratch returns the program-owned arena for per-activation interpreter
-// state of this chain.
-func (f *FusedProg) Scratch() *sync.Pool { return &f.scratch }
-
-// fuseSerial reports whether the subtree at s is a pure serial chain:
-// composed only of ops that never fork a second task.
-func fuseSerial(s *Step) bool {
-	switch s.op {
-	case OpExec:
-		return true
-	case OpWrap, OpRepeat:
-		return fuseSerial(s.children[0])
-	case OpStages:
-		for _, c := range s.children {
-			if !fuseSerial(c) {
-				return false
-			}
-		}
-		return len(s.children) > 0
-	default:
-		return false
-	}
-}
-
-// fuseOpCount sizes the micro-op list for a serial subtree (OpRepeat
-// unrolls). Only meaningful when fuseSerial(s) holds.
-func fuseOpCount(s *Step) int {
-	switch s.op {
-	case OpExec:
-		return 2
-	case OpWrap:
-		return 4 + fuseOpCount(s.children[0])
-	case OpStages:
-		n := 2
-		for _, c := range s.children {
-			n += 2 + fuseOpCount(c)
-		}
-		return n
-	case OpRepeat:
-		per := 2 + fuseOpCount(s.children[0])
-		if s.n > maxFuseOps { // avoid overflow on absurd repeat counts
-			return maxFuseOps + 1
-		}
-		return 2 + s.n*per
-	default:
-		return maxFuseOps + 1
-	}
-}
-
-// fuseFrameDepth returns the deepest activation nesting of a serial subtree.
-func fuseFrameDepth(s *Step) int {
-	switch s.op {
-	case OpExec:
-		return 1
-	case OpWrap, OpRepeat:
-		return 1 + fuseFrameDepth(s.children[0])
-	case OpStages:
-		deepest := 0
-		for _, c := range s.children {
-			if d := fuseFrameDepth(c); d > deepest {
-				deepest = d
-			}
-		}
-		return 1 + deepest
-	default:
-		return maxFuseFrames + 1
-	}
-}
-
-// appendFuseOps flattens the serial subtree at s into micro-ops, mirroring
-// exactly the instruction order of the per-step engines: every activation
-// opens with FBegin, control ops bracket each nested evaluation with
-// FNestedBegin/FNestedEnd (stage index as Branch, repeat index as Iter),
-// and every activation closes with FBody (OpExec) or FEnd.
-func appendFuseOps(ops []FuseOp, s *Step) []FuseOp {
-	ops = append(ops, FuseOp{Code: FBegin, Step: s})
-	switch s.op {
-	case OpExec:
-		return append(ops, FuseOp{Code: FBody, Step: s})
-	case OpWrap:
-		ops = append(ops, FuseOp{Code: FNestedBegin, Step: s})
-		ops = appendFuseOps(ops, s.children[0])
-		ops = append(ops, FuseOp{Code: FNestedEnd, Step: s})
-	case OpStages:
-		for i, c := range s.children {
-			ops = append(ops, FuseOp{Code: FNestedBegin, Step: s, Branch: i})
-			ops = appendFuseOps(ops, c)
-			ops = append(ops, FuseOp{Code: FNestedEnd, Step: s, Branch: i})
-		}
-	case OpRepeat:
-		for i := 0; i < s.n; i++ {
-			ops = append(ops, FuseOp{Code: FNestedBegin, Step: s, Iter: i})
-			ops = appendFuseOps(ops, s.children[0])
-			ops = append(ops, FuseOp{Code: FNestedEnd, Step: s, Iter: i})
-		}
-	}
-	return append(ops, FuseOp{Code: FEnd, Step: s})
-}
-
-// fusePass annotates every maximal serial chain of ≥2 activations with its
-// flattened FusedProg. Chains nested inside an annotated chain are inlined
-// by the parent and not annotated themselves; chains over the micro-op or
-// frame budget stay unfused.
-func fusePass(p *Program) PassReport {
-	rep := PassReport{Name: "fuse-serial"}
-	totalActs := 0
-	var walk func(s *Step, inChain bool)
-	walk = func(s *Step, inChain bool) {
-		self := false
-		if !inChain && fuseSerial(s) &&
-			fuseOpCount(s) <= maxFuseOps && fuseFrameDepth(s) <= maxFuseFrames {
-			ops := appendFuseOps(make([]FuseOp, 0, fuseOpCount(s)), s)
-			acts := 0
-			for i := range ops {
-				if ops[i].Code == FBegin {
-					acts++
-				}
-			}
-			if acts >= 2 { // a lone OpExec gains nothing from fusing
-				s.fused = &FusedProg{
-					root:        s,
-					ops:         ops,
-					activations: acts,
-					maxFrames:   fuseFrameDepth(s),
-				}
-				rep.Applied++
-				totalActs += acts
-				self = true
-			}
-		}
-		for _, c := range s.children {
-			walk(c, inChain || self)
-		}
-	}
-	walk(p.root, false)
-	rep.Detail = fmt.Sprintf("%d chains fused covering %d activations", rep.Applied, totalActs)
-	return rep
-}
-
-// ---------------------------------------------------------------------------
-// Pass 2: static specialization.
+// Pass 1: static specialization.
 
 // maxAnalyticStack bounds the postfix evaluation stack; subtrees needing
 // more (pathologically deep nesting) simply stay unannotated.
@@ -571,7 +332,7 @@ func countSteps(s *Step) int {
 }
 
 // ---------------------------------------------------------------------------
-// Pass 3: fan-out pre-sizing.
+// Pass 2: fan-out pre-sizing.
 
 // CardHint is the live cardinality hint of one fan-out step: the last
 // observed (or statically known) number of parts its split produced.
@@ -623,19 +384,5 @@ func cardHintPass(p *Program) PassReport {
 		}
 	}
 	rep.Detail = fmt.Sprintf("%d fan-out hint slots (%d statically seeded)", rep.Applied, seeded)
-	return rep
-}
-
-// ---------------------------------------------------------------------------
-// Pass 4: arenas (reporting only — the pools live on the FusedProgs).
-
-func arenaReport(p *Program) PassReport {
-	rep := PassReport{Name: "arena"}
-	for _, s := range p.steps {
-		if s.fused != nil {
-			rep.Applied++
-		}
-	}
-	rep.Detail = fmt.Sprintf("%d program-owned scratch pools provisioned", rep.Applied)
 	return rep
 }

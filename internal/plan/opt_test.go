@@ -27,89 +27,6 @@ func mustCompile(t *testing.T, nd *skel.Node) *Program {
 	return p
 }
 
-func TestFusePassSerialChain(t *testing.T) {
-	nd := skel.NewPipe(
-		skel.NewSeq(fe("a")),
-		skel.NewFor(3, skel.NewSeq(fe("b"))),
-		skel.NewFarm(skel.NewSeq(fe("c"))),
-	)
-	raw := mustCompile(t, nd)
-	opt := Optimize(raw)
-
-	fp := opt.Root().Fused()
-	if fp == nil {
-		t.Fatal("fully serial chain not fused at root")
-	}
-	// Activations: pipe + a + for + 3×b + farm + c.
-	if fp.Activations() != 8 {
-		t.Fatalf("activations = %d, want 8", fp.Activations())
-	}
-	begins, bodies, ends := 0, 0, 0
-	for _, op := range fp.Ops() {
-		switch op.Code {
-		case FBegin:
-			begins++
-			if op.Step == nil {
-				t.Fatal("FBegin without step")
-			}
-		case FBody:
-			bodies++
-		case FEnd:
-			ends++
-		}
-	}
-	if begins != 8 || bodies != 5 { // execs: a, b×3 (unrolled), c
-		t.Fatalf("begins=%d bodies=%d, want 8/5", begins, bodies)
-	}
-	// Every non-exec activation closes with FEnd; exec closes via FBody.
-	if begins != bodies+ends {
-		t.Fatalf("begins=%d != bodies+ends=%d", begins, bodies+ends)
-	}
-	// Nested chains are inlined by the root's chain, not annotated again.
-	for _, s := range opt.Steps()[1:] {
-		if s.Fused() != nil {
-			t.Fatalf("inner step #%d carries its own fused chain", s.Index())
-		}
-	}
-	// The input program is never mutated.
-	for _, s := range raw.Steps() {
-		if s.Fused() != nil || s.Analytic() != nil || s.CardHint() != nil {
-			t.Fatalf("Optimize annotated its input at step #%d", s.Index())
-		}
-	}
-}
-
-func TestFuseStopsAtForks(t *testing.T) {
-	nd := skel.NewPipe(
-		skel.NewFor(2, skel.NewSeq(fe("a"))),
-		skel.NewMap(fs("s"), skel.NewSeq(fe("e")), fm("m")),
-	)
-	opt := Optimize(mustCompile(t, nd))
-	root := opt.Root()
-	if root.Fused() != nil {
-		t.Fatal("chain fused across a fan-out")
-	}
-	if root.Child(0).Fused() == nil {
-		t.Fatal("serial for-chain before the fan-out not fused")
-	}
-	if root.Child(1).Fused() != nil {
-		t.Fatal("fan-out step fused")
-	}
-	// The map body is a lone activation: fusing it would gain nothing.
-	if root.Child(1).Child(0).Fused() != nil {
-		t.Fatal("single-activation body fused")
-	}
-}
-
-func TestFuseRespectsBudget(t *testing.T) {
-	opt := Optimize(mustCompile(t, skel.NewFor(1000, skel.NewSeq(fe("a")))))
-	for _, s := range opt.Steps() {
-		if s.Fused() != nil {
-			t.Fatal("over-budget repeat chain was fused")
-		}
-	}
-}
-
 func TestAnalyticWorkAndSpan(t *testing.T) {
 	split, body1, body2, merge := fs("s"), fe("a"), fe("b"), fm("m")
 	nd := skel.NewMap(split, skel.NewPipe(skel.NewSeq(body1), skel.NewSeq(body2)), merge)
@@ -240,6 +157,9 @@ func TestOptimizePreservesStructure(t *testing.T) {
 		if opt.StepFor(r.Node().ID()) == nil {
 			t.Fatalf("step %d lost its byID entry", i)
 		}
+		if r.Analytic() != nil || r.CardHint() != nil {
+			t.Fatalf("Optimize annotated its input at step #%d", i)
+		}
 	}
 }
 
@@ -255,7 +175,7 @@ func TestOfCachesOptimizedProgram(t *testing.T) {
 	}
 	annotated := false
 	for _, s := range p1.Steps() {
-		if s.Fused() != nil || s.Analytic() != nil || s.CardHint() != nil {
+		if s.Analytic() != nil || s.CardHint() != nil {
 			annotated = true
 		}
 	}
@@ -267,48 +187,45 @@ func TestOfCachesOptimizedProgram(t *testing.T) {
 	}
 }
 
-// TestRewriteOptimizeRace: plan.Of must compose with skel.Optimize rewrites —
-// racing callers on the original and the rewritten tree each observe exactly
-// one cached program per node, and every published program is optimized.
+// TestRewriteOptimizeRace: racing plan.Of callers on two distinct roots
+// sharing a subtree each observe exactly one cached program per node, and
+// every published program carries the optimizer's annotations.
 func TestRewriteOptimizeRace(t *testing.T) {
-	nd := skel.NewPipe(
-		skel.NewSeq(fe("x")),
-		skel.NewSeq(fe("y")),
-		skel.NewFor(2, skel.NewSeq(fe("z"))),
-	)
-	rewritten := skel.Optimize(nd, skel.OptimizeOptions{FuseSeqPipes: true})
-	if rewritten == nd {
-		t.Fatal("rewrite changed nothing; race test needs two distinct roots")
-	}
+	shared := skel.NewFor(2, skel.NewSeq(fe("z")))
+	a := skel.NewPipe(skel.NewSeq(fe("x")), skel.NewSeq(fe("y")), shared)
+	b := skel.NewMap(fs("s"), shared, fm("m"))
 	const goroutines = 24
-	orig := make([]*Program, goroutines)
-	rewr := make([]*Program, goroutines)
+	pa := make([]*Program, goroutines)
+	pb := make([]*Program, goroutines)
 	var wg sync.WaitGroup
 	for i := 0; i < goroutines; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			if i%2 == 0 {
-				orig[i], _ = Of(nd)
-				rewr[i], _ = Of(rewritten)
+				pa[i], _ = Of(a)
+				pb[i], _ = Of(b)
 			} else {
-				rewr[i], _ = Of(rewritten)
-				orig[i], _ = Of(nd)
+				pb[i], _ = Of(b)
+				pa[i], _ = Of(a)
 			}
 		}(i)
 	}
 	wg.Wait()
 	for i := 1; i < goroutines; i++ {
-		if orig[i] != orig[0] || rewr[i] != rewr[0] {
+		if pa[i] != pa[0] || pb[i] != pb[0] {
 			t.Fatal("racing Of calls observed distinct programs for one node")
 		}
 	}
-	if orig[0] == rewr[0] {
+	if pa[0] == pb[0] {
 		t.Fatal("distinct roots share a program")
 	}
-	for _, p := range []*Program{orig[0], rewr[0]} {
-		if p.Root().Fused() == nil {
+	for _, p := range []*Program{pa[0], pb[0]} {
+		if p.Root().Analytic() == nil {
 			t.Fatalf("cached program for %s is not optimized", p.Node())
 		}
+	}
+	if pb[0].Root().CardHint() == nil {
+		t.Fatalf("cached program for %s has no fan-out hint slot", b)
 	}
 }

@@ -141,9 +141,8 @@ type Step struct {
 	// Optimizer annotations, set only by Optimize (always nil on a raw
 	// Compile output). They never change the step's structure — every
 	// structural consumer (sharding, dumping, the ADG builder) works
-	// unchanged on an optimized program; engines that know about an
+	// unchanged on an optimized program; consumers that know about an
 	// annotation use it as a faster equivalent path.
-	fused    *FusedProg
 	analytic *Analytic
 	hint     *CardHint
 }
@@ -184,11 +183,6 @@ func (s *Step) N() int { return s.n }
 
 // Index returns the step's pre-order position within its Program.
 func (s *Step) Index() int { return s.index }
-
-// Fused returns the fused micro-op chain rooted at this step, or nil when
-// the step is not the root of a fused serial chain (raw programs, non-serial
-// ops, or steps already inlined into an enclosing chain).
-func (s *Step) Fused() *FusedProg { return s.fused }
 
 // Analytic returns the closed-form work/span programs for the static
 // subtree rooted at this step, or nil when the subtree is not static (or
@@ -264,10 +258,12 @@ func (p *Program) compile(nd *skel.Node, parentTrace []*skel.Node) (*Step, error
 // optimizing and caching it on the node on first use. The cached Program is
 // shared by all concurrent executions and all consumers of node; it stays
 // alive exactly as long as the node does (it is stored on the node, not in a
-// global table). Rewrites (skel.Optimize) construct fresh nodes and so can
-// never observe a stale cache; the optimizer runs before the CAS publish, so
-// racing callers always observe either the one cached optimized program or
-// none — never a raw program that later "becomes" optimized.
+// global table), so a tree built from fresh nodes never sees another tree's
+// program, and a subtree shared by two trees keeps the program compiled for
+// executions rooted at it. The optimizer's two annotation passes run before
+// the CAS publish, so racing callers always observe either the one cached
+// optimized program or none — never a raw program that later "becomes"
+// optimized.
 func Of(node *skel.Node) (*Program, error) {
 	if c := node.CachedPlan(); c != nil {
 		return c.(*Program), nil

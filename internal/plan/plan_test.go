@@ -151,71 +151,82 @@ func TestOfConcurrentSingleProgram(t *testing.T) {
 	}
 }
 
-// TestRewriteNeverObservesStalePlan: skel.Optimize builds fresh nodes, so a
-// plan cached on the original root cannot leak into the rewritten tree. A
-// subtree reused by the rewrite may legitimately keep its cached plan —
-// nodes are immutable, so a per-node cache can never go stale.
-func TestRewriteNeverObservesStalePlan(t *testing.T) {
+// TestSharedSubtreeNeverObservesStalePlan: plans are cached per root node,
+// so two hand-built trees sharing a subtree each compile their own program,
+// and neither leaks into the other or into the subtree's own cached plan.
+func TestSharedSubtreeNeverObservesStalePlan(t *testing.T) {
 	double := muscle.NewExecute("double", func(p any) (any, error) { return p.(int) * 2, nil })
 	inc := muscle.NewExecute("inc", func(p any) (any, error) { return p.(int) + 1, nil })
-	nd := skel.NewPipe(skel.NewSeq(double), skel.NewSeq(inc))
+	shared := skel.NewPipe(skel.NewSeq(double), skel.NewSeq(inc))
 
-	before, err := Of(nd)
+	before, err := Of(shared)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if before.Len() != 3 { // pipe + 2 seqs
-		t.Fatalf("original program has %d steps, want 3", before.Len())
+		t.Fatalf("shared subtree program has %d steps, want 3", before.Len())
 	}
 
-	opt := skel.Optimize(nd, skel.OptimizeOptions{FuseSeqPipes: true})
-	if opt == nd {
-		t.Fatal("fusion did not rewrite the tree")
+	farmed := skel.NewFarm(shared)
+	piped := skel.NewPipe(shared, skel.NewSeq(inc))
+	for _, tc := range []struct {
+		root  *skel.Node
+		steps int
+		op    Op
+	}{
+		{farmed, 4, OpWrap},  // farm + pipe + 2 seqs
+		{piped, 5, OpStages}, // pipe + (pipe + 2 seqs) + seq
+	} {
+		p, err := Of(tc.root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p == before {
+			t.Fatalf("%s shares the subtree's cached plan", tc.root)
+		}
+		if p.Node() != tc.root || p.Root().Op() != tc.op || p.Len() != tc.steps {
+			t.Fatalf("%s: program rooted at %s, op %v, %d steps; want op %v, %d steps",
+				tc.root, p.Node(), p.Root().Op(), p.Len(), tc.op, tc.steps)
+		}
 	}
-	after, err := Of(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after == before {
-		t.Fatal("rewritten tree shares the original's cached plan")
-	}
-	// The fused pipe is a single seq: its program must reflect the rewrite,
-	// not the original structure.
-	if after.Root().Op() != OpExec {
-		t.Fatalf("optimized root op %v, want %v (fused seq)", after.Root().Op(), OpExec)
-	}
-	// The original's cache is untouched.
-	again, err := Of(nd)
+	// The subtree's own cache is untouched.
+	again, err := Of(shared)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if again != before || again.Len() != 3 {
-		t.Fatal("original cached plan changed after rewrite")
+		t.Fatal("shared subtree's cached plan changed after its parents compiled")
 	}
 }
 
-// TestRewriteReusedSubtreeKeepsValidPlan: when a rewrite reuses an
-// untouched subtree node, that node's cached plan still describes exactly
-// that subtree — caching is per-node and nodes are immutable.
-func TestRewriteReusedSubtreeKeepsValidPlan(t *testing.T) {
+// TestSharedSubtreeKeepsValidPlan: a subtree reused by two trees keeps its
+// cached plan, which still describes exactly that subtree, and each tree's
+// program reaches the subtree under its own trace — caching is per-node and
+// nodes are immutable.
+func TestSharedSubtreeKeepsValidPlan(t *testing.T) {
 	body := skel.NewMap(fs("s"), skel.NewSeq(fe("e")), fm("m"))
 	sub, err := Of(body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wrapped := skel.NewFarm(skel.NewFarm(body))
-	opt := skel.Optimize(wrapped, skel.OptimizeOptions{})
-	p, err := Of(opt)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		root  *skel.Node
+		depth int // trace length of body's step within root's program
+	}{
+		{skel.NewFarm(skel.NewFarm(body)), 3},
+		{skel.NewPipe(skel.NewSeq(fe("pre")), body), 2},
+	} {
+		p, err := Of(tc.root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := p.StepFor(body.ID())
+		if st == nil || st.Op() != OpFanOut || len(st.Trace()) != tc.depth || st.Trace()[0] != tc.root {
+			t.Fatalf("%s: shared subtree step %v not reached under the tree's own trace", tc.root, st)
+		}
 	}
-	if p.Root().Node() == wrapped {
-		t.Fatal("optimize did not normalize the farm nest")
-	}
-	// Wherever body survived in the optimized tree, its own cached program
-	// is unchanged and still rooted at body.
-	if sub2, err := Of(body); err != nil || sub2 != sub || sub2.Node() != body {
-		t.Fatalf("reused subtree plan changed: %v %v", sub2, err)
+	if sub2, err := Of(body); err != nil || sub2 != sub || sub2.Node() != body || sub2.Len() != 2 {
+		t.Fatalf("shared subtree plan changed: %v %v", sub2, err)
 	}
 }
 

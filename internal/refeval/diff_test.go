@@ -204,46 +204,6 @@ func TestSimLPMakespanMonotone(t *testing.T) {
 	}
 }
 
-// TestOptimizePreservesSemantics: the rewrite pass (normalization and seq
-// fusion) must not change results — checked against the reference
-// evaluator on random programs, and against the engine on the optimized
-// tree.
-func TestOptimizePreservesSemantics(t *testing.T) {
-	for seed := int64(300); seed < 340; seed++ {
-		g := &progGen{rng: rand.New(rand.NewSource(seed))}
-		prog := g.gen(3)
-		input := g.rng.Intn(50)
-		want, err := Eval(prog, input)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		for _, opts := range []skel.OptimizeOptions{{}, {FuseSeqPipes: true}} {
-			opt := skel.Optimize(prog, opts)
-			if err := opt.Validate(); err != nil {
-				t.Fatalf("seed %d: optimized tree invalid: %v", seed, err)
-			}
-			got, err := Eval(opt, input)
-			if err != nil {
-				t.Fatalf("seed %d (fuse=%v): %v", seed, opts.FuseSeqPipes, err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("seed %d (fuse=%v): optimized %v != original %v\noriginal:  %s\noptimized: %s",
-					seed, opts.FuseSeqPipes, got, want, prog, opt)
-			}
-			// And through the real engine.
-			pool := exec.NewPool(clock.System, 2, 0)
-			engGot, err := exec.NewRoot(pool, nil, nil).Start(opt, input).Get()
-			pool.Close()
-			if err != nil {
-				t.Fatalf("seed %d: engine on optimized: %v", seed, err)
-			}
-			if !reflect.DeepEqual(engGot, want) {
-				t.Fatalf("seed %d: engine %v != reference %v", seed, engGot, want)
-			}
-		}
-	}
-}
-
 // TestReferenceEvaluatorBasics pins the oracle itself.
 func TestReferenceEvaluatorBasics(t *testing.T) {
 	double := muscle.NewExecute("double", func(p any) (any, error) { return p.(int) * 2, nil })

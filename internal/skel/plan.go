@@ -7,9 +7,9 @@ package skel
 // and stays alive exactly as long as the node does. The value is opaque to
 // skel — plan depends on skel, not the other way around.
 //
-// Nodes are immutable after construction and rewrites (Optimize) build
-// fresh nodes, so a cached program can never go stale: a new tree starts
-// with an empty slot.
+// Nodes are immutable after construction, so a cached program can never go
+// stale: a new tree starts with an empty slot, and a subtree shared by two
+// trees keeps the program compiled for roots at it.
 
 // CachedPlan returns the compiled program cached for executions rooted at
 // n, or nil when none has been stored yet.

@@ -401,25 +401,6 @@ func TestManualSetLP(t *testing.T) {
 	}
 }
 
-func TestOptimizePublicAPI(t *testing.T) {
-	inc := NewExec("inc", func(n int) (int, error) { return n + 1, nil })
-	dbl := NewExec("dbl", func(n int) (int, error) { return 2 * n, nil })
-	prog := PipeN(Seq(inc), Seq(dbl), Seq(inc))
-	opt := Optimize(prog, true)
-	if opt.Node().Kind().String() != "seq" {
-		t.Fatalf("fusion did not collapse the pipe: %s", opt)
-	}
-	st := NewStream[int, int](opt)
-	defer st.Close()
-	res, err := st.Do(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res != 9 { // ((3+1)*2)+1
-		t.Fatalf("got %d, want 9", res)
-	}
-}
-
 func TestStreamStats(t *testing.T) {
 	prog := Map(intRange(), Seq(NewExec("id", func(n int) (int, error) { return n, nil })), intSum())
 	st := NewStream[int, int](prog, WithLP(2))

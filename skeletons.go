@@ -86,12 +86,3 @@ func Fork[P, X, Y, R any](fs Split[P, X], subs []Skeleton[X, Y], fm Merge[Y, R])
 func DaC[P, R any](fc Cond[P], fs Split[P, P], sub Skeleton[P, R], fm Merge[R, R]) Skeleton[P, R] {
 	return Skeleton[P, R]{n: skel.NewDaC(fc.m, fs.m, sub.n, fm.m)}
 }
-
-// Optimize returns a semantically equivalent normalized program:
-// redundant farms collapse, nested pipes flatten, for-loops merge, and —
-// when fuse is true — adjacent seq pipeline stages fuse into one muscle
-// (g∘f), trading per-stage events and scheduling for a single coarser
-// muscle with a fresh estimator identity.
-func Optimize[P, R any](s Skeleton[P, R], fuse bool) Skeleton[P, R] {
-	return Skeleton[P, R]{n: skel.Optimize(s.n, skel.OptimizeOptions{FuseSeqPipes: fuse})}
-}
