@@ -12,6 +12,10 @@
 // the log, serves finished results from the snapshot, and re-queues the
 // jobs the crash interrupted.
 //
+// The daemon keeps the last 1000 finished jobs. Older ones leave the job
+// table and the journal snapshot, and their ids answer 410 Gone; an id
+// never issued answers 404.
+//
 // SIGINT/SIGTERM starts a graceful shutdown: new submissions are refused,
 // running and queued jobs drain within -drain, then the listener closes.
 // A second signal exits immediately.

@@ -168,11 +168,16 @@ const (
 // snapshotFile is the on-disk shape of the compacted state.
 type snapshotFile struct {
 	Seq  uint64     `json:"seq"`
+	Last string     `json:"last,omitempty"`
 	Jobs []JobState `json:"jobs"`
 }
 
 // Journal is the write-ahead log plus its reduced job-state table (kept
 // in memory so compaction never has to re-read the log it is replacing).
+// order lists ids in submission order; an id whose state Forget dropped
+// stays in it until the next compaction trims it, and readers skip it.
+// last is the id of the newest submission, kept through Forget and every
+// compaction.
 type Journal struct {
 	dir string
 	opt Options
@@ -183,6 +188,7 @@ type Journal struct {
 	seq    uint64
 	states map[string]*JobState
 	order  []string
+	last   string
 	ctr    Counters
 	dirty  bool
 	closed bool
@@ -247,7 +253,7 @@ func (j *Journal) loadSnapshot() error {
 		j.ctr.Torn++
 		return nil
 	}
-	j.seq = snap.Seq
+	j.seq, j.last = snap.Seq, snap.Last
 	for i := range snap.Jobs {
 		st := snap.Jobs[i]
 		j.states[st.ID] = &st
@@ -308,6 +314,7 @@ func (j *Journal) applyLocked(rec Record) bool {
 			ID: rec.Job, Spec: *rec.Spec, State: StateQueued, SubmittedTS: rec.TS,
 		}
 		j.order = append(j.order, rec.Job)
+		j.last = rec.Job
 		return true
 	case OpStart:
 		if st == nil || st.Terminal() {
@@ -404,15 +411,45 @@ func (j *Journal) Fault(id string, fc FaultCounts) error {
 	return j.append(Record{Op: OpFault, Job: id, Faults: &fc})
 }
 
-// compactLocked writes the reduced job table to the snapshot (atomically:
-// tmp + fsync + rename) and truncates the journal. Caller holds j.mu (or is
-// Open, before the journal is shared).
-func (j *Journal) compactLocked() error {
-	jobs := make([]JobState, 0, len(j.order))
-	for _, id := range j.order {
-		jobs = append(jobs, *j.states[id])
+// Forget drops a terminal job's state from the table, so the next
+// compaction leaves it out of the snapshot and a replay no longer restores
+// it. It writes no record: until that compaction the log still holds the
+// job's records, and a replay of that log brings the job back. Forgetting
+// an unknown or non-terminal job does nothing.
+func (j *Journal) Forget(id string) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if st := j.states[id]; st != nil && st.Terminal() {
+		delete(j.states, id)
 	}
-	b, err := json.MarshalIndent(snapshotFile{Seq: j.seq, Jobs: jobs}, "", " ")
+}
+
+// LastSubmitted returns the id of the newest submission the journal has
+// recorded, forgotten or not: a restart that numbers its jobs in sequence
+// continues past it.
+func (j *Journal) LastSubmitted() string {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.last
+}
+
+// compactLocked writes the reduced job table to the snapshot (atomically:
+// tmp + fsync + rename) and truncates the journal. It also trims forgotten
+// ids out of order, which therefore holds at most the table plus the jobs
+// the live log has seen submitted. Caller holds j.mu (or is Open, before
+// the journal is shared).
+func (j *Journal) compactLocked() error {
+	kept := j.order[:0]
+	jobs := make([]JobState, 0, len(j.states))
+	for _, id := range j.order {
+		if st := j.states[id]; st != nil {
+			kept = append(kept, id)
+			jobs = append(jobs, *st)
+		}
+	}
+	clear(j.order[len(kept):])
+	j.order = kept
+	b, err := json.MarshalIndent(snapshotFile{Seq: j.seq, Last: j.last, Jobs: jobs}, "", " ")
 	if err != nil {
 		return fmt.Errorf("journal: snapshot marshal: %w", err)
 	}
@@ -510,9 +547,11 @@ func (j *Journal) Counters() Counters {
 func (j *Journal) States() []JobState {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	out := make([]JobState, 0, len(j.order))
+	out := make([]JobState, 0, len(j.states))
 	for _, id := range j.order {
-		out = append(out, *j.states[id])
+		if st := j.states[id]; st != nil {
+			out = append(out, *st)
+		}
 	}
 	return out
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"skandium"
+	"skandium/internal/leakcheck"
 )
 
 // The test blueprints every process sharing this binary registers: the
@@ -173,7 +174,10 @@ func gridSum(n int) int {
 // TestMain doubles as the worker-process entry point: the acceptance test
 // re-execs this binary with SKELWORKER_TEST_ADDR set, turning the child
 // into a skelworker serving the shared registry (the same trick the
-// daemon's crash-recovery tests use for SIGKILL targets).
+// daemon's crash-recovery tests use for SIGKILL targets). As the test
+// binary, it fails the package when a goroutine running code of this
+// module outlives the run: Close must stop every cluster's probe loop and
+// supervisor and every worker's pool.
 func TestMain(m *testing.M) {
 	if addr := os.Getenv("SKELWORKER_TEST_ADDR"); addr != "" {
 		w := NewWorker(WorkerConfig{LP: 2, MaxLP: 4})
@@ -183,5 +187,5 @@ func TestMain(m *testing.M) {
 		}
 		return
 	}
-	os.Exit(m.Run())
+	leakcheck.Main(m, "skandium")
 }

@@ -18,7 +18,9 @@ import (
 )
 
 // Handler returns the daemon's HTTP API (skelrund serves net/http/pprof on
-// a listener of its own, never on this one):
+// a listener of its own, never on this one). A /jobs/{id} route answers
+// 410 Gone for a job the daemon issued and has since evicted (it keeps the
+// last retainJobs finished jobs) and 404 for an id it never issued:
 //
 //	GET    /healthz                   liveness + drain state
 //	GET    /metrics                   text exposition of fleet/job/pool gauges
@@ -353,16 +355,22 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-func (s *Server) jobOr404(w http.ResponseWriter, r *http.Request) (*job, bool) {
-	j, ok := s.Job(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no job %q", r.PathValue("id")))
+// pathJob looks up the job the path names, or answers 410 for an evicted
+// id and 404 for one never issued.
+func (s *Server) pathJob(w http.ResponseWriter, r *http.Request) (*job, bool) {
+	id := r.PathValue("id")
+	j, gone := s.lookup(id)
+	switch {
+	case gone:
+		writeError(w, http.StatusGone, fmt.Errorf("job %q finished and was evicted: the daemon keeps the last %d finished jobs", id, s.cfg.retain))
+	case j == nil:
+		writeError(w, http.StatusNotFound, fmt.Errorf("no job %q", id))
 	}
-	return j, ok
+	return j, j != nil
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	if j, ok := s.jobOr404(w, r); ok {
+	if j, ok := s.pathJob(w, r); ok {
 		writeJSON(w, http.StatusOK, s.jobView(j))
 	}
 }
@@ -395,7 +403,7 @@ func (s *Server) decisionViews(ds []skandium.Decision) []decisionView {
 }
 
 func (s *Server) handleDecisions(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.jobOr404(w, r)
+	j, ok := s.pathJob(w, r)
 	if !ok {
 		return
 	}
@@ -411,7 +419,7 @@ func (s *Server) handleDecisions(w http.ResponseWriter, r *http.Request) {
 // response keeps streaming until the job finishes or the client leaves;
 // ?from=N resumes after sequence number N-1.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.jobOr404(w, r)
+	j, ok := s.pathJob(w, r)
 	if !ok {
 		return
 	}
@@ -444,7 +452,7 @@ type timelineRecord struct {
 }
 
 func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.jobOr404(w, r)
+	j, ok := s.pathJob(w, r)
 	if !ok {
 		return
 	}
@@ -486,7 +494,7 @@ type qosRequest struct {
 }
 
 func (s *Server) handleQoS(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.jobOr404(w, r)
+	j, ok := s.pathJob(w, r)
 	if !ok {
 		return
 	}
@@ -508,7 +516,7 @@ func (s *Server) handleQoS(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.jobOr404(w, r)
+	j, ok := s.pathJob(w, r)
 	if !ok {
 		return
 	}
@@ -551,12 +559,18 @@ func (s *Server) handleArbiter(w http.ResponseWriter, r *http.Request) {
 
 // handleMetrics exposes the fleet in Prometheus text exposition format
 // (hand-rolled: no dependency for a text format). The fleet-wide fault
-// totals are the sums of the per-job lines, so the job lines are rendered
-// first and written last.
+// totals are the sums of the per-job lines plus the evicted jobs' counts,
+// so the job lines are rendered first and written last. The job list and
+// the evicted base are read under one lock, so a job that an eviction
+// moves from one to the other is counted once and the totals never go
+// down.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var perJob bytes.Buffer
-	var retries, faults uint64
-	for _, j := range s.jobList() {
+	s.mu.Lock()
+	jobs := s.jobListLocked()
+	retries, faults, evicted := s.evictedRetries, s.evictedFaults, s.evicted
+	s.mu.Unlock()
+	for _, j := range jobs {
 		state, grant, h, _, _, _, _ := j.snapshot()
 		lp, active := 0, 0
 		var stats exec.Stats
@@ -594,9 +608,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "skelrund_total_lp %d\n", totalLP)
 	fmt.Fprintf(w, "# HELP skelrund_peak_total_lp peak of the aggregate LP series\n")
 	fmt.Fprintf(w, "skelrund_peak_total_lp %d\n", peakLP)
-	fmt.Fprintf(w, "# HELP skelrund_retries_total muscle attempts retried, fleet-wide\n")
+	fmt.Fprintf(w, "# HELP skelrund_retries_total muscle attempts retried, fleet-wide (evicted jobs included)\n")
 	fmt.Fprintf(w, "skelrund_retries_total %d\n", retries)
-	fmt.Fprintf(w, "# HELP skelrund_faults_total terminal muscle failures, fleet-wide\n")
+	fmt.Fprintf(w, "# HELP skelrund_faults_total terminal muscle failures, fleet-wide (evicted jobs included)\n")
 	fmt.Fprintf(w, "skelrund_faults_total %d\n", faults)
 	queued, queueMax := s.QueueDepth()
 	fmt.Fprintf(w, "# HELP skelrund_queue_len jobs waiting for budget\n")
@@ -632,6 +646,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	fmt.Fprintf(w, "# HELP skelrund_recovered_jobs jobs rehydrated or re-queued from the journal\n")
 	fmt.Fprintf(w, "skelrund_recovered_jobs %d\n", s.RecoveredJobs())
+	fmt.Fprintf(w, "# HELP skelrund_jobs_evicted_total finished jobs dropped from the job table past the retention cap\n")
+	fmt.Fprintf(w, "skelrund_jobs_evicted_total %d\n", evicted)
 	if cl := s.cfg.Cluster; cl != nil {
 		fmt.Fprintf(w, "# HELP skelrund_cluster_budget cluster-wide LP budget\n")
 		fmt.Fprintf(w, "skelrund_cluster_budget %d\n", cl.Budget())

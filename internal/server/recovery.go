@@ -17,14 +17,22 @@ import (
 // runner. Queued and running jobs are re-queued for execution from scratch
 // — muscles are pure, so re-running a job the crash interrupted produces
 // the same result it would have produced — and their journaled fault
-// counters carry over. Job numbering continues after the highest recovered
-// id, so recovered and fresh jobs never collide.
+// counters carry over. Terminal jobs are retired in journal order, so the
+// table keeps the newest retainJobs of them and the journal forgets the
+// rest. Job numbering continues after the highest id the journal has seen
+// submitted, evicted and forgotten ones included, so a fresh job never
+// takes the id of one issued before the restart.
 func (s *Server) recover(states []journal.JobState) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.jn != nil {
+		if n, ok := jobNum(s.jn.LastSubmitted()); ok {
+			s.nextID = n
+		}
+	}
 	if len(states) == 0 {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	for _, st := range states {
 		if n, ok := jobNum(st.ID); ok && n > s.nextID {
 			s.nextID = n
@@ -39,19 +47,20 @@ func (s *Server) recover(states []journal.JobState) {
 	s.admitLocked()
 }
 
-// jobNum parses the N of a "job-N" id.
+// jobNum parses the N of a "job-N" id, as Submit writes it.
 func jobNum(id string) (int, bool) {
 	rest, ok := strings.CutPrefix(id, "job-")
 	if !ok {
 		return 0, false
 	}
 	n, err := strconv.Atoi(rest)
-	return n, err == nil
+	return n, err == nil && n > 0 && strconv.Itoa(n) == rest
 }
 
 // restoreLocked rehydrates one terminal job from its persisted outcome, in
 // the form watch leaves a finished job in: a frozen handle (with zero
-// counters; the journaled ones are prior) and no runner. Caller holds s.mu.
+// counters; the journaled ones are prior) and no runner, retired like any
+// finished job. Caller holds s.mu.
 func (s *Server) restoreLocked(st journal.JobState) {
 	j := &job{
 		id:        st.ID,
@@ -78,12 +87,13 @@ func (s *Server) restoreLocked(st journal.JobState) {
 	j.rec = metrics.NewRecorder()
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
+	s.retireLocked(j)
 }
 
 // requeueLocked rebuilds a queued/running job from its journaled spec and
 // puts it back on the wait queue. A spec that no longer builds (blueprint
-// unregistered, params now invalid) is rehydrated as failed — and that
-// outcome is journaled, so the next restart does not retry it forever.
+// unregistered, params now invalid) is journaled as failed, so the next
+// restart does not retry it forever, and then rehydrated as failed.
 // Caller holds s.mu.
 func (s *Server) requeueLocked(st journal.JobState) {
 	spec := fromJournalSpec(st.Spec)
@@ -91,10 +101,10 @@ func (s *Server) requeueLocked(st journal.JobState) {
 	if err != nil {
 		st.State = journal.StateFailed
 		st.Error = fmt.Sprintf("recovery: %v", err)
-		s.restoreLocked(st)
 		if s.jn != nil {
 			_ = s.jn.Finish(st.ID, journal.StateFailed, "", st.Error, st.Faults)
 		}
+		s.restoreLocked(st)
 		return
 	}
 	j.id = st.ID

@@ -26,6 +26,13 @@ import (
 	"skandium/internal/remote"
 )
 
+// retainJobs is how many finished jobs the server keeps. Once more have
+// finished, the one that finished first leaves the job table and the
+// journal's state table, and its id answers 410 Gone. Queued and running
+// jobs are never evicted. Spark's spark.ui.retainedJobs keeps the same
+// count.
+const retainJobs = 1000
+
 // Config tunes a Server.
 type Config struct {
 	// Budget is the machine-wide LP budget the arbiter divides across jobs
@@ -45,6 +52,8 @@ type Config struct {
 	DefaultPolicy string
 	// EventLog bounds the per-job event ring (default 8192 records).
 	EventLog int
+	// retain overrides retainJobs (tests).
+	retain int
 	// Clock substitutes the time source (tests).
 	Clock clock.Clock
 
@@ -89,13 +98,24 @@ type Server struct {
 	mu         sync.Mutex
 	jobs       map[string]*job
 	remoteJobs map[string]*job // currently executing on the cluster
-	order      []string
-	queue      []*job // accepted, waiting for budget (FIFO)
-	nextID     int
-	draining   bool
-	recovered  int           // jobs rehydrated or re-queued from the journal
-	live       int           // jobs accepted and not yet finished
-	idle       chan struct{} // closed when live reaches 0 while Drain waits
+	// order lists the ids in submission order. An evicted id stays in it
+	// until evictLocked trims it, and every reader skips ids not in jobs.
+	order     []string
+	queue     []*job // accepted, waiting for budget (FIFO)
+	nextID    int
+	draining  bool
+	recovered int           // jobs rehydrated or re-queued from the journal
+	live      int           // jobs accepted and not yet finished
+	idle      chan struct{} // closed when live reaches 0 while Drain waits
+
+	// retired lists the finished jobs kept in the table, in the order they
+	// finished; past cfg.retain the first is evicted. evicted counts the
+	// evictions, and evictedRetries/evictedFaults keep the evicted jobs'
+	// fault counters (journaled prior included), so the fleet totals on
+	// /metrics never go down.
+	retired                       []string
+	evicted                       int
+	evictedRetries, evictedFaults uint64
 
 	// beforeFreeze, when set, sees each job that watch is about to freeze:
 	// terminal, journaled, stopped, its live handle still in place (tests).
@@ -118,6 +138,9 @@ func New(cfg Config) *Server {
 	}
 	if cfg.EventLog <= 0 {
 		cfg.EventLog = 8192
+	}
+	if cfg.retain <= 0 {
+		cfg.retain = retainJobs
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = clock.System
@@ -339,6 +362,45 @@ func (s *Server) finishedLocked() {
 	if s.live == 0 && s.idle != nil {
 		close(s.idle)
 		s.idle = nil
+	}
+}
+
+// retireLocked keeps a finished job — frozen, its terminal record
+// journaled — among the retained ones, and evicts the job that finished
+// first once more than cfg.retain are kept. Caller holds s.mu.
+func (s *Server) retireLocked(j *job) {
+	s.retired = append(s.retired, j.id)
+	if len(s.retired) > s.cfg.retain {
+		s.evictLocked(s.retired[0])
+		s.retired = s.retired[1:]
+	}
+}
+
+// evictLocked drops a finished job from the job table and the journal's
+// state table, and folds its fault counters into the fleet base. order is
+// trimmed once it holds twice the table, so trimming costs O(1) per
+// eviction. Caller holds s.mu.
+func (s *Server) evictLocked(id string) {
+	j := s.jobs[id]
+	delete(s.jobs, id)
+	j.mu.Lock()
+	fs := j.totalFaults(j.handle)
+	j.mu.Unlock()
+	s.evictedRetries += fs.Retries
+	s.evictedFaults += fs.Faults
+	s.evicted++
+	if s.jn != nil {
+		s.jn.Forget(id)
+	}
+	if len(s.order) > 2*len(s.jobs) {
+		kept := s.order[:0]
+		for _, k := range s.order {
+			if _, ok := s.jobs[k]; ok {
+				kept = append(kept, k)
+			}
+		}
+		clear(s.order[len(kept):])
+		s.order = kept
 	}
 }
 
@@ -593,6 +655,9 @@ func (s *Server) watch(j *job, h skandium.Handle) {
 	j.mu.Lock()
 	j.freezeLocked(h, res)
 	j.mu.Unlock()
+	s.mu.Lock()
+	s.retireLocked(j)
+	s.mu.Unlock()
 }
 
 // faultCounts converts the fault stats into their journal form.
@@ -605,26 +670,47 @@ func faultCounts(fs skandium.FaultStats) journal.FaultCounts {
 
 // Job looks a job up by id.
 func (s *Server) Job(id string) (*job, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	return j, ok
+	j, _ := s.lookup(id)
+	return j, j != nil
 }
 
-// JobIDs returns all job ids in submission order.
+// lookup finds a job by id; gone reports an id the server issued and has
+// since evicted. Ids are issued in sequence, so any job-N up to the last
+// one issued that the table lacks was evicted.
+func (s *Server) lookup(id string) (j *job, gone bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if j := s.jobs[id]; j != nil {
+		return j, false
+	}
+	n, ok := jobNum(id)
+	return nil, ok && n <= s.nextID
+}
+
+// JobIDs returns the ids of the jobs in the table in submission order.
 func (s *Server) JobIDs() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]string(nil), s.order...)
+	jobs := s.jobList()
+	ids := make([]string, len(jobs))
+	for i, j := range jobs {
+		ids[i] = j.id
+	}
+	return ids
 }
 
-// jobList returns every job in submission order.
+// jobList returns the jobs in the table in submission order.
 func (s *Server) jobList() []*job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	jobs := make([]*job, 0, len(s.order))
+	return s.jobListLocked()
+}
+
+// jobListLocked is jobList for a caller that holds s.mu.
+func (s *Server) jobListLocked() []*job {
+	jobs := make([]*job, 0, len(s.jobs))
 	for _, id := range s.order {
-		jobs = append(jobs, s.jobs[id])
+		if j, ok := s.jobs[id]; ok {
+			jobs = append(jobs, j)
+		}
 	}
 	return jobs
 }
@@ -674,6 +760,7 @@ func (s *Server) Cancel(id string) bool {
 		}
 		s.mu.Lock()
 		s.finishedLocked()
+		s.retireLocked(j)
 		s.mu.Unlock()
 	}
 	j.log.close()
@@ -823,10 +910,7 @@ func (s *Server) Drain(ctx context.Context) error {
 func (s *Server) Close() {
 	s.stopArb()
 	s.mu.Lock()
-	jobs := make([]*job, 0, len(s.jobs))
-	for _, id := range s.order {
-		jobs = append(jobs, s.jobs[id])
-	}
+	jobs := s.jobListLocked()
 	s.queue = nil
 	s.draining = true
 	s.mu.Unlock()
