@@ -2,8 +2,8 @@ package server
 
 import (
 	"context"
+	"encoding/binary"
 	"io"
-	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -57,14 +57,19 @@ const (
 
 // eventLog is a bounded ring of a job's events with follow support. The
 // listener appends from worker goroutines; NDJSON handlers copy records out
-// under the lock and render them outside it (see logReader).
+// under the lock and render them outside it (see logReader). Once the job is
+// frozen the ring is packed: its retained records move from the chunks into
+// one pointer-free buffer that readers decode (see pack).
 type eventLog struct {
 	start time.Time
 	cap   int64
 
 	mu     sync.Mutex
-	n      int64        // records ever appended; seq n-1 is the newest
-	chunks [][]record   // seq s lives in slot s%cap, chunkLen slots per chunk
+	n      int64      // records ever appended; seq n-1 is the newest
+	chunks [][]record // seq s lives in slot s%cap, chunkLen slots per chunk
+	// packed, when not empty, holds the retained records instead of the
+	// chunks: seq max(0, n-cap) first, never written once made.
+	packed []byte
 	side   []sideRecord // of the retained records whose side != sideNone, by seq
 	closed bool
 	// parked holds the wake channel of every follower that found nothing to
@@ -117,6 +122,9 @@ func (l *eventLog) appendText(at time.Time, ev, kind, when, where, err string) {
 // record once the ring is full, and wakes the followers that are parked.
 func (l *eventLog) append(rec record, side sideRecord) {
 	l.mu.Lock()
+	if len(l.packed) > 0 {
+		l.unpackLocked()
+	}
 	slot := int(l.n % l.cap)
 	c, o := slot/chunkLen, slot%chunkLen
 	switch {
@@ -163,19 +171,111 @@ func (l *eventLog) wakeLocked() {
 	l.parked = l.parked[:0]
 }
 
-// close marks the log complete (job finished) and wakes all followers. A
-// log still in its first chunk, which has not wrapped, is trimmed to the
-// records it holds: a tiny job's 18 records would otherwise keep 32 slots.
-// An append after close grows the chunk again the way a short first chunk
-// always grows.
+// close marks the log complete (job finished) and wakes all followers.
 func (l *eventLog) close() {
 	l.mu.Lock()
 	l.closed = true
-	if len(l.chunks) == 1 && l.n < int64(len(l.chunks[0])) {
-		l.chunks[0] = slices.Clone(l.chunks[0][:l.n])
-	}
 	l.wakeLocked()
 	l.mu.Unlock()
+}
+
+// slotLocked returns the chunk slot that holds retained seq.
+func (l *eventLog) slotLocked(seq int64) *record {
+	slot := int(seq % l.cap)
+	return &l.chunks[slot/chunkLen][slot%chunkLen]
+}
+
+// pack moves the retained records into one buffer sized to them, each
+// encoded against the one before it (appendPacked), and drops the chunks:
+// a frozen job's events cost what they carry, about 10 bytes a record in
+// place of 48. The side table stays as it is. Called once the job is frozen;
+// a log that is empty or packed already is left alone.
+func (l *eventLog) pack() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.chunks) == 0 {
+		return
+	}
+	base := max(0, l.n-l.cap)
+	var one [maxPackedRecord]byte
+	size, prev := 0, record{}
+	for seq := base; seq < l.n; seq++ {
+		rec := l.slotLocked(seq)
+		size += len(appendPacked(one[:0], &prev, rec))
+		prev = *rec
+	}
+	buf := make([]byte, 0, size)
+	prev = record{}
+	for seq := base; seq < l.n; seq++ {
+		rec := l.slotLocked(seq)
+		buf = appendPacked(buf, &prev, rec)
+		prev = *rec
+	}
+	l.packed, l.chunks = buf, nil
+}
+
+// unpackLocked turns a packed log back into the chunks an append stores
+// into. A job can be appended to after it froze: a cluster node's health
+// transition is, when it raced the job's return.
+func (l *eventLog) unpackLocked() {
+	used := min(l.n, l.cap)
+	for c := int64(0); c*chunkLen < used; c++ {
+		size := min(chunkLen, l.cap-c*chunkLen)
+		if c == 0 {
+			size = min(size, used) // a short first chunk grows as it always does
+		}
+		l.chunks = append(l.chunks, make([]record, size))
+	}
+	var prev record
+	for seq, off := max(0, l.n-l.cap), 0; seq < l.n; seq++ {
+		off += decodePacked(l.packed[off:], &prev)
+		*l.slotLocked(seq) = prev
+	}
+	l.packed = nil
+}
+
+// maxPackedRecord bounds the bytes of one packed record: a tag of at most
+// two bytes, three 64-bit deltas and four 32-bit ones.
+const maxPackedRecord = 2 + 3*binary.MaxVarintLen64 + 4*binary.MaxVarintLen32
+
+// appendPacked encodes rec as its difference from prev, the record before
+// it (the zero record for the first). A uvarint tag carries when (1 bit),
+// where (3), kind (8) and side (2), in that order from the low bit, so a
+// record of the first eight kinds with no side entry tags in one byte; then
+// t, index, parent, card, branch, iter and worker follow, each as the
+// zigzag varint of its wrapping delta. Every field round-trips exactly as
+// long as when < 2, where < 8 and side < 4, which every event.When,
+// event.Where and side constant is.
+func appendPacked(dst []byte, prev, rec *record) []byte {
+	tag := uint64(rec.when) | uint64(rec.where)<<1 | uint64(rec.kind)<<4 | uint64(rec.side)<<12
+	dst = binary.AppendUvarint(dst, tag)
+	dst = binary.AppendVarint(dst, rec.t-prev.t)
+	dst = binary.AppendVarint(dst, rec.index-prev.index)
+	dst = binary.AppendVarint(dst, rec.parent-prev.parent)
+	dst = binary.AppendVarint(dst, int64(rec.card-prev.card))
+	dst = binary.AppendVarint(dst, int64(rec.branch-prev.branch))
+	dst = binary.AppendVarint(dst, int64(rec.iter-prev.iter))
+	return binary.AppendVarint(dst, int64(rec.worker-prev.worker))
+}
+
+// decodePacked decodes the record at the start of src, which appendPacked
+// encoded against *rec, into *rec, and returns its length.
+func decodePacked(src []byte, rec *record) int {
+	tag, off := binary.Uvarint(src)
+	rec.when, rec.where, rec.kind, rec.side = uint8(tag&1), uint8(tag>>1&7), uint8(tag>>4), uint8(tag>>12)
+	delta := func() int64 {
+		v, n := binary.Varint(src[off:])
+		off += n
+		return v
+	}
+	rec.t += delta()
+	rec.index += delta()
+	rec.parent += delta()
+	rec.card += int32(delta())
+	rec.branch += int32(delta())
+	rec.iter += int32(delta())
+	rec.worker += int32(delta())
+	return off
 }
 
 // len returns the number of events ever appended.
@@ -205,6 +305,13 @@ type logReader struct {
 	side []sideRecord // of the copied records that have one, in order
 	buf  []byte
 	wake chan struct{}
+
+	// The decode cursor into a packed log: record at, which was encoded
+	// against prev, starts at packed[off].
+	packed []byte
+	off    int
+	at     int64
+	prev   record
 }
 
 // reader returns a cursor that delivers the records with seq >= from. A
@@ -219,20 +326,26 @@ func (l *eventLog) reader(from int64) *logReader {
 // truncation marker carrying their number instead of silently skipped.
 // When nothing is available on a live log and park is set, the reader is
 // registered as parked in the same critical section that found nothing —
-// no append can slip between — and the caller waits on wake.
+// no append can slip between — and the caller waits on wake. A packed log's
+// batch is decoded after the lock is let go.
 func (rd *logReader) next(park bool) (out []byte, done bool) {
 	l := rd.l
 	rd.recs, rd.side = rd.recs[:0], rd.side[:0]
 
 	l.mu.Lock()
 	var lost int64
-	if base := max(0, l.n-l.cap); rd.from < base {
+	base := max(0, l.n-l.cap)
+	if rd.from < base {
 		lost = base - rd.from
 		rd.from = base
 	}
 	rd.from = min(rd.from, l.n)
-	first := rd.from
-	for end := min(l.n, first+readBatch); rd.from < end; {
+	first, end := rd.from, min(l.n, rd.from+readBatch)
+	var packed []byte
+	if first < end && len(l.packed) > 0 {
+		packed, rd.from = l.packed, end // decoded below, outside the lock: packed is never written
+	}
+	for rd.from < end {
 		slot := int(rd.from % l.cap)
 		run := l.chunks[slot/chunkLen][slot%chunkLen:]
 		run = run[:min(int64(len(run)), end-rd.from)]
@@ -244,11 +357,14 @@ func (rd *logReader) next(park bool) (out []byte, done bool) {
 		rd.side = append(rd.side, l.side[at])
 	}
 	done = l.closed
-	if park && !done && len(rd.recs) == 0 {
+	if park && !done && first == end {
 		l.parked = append(l.parked, rd.wake)
 	}
 	l.mu.Unlock()
 
+	if packed != nil {
+		rd.decode(packed, base, first, end)
+	}
 	buf := rd.buf[:0]
 	if lost > 0 {
 		buf = appendTruncated(buf, first, lost)
@@ -264,6 +380,21 @@ func (rd *logReader) next(park bool) (out []byte, done bool) {
 	}
 	rd.buf = buf
 	return buf, done
+}
+
+// decode appends records first…end-1 of packed, whose first record is seq
+// base, to rd.recs. It goes on from where the last call stopped when that
+// was in the same buffer and not past first, and from the start otherwise.
+func (rd *logReader) decode(packed []byte, base, first, end int64) {
+	if len(rd.packed) != len(packed) || &rd.packed[0] != &packed[0] || rd.at > first {
+		rd.packed, rd.off, rd.at, rd.prev = packed, 0, base, record{}
+	}
+	for ; rd.at < end; rd.at++ {
+		rd.off += decodePacked(packed[rd.off:], &rd.prev)
+		if rd.at >= first {
+			rd.recs = append(rd.recs, rd.prev)
+		}
+	}
 }
 
 // stream writes the log from the cursor on to w as NDJSON, one Write and

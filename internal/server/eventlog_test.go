@@ -3,10 +3,12 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"strings"
 	"sync"
@@ -224,8 +226,10 @@ func drain(rd *logReader) (out string, done bool) {
 }
 
 // TestEventLogModel drives seeded random appends, reads from cursors before,
-// inside and past the retained window, and closes, against the reference:
-// same bytes, same cursors, same counters, at every step.
+// inside and past the retained window, packs at random points, and closes,
+// against the reference: same bytes, same cursors, same counters, at every
+// step. Cursors live across packs — some stopped after one batch, mid-way
+// through the packed buffer — and appends after a pack unpack the log.
 func TestEventLogModel(t *testing.T) {
 	// The reference moves its whole buffer on every append once it is full,
 	// so the 8192 case goes just far enough past the wrap.
@@ -241,8 +245,9 @@ func TestEventLogModel(t *testing.T) {
 				ref int64
 			}
 			var cursors []*cursor
+			packs := 0
 			for step := 0; step < tc.steps; step++ {
-				switch op := rng.Intn(10); {
+				switch op := rng.Intn(12); {
 				case op < 6:
 					for n := 1 + rng.Intn(tc.burst); n > 0; n-- {
 						p.appendRandom(rng)
@@ -251,6 +256,32 @@ func TestEventLogModel(t *testing.T) {
 					total := p.log.len()
 					from := []int64{0, rng.Int63n(total + 1), total, total + 1 + rng.Int63n(1<<40), 1 << 62}[rng.Intn(5)]
 					cursors = append(cursors, &cursor{rd: p.log.reader(from), ref: from})
+				case op < 8:
+					p.log.pack()
+					packs++
+					checkPacked(t, p.log)
+				case op < 9 && len(cursors) > 0:
+					// One batch only: the cursor stops inside the window, and
+					// inside the packed buffer when the log is packed.
+					c := cursors[rng.Intn(len(cursors))]
+					got, _ := c.rd.next(false)
+					want, _, _ := p.ref.read(c.ref)
+					if !strings.HasPrefix(want, string(got)) {
+						t.Fatalf("cap %d seed %d step %d: one batch is not a prefix of the read\n got: %s\nwant: %s",
+							capacity, seed, step, got, want)
+					}
+					if len(got) > 0 {
+						var last eventRecord
+						lines := strings.SplitAfter(strings.TrimSuffix(string(got), "\n"), "\n")
+						if err := json.Unmarshal([]byte(lines[len(lines)-1]), &last); err != nil {
+							t.Fatal(err)
+						}
+						if want := last.Seq + 1; last.Truncated == 0 && c.rd.from != want {
+							t.Fatalf("cap %d seed %d step %d: cursor at %d after a batch ending at seq %d",
+								capacity, seed, step, c.rd.from, last.Seq)
+						}
+					}
+					c.ref = c.rd.from
 				case len(cursors) > 0:
 					c := cursors[rng.Intn(len(cursors))]
 					got, gotDone := drain(c.rd)
@@ -275,7 +306,13 @@ func TestEventLogModel(t *testing.T) {
 			if p.log.droppedCount() == 0 {
 				t.Fatalf("cap %d seed %d: the ring never wrapped", capacity, seed)
 			}
+			if packs == 0 {
+				t.Fatalf("cap %d seed %d: the log was never packed", capacity, seed)
+			}
 			p.close()
+			if rng.Intn(2) == 0 {
+				p.log.pack() // as watch does once the job is frozen
+			}
 			for _, c := range cursors {
 				got, done := drain(c.rd)
 				want, _, _ := p.ref.read(c.ref)
@@ -287,23 +324,56 @@ func TestEventLogModel(t *testing.T) {
 	}
 }
 
-// TestEventLogTrimmedAtClose: closing a log that is still in its first
-// chunk and has not wrapped cuts the chunk to the records it holds, and the
-// log stays what the reference says it is — when read, and when appended to
-// after the close, past the next growth and past the wrap.
-func TestEventLogTrimmedAtClose(t *testing.T) {
-	for _, tc := range []struct{ capacity, before, trimmed int }{
-		{8192, 1, 1}, {8192, 18, 18}, {8192, 64, 64}, {8192, 300, 256}, {20, 18, 18}, {20, 20, 20}, {20, 25, 20},
+// checkPacked: a packed log holds no chunk, and its one buffer is sized to
+// its retained records, each within [8, maxPackedRecord] bytes.
+func checkPacked(t *testing.T, l *eventLog) {
+	t.Helper()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	kept := int(min(l.n, l.cap))
+	switch {
+	case kept == 0:
+		return
+	case l.chunks != nil:
+		t.Fatalf("packed log of %d records still holds %d chunks", kept, len(l.chunks))
+	case cap(l.packed) != len(l.packed):
+		t.Fatalf("packed buffer of %d bytes has room for %d", len(l.packed), cap(l.packed))
+	case len(l.packed) < 8*kept || len(l.packed) > maxPackedRecord*kept:
+		t.Fatalf("%d records packed into %d bytes, want %d to %d", kept, len(l.packed), 8*kept, maxPackedRecord*kept)
+	}
+}
+
+// TestEventLogPacked: packing a closed log, wrapped or not, moves the
+// records it keeps into one buffer sized to them with one allocation, and
+// the log stays what the reference says it is — when read, and when
+// appended to after the pack, past the next growth and past the wrap.
+func TestEventLogPacked(t *testing.T) {
+	for _, tc := range []struct{ capacity, before, kept int }{
+		{8192, 1, 1}, {8192, 18, 18}, {8192, 64, 64}, {8192, 300, 300}, {20, 18, 18}, {20, 20, 20}, {20, 25, 20},
 	} {
-		rng := rand.New(rand.NewSource(int64(tc.before)))
-		p := newPair(tc.capacity)
-		for i := 0; i < tc.before; i++ {
-			p.appendRandom(rng)
+		filled := func() (*pair, *rand.Rand) {
+			rng := rand.New(rand.NewSource(int64(tc.before)))
+			p := newPair(tc.capacity)
+			for i := 0; i < tc.before; i++ {
+				p.appendRandom(rng)
+			}
+			p.close()
+			return p, rng
 		}
-		p.close()
-		if got := len(p.log.chunks[0]); got != tc.trimmed {
-			t.Fatalf("cap %d, %d records: first chunk holds %d slots after close, want %d",
-				tc.capacity, tc.before, got, tc.trimmed)
+		logs := make([]*eventLog, 4)
+		for i := range logs {
+			p, _ := filled()
+			logs[i] = p.log
+		}
+		if n := testing.AllocsPerRun(len(logs)-1, func() { logs[0].pack(); logs = logs[1:] }); n != 1 {
+			t.Fatalf("cap %d, %d records: pack made %v allocations, want 1", tc.capacity, tc.before, n)
+		}
+
+		p, rng := filled()
+		p.log.pack()
+		checkPacked(t, p.log)
+		if got := len(p.log.packed); got < 8*tc.kept || got > maxPackedRecord*tc.kept {
+			t.Fatalf("cap %d, %d records: %d packed bytes, want %d kept records' worth", tc.capacity, tc.before, got, tc.kept)
 		}
 		check := func(when string) {
 			t.Helper()
@@ -315,22 +385,23 @@ func TestEventLogTrimmedAtClose(t *testing.T) {
 				}
 			}
 		}
-		check("closed")
+		check("packed")
 		for i := 0; i < 2*tc.capacity && i < 600; i++ {
 			p.appendRandom(rng)
 		}
-		check("appended after close")
+		check("appended after the pack")
 	}
 }
 
 // TestEventLogFollowers: several followers attached at different cursors
-// while a producer appends and then closes. Each must see every sequence
-// number from its cursor on exactly once and in order — delivered, or
-// accounted for by a truncation marker — each delivered line must be the
-// reference's rendering of that record, and each must reach EOF on close.
+// while a producer appends, packs at random points, and closes and packs.
+// Each must see every sequence number from its cursor on exactly once and in
+// order — delivered, or accounted for by a truncation marker — each
+// delivered line must be the reference's rendering of that record, and each
+// must reach EOF on close.
 func TestEventLogFollowers(t *testing.T) {
 	const total = 3000
-	for _, capacity := range []int{1, 4, 8192} {
+	for _, capacity := range []int{1, 4, 300, 8192} {
 		p := newPair(capacity)
 		// Render the reference up front, before its ring can drop anything.
 		full := &refLog{cap: total}
@@ -356,11 +427,17 @@ func TestEventLogFollowers(t *testing.T) {
 		}
 		for i, e := range events {
 			p.hook.Handler(e)
+			if rng.Intn(64) == 0 {
+				// Followers behind read the packed form; the next append
+				// unpacks it.
+				p.log.pack()
+			}
 			if i%97 == 0 {
 				time.Sleep(200 * time.Microsecond) // let followers catch up and park
 			}
 		}
 		p.log.close()
+		p.log.pack()
 		wg.Wait() // EOF for everyone, or the test times out
 
 		for i := range starts {
@@ -488,6 +565,109 @@ func FuzzEventRecordNDJSON(f *testing.F) {
 	})
 }
 
+// packedRecordSize is the bytes one record takes in FuzzEventLogPack's
+// input: t, index, parent, card, branch, iter, worker, kind, when, where,
+// side, little-endian.
+const packedRecordSize = 3*8 + 4*4 + 4
+
+// appendRawRecord appends rec in FuzzEventLogPack's input form.
+func appendRawRecord(dst []byte, rec record) []byte {
+	for _, v := range []int64{rec.t, rec.index, rec.parent} {
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(v))
+	}
+	for _, v := range []int32{rec.card, rec.branch, rec.iter, rec.worker} {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(v))
+	}
+	return append(dst, rec.kind, rec.when, rec.where, rec.side)
+}
+
+// rawRecords reads FuzzEventLogPack's input into records within the domain
+// of the packed tag: when < 2, where < 8, side < 3.
+func rawRecords(data []byte) []record {
+	var recs []record
+	for ; len(data) >= packedRecordSize; data = data[packedRecordSize:] {
+		le := binary.LittleEndian
+		recs = append(recs, record{
+			t: int64(le.Uint64(data)), index: int64(le.Uint64(data[8:])), parent: int64(le.Uint64(data[16:])),
+			card: int32(le.Uint32(data[24:])), branch: int32(le.Uint32(data[28:])),
+			iter: int32(le.Uint32(data[32:])), worker: int32(le.Uint32(data[36:])),
+			kind: data[40], when: data[41] % 2, where: data[42] % 8, side: data[43] % 3,
+		})
+	}
+	return recs
+}
+
+// FuzzEventLogPack: any sequence of records — extreme int64 and int32
+// values, time running backwards, every tag — packs to at most
+// maxPackedRecord bytes a record and decodes to itself exactly; and a log
+// of them reads the same bytes before and after its pack, and after an
+// append unpacks it, as a twin log that was never packed.
+func FuzzEventLogPack(f *testing.F) {
+	edge := []record{
+		{t: math.MaxInt64, index: math.MinInt64, parent: math.MaxInt64, card: math.MinInt32,
+			branch: math.MaxInt32, iter: math.MinInt32, worker: math.MaxInt32, kind: 255, when: 1, where: 7, side: 2},
+		{t: math.MinInt64, index: math.MaxInt64, parent: math.MinInt64, card: math.MaxInt32,
+			branch: math.MinInt32, iter: math.MaxInt32, worker: math.MinInt32},
+		{t: 1500, index: 3, parent: -1, card: 500, worker: 1, kind: uint8(skel.Map), when: 1, where: uint8(event.Split)},
+		{t: 900, index: 4, parent: 3, worker: -1, kind: uint8(skel.DaC), side: sideErr},
+		{t: -5, side: sideText},
+	}
+	var all []byte
+	for _, rec := range edge {
+		all = appendRawRecord(all, rec)
+		f.Add(appendRawRecord(nil, rec), uint16(1))
+	}
+	f.Add(all, uint16(1))
+	f.Add(all, uint16(3))
+	f.Add(all, uint16(8192))
+	f.Fuzz(func(t *testing.T, data []byte, capacity uint16) {
+		recs := rawRecords(data)
+		var buf []byte
+		var prev record
+		for i := range recs {
+			n := len(buf)
+			buf = appendPacked(buf, &prev, &recs[i])
+			if size := len(buf) - n; size > maxPackedRecord {
+				t.Fatalf("record %d packs into %d bytes, more than %d: %+v", i, size, maxPackedRecord, recs[i])
+			}
+			prev = recs[i]
+		}
+		prev = record{}
+		for i, off := 0, 0; i < len(recs); i++ {
+			off += decodePacked(buf[off:], &prev)
+			if prev != recs[i] {
+				t.Fatalf("record %d decodes to %+v, want %+v", i, prev, recs[i])
+			}
+			if i == len(recs)-1 && off != len(buf) {
+				t.Fatalf("decoding stopped at byte %d of %d", off, len(buf))
+			}
+		}
+
+		start := time.Unix(1700000000, 0)
+		packed, twin := newEventLog(int(capacity), start), newEventLog(int(capacity), start)
+		side := sideRecord{ev: "ev", kind: "cluster", when: "w", where: "cluster", err: "boom"}
+		for _, rec := range recs {
+			packed.append(rec, side)
+			twin.append(rec, side)
+		}
+		read := func(l *eventLog) string {
+			out, _ := drain(l.reader(0))
+			mid, _ := drain(l.reader(l.len() / 2))
+			return out + mid
+		}
+		want := read(twin)
+		packed.pack()
+		if got := read(packed); got != want {
+			t.Fatalf("packed log reads\n%s\nwant\n%s", got, want)
+		}
+		packed.append(edge[0], side)
+		twin.append(edge[0], side)
+		if got, want := read(packed), read(twin); got != want {
+			t.Fatalf("unpacked log reads\n%s\nwant\n%s", got, want)
+		}
+	})
+}
+
 // steadyLog returns a log whose ring has wrapped — every chunk it will ever
 // own is allocated — and the hook and a reusable event to append with.
 func steadyLog(capacity int) (*eventLog, event.Listener, *event.Event) {
@@ -555,7 +735,13 @@ func BenchmarkEventLogAppend(b *testing.B) {
 
 // BenchmarkEventLogFollow renders one fanout_fine job's worth of records
 // (2006) from a finished log into io.Discard.
-func BenchmarkEventLogFollow(b *testing.B) {
+func BenchmarkEventLogFollow(b *testing.B) { benchmarkRead(b, false) }
+
+// BenchmarkEventLogReadPacked is the same read from the log packed, as a
+// frozen job's is: the records are decoded before they are rendered.
+func BenchmarkEventLogReadPacked(b *testing.B) { benchmarkRead(b, true) }
+
+func benchmarkRead(b *testing.B, packed bool) {
 	const perJob = 2006
 	l := newEventLog(8192, time.Unix(1700000000, 0))
 	e := &event.Event{
@@ -568,6 +754,9 @@ func BenchmarkEventLogFollow(b *testing.B) {
 		hook.Handler(e)
 	}
 	l.close()
+	if packed {
+		l.pack()
+	}
 	rd := l.reader(0)
 	rd.stream(context.Background(), io.Discard, func() {}, true) // size the reader's scratch
 	b.ReportAllocs()

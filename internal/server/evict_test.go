@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -15,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"skandium"
 	"skandium/internal/journal"
 )
 
@@ -433,6 +435,69 @@ func TestRestartNumbersPastEvictedNewest(t *testing.T) {
 		t.Fatalf("the first job after the restart is %s, want job-4", id)
 	}
 	waitRetired(t, srv2, 3)
+}
+
+// TestPackedLogRestartAtSmallestCaps: a journaled daemon that keeps one
+// record per event ring and one finished job. Each tiny job's 18 records
+// wrap the ring, and packing it changes no byte of its /events, the
+// truncation marker for the 17 it dropped included. After a restart the
+// restored job has no events and its /events is closed — a follower gets
+// EOF at once — the evicted ones answer 410, and the next id is new.
+func TestPackedLogRestartAtSmallestCaps(t *testing.T) {
+	const jobs = 3
+	dir := t.TempDir()
+	jn1, _, err := journal.Open(dir, journal.Options{Fsync: journal.FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Budget: 2, Journal: jn1, EventLog: 1, retain: 1}
+	srv1, ts1 := newTestDaemon(t, cfg)
+	lh := keepLiveHandles(srv1)
+	for i := 0; i < jobs; i++ {
+		j := submit(t, srv1, SubmitSpec{Skeleton: "sleepgrid", Params: skandium.Params{"k": 1, "m": 1, "cell_ms": 0.05}})
+		lh.check(t, srv1, j, "cap-1 job")
+		checkPacked(t, j.log)
+		if events := eventViews(srv1, j.id); !strings.Contains(events, `"seq":17,`) || !strings.Contains(events, `"truncated":17}`) {
+			t.Fatalf("%s: want the marker for 17 dropped records, then seq 17:\n%s", j.id, events)
+		}
+	}
+	waitRetired(t, srv1, jobs)
+	ts1.Close()
+	srv1.Close()
+	if err := jn1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	jn2, states := openEvictJournal(t, dir, 0)
+	cfg.Journal, cfg.Recover = jn2, states
+	srv2, ts2 := newTestDaemon(t, cfg)
+	last := fmt.Sprintf("job-%d", jobs)
+	if got := srv2.JobIDs(); fmt.Sprint(got) != fmt.Sprint([]string{last}) {
+		t.Fatalf("restored %v, want only %s", got, last)
+	}
+	for _, path := range []string{"/events", "/events?follow=1"} {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		req, _ := http.NewRequestWithContext(ctx, "GET", ts2.URL+"/jobs/"+last+path, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("GET %s%s: %v", last, path, err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		cancel()
+		if err != nil || resp.StatusCode != http.StatusOK || len(body) != 0 {
+			t.Fatalf("GET %s%s of a restored job: status %d, %q, %v; want 200, empty, EOF", last, path, resp.StatusCode, body, err)
+		}
+	}
+	for i := 1; i < jobs; i++ {
+		if code := status(t, "GET", fmt.Sprintf("%s/jobs/job-%d/events", ts2.URL, i), ""); code != http.StatusGone {
+			t.Fatalf("GET /jobs/job-%d/events after the restart: %d, want 410", i, code)
+		}
+	}
+	if id := runTiny(t, ts2.URL); id != fmt.Sprintf("job-%d", jobs+1) {
+		t.Fatalf("the first job after the restart is %s, want job-%d", id, jobs+1)
+	}
+	waitRetired(t, srv2, 2)
 }
 
 // TestEvictConcurrentClients: four clients run tiny jobs at once while a

@@ -13,25 +13,41 @@ import (
 	"skandium/internal/journal"
 )
 
+// get renders one GET of path as srv answers it.
+func get(srv *Server, path string) string {
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+	return fmt.Sprintf("GET %s %d\n%s", path, rec.Code, rec.Body)
+}
+
 // views renders everything a client reads of one job: GET /jobs/{id}, its
-// /decisions and /timeline, and its lines of /metrics.
+// /decisions and /timeline, its lines of /metrics, and its /events.
 func views(srv *Server, id string) string {
-	h := srv.Handler()
-	get := func(path string) string {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
-		return fmt.Sprintf("GET %s %d\n%s", path, rec.Code, rec.Body)
-	}
 	var b strings.Builder
 	for _, path := range []string{"/jobs/" + id, "/jobs/" + id + "/decisions", "/jobs/" + id + "/timeline"} {
-		b.WriteString(get(path))
+		b.WriteString(get(srv, path))
 	}
-	for _, line := range strings.Split(get("/metrics"), "\n") {
+	for _, line := range strings.Split(get(srv, "/metrics"), "\n") {
 		if strings.Contains(line, `job="`+id+`"`) {
 			b.WriteString(line + "\n")
 		}
 	}
+	b.WriteString(eventViews(srv, id))
 	return b.String()
+}
+
+// eventViews renders a job's /events in full, from mid-log, and from a
+// cursor before the window of a ring that wrapped: a truncation marker, then
+// the records it keeps.
+func eventViews(srv *Server, id string) string {
+	j, ok := srv.Job(id)
+	if !ok {
+		return "no job " + id + "\n"
+	}
+	n, dropped := j.log.len(), j.log.droppedCount()
+	return get(srv, "/jobs/"+id+"/events") +
+		get(srv, fmt.Sprintf("/jobs/%s/events?from=%d", id, n/2)) +
+		get(srv, fmt.Sprintf("/jobs/%s/events?from=%d", id, dropped/2))
 }
 
 // viewsWith renders j's views as they read with h (nil: no handle at all,
@@ -51,31 +67,37 @@ func viewsWith(srv *Server, j *job, h skandium.Handle) string {
 }
 
 // liveHandles keeps, for every job srv freezes, the live handle the frozen
-// one replaced.
+// one replaced, and the job's /events as they read before the log was
+// packed.
 type liveHandles struct {
-	mu sync.Mutex
-	by map[string]skandium.Handle
+	mu     sync.Mutex
+	by     map[string]skandium.Handle
+	events map[string]string
 }
 
 func keepLiveHandles(srv *Server) *liveHandles {
-	lh := &liveHandles{by: map[string]skandium.Handle{}}
+	lh := &liveHandles{by: map[string]skandium.Handle{}, events: map[string]string{}}
 	srv.beforeFreeze = func(j *job) {
 		_, _, h, _, _, _, _ := j.snapshot()
+		events := eventViews(srv, j.id)
 		lh.mu.Lock()
-		lh.by[j.id] = h
+		lh.by[j.id], lh.events[j.id] = h, events
 		lh.mu.Unlock()
 	}
 	return lh
 }
 
-// check waits for j to be frozen and for its live handle to stop — its
-// last running muscle finished, its controller let go — and compares the
-// views rendered from that handle, final by then, with the frozen ones.
+// check waits for j to be frozen, its log packed, and its live handle to
+// stop — its last running muscle finished, its controller let go — and
+// compares the views rendered from that handle, final by then, with the
+// frozen ones, and the /events read from the packed log with those read
+// from the live one.
 func (lh *liveHandles) check(t *testing.T, srv *Server, j *job, what string) string {
 	t.Helper()
 	waitFrozen(t, j)
 	lh.mu.Lock()
 	h, ok := lh.by[j.id]
+	events := lh.events[j.id]
 	lh.mu.Unlock()
 	if !ok {
 		t.Fatalf("%s: %s was frozen without passing the hook", what, j.id)
@@ -84,6 +106,9 @@ func (lh *liveHandles) check(t *testing.T, srv *Server, j *job, what string) str
 	live, frozen := viewsWith(srv, j, h), views(srv, j.id)
 	if frozen != live {
 		t.Fatalf("%s: views of %s differ across the freeze\nlive:\n%s\nfrozen:\n%s", what, j.id, live, frozen)
+	}
+	if packed := eventViews(srv, j.id); packed != events {
+		t.Fatalf("%s: /events of %s differ across the pack\nlive:\n%s\npacked:\n%s", what, j.id, events, packed)
 	}
 	return frozen
 }
@@ -134,6 +159,16 @@ func TestFinishedViewsByteIdentical(t *testing.T) {
 		lh.check(t, srv, j, "goal job")
 		if len(j.handle.Decisions()) == 0 {
 			t.Fatal("the goal job made no decision: nothing to freeze")
+		}
+	})
+
+	t.Run("wrapped event ring", func(t *testing.T) {
+		srv, _ := newTestDaemon(t, Config{Budget: 4, EventLog: 16})
+		lh := keepLiveHandles(srv)
+		j := submit(t, srv, SubmitSpec{Skeleton: "sleepgrid", Params: skandium.Params{"k": 4, "m": 4, "cell_ms": 1}})
+		out := lh.check(t, srv, j, "wrapped ring")
+		if j.log.droppedCount() == 0 || !strings.Contains(out, `"truncated"`) {
+			t.Fatalf("the ring did not wrap:\n%s", out)
 		}
 	})
 

@@ -49,7 +49,7 @@ func finish(t *testing.T, j *job) *job {
 }
 
 // waitFrozen blocks until watch has replaced j's live handle with its
-// frozen form, then checks the runner is gone with it.
+// frozen form and packed its event log, then checks the runner is gone.
 func waitFrozen(t *testing.T, j *job) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -58,7 +58,10 @@ func waitFrozen(t *testing.T, j *job) {
 		_, frozen := j.handle.(*frozenHandle)
 		runner := j.runner
 		j.mu.Unlock()
-		if frozen {
+		j.log.mu.Lock()
+		packed := len(j.log.chunks) == 0
+		j.log.mu.Unlock()
+		if frozen && packed {
 			if runner != nil {
 				t.Fatalf("%s: frozen, but its runner is still held", j.id)
 			}
@@ -77,12 +80,13 @@ func waitFrozen(t *testing.T, j *job) {
 // end, as bench/ waits for its jobs. Before the compact log and the
 // tree-less tracker a job retained 612 KB; with them, 148.6 KB, of which the
 // stream, pool and 40-byte gauge samples went when a finished job became its
-// outcome: 117.9 KB. The bound leaves the 2006 records (96 KB), the packed
-// gauge series and the job itself.
+// outcome: 117.9 KB, of which the 2006 48-byte records were 96 KB. With the
+// log packed when the job froze, 41.7–43.0 KB: the packed records (20 KB,
+// 10 bytes each), the packed gauge series and the job itself.
 func TestFinishedJobRetention(t *testing.T) {
 	const (
 		jobs     = 200
-		perJobKB = 125
+		perJobKB = 50
 	)
 	srv := New(Config{Budget: 4})
 	defer srv.Close()
@@ -114,11 +118,12 @@ func TestFinishedJobRetention(t *testing.T) {
 // which holds no controller at all. Before the controller's graph became one
 // flat graph kept across analyses and dropped at the end, a finished goal job
 // retained 62.7–62.9 KB here; after it, 44.9 KB; with the job frozen to its
-// outcome, 29.8 KB.
+// outcome, 29.8 KB; with its 326 records packed in place of two 256-slot
+// chunks, 8.9–9.3 KB.
 func TestFinishedGoalJobRetention(t *testing.T) {
 	const (
 		jobs     = 40
-		perJobKB = 32
+		perJobKB = 12
 	)
 	srv := New(Config{Budget: 16})
 	defer srv.Close()
@@ -150,13 +155,14 @@ func TestFinishedGoalJobRetention(t *testing.T) {
 
 // TestFinishedTinyJobRetention: the same for durable_tiny's shape — a
 // one-cell sleepgrid of 50 µs on a journaled daemon — where the job's own
-// bookkeeping is all there is: its event log of 18 records (trimmed from 32
-// slots when it closes), its view fields, its journal entry. A finished tiny
-// job retained 11.1 KB while it kept its runner and live handle.
+// bookkeeping is all there is: its event log of 18 records, its view fields,
+// its journal entry. A finished tiny job retained 11.1 KB while it kept its
+// runner and live handle, 3.12 KB with its records trimmed to 18 slots, and
+// 2.44–2.49 KB with them packed.
 func TestFinishedTinyJobRetention(t *testing.T) {
 	const (
 		jobs     = 300
-		perJobKB = 4
+		perJobKB = 3
 	)
 	jn, _, err := journal.Open(t.TempDir(), journal.Options{Fsync: journal.FsyncInterval})
 	if err != nil {

@@ -589,7 +589,7 @@ func (s *Server) faultJournalListener(j *job) event.Listener {
 
 // watch waits for a job to finish, persists the outcome, returns its
 // budget, admits the next queued job and, once the job has stopped, freezes
-// it to its outcome.
+// it to its outcome and packs its event log.
 func (s *Server) watch(j *job, h skandium.Handle) {
 	res, err := h.Result()
 	now := s.clk.Now()
@@ -655,6 +655,7 @@ func (s *Server) watch(j *job, h skandium.Handle) {
 	j.mu.Lock()
 	j.freezeLocked(h, res)
 	j.mu.Unlock()
+	j.log.pack()
 	s.mu.Lock()
 	s.retireLocked(j)
 	s.mu.Unlock()
@@ -764,6 +765,9 @@ func (s *Server) Cancel(id string) bool {
 		s.mu.Unlock()
 	}
 	j.log.close()
+	if canceledInPlace {
+		j.log.pack()
+	}
 	return true
 }
 
