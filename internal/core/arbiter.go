@@ -281,8 +281,9 @@ func (a *Arbiter) rebalanceLocked(why string) {
 		d := e.m.Demand()
 		des := d.DesiredLP
 		if !d.Valid || des < 1 {
-			// Before the first analysis (or without a goal) a job holds what
-			// it actually uses; a fresh job starts at the minimum.
+			// Until its controller's first analysis (or without a goal) a
+			// member's wish is its CurrentLP: for a daemon job, the LP it
+			// asked for. A member that names none gets the minimum.
 			des = d.CurrentLP
 			if des < 1 {
 				des = 1

@@ -315,7 +315,12 @@ func (s *Server) jobView(j *job) jobView {
 			v.OvershootMS = float64(d.Overshoot) / float64(time.Millisecond)
 		}
 	}
-	if state.terminal() {
+	if !state.terminal() {
+		if d := j.Demand(); !d.Valid {
+			// No controller verdict yet: the arbiter reads the job's wish.
+			v.DesiredLP = d.CurrentLP
+		}
+	} else {
 		v.LP = 0
 		if jerr != nil {
 			v.Error = jerr.Error()

@@ -88,20 +88,28 @@ type job struct {
 	canceled bool
 }
 
-// Demand implements core.Member: the controller's wish once running, a
-// minimal placeholder while queued (so a just-admitted job starts at one
-// worker until its first analysis).
+// Demand implements core.Member. A job wants the LP it asked for — its
+// initial_lp, within its max_lp — until its controller's first analysis
+// speaks for it: while it is queued, while it runs without a WCT goal, and
+// while a goal job has not been analysed yet. The arbiter's own cap is never
+// read back as the wish, so a job it shrank gets its LP back once the budget
+// frees. A cluster-routed job wants what the cluster runs at.
 func (j *job) Demand() core.Demand {
-	j.mu.Lock()
-	h := j.handle
+	j.mu.Lock() // max_lp may be patched at any time
+	h, want := j.handle, j.initLP
+	if j.maxLP > 0 && j.maxLP < want {
+		want = j.maxLP
+	}
 	j.mu.Unlock()
 	if h == nil {
-		return core.Demand{}
+		return core.Demand{CurrentLP: want}
+	}
+	if r, ok := h.(*remoteHandle); ok {
+		return core.Demand{CurrentLP: r.LP()}
 	}
 	d := h.Demand()
-	if d.CurrentLP == 0 {
-		// No autonomic controller (no WCT goal): hold what the pool uses.
-		d.CurrentLP = h.LP()
+	if !d.Valid {
+		d.CurrentLP = want
 	}
 	return d
 }

@@ -196,7 +196,7 @@ type SubmitSpec struct {
 	Params    skandium.Params
 	Goal      time.Duration // 0 disables autonomic adaptation
 	MaxLP     int           // per-job LP QoS cap; 0 = uncapped
-	InitialLP int           // starting LP (default 1, the paper's setup)
+	InitialLP int           // LP wished for until the first analysis (default 1, the paper's setup)
 	// Policy names the adaptation rule driving this job's controller
 	// ("" = the server's DefaultPolicy, then the paper rule). Unknown
 	// names are rejected synchronously at submit.
