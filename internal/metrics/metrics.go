@@ -6,6 +6,7 @@ package metrics
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -36,18 +37,17 @@ type Sample struct {
 	LP     int
 }
 
-// gauge is a sample as the recorder keeps it: 16 bytes and no pointers, so
-// a job's series costs the collector nothing to mark. Its T is
-// base.Add(off), and Add carries the monotonic reading along, so every Sub
-// of a rebuilt T gives what the observed one gave.
+// gauge is a sample as the recorder decodes it: its T is base.Add(off),
+// and Add carries the monotonic reading along, so every Sub of a rebuilt T
+// gives what the observed one gave.
 type gauge struct {
 	off        int64 // nanoseconds since the recorder's first sample
 	active, lp int32 // clamped, never wrapped
 }
 
 // firstGauges is the room the first sample reserves: a one-cell job's whole
-// series (256 bytes), which doubling from one sample would reach only after
-// four more allocations.
+// series, at the four bytes a sample takes when the levels move by one and
+// the clock by microseconds.
 const firstGauges = 16
 
 // Clamp32 keeps an out-of-range count at the int32 bound instead of
@@ -64,7 +64,12 @@ type Recorder struct {
 	start   time.Time
 	started bool
 	base    time.Time // the first sample's T
-	samples []gauge
+	// packed is the series in arrival order, pointer-free: each sample is
+	// three zigzag varints, off, active and lp, each the wrapping delta from
+	// the sample before it (the zero gauge for the first). Bytes below its
+	// length are never written again.
+	packed []byte
+	last   gauge // the newest sample, what the next one is a delta from
 }
 
 // NewRecorder returns an empty recorder. The first sample anchors t=0
@@ -84,28 +89,58 @@ func (r *Recorder) Gauge(now time.Time, active, lp int) {
 	if !r.started {
 		r.start, r.started = now, true
 	}
-	if len(r.samples) == 0 {
+	if len(r.packed) == 0 {
 		r.base = now
-		r.samples = make([]gauge, 0, firstGauges)
+		r.packed = make([]byte, 0, 4*firstGauges)
 	}
-	r.samples = append(r.samples, gauge{off: int64(now.Sub(r.base)), active: Clamp32(active), lp: Clamp32(lp)})
+	g := gauge{off: int64(now.Sub(r.base)), active: Clamp32(active), lp: Clamp32(lp)}
+	r.packed = binary.AppendVarint(r.packed, g.off-r.last.off)
+	r.packed = binary.AppendVarint(r.packed, int64(g.active-r.last.active))
+	r.packed = binary.AppendVarint(r.packed, int64(g.lp-r.last.lp))
+	r.last = g
 	r.mu.Unlock()
 }
 
-// snapshot copies the series out in time order (concurrent gauges can
-// report out of order; ties keep their arrival order), each T rebuilt as
-// base.Add(off), with the series origin.
+// Trim drops the series' append slack, so a finished one keeps only its
+// bytes. A later Gauge appends as before.
+func (r *Recorder) Trim() {
+	r.mu.Lock()
+	if cap(r.packed) > len(r.packed) {
+		r.packed = append(make([]byte, 0, len(r.packed)), r.packed...)
+	}
+	r.mu.Unlock()
+}
+
+// snapshot decodes the series in time order (concurrent gauges can report
+// out of order; ties keep their arrival order), each T rebuilt as
+// base.Add(off), with the series origin. The bytes it decodes are never
+// written again, so it reads them outside the lock.
 func (r *Recorder) snapshot() (start time.Time, out []Sample) {
 	r.mu.Lock()
 	start, base := r.start, r.base
-	gs := slices.Clone(r.samples)
+	packed := r.packed
 	r.mu.Unlock()
+	gs := make([]gauge, 0, len(packed)/3) // a sample is at least three bytes
+	var g gauge
+	for off := 0; off < len(packed); {
+		g.off += varint(packed, &off)
+		g.active += int32(varint(packed, &off))
+		g.lp += int32(varint(packed, &off))
+		gs = append(gs, g)
+	}
 	slices.SortStableFunc(gs, func(a, b gauge) int { return cmp.Compare(a.off, b.off) })
 	out = make([]Sample, len(gs))
 	for i, g := range gs {
 		out[i] = Sample{T: base.Add(time.Duration(g.off)), Active: int(g.active), LP: int(g.lp)}
 	}
 	return start, out
+}
+
+// varint decodes the zigzag varint at src[*off] and moves *off past it.
+func varint(src []byte, off *int) int64 {
+	v, n := binary.Varint(src[*off:])
+	*off += n
+	return v
 }
 
 // Samples returns a copy of the raw observations in time order.

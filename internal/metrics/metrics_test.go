@@ -1,7 +1,10 @@
 package metrics
 
 import (
+	"cmp"
+	"encoding/binary"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -88,21 +91,63 @@ func TestCSV(t *testing.T) {
 	}
 }
 
+// TestRecorderConcurrent: writers append while a reader takes snapshots.
+// Every snapshot is in time order, never shorter than the one before, and
+// made of samples some writer reported, whole; the last holds every sample,
+// each writer's in the order it reported them.
 func TestRecorderConcurrent(t *testing.T) {
+	const writers, perWriter = 4, 500
 	r := NewRecorder()
 	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
+	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				r.Gauge(at(i), w, w+1)
+			for i := 0; i < perWriter; i++ {
+				r.Gauge(at(i), w, i)
 			}
 		}(w)
 	}
-	wg.Wait()
-	if len(r.Samples()) != 2000 {
-		t.Fatalf("lost samples: %d", len(r.Samples()))
+	check := func(s []Sample) {
+		t.Helper()
+		for i, smp := range s {
+			if smp.Active < 0 || smp.Active >= writers || smp.LP < 0 || smp.LP >= perWriter || !smp.T.Equal(at(smp.LP)) {
+				t.Fatalf("sample %d is no writer's: %+v", i, smp)
+			}
+			if i > 0 && smp.T.Before(s[i-1].T) {
+				t.Fatalf("samples %d and %d out of order: %v", i-1, i, s[i-1:i+1])
+			}
+		}
+	}
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	for seen, finished := 0, false; !finished; {
+		select {
+		case <-done:
+			finished = true
+		default:
+		}
+		s := r.Samples()
+		if len(s) < seen {
+			t.Fatalf("snapshot of %d samples after one of %d", len(s), seen)
+		}
+		seen = len(s)
+		check(s)
+	}
+	s := r.Samples()
+	if len(s) != writers*perWriter {
+		t.Fatalf("lost samples: %d", len(s))
+	}
+	check(s)
+	next := make([]int, writers)
+	for _, smp := range s {
+		if smp.LP != next[smp.Active] {
+			t.Fatalf("writer %d: sample %d where %d was next", smp.Active, smp.LP, next[smp.Active])
+		}
+		next[smp.Active]++
 	}
 }
 
@@ -175,4 +220,92 @@ func TestAutoStart(t *testing.T) {
 	if len(pts) != 1 || pts[0].T != 0 {
 		t.Fatalf("auto-start series: %v", pts)
 	}
+}
+
+// gaugeModel is the reference the packed series is held to: one 16-byte
+// gauge a sample, sorted on read.
+type gaugeModel struct {
+	base time.Time
+	gs   []gauge
+}
+
+func (m *gaugeModel) add(now time.Time, active, lp int) {
+	if len(m.gs) == 0 {
+		m.base = now
+	}
+	m.gs = append(m.gs, gauge{off: int64(now.Sub(m.base)), active: Clamp32(active), lp: Clamp32(lp)})
+}
+
+func (m *gaugeModel) samples() []Sample {
+	gs := slices.Clone(m.gs)
+	slices.SortStableFunc(gs, func(a, b gauge) int { return cmp.Compare(a.off, b.off) })
+	out := make([]Sample, len(gs))
+	for i, g := range gs {
+		out[i] = Sample{T: m.base.Add(time.Duration(g.off)), Active: int(g.active), LP: int(g.lp)}
+	}
+	return out
+}
+
+// gaugeOp is the bytes one operation takes in FuzzGaugePack's input: an op
+// byte (0 trims, anything else reports a sample), then the sample's
+// nanoseconds from clock.Epoch, active and LP, little-endian int64s.
+const gaugeOp = 1 + 3*8
+
+func appendGaugeOp(dst []byte, op byte, ns, active, lp int64) []byte {
+	dst = append(dst, op)
+	for _, v := range []int64{ns, active, lp} {
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(v))
+	}
+	return dst
+}
+
+// FuzzGaugePack: any run of samples — offsets at the int64 extremes and
+// running backwards, levels past the int32 range, trims at any point with
+// appends after them — reads back from the packed series exactly as from
+// the 16-byte model, and a trimmed series has no slack.
+func FuzzGaugePack(f *testing.F) {
+	var edge []byte
+	for _, op := range [][4]int64{
+		{1, 0, 1, 1},
+		{1, math.MaxInt64, math.MaxInt32 + 5, math.MinInt32 - 5},
+		{1, math.MinInt64, math.MinInt64, math.MaxInt64},
+		{1, -1500, -1, 0},
+		{0, 0, 0, 0},
+		{1, 3000, 2, 4},
+		{1, 3000, 2, 4},
+		{1, 2000, 1, 4},
+	} {
+		edge = appendGaugeOp(edge, byte(op[0]), op[1], op[2], op[3])
+		f.Add(appendGaugeOp(nil, byte(op[0]), op[1], op[2], op[3]))
+	}
+	f.Add(edge)
+	f.Add(append(slices.Clone(edge), edge...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, m := NewRecorder(), &gaugeModel{}
+		check := func(when string) {
+			t.Helper()
+			if got, want := r.Samples(), m.samples(); !slices.Equal(got, want) {
+				t.Fatalf("%s: samples\n%v\nwant\n%v", when, got, want)
+			}
+		}
+		le := binary.LittleEndian
+		for ; len(data) >= gaugeOp; data = data[gaugeOp:] {
+			if data[0] == 0 {
+				r.Trim()
+				if cap(r.packed) != len(r.packed) {
+					t.Fatalf("trimmed series of %d bytes has room for %d", len(r.packed), cap(r.packed))
+				}
+				check("after a trim")
+				continue
+			}
+			now := clock.Epoch.Add(time.Duration(le.Uint64(data[1:])))
+			active, lp := int(int64(le.Uint64(data[9:]))), int(int64(le.Uint64(data[17:])))
+			r.Gauge(now, active, lp)
+			m.add(now, active, lp)
+		}
+		check("at the end")
+		if limit := (binary.MaxVarintLen64 + 2*binary.MaxVarintLen32) * len(m.gs); len(r.packed) > limit {
+			t.Fatalf("%d samples packed into %d bytes, more than %d", len(m.gs), len(r.packed), limit)
+		}
+	})
 }

@@ -187,7 +187,7 @@ func (l *eventLog) slotLocked(seq int64) *record {
 
 // pack moves the retained records into one buffer sized to them, each
 // encoded against the one before it (appendPacked), and drops the chunks:
-// a frozen job's events cost what they carry, about 10 bytes a record in
+// a frozen job's events cost what they carry, about 7 bytes a record in
 // place of 48. The side table stays as it is. Called once the job is frozen;
 // a log that is empty or packed already is left alone.
 func (l *eventLog) pack() {
@@ -235,27 +235,37 @@ func (l *eventLog) unpackLocked() {
 }
 
 // maxPackedRecord bounds the bytes of one packed record: a tag of at most
-// two bytes, three 64-bit deltas and four 32-bit ones.
-const maxPackedRecord = 2 + 3*binary.MaxVarintLen64 + 4*binary.MaxVarintLen32
+// two bytes, the mask byte, three 64-bit deltas and four 32-bit ones.
+const maxPackedRecord = 2 + 1 + 3*binary.MaxVarintLen64 + 4*binary.MaxVarintLen32
 
 // appendPacked encodes rec as its difference from prev, the record before
 // it (the zero record for the first). A uvarint tag carries when (1 bit),
 // where (3), kind (8) and side (2), in that order from the low bit, so a
-// record of the first eight kinds with no side entry tags in one byte; then
-// t, index, parent, card, branch, iter and worker follow, each as the
-// zigzag varint of its wrapping delta. Every field round-trips exactly as
-// long as when < 2, where < 8 and side < 4, which every event.When,
-// event.Where and side constant is.
+// record of the first eight kinds with no side entry tags in one byte.
+// Then one mask byte says which of the wrapping deltas of t, index,
+// parent, card, branch, iter and worker (bits 0 to 6) are not zero, and
+// those follow in that order, each as a zigzag varint. Every field
+// round-trips exactly as long as when < 2, where < 8 and side < 4, which
+// every event.When, event.Where and side constant is.
 func appendPacked(dst []byte, prev, rec *record) []byte {
 	tag := uint64(rec.when) | uint64(rec.where)<<1 | uint64(rec.kind)<<4 | uint64(rec.side)<<12
 	dst = binary.AppendUvarint(dst, tag)
-	dst = binary.AppendVarint(dst, rec.t-prev.t)
-	dst = binary.AppendVarint(dst, rec.index-prev.index)
-	dst = binary.AppendVarint(dst, rec.parent-prev.parent)
-	dst = binary.AppendVarint(dst, int64(rec.card-prev.card))
-	dst = binary.AppendVarint(dst, int64(rec.branch-prev.branch))
-	dst = binary.AppendVarint(dst, int64(rec.iter-prev.iter))
-	return binary.AppendVarint(dst, int64(rec.worker-prev.worker))
+	at := len(dst)
+	dst = append(dst, 0) // the mask, set bit by bit below
+	put := func(bit byte, d int64) {
+		if d != 0 {
+			dst[at] |= bit
+			dst = binary.AppendVarint(dst, d)
+		}
+	}
+	put(1<<0, rec.t-prev.t)
+	put(1<<1, rec.index-prev.index)
+	put(1<<2, rec.parent-prev.parent)
+	put(1<<3, int64(rec.card-prev.card))
+	put(1<<4, int64(rec.branch-prev.branch))
+	put(1<<5, int64(rec.iter-prev.iter))
+	put(1<<6, int64(rec.worker-prev.worker))
+	return dst
 }
 
 // decodePacked decodes the record at the start of src, which appendPacked
@@ -263,18 +273,23 @@ func appendPacked(dst []byte, prev, rec *record) []byte {
 func decodePacked(src []byte, rec *record) int {
 	tag, off := binary.Uvarint(src)
 	rec.when, rec.where, rec.kind, rec.side = uint8(tag&1), uint8(tag>>1&7), uint8(tag>>4), uint8(tag>>12)
-	delta := func() int64 {
+	mask := src[off]
+	off++
+	delta := func(bit byte) int64 {
+		if mask&bit == 0 {
+			return 0
+		}
 		v, n := binary.Varint(src[off:])
 		off += n
 		return v
 	}
-	rec.t += delta()
-	rec.index += delta()
-	rec.parent += delta()
-	rec.card += int32(delta())
-	rec.branch += int32(delta())
-	rec.iter += int32(delta())
-	rec.worker += int32(delta())
+	rec.t += delta(1 << 0)
+	rec.index += delta(1 << 1)
+	rec.parent += delta(1 << 2)
+	rec.card += int32(delta(1 << 3))
+	rec.branch += int32(delta(1 << 4))
+	rec.iter += int32(delta(1 << 5))
+	rec.worker += int32(delta(1 << 6))
 	return off
 }
 

@@ -325,7 +325,8 @@ func TestEventLogModel(t *testing.T) {
 }
 
 // checkPacked: a packed log holds no chunk, and its one buffer is sized to
-// its retained records, each within [8, maxPackedRecord] bytes.
+// its retained records, each within [2, maxPackedRecord] bytes: a record
+// that repeats the one before it is its one-byte tag and a zero mask.
 func checkPacked(t *testing.T, l *eventLog) {
 	t.Helper()
 	l.mu.Lock()
@@ -338,8 +339,8 @@ func checkPacked(t *testing.T, l *eventLog) {
 		t.Fatalf("packed log of %d records still holds %d chunks", kept, len(l.chunks))
 	case cap(l.packed) != len(l.packed):
 		t.Fatalf("packed buffer of %d bytes has room for %d", len(l.packed), cap(l.packed))
-	case len(l.packed) < 8*kept || len(l.packed) > maxPackedRecord*kept:
-		t.Fatalf("%d records packed into %d bytes, want %d to %d", kept, len(l.packed), 8*kept, maxPackedRecord*kept)
+	case len(l.packed) < 2*kept || len(l.packed) > maxPackedRecord*kept:
+		t.Fatalf("%d records packed into %d bytes, want %d to %d", kept, len(l.packed), 2*kept, maxPackedRecord*kept)
 	}
 }
 
@@ -372,7 +373,7 @@ func TestEventLogPacked(t *testing.T) {
 		p, rng := filled()
 		p.log.pack()
 		checkPacked(t, p.log)
-		if got := len(p.log.packed); got < 8*tc.kept || got > maxPackedRecord*tc.kept {
+		if got := len(p.log.packed); got < 2*tc.kept || got > maxPackedRecord*tc.kept {
 			t.Fatalf("cap %d, %d records: %d packed bytes, want %d kept records' worth", tc.capacity, tc.before, got, tc.kept)
 		}
 		check := func(when string) {

@@ -82,11 +82,14 @@ func waitFrozen(t *testing.T, j *job) {
 // stream, pool and 40-byte gauge samples went when a finished job became its
 // outcome: 117.9 KB, of which the 2006 48-byte records were 96 KB. With the
 // log packed when the job froze, 41.7–43.0 KB: the packed records (20 KB,
-// 10 bytes each), the packed gauge series and the job itself.
+// 10 bytes each), 1005 16-byte gauge samples and the job itself. With only
+// the deltas that moved packed and the gauge series kept as varint deltas,
+// 22.1–22.8 KB: the records in 14.6 KB (7.3 bytes each), the series in
+// 4.4 KB and the job itself.
 func TestFinishedJobRetention(t *testing.T) {
 	const (
 		jobs     = 200
-		perJobKB = 50
+		perJobKB = 27
 	)
 	srv := New(Config{Budget: 4})
 	defer srv.Close()
@@ -119,11 +122,12 @@ func TestFinishedJobRetention(t *testing.T) {
 // flat graph kept across analyses and dropped at the end, a finished goal job
 // retained 62.7–62.9 KB here; after it, 44.9 KB; with the job frozen to its
 // outcome, 29.8 KB; with its 326 records packed in place of two 256-slot
-// chunks, 8.9–9.3 KB.
+// chunks, 8.9–9.3 KB; with only the deltas that moved packed and its 165
+// gauge samples as varint deltas, 4.6–4.8 KB.
 func TestFinishedGoalJobRetention(t *testing.T) {
 	const (
 		jobs     = 40
-		perJobKB = 12
+		perJobKB = 6
 	)
 	srv := New(Config{Budget: 16})
 	defer srv.Close()
@@ -157,12 +161,13 @@ func TestFinishedGoalJobRetention(t *testing.T) {
 // one-cell sleepgrid of 50 µs on a journaled daemon — where the job's own
 // bookkeeping is all there is: its event log of 18 records, its view fields,
 // its journal entry. A finished tiny job retained 11.1 KB while it kept its
-// runner and live handle, 3.12 KB with its records trimmed to 18 slots, and
-// 2.44–2.49 KB with them packed.
+// runner and live handle, 3.12 KB with its records trimmed to 18 slots,
+// 2.44–2.49 KB with them packed, and 2.17–2.24 KB with only the deltas that
+// moved packed (89 bytes) and its 11 gauge samples in 47.
 func TestFinishedTinyJobRetention(t *testing.T) {
 	const (
 		jobs     = 300
-		perJobKB = 3
+		perJobKB = 2.6
 	)
 	jn, _, err := journal.Open(t.TempDir(), journal.Options{Fsync: journal.FsyncInterval})
 	if err != nil {
@@ -185,7 +190,7 @@ func TestFinishedTinyJobRetention(t *testing.T) {
 		t.Fatalf("a tiny job logged %d events, want 18", n)
 	}
 	t.Logf("retained per finished tiny job: %.2f KB", float64(perJob)/1024)
-	if perJob > perJobKB<<10 {
-		t.Fatalf("a finished tiny job retains %.2f KB, want at most %d KB", float64(perJob)/1024, perJobKB)
+	if float64(perJob) > perJobKB*1024 {
+		t.Fatalf("a finished tiny job retains %.2f KB, want at most %.1f KB", float64(perJob)/1024, perJobKB)
 	}
 }

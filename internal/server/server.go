@@ -656,6 +656,7 @@ func (s *Server) watch(j *job, h skandium.Handle) {
 	j.freezeLocked(h, res)
 	j.mu.Unlock()
 	j.log.pack()
+	j.rec.Trim()
 	s.mu.Lock()
 	s.retireLocked(j)
 	s.mu.Unlock()
