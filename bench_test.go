@@ -38,7 +38,7 @@ func newFig1() *fig1 {
 	fm := muscle.NewMerge("fm", func([]any) (any, error) { return nil, nil })
 	inner := skel.NewMap(fs, skel.NewSeq(fe), fm)
 	outer := skel.NewMap(fs, inner, fm)
-	est := estimate.NewRegistry(nil)
+	est := estimate.NewRegistry(estimate.DefaultRho)
 	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
 	est.InitDuration(fs.ID(), ms(10))
 	est.InitDuration(fe.ID(), ms(15))
@@ -388,7 +388,7 @@ func BenchmarkAnalyzeSteady(b *testing.B) {
 	inner := skel.NewMap(fs, skel.NewSeq(fe), fm)
 	outer := skel.NewMap(fs, inner, fm)
 	cell := inner.Children()[0]
-	est := estimate.NewRegistry(nil)
+	est := estimate.NewRegistry(estimate.DefaultRho)
 	us := func(n int) time.Duration { return time.Duration(n) * time.Microsecond }
 	est.InitDuration(fs.ID(), us(100))
 	est.InitDuration(fe.ID(), 10*time.Millisecond)
@@ -598,7 +598,7 @@ func BenchmarkADGBuildSchedule(b *testing.B) {
 			fe := muscle.NewExecute("fe", func(p any) (any, error) { return p, nil })
 			fm := muscle.NewMerge("fm", func([]any) (any, error) { return nil, nil })
 			node := skel.NewMap(fs, skel.NewSeq(fe), fm)
-			est := estimate.NewRegistry(nil)
+			est := estimate.NewRegistry(estimate.DefaultRho)
 			est.InitDuration(fs.ID(), time.Millisecond)
 			est.InitDuration(fe.ID(), time.Millisecond)
 			est.InitDuration(fm.ID(), time.Millisecond)
@@ -612,33 +612,6 @@ func BenchmarkADGBuildSchedule(b *testing.B) {
 				}
 				g.ScheduleBestEffort()
 				g.ScheduleLimited(8)
-			}
-		})
-	}
-}
-
-// BenchmarkEstimators compares the per-observation cost of the estimator
-// variants (ablation of the paper's future-work "different WCT estimation
-// algorithms comparing overhead costs").
-func BenchmarkEstimators(b *testing.B) {
-	factories := []struct {
-		name string
-		f    estimate.Factory
-	}{
-		{"ewma", estimate.EWMAFactory(0.5)},
-		{"mean", estimate.MeanFactory},
-		{"window8", estimate.WindowFactory(8)},
-		{"median8", estimate.MedianFactory(8)},
-		{"last", estimate.LastFactory},
-	}
-	for _, tc := range factories {
-		b.Run(tc.name, func(b *testing.B) {
-			e := tc.f()
-			for i := 0; i < b.N; i++ {
-				e.Observe(float64(i % 100))
-				if _, ok := e.Value(); !ok {
-					b.Fatal("no value")
-				}
 			}
 		})
 	}

@@ -66,7 +66,7 @@ func main() {
 		return
 	}
 
-	est := estimate.NewRegistry(nil)
+	est := estimate.NewRegistry(estimate.DefaultRho)
 	est.InitDuration(fs.ID(), u(10))
 	est.InitDuration(fe.ID(), u(15))
 	est.InitDuration(fm.ID(), u(5))

@@ -66,7 +66,7 @@ func main() {
 	reg := event.NewRegistry()
 	cluster := sim.NewEngine(sim.Config{Costs: costs, Nodes: nodes, LP: 1, MaxLP: *maxNodes, Events: reg})
 
-	est := estimate.NewRegistry(nil)
+	est := estimate.NewRegistry(estimate.DefaultRho)
 	tracker := statemachine.NewTracker(est)
 	ctl := core.NewController(core.Config{
 		WCTGoal:          *goal,

@@ -33,7 +33,7 @@ func mkMuscles(est *estimate.Registry, tFe, tFs, tFm, tFc time.Duration, card fl
 // --- virtual builds per kind -----------------------------------------------------
 
 func TestVirtualWhile(t *testing.T) {
-	est := estimate.NewRegistry(nil)
+	est := estimate.NewRegistry(estimate.DefaultRho)
 	fe, _, _, fc := mkMuscles(est, u(10), 0, 0, u(2), 3)
 	nd := skel.NewWhile(fc, skel.NewSeq(fe))
 	g, err := Builder{Est: est}.BuildVirtual(nd, clock.Epoch)
@@ -57,7 +57,7 @@ func TestVirtualWhile(t *testing.T) {
 }
 
 func TestVirtualFor(t *testing.T) {
-	est := estimate.NewRegistry(nil)
+	est := estimate.NewRegistry(estimate.DefaultRho)
 	fe, _, _, _ := mkMuscles(est, u(10), 0, 0, 0, 0)
 	nd := skel.NewFor(4, skel.NewSeq(fe))
 	g, err := Builder{Est: est}.BuildVirtual(nd, clock.Epoch)
@@ -71,7 +71,7 @@ func TestVirtualFor(t *testing.T) {
 }
 
 func TestVirtualPipeFarm(t *testing.T) {
-	est := estimate.NewRegistry(nil)
+	est := estimate.NewRegistry(estimate.DefaultRho)
 	fe, _, _, _ := mkMuscles(est, u(10), 0, 0, 0, 0)
 	nd := skel.NewPipe(skel.NewSeq(fe), skel.NewFarm(skel.NewSeq(fe)))
 	g, err := Builder{Est: est}.BuildVirtual(nd, clock.Epoch)
@@ -85,7 +85,7 @@ func TestVirtualPipeFarm(t *testing.T) {
 }
 
 func TestVirtualIfWorstCaseBranch(t *testing.T) {
-	est := estimate.NewRegistry(nil)
+	est := estimate.NewRegistry(estimate.DefaultRho)
 	feShort, _, _, fc := mkMuscles(est, u(5), 0, 0, u(1), 0)
 	feLong := muscle.NewExecute("long", func(p any) (any, error) { return p, nil })
 	est.InitDuration(feLong.ID(), u(50))
@@ -102,7 +102,7 @@ func TestVirtualIfWorstCaseBranch(t *testing.T) {
 }
 
 func TestVirtualDaC(t *testing.T) {
-	est := estimate.NewRegistry(nil)
+	est := estimate.NewRegistry(estimate.DefaultRho)
 	fe, fs, fm, fc := mkMuscles(est, u(8), u(2), u(3), u(1), 2)
 	nd := skel.NewDaC(fc, fs, skel.NewSeq(fe), fm)
 	g, err := Builder{Est: est}.BuildVirtual(nd, clock.Epoch)
@@ -123,7 +123,7 @@ func TestVirtualDaC(t *testing.T) {
 }
 
 func TestBudgetCollapse(t *testing.T) {
-	est := estimate.NewRegistry(nil)
+	est := estimate.NewRegistry(estimate.DefaultRho)
 	fe, fs, fm, _ := mkMuscles(est, u(1), u(1), u(1), 0, 100)
 	nd := skel.NewMap(fs, skel.NewSeq(fe), fm)
 	g, err := Builder{Est: est, Budget: 10}.BuildVirtual(nd, clock.Epoch)
@@ -153,7 +153,7 @@ func TestBudgetCollapse(t *testing.T) {
 // --- SeqEstimate -------------------------------------------------------------------
 
 func TestSeqEstimateAllKinds(t *testing.T) {
-	est := estimate.NewRegistry(nil)
+	est := estimate.NewRegistry(estimate.DefaultRho)
 	fe, fs, fm, fc := mkMuscles(est, u(10), u(2), u(3), u(1), 2)
 	leaf := skel.NewSeq(fe)
 	cases := []struct {
@@ -184,7 +184,7 @@ func TestSeqEstimateAllKinds(t *testing.T) {
 
 // SeqEstimate must equal the limited(1) schedule of the virtual graph.
 func TestSeqEstimateMatchesLimited1(t *testing.T) {
-	est := estimate.NewRegistry(nil)
+	est := estimate.NewRegistry(estimate.DefaultRho)
 	fe, fs, fm, fc := mkMuscles(est, u(7), u(2), u(3), u(1), 3)
 	leaf := skel.NewSeq(fe)
 	programs := []*skel.Node{
@@ -264,7 +264,7 @@ func randomProgram(rng *rand.Rand, est *estimate.Registry, depth int) *skel.Node
 func TestScheduleProperties(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		est := estimate.NewRegistry(nil)
+		est := estimate.NewRegistry(estimate.DefaultRho)
 		nd := randomProgram(rng, est, 2+rng.Intn(2))
 		g, err := Builder{Est: est, Budget: 3000}.BuildVirtual(nd, clock.Epoch)
 		if err != nil {
@@ -320,7 +320,7 @@ func TestScheduleProperties(t *testing.T) {
 func TestOptimalLPAchievesBestEffort(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		est := estimate.NewRegistry(nil)
+		est := estimate.NewRegistry(estimate.DefaultRho)
 		nd := randomProgram(rng, est, 2)
 		g, err := Builder{Est: est, Budget: 3000}.BuildVirtual(nd, clock.Epoch)
 		if err != nil {
@@ -342,7 +342,7 @@ func TestOptimalLPAchievesBestEffort(t *testing.T) {
 func TestMinLPForGoalMinimality(t *testing.T) {
 	f := func(seed int64, slackPct uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		est := estimate.NewRegistry(nil)
+		est := estimate.NewRegistry(estimate.DefaultRho)
 		nd := randomProgram(rng, est, 2)
 		g, err := Builder{Est: est, Budget: 3000}.BuildVirtual(nd, clock.Epoch)
 		if err != nil {
@@ -405,7 +405,7 @@ func TestZeroDurationActivitiesIgnoredInTimeline(t *testing.T) {
 // --- live builds beyond Fig. 1 -------------------------------------------------------
 
 func TestLiveWhileMidIteration(t *testing.T) {
-	est := estimate.NewRegistry(nil)
+	est := estimate.NewRegistry(estimate.DefaultRho)
 	fe, _, _, fc := mkMuscles(est, u(10), 0, 0, u(2), 4)
 	nd := skel.NewWhile(fc, skel.NewSeq(fe))
 	tr := newTrackerWithWhileHistory(t, est, nd)

@@ -36,7 +36,7 @@ func newFig1World(t *testing.T) *fig1World {
 	}
 	w.inner = skel.NewMap(w.fs, skel.NewSeq(w.fe), w.fm)
 	w.outer = skel.NewMap(w.fs, w.inner, w.fm)
-	w.est = estimate.NewRegistry(nil)
+	w.est = estimate.NewRegistry(estimate.DefaultRho)
 	w.est.InitDuration(w.fs.ID(), u(10))
 	w.est.InitDuration(w.fe.ID(), u(15))
 	w.est.InitDuration(w.fm.ID(), u(5))
@@ -242,7 +242,7 @@ func TestFig1VirtualBuild(t *testing.T) {
 // error names the muscle.
 func TestFig1IncompleteEstimates(t *testing.T) {
 	w := newFig1World(t)
-	est := estimate.NewRegistry(nil)
+	est := estimate.NewRegistry(estimate.DefaultRho)
 	est.InitDuration(w.fs.ID(), u(10))
 	est.InitDuration(w.fe.ID(), u(15))
 	est.InitDuration(w.fm.ID(), u(5))

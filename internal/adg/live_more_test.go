@@ -20,7 +20,7 @@ type liveWorld struct {
 }
 
 func newLiveWorld() *liveWorld {
-	est := estimate.NewRegistry(nil)
+	est := estimate.NewRegistry(estimate.DefaultRho)
 	return &liveWorld{tr: statemachine.NewTracker(est), est: est}
 }
 

@@ -12,7 +12,7 @@ import (
 
 func renderGraph(t *testing.T) *Graph {
 	t.Helper()
-	est := estimate.NewRegistry(nil)
+	est := estimate.NewRegistry(estimate.DefaultRho)
 	fe, fs, fm, _ := mkMuscles(est, u(15), u(10), u(5), 0, 3)
 	nd := skel.NewMap(fs, skel.NewSeq(fe), fm)
 	g, err := Builder{Est: est}.BuildVirtual(nd, clock.Epoch)

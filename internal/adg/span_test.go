@@ -12,7 +12,7 @@ import (
 )
 
 func TestSpanEstimateAllKinds(t *testing.T) {
-	est := estimate.NewRegistry(nil)
+	est := estimate.NewRegistry(estimate.DefaultRho)
 	fe, fs, fm, fc := mkMuscles(est, u(10), u(2), u(3), u(1), 2)
 	leaf := skel.NewSeq(fe)
 	cases := []struct {
@@ -47,7 +47,7 @@ func TestSpanEstimateAllKinds(t *testing.T) {
 func TestSpanMatchesBestEffortProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		est := estimate.NewRegistry(nil)
+		est := estimate.NewRegistry(estimate.DefaultRho)
 		nd := randomProgram(rng, est, 2)
 		span, err := SpanEstimate(est, nd)
 		if err != nil {

@@ -88,7 +88,7 @@ func TestActivationShapesAgree(t *testing.T) {
 
 		shape := func(attach func(reg *event.Registry)) string {
 			reg := event.NewRegistry()
-			tr := statemachine.NewTracker(estimate.NewRegistry(nil))
+			tr := statemachine.NewTracker(estimate.NewRegistry(estimate.DefaultRho))
 			reg.Add(tr.Listener())
 			attach(reg)
 			return Shape(tr)
@@ -124,7 +124,7 @@ func TestLiveADGMatchesSimMakespan(t *testing.T) {
 	for seed := int64(0); seed < fullSeeds; seed++ {
 		tree := Generate(seed, genDepth)
 
-		est := estimate.NewRegistry(nil)
+		est := estimate.NewRegistry(estimate.DefaultRho)
 		tr := statemachine.NewTracker(est)
 		reg := event.NewRegistry()
 		reg.Add(tr.Listener())
@@ -159,7 +159,7 @@ func TestLiveADGMatchesSimMakespan(t *testing.T) {
 // exact split cardinalities of a static tree, so analytic estimates and
 // virtual ADGs are exact rather than learned.
 func seedEstimates(tree *Tree) *estimate.Registry {
-	est := estimate.NewRegistry(nil)
+	est := estimate.NewRegistry(estimate.DefaultRho)
 	for _, m := range tree.Muscles {
 		est.InitDuration(m.ID(), time.Millisecond)
 	}

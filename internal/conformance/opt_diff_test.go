@@ -52,7 +52,7 @@ func simRunProgram(t *testing.T, p *plan.Program, input, lp int, reg *event.Regi
 func programShape(t *testing.T, run func(reg *event.Registry)) string {
 	t.Helper()
 	reg := event.NewRegistry()
-	tr := statemachine.NewTracker(estimate.NewRegistry(nil))
+	tr := statemachine.NewTracker(estimate.NewRegistry(estimate.DefaultRho))
 	reg.Add(tr.Listener())
 	run(reg)
 	return Shape(tr)

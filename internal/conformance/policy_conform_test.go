@@ -102,7 +102,7 @@ func seededCosts(tree *Tree, seed int64) (sim.CostModel, map[muscle.ID]time.Dura
 func controlledRun(t *testing.T, tree *Tree, costs sim.CostModel,
 	durs map[muscle.ID]time.Duration, cfg core.Config) []core.Decision {
 	t.Helper()
-	est := estimate.NewRegistry(nil)
+	est := estimate.NewRegistry(estimate.DefaultRho)
 	for _, m := range tree.Muscles {
 		est.InitDuration(m.ID(), durs[m.ID()])
 	}

@@ -86,7 +86,7 @@ func TestReusedADGMatchesFreshBuildOnCorpus(t *testing.T) {
 		}
 		goal := max(span+(work-span)/2, time.Millisecond)
 
-		est := estimate.NewRegistry(nil)
+		est := estimate.NewRegistry(estimate.DefaultRho)
 		for _, m := range tree.Muscles {
 			est.InitDuration(m.ID(), durs[m.ID()])
 		}

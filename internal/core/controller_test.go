@@ -59,7 +59,7 @@ func newFig1Setup() *fig1Setup {
 	}
 	s.inner = skel.NewMap(s.fs, skel.NewSeq(s.fe), s.fm)
 	s.outer = skel.NewMap(s.fs, s.inner, s.fm)
-	s.est = estimate.NewRegistry(nil)
+	s.est = estimate.NewRegistry(estimate.DefaultRho)
 	s.est.InitDuration(s.fs.ID(), u(10))
 	s.est.InitDuration(s.fe.ID(), u(15))
 	s.est.InitDuration(s.fm.ID(), u(5))
@@ -259,7 +259,7 @@ func TestMaxLPCapsIncrease(t *testing.T) {
 func TestGatedUntilEstimatesComplete(t *testing.T) {
 	s := newFig1Setup()
 	// Wipe the estimates: fresh registry without |fs|.
-	est := estimate.NewRegistry(nil)
+	est := estimate.NewRegistry(estimate.DefaultRho)
 	tr := statemachine.NewTracker(est)
 	lever := &fakeLever{lp: 1}
 	ctl := NewController(Config{WCTGoal: u(100)}, s.outer, lever, est, tr,

@@ -148,7 +148,7 @@ func TestAutonomicClusterScaling(t *testing.T) {
 
 	reg := event.NewRegistry()
 	eng := sim.NewEngine(sim.Config{Costs: costs, Nodes: cluster(8, 0), LP: 1, MaxLP: 8, Events: reg})
-	est := estimate.NewRegistry(nil)
+	est := estimate.NewRegistry(estimate.DefaultRho)
 	tracker := statemachine.NewTracker(est)
 	ctl := core.NewController(core.Config{WCTGoal: 60 * time.Millisecond, MaxLP: 8},
 		outer, eng, est, tracker, eng.Clock())

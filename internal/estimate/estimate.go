@@ -9,38 +9,11 @@
 //
 // with ρ ∈ [0,1] defaulting to 0.5. ρ close to 0 follows the stable
 // tendency (slow adaptation); ρ close to 1 reacts to the latest measure.
-// Alternative estimators (cumulative mean, sliding window, median, last
-// value) are provided for the overhead/accuracy ablation the paper lists as
-// future work.
 package estimate
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
-// Estimator tracks one scalar quantity.
-type Estimator interface {
-	// Observe feeds one actual measurement.
-	Observe(v float64)
-	// Init seeds the estimate without consuming an observation slot; the
-	// paper's "initialization of estimation functions" (scenario 2) uses
-	// this to start from a previous run's final values.
-	Init(v float64)
-	// Value returns the current estimate; ok is false until the estimator
-	// has been observed or initialized.
-	Value() (v float64, ok bool)
-	// Observations returns how many actual measurements were consumed.
-	Observations() int
-}
-
-// Factory builds fresh estimators; the registry uses one per tracked
-// quantity.
-type Factory func() Estimator
-
-// --- EWMA (the paper's estimator) -------------------------------------------
-
-// EWMA is the paper's ρ-weighted estimator.
+// EWMA is the paper's ρ-weighted estimator of one scalar quantity.
 type EWMA struct {
 	rho  float64
 	val  float64
@@ -51,25 +24,21 @@ type EWMA struct {
 // NewEWMA returns an EWMA estimator with the given ρ. It panics if ρ is
 // outside [0,1].
 func NewEWMA(rho float64) *EWMA {
+	checkRho(rho)
+	return &EWMA{rho: rho}
+}
+
+func checkRho(rho float64) {
 	if rho < 0 || rho > 1 {
 		panic(fmt.Sprintf("estimate: ρ=%v outside [0,1]", rho))
 	}
-	return &EWMA{rho: rho}
 }
 
 // DefaultRho is the paper's default ρ: the estimate is the average of the
 // last actual value and the previous estimate.
 const DefaultRho = 0.5
 
-// EWMAFactory returns a Factory of EWMA estimators with the given ρ.
-func EWMAFactory(rho float64) Factory {
-	if rho < 0 || rho > 1 {
-		panic(fmt.Sprintf("estimate: ρ=%v outside [0,1]", rho))
-	}
-	return func() Estimator { return NewEWMA(rho) }
-}
-
-// Observe implements Estimator.
+// Observe feeds one actual measurement.
 func (e *EWMA) Observe(v float64) {
 	e.seen++
 	if !e.ok {
@@ -79,162 +48,14 @@ func (e *EWMA) Observe(v float64) {
 	e.val = e.rho*v + (1-e.rho)*e.val
 }
 
-// Init implements Estimator.
+// Init seeds the estimate without consuming an observation slot; the
+// paper's "initialization of estimation functions" (scenario 2) uses this
+// to start from a previous run's final values.
 func (e *EWMA) Init(v float64) { e.val, e.ok = v, true }
 
-// Value implements Estimator.
+// Value returns the current estimate; ok is false until the estimator has
+// been observed or initialized.
 func (e *EWMA) Value() (float64, bool) { return e.val, e.ok }
 
-// Observations implements Estimator.
+// Observations returns how many actual measurements were consumed.
 func (e *EWMA) Observations() int { return e.seen }
-
-// Rho returns the estimator's ρ.
-func (e *EWMA) Rho() float64 { return e.rho }
-
-// --- Cumulative mean ----------------------------------------------------------
-
-// Mean is the cumulative average of all observations.
-type Mean struct {
-	sum  float64
-	n    int
-	init float64
-	ok   bool
-}
-
-// NewMean returns a cumulative-mean estimator.
-func NewMean() *Mean { return &Mean{} }
-
-// MeanFactory builds Mean estimators.
-func MeanFactory() Estimator { return NewMean() }
-
-// Observe implements Estimator.
-func (m *Mean) Observe(v float64) { m.sum += v; m.n++; m.ok = true }
-
-// Init implements Estimator.
-func (m *Mean) Init(v float64) {
-	if m.n == 0 {
-		m.init, m.ok = v, true
-	}
-}
-
-// Value implements Estimator.
-func (m *Mean) Value() (float64, bool) {
-	if m.n == 0 {
-		return m.init, m.ok
-	}
-	return m.sum / float64(m.n), true
-}
-
-// Observations implements Estimator.
-func (m *Mean) Observations() int { return m.n }
-
-// --- Sliding window mean / median ---------------------------------------------
-
-// Window averages the last k observations.
-type Window struct {
-	k    int
-	buf  []float64
-	next int
-	n    int
-	med  bool
-	init float64
-	ok   bool
-}
-
-// NewWindow returns a sliding-window mean over the last k observations.
-func NewWindow(k int) *Window {
-	if k < 1 {
-		panic("estimate: window size must be >= 1")
-	}
-	return &Window{k: k, buf: make([]float64, k)}
-}
-
-// NewMedianWindow returns a sliding-window median over the last k
-// observations, robust to outlier measurements (GC pauses, cache misses).
-func NewMedianWindow(k int) *Window {
-	w := NewWindow(k)
-	w.med = true
-	return w
-}
-
-// WindowFactory builds sliding-window means of size k.
-func WindowFactory(k int) Factory { return func() Estimator { return NewWindow(k) } }
-
-// MedianFactory builds sliding-window medians of size k.
-func MedianFactory(k int) Factory { return func() Estimator { return NewMedianWindow(k) } }
-
-// Observe implements Estimator.
-func (w *Window) Observe(v float64) {
-	w.buf[w.next] = v
-	w.next = (w.next + 1) % w.k
-	if w.n < w.k {
-		w.n++
-	}
-	w.ok = true
-}
-
-// Init implements Estimator.
-func (w *Window) Init(v float64) {
-	if w.n == 0 {
-		w.init, w.ok = v, true
-	}
-}
-
-// Value implements Estimator.
-func (w *Window) Value() (float64, bool) {
-	if w.n == 0 {
-		return w.init, w.ok
-	}
-	vals := append([]float64(nil), w.buf[:w.n]...)
-	if w.med {
-		sort.Float64s(vals)
-		mid := len(vals) / 2
-		if len(vals)%2 == 1 {
-			return vals[mid], true
-		}
-		return (vals[mid-1] + vals[mid]) / 2, true
-	}
-	sum := 0.0
-	for _, v := range vals {
-		sum += v
-	}
-	return sum / float64(len(vals)), true
-}
-
-// Observations implements Estimator.
-func (w *Window) Observations() int { return w.n }
-
-// --- Last value -----------------------------------------------------------------
-
-// Last keeps only the most recent observation (ρ=1 degenerate case).
-type Last struct {
-	val  float64
-	ok   bool
-	seen int
-}
-
-// NewLast returns a last-value estimator.
-func NewLast() *Last { return &Last{} }
-
-// LastFactory builds Last estimators.
-func LastFactory() Estimator { return NewLast() }
-
-// Observe implements Estimator.
-func (l *Last) Observe(v float64) { l.val, l.ok = v, true; l.seen++ }
-
-// Init implements Estimator.
-func (l *Last) Init(v float64) { l.val, l.ok = v, true }
-
-// Value implements Estimator.
-func (l *Last) Value() (float64, bool) { return l.val, l.ok }
-
-// Observations implements Estimator.
-func (l *Last) Observations() int { return l.seen }
-
-// guard the interface contracts at compile time.
-var (
-	_ Estimator = (*EWMA)(nil)
-	_ Estimator = (*Mean)(nil)
-	_ Estimator = (*Window)(nil)
-	_ Estimator = (*Last)(nil)
-)

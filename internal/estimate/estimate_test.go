@@ -121,95 +121,10 @@ func normalize(raw float64) float64 {
 	return math.Mod(math.Abs(raw), 1e6)
 }
 
-func TestMean(t *testing.T) {
-	m := NewMean()
-	m.Init(100)
-	if v, ok := m.Value(); !ok || v != 100 {
-		t.Fatalf("init: %v/%v", v, ok)
-	}
-	m.Observe(2)
-	m.Observe(4)
-	if v, _ := m.Value(); v != 3 {
-		t.Fatalf("mean = %v, want 3 (init ignored once observed)", v)
-	}
-}
-
-func TestWindowMean(t *testing.T) {
-	w := NewWindow(3)
-	for _, v := range []float64{1, 2, 3, 4, 5} {
-		w.Observe(v)
-	}
-	if v, _ := w.Value(); v != 4 { // (3+4+5)/3
-		t.Fatalf("window mean = %v, want 4", v)
-	}
-}
-
-func TestMedianWindowRobustToOutlier(t *testing.T) {
-	w := NewMedianWindow(5)
-	for _, v := range []float64{10, 11, 9, 1000, 10} {
-		w.Observe(v)
-	}
-	if v, _ := w.Value(); v != 10 {
-		t.Fatalf("median = %v, want 10", v)
-	}
-	// Even window: average of the middle two.
-	w2 := NewMedianWindow(4)
-	for _, v := range []float64{1, 2, 3, 4} {
-		w2.Observe(v)
-	}
-	if v, _ := w2.Value(); v != 2.5 {
-		t.Fatalf("even median = %v, want 2.5", v)
-	}
-}
-
-func TestLast(t *testing.T) {
-	l := NewLast()
-	l.Observe(1)
-	l.Observe(7)
-	if v, _ := l.Value(); v != 7 {
-		t.Fatalf("last = %v, want 7", v)
-	}
-}
-
-// Property: Window and Median values always lie within the min/max of the
-// last k observations.
-func TestWindowBoundedProperty(t *testing.T) {
-	f := func(vals []float64, kRaw uint8) bool {
-		k := int(kRaw%8) + 1
-		w := NewWindow(k)
-		med := NewMedianWindow(k)
-		var clean []float64
-		for _, raw := range vals {
-			v := normalize(raw)
-			w.Observe(v)
-			med.Observe(v)
-			clean = append(clean, v)
-		}
-		if len(clean) == 0 {
-			return true
-		}
-		tail := clean
-		if len(tail) > k {
-			tail = tail[len(tail)-k:]
-		}
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, v := range tail {
-			lo, hi = math.Min(lo, v), math.Max(hi, v)
-		}
-		wv, _ := w.Value()
-		mv, _ := med.Value()
-		const eps = 1e-9
-		return wv >= lo-eps && wv <= hi+eps && mv >= lo-eps && mv <= hi+eps
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // --- registry -------------------------------------------------------------------
 
 func TestRegistryDurations(t *testing.T) {
-	r := NewRegistry(nil)
+	r := NewRegistry(DefaultRho)
 	m := muscle.NewExecute("m", func(p any) (any, error) { return p, nil })
 	if _, ok := r.Duration(m.ID()); ok {
 		t.Fatal("unknown muscle reports a duration")
@@ -229,7 +144,7 @@ func TestRegistryDurations(t *testing.T) {
 }
 
 func TestRegistryCards(t *testing.T) {
-	r := NewRegistry(nil)
+	r := NewRegistry(DefaultRho)
 	m := muscle.NewSplit("s", func(p any) ([]any, error) { return nil, nil })
 	r.ObserveCard(m.ID(), 5)
 	r.ObserveCard(m.ID(), 7)
@@ -240,7 +155,7 @@ func TestRegistryCards(t *testing.T) {
 }
 
 func TestRegistryComplete(t *testing.T) {
-	r := NewRegistry(nil)
+	r := NewRegistry(DefaultRho)
 	a := muscle.NewExecute("a", func(p any) (any, error) { return p, nil })
 	s := muscle.NewSplit("s", func(p any) ([]any, error) { return nil, nil })
 	durIDs := []muscle.ID{a.ID(), s.ID()}
@@ -260,7 +175,7 @@ func TestRegistryComplete(t *testing.T) {
 }
 
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
-	r := NewRegistry(nil)
+	r := NewRegistry(DefaultRho)
 	a := muscle.NewExecute("a", func(p any) (any, error) { return p, nil })
 	s := muscle.NewSplit("s", func(p any) ([]any, error) { return nil, nil })
 	r.ObserveDuration(a.ID(), 80*time.Millisecond)
@@ -268,7 +183,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	r.ObserveCard(s.ID(), 4)
 	prof := r.Snapshot()
 
-	r2 := NewRegistry(nil)
+	r2 := NewRegistry(DefaultRho)
 	r2.Restore(prof)
 	if d, ok := r2.Duration(a.ID()); !ok || d != 80*time.Millisecond {
 		t.Fatalf("restored duration %v/%v", d, ok)
@@ -283,7 +198,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 }
 
 func TestRegistryNegativeDurationClamped(t *testing.T) {
-	r := NewRegistry(nil)
+	r := NewRegistry(DefaultRho)
 	a := muscle.NewExecute("a", func(p any) (any, error) { return p, nil })
 	r.InitDuration(a.ID(), -5*time.Millisecond)
 	d, ok := r.Duration(a.ID())
@@ -296,7 +211,7 @@ func TestRegistryNegativeDurationClamped(t *testing.T) {
 }
 
 func TestRegistryConcurrentAccess(t *testing.T) {
-	r := NewRegistry(nil)
+	r := NewRegistry(DefaultRho)
 	m := muscle.NewExecute("m", func(p any) (any, error) { return p, nil })
 	done := make(chan struct{})
 	go func() {

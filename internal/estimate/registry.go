@@ -13,7 +13,7 @@ import (
 // knowledge base the state machines write to and the ADG builder reads
 // from. Safe for concurrent use.
 type Registry struct {
-	factory Factory
+	rho float64
 
 	// ver counts mutations (observations and inits). Readers use it to
 	// detect that nothing changed between two analyses and reuse derived
@@ -22,8 +22,8 @@ type Registry struct {
 	ver atomic.Uint64
 
 	mu   sync.RWMutex
-	dur  map[muscle.ID]Estimator
-	card map[muscle.ID]Estimator
+	dur  map[muscle.ID]*EWMA
+	card map[muscle.ID]*EWMA
 }
 
 // Version returns the mutation counter: it advances on every Observe*,
@@ -31,24 +31,23 @@ type Registry struct {
 // same on a later check, the estimates are unchanged in between.
 func (r *Registry) Version() uint64 { return r.ver.Load() }
 
-// NewRegistry builds a registry whose per-quantity estimators come from
-// factory; nil means the paper's default, EWMA with ρ=0.5.
-func NewRegistry(factory Factory) *Registry {
-	if factory == nil {
-		factory = EWMAFactory(DefaultRho)
-	}
+// NewRegistry builds a registry whose per-quantity estimators are EWMAs
+// with the given ρ (DefaultRho is the paper's). It panics if ρ is outside
+// [0,1].
+func NewRegistry(rho float64) *Registry {
+	checkRho(rho)
 	return &Registry{
-		factory: factory,
-		dur:     make(map[muscle.ID]Estimator),
-		card:    make(map[muscle.ID]Estimator),
+		rho:  rho,
+		dur:  make(map[muscle.ID]*EWMA),
+		card: make(map[muscle.ID]*EWMA),
 	}
 }
 
-func (r *Registry) estimator(m map[muscle.ID]Estimator, id muscle.ID) Estimator {
+func (r *Registry) estimator(m map[muscle.ID]*EWMA, id muscle.ID) *EWMA {
 	if e, ok := m[id]; ok {
 		return e
 	}
-	e := r.factory()
+	e := NewEWMA(r.rho)
 	m[id] = e
 	return e
 }

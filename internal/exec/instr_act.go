@@ -265,9 +265,6 @@ func (in *actInst) parts(w *Worker, t *Task) []any {
 	if repl, ok := after.([]any); ok {
 		parts = repl
 	}
-	// Feed the optimizer's pre-sizing hint (nil on unoptimized programs):
-	// later consumers size buffers and shard batches for this fan-out width.
-	in.a.step.CardHint().Record(len(parts))
 	return parts
 }
 

@@ -156,7 +156,7 @@ func RunDaC(spec DaCSpec) (*DaCResult, error) {
 	})
 	rec.SetStart(eng.Now())
 
-	est := estimate.NewRegistry(estimate.EWMAFactory(spec.Rho))
+	est := estimate.NewRegistry(spec.Rho)
 	tracker := statemachine.NewTracker(est)
 	var ctl *core.Controller
 	if spec.Goal > 0 {

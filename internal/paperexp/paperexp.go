@@ -302,7 +302,7 @@ func (w *world) run(spec Spec, profile estimate.Profile) (*Result, error) {
 	})
 	rec.SetStart(eng.Now())
 
-	est := estimate.NewRegistry(estimate.EWMAFactory(spec.Rho))
+	est := estimate.NewRegistry(spec.Rho)
 	if profile != nil {
 		est.Restore(profile)
 	}

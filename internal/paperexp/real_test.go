@@ -85,7 +85,7 @@ func TestRealEngineScenario(t *testing.T) {
 	pool := exec.NewPool(nil, 1, 24)
 	defer pool.Close()
 	reg := event.NewRegistry()
-	est := estimate.NewRegistry(nil)
+	est := estimate.NewRegistry(estimate.DefaultRho)
 	tracker := statemachine.NewTracker(est)
 	ctl := core.NewController(core.Config{
 		WCTGoal: goal,

@@ -37,13 +37,6 @@ func (s *Step) dump(b *strings.Builder, depth int) {
 	if s.analytic != nil {
 		fmt.Fprintf(b, "  [analytic: work=%d span=%d aops]", len(s.analytic.WorkOps()), len(s.analytic.SpanOps()))
 	}
-	if s.hint != nil {
-		if k, ok := s.hint.Get(); ok {
-			fmt.Fprintf(b, "  [hint: card=%d]", k)
-		} else {
-			fmt.Fprintf(b, "  [hint: card=?]")
-		}
-	}
 	b.WriteByte('\n')
 	for _, c := range s.children {
 		c.dump(b, depth+1)

@@ -17,9 +17,6 @@
 //     the subclass whose analytic work/span the conformance harness proves
 //     exact, so the recursive estimator walk is precompiled into flat
 //     postfix programs evaluated without touching the subtree.
-//  2. presize-fanout: fan-out steps get a cardinality hint slot — exact for
-//     OpFanFixed, recorded live after every split otherwise — that
-//     consumers use to size buffers and shard batches up front.
 //
 // No pass rewrites the step tree or changes how the engines run a step.
 package plan
@@ -27,7 +24,6 @@ package plan
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 	"time"
 
 	"skandium/internal/muscle"
@@ -57,7 +53,6 @@ func OptimizeWithReport(p *Program) (*Program, []PassReport) {
 	np := cloneProgram(p)
 	return np, []PassReport{
 		analyticPass(np),
-		cardHintPass(np),
 	}
 }
 
@@ -329,60 +324,4 @@ func countSteps(s *Step) int {
 		n += countSteps(c)
 	}
 	return n
-}
-
-// ---------------------------------------------------------------------------
-// Pass 2: fan-out pre-sizing.
-
-// CardHint is the live cardinality hint of one fan-out step: the last
-// observed (or statically known) number of parts its split produced.
-// Engines record after every split; consumers use it to size child-result
-// buffers and remote shard batches up front. It is
-// strictly an allocation hint — never a semantic input — so a stale or
-// absent hint costs only an amortized reallocation.
-type CardHint struct {
-	v atomic.Int64
-}
-
-// Record stores an observed cardinality (negative values are ignored).
-func (h *CardHint) Record(k int) {
-	if h != nil && k >= 0 {
-		h.v.Store(int64(k))
-	}
-}
-
-// Get returns the hinted cardinality, or ok=false when nothing has been
-// observed yet.
-func (h *CardHint) Get() (int, bool) {
-	if h == nil {
-		return 0, false
-	}
-	v := h.v.Load()
-	if v < 0 {
-		return 0, false
-	}
-	return int(v), true
-}
-
-// cardHintPass attaches a hint slot to every fan-out step. OpFanFixed fans
-// out into exactly len(children) parts, so its hint is seeded statically;
-// OpFanOut and OpRecurse start unknown and are filled by the first split.
-func cardHintPass(p *Program) PassReport {
-	rep := PassReport{Name: "presize-fanout"}
-	seeded := 0
-	for _, s := range p.steps {
-		switch s.op {
-		case OpFanOut, OpFanFixed, OpRecurse:
-			h := &CardHint{}
-			h.v.Store(-1)
-			if s.op == OpFanFixed {
-				h.v.Store(int64(len(s.children)))
-				seeded++
-			}
-			s.hint = h
-			rep.Applied++
-		}
-	}
-	rep.Detail = fmt.Sprintf("%d fan-out hint slots (%d statically seeded)", rep.Applied, seeded)
-	return rep
 }

@@ -88,44 +88,6 @@ func TestAnalyticStopsAtDynamicControl(t *testing.T) {
 	}
 }
 
-func TestCardHints(t *testing.T) {
-	nd := skel.NewPipe(
-		skel.NewMap(fs("s"), skel.NewSeq(fe("e")), fm("m")),
-		skel.NewFork(fs("ks"), []*skel.Node{skel.NewSeq(fe("k0")), skel.NewSeq(fe("k1"))}, fm("km")),
-	)
-	opt := Optimize(mustCompile(t, nd))
-	mapStep, forkStep := opt.Root().Child(0), opt.Root().Child(1)
-
-	h := mapStep.CardHint()
-	if h == nil {
-		t.Fatal("fan-out without a hint slot")
-	}
-	if _, ok := h.Get(); ok {
-		t.Fatal("dynamic fan-out hint set before any split ran")
-	}
-	h.Record(4)
-	if k, ok := h.Get(); !ok || k != 4 {
-		t.Fatalf("hint = %d,%v after Record(4)", k, ok)
-	}
-	h.Record(-3) // ignored
-	if k, _ := h.Get(); k != 4 {
-		t.Fatalf("negative record overwrote hint: %d", k)
-	}
-	if k, ok := forkStep.CardHint().Get(); !ok || k != 2 {
-		t.Fatalf("fan-fixed hint = %d,%v, want statically seeded 2", k, ok)
-	}
-	// Raw programs carry no hint; nil receivers must be safe.
-	raw := mustCompile(t, nd)
-	var nilHint *CardHint = raw.Root().Child(0).CardHint()
-	if nilHint != nil {
-		t.Fatal("raw program has a hint slot")
-	}
-	nilHint.Record(7)
-	if _, ok := nilHint.Get(); ok {
-		t.Fatal("nil hint returned a value")
-	}
-}
-
 func TestOptimizePreservesStructure(t *testing.T) {
 	raw := mustCompile(t, everyKind())
 	opt, reports := OptimizeWithReport(raw)
@@ -157,7 +119,7 @@ func TestOptimizePreservesStructure(t *testing.T) {
 		if opt.StepFor(r.Node().ID()) == nil {
 			t.Fatalf("step %d lost its byID entry", i)
 		}
-		if r.Analytic() != nil || r.CardHint() != nil {
+		if r.Analytic() != nil {
 			t.Fatalf("Optimize annotated its input at step #%d", i)
 		}
 	}
@@ -175,7 +137,7 @@ func TestOfCachesOptimizedProgram(t *testing.T) {
 	}
 	annotated := false
 	for _, s := range p1.Steps() {
-		if s.Analytic() != nil || s.CardHint() != nil {
+		if s.Analytic() != nil {
 			annotated = true
 		}
 	}
@@ -224,8 +186,5 @@ func TestRewriteOptimizeRace(t *testing.T) {
 		if p.Root().Analytic() == nil {
 			t.Fatalf("cached program for %s is not optimized", p.Node())
 		}
-	}
-	if pb[0].Root().CardHint() == nil {
-		t.Fatalf("cached program for %s has no fan-out hint slot", b)
 	}
 }

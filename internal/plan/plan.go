@@ -144,7 +144,6 @@ type Step struct {
 	// unchanged on an optimized program; consumers that know about an
 	// annotation use it as a faster equivalent path.
 	analytic *Analytic
-	hint     *CardHint
 }
 
 // Op returns the step's operation.
@@ -188,10 +187,6 @@ func (s *Step) Index() int { return s.index }
 // subtree rooted at this step, or nil when the subtree is not static (or
 // the program is unoptimized).
 func (s *Step) Analytic() *Analytic { return s.analytic }
-
-// CardHint returns the live cardinality hint slot of a fan-out step, or
-// nil for non-fan-out steps and unoptimized programs.
-func (s *Step) CardHint() *CardHint { return s.hint }
 
 // Program is the compiled form of one skeleton tree, rooted at Node. It is
 // immutable and safe for concurrent use.

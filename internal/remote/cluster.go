@@ -719,9 +719,6 @@ func (c *Cluster) RunAs(tenant, blueprint string, params skandium.Params) (any, 
 	if err != nil {
 		return nil, fmt.Errorf("remote: split: %w", err)
 	}
-	// The coordinator-side split observes the fan-out width; feed the
-	// optimizer's pre-sizing hint on the cached program.
-	fan.CardHint().Record(len(parts))
 	raws := make([]json.RawMessage, len(parts))
 	for i, p := range parts {
 		if raws[i], err = bp.Remote.EncodePart(p); err != nil {

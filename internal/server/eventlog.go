@@ -15,9 +15,9 @@ import (
 	"skandium/internal/skel"
 )
 
-// record is one retained job event: fixed size and free of pointers, so a
-// chunk of them costs the worker one 48-byte store and the collector
-// nothing to mark. Everything a reader shows — the ∆@notation, the kind,
+// record is one job event as the log takes it and a reader decodes it:
+// free of pointers, and stored as its difference from the record before it
+// (appendPacked). Everything a reader shows — the ∆@notation, the kind,
 // when and where names, t_ms — is rendered from it on read.
 type record struct {
 	t      int64 // nanoseconds since the job was created
@@ -47,29 +47,24 @@ type sideRecord struct {
 	ev, kind, when, where, err string
 }
 
-const (
-	// chunkLen records make a chunk (12 KB). A job's first chunk starts at
-	// firstChunkLen and doubles, so a cluster-routed job's single record
-	// costs 192 bytes and a five-task job's events under 1 KB.
-	chunkLen      = 256
-	firstChunkLen = 4
-)
-
 // eventLog is a bounded ring of a job's events with follow support. The
-// listener appends from worker goroutines; NDJSON handlers copy records out
-// under the lock and render them outside it (see logReader). Once the job is
-// frozen the ring is packed: its retained records move from the chunks into
-// one pointer-free buffer that readers decode (see pack).
+// listener appends from worker goroutines, each record packed against the
+// one before it into one pointer-free buffer; NDJSON handlers take the
+// buffer under the lock and decode and render it outside it (see
+// logReader). The buffer keeps at most 2·cap records: the append that
+// would go past that drops the evicted ones (see dropLocked).
 type eventLog struct {
 	start time.Time
 	cap   int64
 
-	mu     sync.Mutex
-	n      int64      // records ever appended; seq n-1 is the newest
-	chunks [][]record // seq s lives in slot s%cap, chunkLen slots per chunk
-	// packed, when not empty, holds the retained records instead of the
-	// chunks: seq max(0, n-cap) first, never written once made.
-	packed []byte
+	mu    sync.Mutex
+	n     int64 // records ever appended; seq n-1 is the newest
+	first int64 // seq of buf's first record, at most max(0, n-cap)
+	// buf holds records first…n-1, the first packed against the zero
+	// record. Bytes below len(buf) are never written again: a drop or a
+	// trim copies into a new buffer.
+	buf    []byte
+	last   record       // record n-1, which the next one is packed against
 	side   []sideRecord // of the retained records whose side != sideNone, by seq
 	closed bool
 	// parked holds the wake channel of every follower that found nothing to
@@ -118,41 +113,25 @@ func (l *eventLog) appendText(at time.Time, ev, kind, when, where, err string) {
 		sideRecord{ev: ev, kind: kind, when: when, where: where, err: err})
 }
 
-// append stores rec under the next sequence number, overwriting the oldest
+// append stores rec under the next sequence number, evicting the oldest
 // record once the ring is full, and wakes the followers that are parked.
 func (l *eventLog) append(rec record, side sideRecord) {
 	l.mu.Lock()
-	if len(l.packed) > 0 {
-		l.unpackLocked()
+	if l.n-l.first == 2*l.cap {
+		l.dropLocked(2) // room for the cap appends until the next drop
 	}
-	slot := int(l.n % l.cap)
-	c, o := slot/chunkLen, slot%chunkLen
-	switch {
-	case c == len(l.chunks):
-		size := min(chunkLen, int(l.cap)-c*chunkLen)
-		if c == 0 {
-			size = min(size, firstChunkLen)
-		}
-		l.chunks = append(l.chunks, make([]record, size))
-	case o == len(l.chunks[c]):
-		// Only the first chunk is ever short: it reaches its full length
-		// before the second one exists.
-		grown := make([]record, min(2*o, chunkLen, int(l.cap)))
-		copy(grown, l.chunks[c])
-		l.chunks[c] = grown
-	}
-	at := &l.chunks[c][o]
-	if l.n >= l.cap && at.side != sideNone {
-		// The record being overwritten is the oldest, and so is its entry.
-		l.side[0] = sideRecord{}
-		l.side = l.side[1:]
-	}
-	*at = rec
+	l.buf = appendPacked(l.buf, &l.last, &rec)
+	l.last = rec
 	if rec.side != sideNone {
 		side.seq = l.n
 		l.side = append(l.side, side)
 	}
 	l.n++
+	if len(l.side) > 0 && l.side[0].seq < l.n-l.cap {
+		// The record just evicted is the oldest, and so is its entry.
+		l.side[0] = sideRecord{}
+		l.side = l.side[1:]
+	}
 	l.wakeLocked()
 	l.mu.Unlock()
 }
@@ -179,59 +158,34 @@ func (l *eventLog) close() {
 	l.mu.Unlock()
 }
 
-// slotLocked returns the chunk slot that holds retained seq.
-func (l *eventLog) slotLocked(seq int64) *record {
-	slot := int(seq % l.cap)
-	return &l.chunks[slot/chunkLen][slot%chunkLen]
-}
-
-// pack moves the retained records into one buffer sized to them, each
-// encoded against the one before it (appendPacked), and drops the chunks:
-// a frozen job's events cost what they carry, about 7 bytes a record in
-// place of 48. The side table stays as it is. Called once the job is frozen;
-// a log that is empty or packed already is left alone.
-func (l *eventLog) pack() {
+// trim drops the evicted records and the append slack, so a frozen job's
+// events cost what its retained records carry, about 7 bytes each. Called
+// once the job is frozen; a log appended to after that just grows again.
+func (l *eventLog) trim() {
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	if len(l.chunks) == 0 {
-		return
+	if l.first < l.n-l.cap || cap(l.buf) > len(l.buf) {
+		l.dropLocked(1)
 	}
-	base := max(0, l.n-l.cap)
-	var one [maxPackedRecord]byte
-	size, prev := 0, record{}
-	for seq := base; seq < l.n; seq++ {
-		rec := l.slotLocked(seq)
-		size += len(appendPacked(one[:0], &prev, rec))
-		prev = *rec
-	}
-	buf := make([]byte, 0, size)
-	prev = record{}
-	for seq := base; seq < l.n; seq++ {
-		rec := l.slotLocked(seq)
-		buf = appendPacked(buf, &prev, rec)
-		prev = *rec
-	}
-	l.packed, l.chunks = buf, nil
+	l.mu.Unlock()
 }
 
-// unpackLocked turns a packed log back into the chunks an append stores
-// into. A job can be appended to after it froze: a cluster node's health
-// transition is, when it raced the job's return.
-func (l *eventLog) unpackLocked() {
-	used := min(l.n, l.cap)
-	for c := int64(0); c*chunkLen < used; c++ {
-		size := min(chunkLen, l.cap-c*chunkLen)
-		if c == 0 {
-			size = min(size, used) // a short first chunk grows as it always does
-		}
-		l.chunks = append(l.chunks, make([]record, size))
+// dropLocked copies the retained records, seq max(first, n-cap) on, into a
+// new buffer of grow times their size. The oldest is packed again against
+// the zero record; the bytes after it are copied as they are, each still
+// the difference from the record before it. The log must not be empty.
+func (l *eventLog) dropLocked(grow int) {
+	base := max(l.first, l.n-l.cap)
+	var rec record
+	off := 0
+	for seq := l.first; seq < base; seq++ {
+		off += decodePacked(l.buf[off:], &rec)
 	}
-	var prev record
-	for seq, off := max(0, l.n-l.cap), 0; seq < l.n; seq++ {
-		off += decodePacked(l.packed[off:], &prev)
-		*l.slotLocked(seq) = prev
-	}
-	l.packed = nil
+	rest := off + decodePacked(l.buf[off:], &rec)
+	var head [maxPackedRecord]byte
+	h := appendPacked(head[:0], &record{}, &rec)
+	size := len(h) + len(l.buf) - rest
+	buf := append(make([]byte, 0, grow*size), h...)
+	l.buf, l.first = append(buf, l.buf[rest:]...), base
 }
 
 // maxPackedRecord bounds the bytes of one packed record: a tag of at most
@@ -307,32 +261,33 @@ func (l *eventLog) droppedCount() int64 {
 	return max(0, l.n-l.cap)
 }
 
-// readBatch is how many records a reader copies out per critical section:
-// the lock is held for a 12 KB copy, whatever the reader's backlog.
-const readBatch = chunkLen
+// readBatch bounds one batch of a reader, whatever its backlog: the side
+// entries it copies under the lock, and the records it renders for one
+// Write.
+const readBatch = 256
 
 // logReader is one NDJSON reader's cursor into a log, with the scratch it
 // reuses from batch to batch. It belongs to one goroutine.
 type logReader struct {
 	l    *eventLog
-	from int64 // next sequence number to deliver
-	recs []record
-	side []sideRecord // of the copied records that have one, in order
-	buf  []byte
+	from int64        // next sequence number to deliver
+	side []sideRecord // of the batch's records that have one, in order
+	out  []byte
 	wake chan struct{}
 
-	// The decode cursor into a packed log: record at, which was encoded
-	// against prev, starts at packed[off].
-	packed []byte
-	off    int
-	at     int64
-	prev   record
+	// The decode cursor: record at of a buffer whose first record is seq
+	// first starts at byte off and was packed against prev. Bytes once
+	// written never change, so it holds for every buffer with that first.
+	first int64
+	off   int
+	at    int64
+	prev  record
 }
 
 // reader returns a cursor that delivers the records with seq >= from. A
 // from past the end starts at the end: only what is appended later.
 func (l *eventLog) reader(from int64) *logReader {
-	return &logReader{l: l, from: max(0, from), wake: make(chan struct{}, 1)}
+	return &logReader{l: l, from: max(0, from), wake: make(chan struct{}, 1), first: -1}
 }
 
 // next renders the next batch of records as NDJSON (valid until the next
@@ -341,74 +296,61 @@ func (l *eventLog) reader(from int64) *logReader {
 // truncation marker carrying their number instead of silently skipped.
 // When nothing is available on a live log and park is set, the reader is
 // registered as parked in the same critical section that found nothing —
-// no append can slip between — and the caller waits on wake. A packed log's
-// batch is decoded after the lock is let go.
+// no append can slip between — and the caller waits on wake. The batch is
+// decoded after the lock is let go.
 func (rd *logReader) next(park bool) (out []byte, done bool) {
 	l := rd.l
-	rd.recs, rd.side = rd.recs[:0], rd.side[:0]
+	rd.side = rd.side[:0]
 
 	l.mu.Lock()
 	var lost int64
-	base := max(0, l.n-l.cap)
-	if rd.from < base {
+	if base := max(0, l.n-l.cap); rd.from < base {
 		lost = base - rd.from
 		rd.from = base
 	}
-	rd.from = min(rd.from, l.n)
-	first, end := rd.from, min(l.n, rd.from+readBatch)
-	var packed []byte
-	if first < end && len(l.packed) > 0 {
-		packed, rd.from = l.packed, end // decoded below, outside the lock: packed is never written
-	}
-	for rd.from < end {
-		slot := int(rd.from % l.cap)
-		run := l.chunks[slot/chunkLen][slot%chunkLen:]
-		run = run[:min(int64(len(run)), end-rd.from)]
-		rd.recs = append(rd.recs, run...)
-		rd.from += int64(len(run))
-	}
-	at := sort.Search(len(l.side), func(i int) bool { return l.side[i].seq >= first })
-	for ; at < len(l.side) && l.side[at].seq < rd.from; at++ {
+	from := min(rd.from, l.n)
+	end := min(l.n, from+readBatch)
+	buf, first := l.buf, l.first
+	rd.from = end
+	at := sort.Search(len(l.side), func(i int) bool { return l.side[i].seq >= from })
+	for ; at < len(l.side) && l.side[at].seq < end; at++ {
 		rd.side = append(rd.side, l.side[at])
 	}
 	done = l.closed
-	if park && !done && first == end {
+	if park && !done && from == end {
 		l.parked = append(l.parked, rd.wake)
 	}
 	l.mu.Unlock()
 
-	if packed != nil {
-		rd.decode(packed, base, first, end)
-	}
-	buf := rd.buf[:0]
+	out = rd.out[:0]
 	if lost > 0 {
-		buf = appendTruncated(buf, first, lost)
+		out = appendTruncated(out, from, lost)
 	}
-	side := rd.side
-	for i := range rd.recs {
-		rec := &rd.recs[i]
-		var sr *sideRecord
-		if rec.side != sideNone {
-			sr, side = &side[0], side[1:]
+	if from < end {
+		rd.seek(buf, first, from)
+		side := rd.side
+		for ; rd.at < end; rd.at++ {
+			rd.off += decodePacked(buf[rd.off:], &rd.prev)
+			var sr *sideRecord
+			if rd.prev.side != sideNone {
+				sr, side = &side[0], side[1:]
+			}
+			out = appendRecord(out, rd.at, &rd.prev, sr)
 		}
-		buf = appendRecord(buf, first+int64(i), rec, sr)
 	}
-	rd.buf = buf
-	return buf, done
+	rd.out = out
+	return out, done
 }
 
-// decode appends records first…end-1 of packed, whose first record is seq
-// base, to rd.recs. It goes on from where the last call stopped when that
-// was in the same buffer and not past first, and from the start otherwise.
-func (rd *logReader) decode(packed []byte, base, first, end int64) {
-	if len(rd.packed) != len(packed) || &rd.packed[0] != &packed[0] || rd.at > first {
-		rd.packed, rd.off, rd.at, rd.prev = packed, 0, base, record{}
+// seek moves the decode cursor to record seq of buf, whose first record is
+// seq first: on from where it stands when that is in a buffer with the same
+// first and not past seq, from the start of buf otherwise.
+func (rd *logReader) seek(buf []byte, first, seq int64) {
+	if rd.first != first || rd.at > seq {
+		rd.first, rd.off, rd.at, rd.prev = first, 0, first, record{}
 	}
-	for ; rd.at < end; rd.at++ {
-		rd.off += decodePacked(packed[rd.off:], &rd.prev)
-		if rd.at >= first {
-			rd.recs = append(rd.recs, rd.prev)
-		}
+	for ; rd.at < seq; rd.at++ {
+		rd.off += decodePacked(buf[rd.off:], &rd.prev)
 	}
 }
 

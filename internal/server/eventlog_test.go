@@ -226,10 +226,11 @@ func drain(rd *logReader) (out string, done bool) {
 }
 
 // TestEventLogModel drives seeded random appends, reads from cursors before,
-// inside and past the retained window, packs at random points, and closes,
+// inside and past the retained window, trims at random points, and closes,
 // against the reference: same bytes, same cursors, same counters, at every
-// step. Cursors live across packs — some stopped after one batch, mid-way
-// through the packed buffer — and appends after a pack unpack the log.
+// step. Cursors live across drops and trims — some stopped after one batch,
+// mid-way through the buffer — and appends after a trim grow it again. At
+// cap 1 every append past the second drops.
 func TestEventLogModel(t *testing.T) {
 	// The reference moves its whole buffer on every append once it is full,
 	// so the 8192 case goes just far enough past the wrap.
@@ -245,7 +246,7 @@ func TestEventLogModel(t *testing.T) {
 				ref int64
 			}
 			var cursors []*cursor
-			packs := 0
+			trims := 0
 			for step := 0; step < tc.steps; step++ {
 				switch op := rng.Intn(12); {
 				case op < 6:
@@ -257,12 +258,12 @@ func TestEventLogModel(t *testing.T) {
 					from := []int64{0, rng.Int63n(total + 1), total, total + 1 + rng.Int63n(1<<40), 1 << 62}[rng.Intn(5)]
 					cursors = append(cursors, &cursor{rd: p.log.reader(from), ref: from})
 				case op < 8:
-					p.log.pack()
-					packs++
+					p.log.trim()
+					trims++
 					checkPacked(t, p.log)
 				case op < 9 && len(cursors) > 0:
-					// One batch only: the cursor stops inside the window, and
-					// inside the packed buffer when the log is packed.
+					// One batch only: the cursor stops inside the window and
+					// inside the buffer.
 					c := cursors[rng.Intn(len(cursors))]
 					got, _ := c.rd.next(false)
 					want, _, _ := p.ref.read(c.ref)
@@ -306,12 +307,12 @@ func TestEventLogModel(t *testing.T) {
 			if p.log.droppedCount() == 0 {
 				t.Fatalf("cap %d seed %d: the ring never wrapped", capacity, seed)
 			}
-			if packs == 0 {
-				t.Fatalf("cap %d seed %d: the log was never packed", capacity, seed)
+			if trims == 0 {
+				t.Fatalf("cap %d seed %d: the log was never trimmed", capacity, seed)
 			}
 			p.close()
 			if rng.Intn(2) == 0 {
-				p.log.pack() // as watch does once the job is frozen
+				p.log.trim() // as watch does once the job is frozen
 			}
 			for _, c := range cursors {
 				got, done := drain(c.rd)
@@ -324,9 +325,10 @@ func TestEventLogModel(t *testing.T) {
 	}
 }
 
-// checkPacked: a packed log holds no chunk, and its one buffer is sized to
-// its retained records, each within [2, maxPackedRecord] bytes: a record
-// that repeats the one before it is its one-byte tag and a zero mask.
+// checkPacked: a trimmed log's buffer starts at its oldest retained record,
+// has no room to spare, and holds each record in [2, maxPackedRecord]
+// bytes: a record that repeats the one before it is its one-byte tag and a
+// zero mask.
 func checkPacked(t *testing.T, l *eventLog) {
 	t.Helper()
 	l.mu.Lock()
@@ -335,19 +337,19 @@ func checkPacked(t *testing.T, l *eventLog) {
 	switch {
 	case kept == 0:
 		return
-	case l.chunks != nil:
-		t.Fatalf("packed log of %d records still holds %d chunks", kept, len(l.chunks))
-	case cap(l.packed) != len(l.packed):
-		t.Fatalf("packed buffer of %d bytes has room for %d", len(l.packed), cap(l.packed))
-	case len(l.packed) < 2*kept || len(l.packed) > maxPackedRecord*kept:
-		t.Fatalf("%d records packed into %d bytes, want %d to %d", kept, len(l.packed), 2*kept, maxPackedRecord*kept)
+	case l.first != l.n-int64(kept):
+		t.Fatalf("buffer of %d retained records starts at seq %d, want %d", kept, l.first, l.n-int64(kept))
+	case cap(l.buf) != len(l.buf):
+		t.Fatalf("trimmed buffer of %d bytes has room for %d", len(l.buf), cap(l.buf))
+	case len(l.buf) < 2*kept || len(l.buf) > maxPackedRecord*kept:
+		t.Fatalf("%d records packed into %d bytes, want %d to %d", kept, len(l.buf), 2*kept, maxPackedRecord*kept)
 	}
 }
 
-// TestEventLogPacked: packing a closed log, wrapped or not, moves the
+// TestEventLogPacked: trimming a closed log, wrapped or not, moves the
 // records it keeps into one buffer sized to them with one allocation, and
 // the log stays what the reference says it is — when read, and when
-// appended to after the pack, past the next growth and past the wrap.
+// appended to after the trim, past the next growth, the wrap and the drop.
 func TestEventLogPacked(t *testing.T) {
 	for _, tc := range []struct{ capacity, before, kept int }{
 		{8192, 1, 1}, {8192, 18, 18}, {8192, 64, 64}, {8192, 300, 300}, {20, 18, 18}, {20, 20, 20}, {20, 25, 20},
@@ -366,14 +368,14 @@ func TestEventLogPacked(t *testing.T) {
 			p, _ := filled()
 			logs[i] = p.log
 		}
-		if n := testing.AllocsPerRun(len(logs)-1, func() { logs[0].pack(); logs = logs[1:] }); n != 1 {
-			t.Fatalf("cap %d, %d records: pack made %v allocations, want 1", tc.capacity, tc.before, n)
+		if n := testing.AllocsPerRun(len(logs)-1, func() { logs[0].trim(); logs = logs[1:] }); n != 1 {
+			t.Fatalf("cap %d, %d records: trim made %v allocations, want 1", tc.capacity, tc.before, n)
 		}
 
 		p, rng := filled()
-		p.log.pack()
+		p.log.trim()
 		checkPacked(t, p.log)
-		if got := len(p.log.packed); got < 2*tc.kept || got > maxPackedRecord*tc.kept {
+		if got := len(p.log.buf); got < 2*tc.kept || got > maxPackedRecord*tc.kept {
 			t.Fatalf("cap %d, %d records: %d packed bytes, want %d kept records' worth", tc.capacity, tc.before, got, tc.kept)
 		}
 		check := func(when string) {
@@ -386,16 +388,16 @@ func TestEventLogPacked(t *testing.T) {
 				}
 			}
 		}
-		check("packed")
+		check("trimmed")
 		for i := 0; i < 2*tc.capacity && i < 600; i++ {
 			p.appendRandom(rng)
 		}
-		check("appended after the pack")
+		check("appended after the trim")
 	}
 }
 
 // TestEventLogFollowers: several followers attached at different cursors
-// while a producer appends, packs at random points, and closes and packs.
+// while a producer appends, trims at random points, and closes and trims.
 // Each must see every sequence number from its cursor on exactly once and in
 // order — delivered, or accounted for by a truncation marker — each
 // delivered line must be the reference's rendering of that record, and each
@@ -429,16 +431,16 @@ func TestEventLogFollowers(t *testing.T) {
 		for i, e := range events {
 			p.hook.Handler(e)
 			if rng.Intn(64) == 0 {
-				// Followers behind read the packed form; the next append
-				// unpacks it.
-				p.log.pack()
+				// Followers behind go on in the trimmed buffer; the next
+				// append grows it again.
+				p.log.trim()
 			}
 			if i%97 == 0 {
 				time.Sleep(200 * time.Microsecond) // let followers catch up and park
 			}
 		}
 		p.log.close()
-		p.log.pack()
+		p.log.trim()
 		wg.Wait() // EOF for everyone, or the test times out
 
 		for i := range starts {
@@ -601,8 +603,11 @@ func rawRecords(data []byte) []record {
 // FuzzEventLogPack: any sequence of records — extreme int64 and int32
 // values, time running backwards, every tag — packs to at most
 // maxPackedRecord bytes a record and decodes to itself exactly; and a log
-// of them reads the same bytes before and after its pack, and after an
-// append unpacks it, as a twin log that was never packed.
+// of them at the input's capacity, trimmed after the appends the input's
+// bits pick, reads after every append what a twin log too large ever to
+// evict or drop says it should: a follower that kept up the same bytes, a
+// reader from the start and one from the middle the twin's records from
+// the oldest retained one on, behind a truncation marker for the rest.
 func FuzzEventLogPack(f *testing.F) {
 	edge := []record{
 		{t: math.MaxInt64, index: math.MinInt64, parent: math.MaxInt64, card: math.MinInt32,
@@ -616,12 +621,12 @@ func FuzzEventLogPack(f *testing.F) {
 	var all []byte
 	for _, rec := range edge {
 		all = appendRawRecord(all, rec)
-		f.Add(appendRawRecord(nil, rec), uint16(1))
+		f.Add(appendRawRecord(nil, rec), uint16(1), uint64(1))
 	}
-	f.Add(all, uint16(1))
-	f.Add(all, uint16(3))
-	f.Add(all, uint16(8192))
-	f.Fuzz(func(t *testing.T, data []byte, capacity uint16) {
+	f.Add(all, uint16(1), uint64(0))
+	f.Add(all, uint16(2), uint64(0b10110))
+	f.Add(all, uint16(8192), uint64(1<<4))
+	f.Fuzz(func(t *testing.T, data []byte, capacity uint16, trims uint64) {
 		recs := rawRecords(data)
 		var buf []byte
 		var prev record
@@ -645,32 +650,40 @@ func FuzzEventLogPack(f *testing.F) {
 		}
 
 		start := time.Unix(1700000000, 0)
-		packed, twin := newEventLog(int(capacity), start), newEventLog(int(capacity), start)
+		l, twin := newEventLog(int(capacity), start), newEventLog(len(recs)+1, start)
+		follower, twinFollower := l.reader(0), twin.reader(0)
+		read := func(rd *logReader) string {
+			out, _ := drain(rd)
+			return out
+		}
 		side := sideRecord{ev: "ev", kind: "cluster", when: "w", where: "cluster", err: "boom"}
-		for _, rec := range recs {
-			packed.append(rec, side)
+		for i, rec := range recs {
+			l.append(rec, side)
 			twin.append(rec, side)
-		}
-		read := func(l *eventLog) string {
-			out, _ := drain(l.reader(0))
-			mid, _ := drain(l.reader(l.len() / 2))
-			return out + mid
-		}
-		want := read(twin)
-		packed.pack()
-		if got := read(packed); got != want {
-			t.Fatalf("packed log reads\n%s\nwant\n%s", got, want)
-		}
-		packed.append(edge[0], side)
-		twin.append(edge[0], side)
-		if got, want := read(packed), read(twin); got != want {
-			t.Fatalf("unpacked log reads\n%s\nwant\n%s", got, want)
+			if trims>>(i%64)&1 != 0 {
+				l.trim()
+				checkPacked(t, l)
+			}
+			if got, want := read(follower), read(twinFollower); got != want {
+				t.Fatalf("after record %d, the follower reads\n%s\nwant\n%s", i, got, want)
+			}
+			base := l.droppedCount()
+			for _, from := range []int64{0, l.len() / 2} {
+				var want []byte
+				if from < base {
+					want = appendTruncated(nil, base, base-from)
+				}
+				want = append(want, read(twin.reader(max(from, base)))...)
+				if got := read(l.reader(from)); got != string(want) {
+					t.Fatalf("after record %d, a read from %d gives\n%s\nwant\n%s", i, from, got, want)
+				}
+			}
 		}
 	})
 }
 
-// steadyLog returns a log whose ring has wrapped — every chunk it will ever
-// own is allocated — and the hook and a reusable event to append with.
+// steadyLog returns a log whose ring has wrapped, and the hook and a
+// reusable event to append with.
 func steadyLog(capacity int) (*eventLog, event.Listener, *event.Event) {
 	l := newEventLog(capacity, time.Unix(1700000000, 0))
 	e := &event.Event{
@@ -685,8 +698,9 @@ func steadyLog(capacity int) (*eventLog, event.Listener, *event.Event) {
 }
 
 // TestEventLogAppendDoesNotAllocate: once the ring is full, recording an
-// event allocates nothing — with nobody following and with a follower
-// parked (waking it is a send on its own channel).
+// event allocates nothing, amortized: one drop copy per cap appends — with
+// nobody following and with a follower parked (waking it is a send on its
+// own channel).
 func TestEventLogAppendDoesNotAllocate(t *testing.T) {
 	l, hook, e := steadyLog(1024)
 	if n := testing.AllocsPerRun(2000, func() { hook.Handler(e) }); n != 0 {
@@ -734,15 +748,9 @@ func BenchmarkEventLogAppend(b *testing.B) {
 	})
 }
 
-// BenchmarkEventLogFollow renders one fanout_fine job's worth of records
-// (2006) from a finished log into io.Discard.
-func BenchmarkEventLogFollow(b *testing.B) { benchmarkRead(b, false) }
-
-// BenchmarkEventLogReadPacked is the same read from the log packed, as a
-// frozen job's is: the records are decoded before they are rendered.
-func BenchmarkEventLogReadPacked(b *testing.B) { benchmarkRead(b, true) }
-
-func benchmarkRead(b *testing.B, packed bool) {
+// BenchmarkEventLogFollow decodes and renders one fanout_fine job's worth
+// of records (2006) from a finished, trimmed log into io.Discard.
+func BenchmarkEventLogFollow(b *testing.B) {
 	const perJob = 2006
 	l := newEventLog(8192, time.Unix(1700000000, 0))
 	e := &event.Event{
@@ -755,9 +763,7 @@ func benchmarkRead(b *testing.B, packed bool) {
 		hook.Handler(e)
 	}
 	l.close()
-	if packed {
-		l.pack()
-	}
+	l.trim()
 	rd := l.reader(0)
 	rd.stream(context.Background(), io.Discard, func() {}, true) // size the reader's scratch
 	b.ReportAllocs()

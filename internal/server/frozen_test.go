@@ -87,10 +87,10 @@ func keepLiveHandles(srv *Server) *liveHandles {
 	return lh
 }
 
-// check waits for j to be frozen, its log packed, and its live handle to
+// check waits for j to be frozen, its log trimmed, and its live handle to
 // stop — its last running muscle finished, its controller let go — and
 // compares the views rendered from that handle, final by then, with the
-// frozen ones, and the /events read from the packed log with those read
+// frozen ones, and the /events read from the trimmed log with those read
 // from the live one.
 func (lh *liveHandles) check(t *testing.T, srv *Server, j *job, what string) string {
 	t.Helper()
@@ -107,8 +107,8 @@ func (lh *liveHandles) check(t *testing.T, srv *Server, j *job, what string) str
 	if frozen != live {
 		t.Fatalf("%s: views of %s differ across the freeze\nlive:\n%s\nfrozen:\n%s", what, j.id, live, frozen)
 	}
-	if packed := eventViews(srv, j.id); packed != events {
-		t.Fatalf("%s: /events of %s differ across the pack\nlive:\n%s\npacked:\n%s", what, j.id, events, packed)
+	if trimmed := eventViews(srv, j.id); trimmed != events {
+		t.Fatalf("%s: /events of %s differ across the trim\nlive:\n%s\ntrimmed:\n%s", what, j.id, events, trimmed)
 	}
 	return frozen
 }

@@ -49,7 +49,7 @@ func finish(t *testing.T, j *job) *job {
 }
 
 // waitFrozen blocks until watch has replaced j's live handle with its
-// frozen form and packed its event log, then checks the runner is gone.
+// frozen form and trimmed its event log, then checks the runner is gone.
 func waitFrozen(t *testing.T, j *job) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -59,9 +59,9 @@ func waitFrozen(t *testing.T, j *job) {
 		runner := j.runner
 		j.mu.Unlock()
 		j.log.mu.Lock()
-		packed := len(j.log.chunks) == 0
+		trimmed := cap(j.log.buf) == len(j.log.buf) && j.log.first == max(0, j.log.n-j.log.cap)
 		j.log.mu.Unlock()
-		if frozen && packed {
+		if frozen && trimmed {
 			if runner != nil {
 				t.Fatalf("%s: frozen, but its runner is still held", j.id)
 			}

@@ -589,7 +589,7 @@ func (s *Server) faultJournalListener(j *job) event.Listener {
 
 // watch waits for a job to finish, persists the outcome, returns its
 // budget, admits the next queued job and, once the job has stopped, freezes
-// it to its outcome and packs its event log.
+// it to its outcome and trims its event log.
 func (s *Server) watch(j *job, h skandium.Handle) {
 	res, err := h.Result()
 	now := s.clk.Now()
@@ -655,7 +655,7 @@ func (s *Server) watch(j *job, h skandium.Handle) {
 	j.mu.Lock()
 	j.freezeLocked(h, res)
 	j.mu.Unlock()
-	j.log.pack()
+	j.log.trim()
 	j.rec.Trim()
 	s.mu.Lock()
 	s.retireLocked(j)
@@ -767,7 +767,7 @@ func (s *Server) Cancel(id string) bool {
 	}
 	j.log.close()
 	if canceledInPlace {
-		j.log.pack()
+		j.log.trim()
 	}
 	return true
 }

@@ -28,7 +28,7 @@ import (
 func TestLiveADGConsistency(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		est := estimate.NewRegistry(nil)
+		est := estimate.NewRegistry(estimate.DefaultRho)
 		program := randomLiveProgram(rng, est)
 		reqDur, reqCard := adg.RequiredEstimates(program)
 

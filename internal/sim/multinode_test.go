@@ -108,7 +108,7 @@ func TestMultiNodeControllerAdapts(t *testing.T) {
 	// Controlled run: the WCT goal forces the controller to provision nodes.
 	nd, costs := build()
 	reg := event.NewRegistry()
-	est := estimate.NewRegistry(nil)
+	est := estimate.NewRegistry(estimate.DefaultRho)
 	tracker := statemachine.NewTracker(est)
 	eng := NewEngine(Config{Costs: costs, Nodes: nodes, LP: 1, MaxLP: 4, Events: reg})
 	ctl := core.NewController(core.Config{WCTGoal: baseline / 2, MaxLP: 4},

@@ -276,7 +276,7 @@ func TestSimControllerAdapts(t *testing.T) {
 	// Sequential: 10 + 4*(5+30+2) + 2 = 160ms. Goal: 100ms.
 
 	reg := event.NewRegistry()
-	est := estimate.NewRegistry(nil)
+	est := estimate.NewRegistry(estimate.DefaultRho)
 	tracker := statemachine.NewTracker(est)
 	eng := NewEngine(Config{Costs: costs, LP: 1, MaxLP: 24, Events: reg})
 	ctl := core.NewController(core.Config{WCTGoal: ms(100), MaxLP: 24},
@@ -317,7 +317,7 @@ func TestSimControllerNoGoalNoAdaptation(t *testing.T) {
 	nd, fs, fe, fm := buildMapProgram()
 	costs := costTable{fs.ID(): ms(10), fe.ID(): ms(20), fm.ID(): ms(5)}
 	reg := event.NewRegistry()
-	est := estimate.NewRegistry(nil)
+	est := estimate.NewRegistry(estimate.DefaultRho)
 	tracker := statemachine.NewTracker(est)
 	eng := NewEngine(Config{Costs: costs, LP: 2, Events: reg})
 	ctl := core.NewController(core.Config{}, nd, eng, est, tracker, eng.Clock())
@@ -350,7 +350,7 @@ func TestSimLPDecrease(t *testing.T) {
 	costs := costTable{fs.ID(): ms(5), fe.ID(): ms(10), fm.ID(): ms(2)}
 	// One iteration sequential: 5+4*10+2 = 47; six iterations: 282ms.
 	reg := event.NewRegistry()
-	est := estimate.NewRegistry(nil)
+	est := estimate.NewRegistry(estimate.DefaultRho)
 	tracker := statemachine.NewTracker(est)
 	eng := NewEngine(Config{Costs: costs, LP: 16, MaxLP: 24, Events: reg})
 	ctl := core.NewController(core.Config{WCTGoal: ms(400), MaxLP: 24},

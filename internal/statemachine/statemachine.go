@@ -113,10 +113,6 @@ type Tracker struct {
 	instances map[int64]*Instance
 	roots     []*Instance
 	free      []*Instance // estimates-only: finished activations, for reuse
-	// observed accumulates the total duration of completed muscle
-	// invocations — the "work already done" term of the cheap work/span
-	// WCT predictor.
-	observed time.Duration
 	// pendingBranch maps a worker id to the (parent index, branch, iter)
 	// announced by the last NestedSkel/Before event on that worker; the
 	// next Skeleton/Before on the same worker consumes it. This is how the
@@ -308,7 +304,6 @@ func (tr *Tracker) onSkeleton(e *event.Event) {
 		// Fig. 3: t(fe) ← ρ(now-eti) + (1-ρ)t(fe) on seq@a(i).
 		in.Exec = ActivityRec{Start: in.StartTime, End: e.Time, Started: true, Ended: true}
 		tr.est.ObserveDuration(in.Node.Exec().ID(), e.Time.Sub(in.StartTime))
-		tr.observed += e.Time.Sub(in.StartTime)
 	}
 	tr.retire(in)
 }
@@ -328,7 +323,6 @@ func (tr *Tracker) onSplit(e *event.Event) {
 	fs := in.Node.Split()
 	tr.est.ObserveDuration(fs.ID(), in.Split.Duration())
 	tr.est.ObserveCard(fs.ID(), float64(e.Card))
-	tr.observed += in.Split.Duration()
 }
 
 func (tr *Tracker) onMerge(e *event.Event) {
@@ -343,7 +337,6 @@ func (tr *Tracker) onMerge(e *event.Event) {
 	// Fig. 4 M→F: t(fm) updated on map@am(i).
 	in.Merge.End, in.Merge.Ended = e.Time, true
 	tr.est.ObserveDuration(in.Node.Merge().ID(), in.Merge.Duration())
-	tr.observed += in.Merge.Duration()
 }
 
 func (tr *Tracker) onCondition(e *event.Event) {
@@ -368,7 +361,6 @@ func (tr *Tracker) onCondition(e *event.Event) {
 	rec.End, rec.Ended = e.Time, true
 	fc := in.Node.Cond()
 	tr.est.ObserveDuration(fc.ID(), rec.Duration())
-	tr.observed += rec.Duration()
 	if in.Kind == skel.DaC {
 		in.Depth = e.Iter
 	}
@@ -403,12 +395,4 @@ func (tr *Tracker) InstanceCount() int {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
 	return len(tr.instances)
-}
-
-// ObservedWork returns the accumulated duration of all completed muscle
-// invocations of this execution.
-func (tr *Tracker) ObservedWork() time.Duration {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	return tr.observed
 }

@@ -21,7 +21,7 @@ type world struct {
 }
 
 func newWorld() *world {
-	est := estimate.NewRegistry(nil)
+	est := estimate.NewRegistry(estimate.DefaultRho)
 	return &world{tr: NewTracker(est), est: est}
 }
 
@@ -220,7 +220,7 @@ func TestDump(t *testing.T) {
 // TestTrackerDrivenByRealEngine wires a tracker to the real pool and checks
 // estimates appear for every muscle of a nested program.
 func TestTrackerDrivenByRealEngine(t *testing.T) {
-	est := estimate.NewRegistry(nil)
+	est := estimate.NewRegistry(estimate.DefaultRho)
 	tr := NewTracker(est)
 	reg := event.NewRegistry()
 	reg.Add(tr.Listener())
@@ -321,7 +321,7 @@ func TestFaultClosesInstance(t *testing.T) {
 // instance lives only from its Skeleton/Before to its After or Fault, is
 // reused afterwards, and nothing is left once the root activation ends.
 func TestEstimatorKeepsNoTree(t *testing.T) {
-	est := estimate.NewRegistry(nil)
+	est := estimate.NewRegistry(estimate.DefaultRho)
 	w := &world{tr: NewEstimator(est), est: est}
 	fe := muscle.NewExecute("fe", func(p any) (any, error) { return p, nil })
 	fs := muscle.NewSplit("fs", func(p any) ([]any, error) { return nil, nil })
@@ -374,9 +374,6 @@ func TestEstimatorKeepsNoTree(t *testing.T) {
 	if d, _ := est.Duration(fm.ID()); d != u(5) {
 		t.Fatalf("t(fm) = %v, want 5ms", d)
 	}
-	if got := w.tr.ObservedWork(); got != u(75) {
-		t.Fatalf("observed work %v, want 75ms", got)
-	}
 	if live() != 0 || w.tr.Root() != nil || w.tr.free != nil || len(w.tr.pendingBranch) != 0 {
 		t.Fatalf("estimates-only tracker kept state: %d instances, root %v, %d free, %d pending",
 			live(), w.tr.Root(), len(w.tr.free), len(w.tr.pendingBranch))
@@ -404,7 +401,7 @@ func TestReleaseDropsTreeAndIgnoresLateEvents(t *testing.T) {
 	if w.tr.InstanceCount() != 0 || w.tr.Version() != ver {
 		t.Fatal("a released tracker tracked a late event")
 	}
-	if d, _ := w.est.Duration(fe.ID()); d != u(20) || w.tr.ObservedWork() != u(20) {
-		t.Fatalf("estimates moved after release: t(fe) %v, observed %v", d, w.tr.ObservedWork())
+	if d, _ := w.est.Duration(fe.ID()); d != u(20) {
+		t.Fatalf("estimates moved after release: t(fe) %v", d)
 	}
 }

@@ -89,7 +89,7 @@ type job struct {
 func runJob(j job, pol core.Policy) (Outcome, error) {
 	reg := event.NewRegistry()
 	rec := metrics.NewRecorder()
-	est := estimate.NewRegistry(nil)
+	est := estimate.NewRegistry(estimate.DefaultRho)
 	j.seedEst(est)
 	tracker := statemachine.NewTracker(est)
 	eng := sim.NewEngine(sim.Config{Events: reg, Costs: j.costs, LP: 1, MaxLP: j.maxLP, Gauge: rec.Gauge})

@@ -190,7 +190,7 @@ func NewStream[P, R any](s Skeleton[P, R], opts ...Option) *Stream[P, R] {
 	if cfg.gauge != nil {
 		pool.SetGauge(cfg.gauge)
 	}
-	est := estimate.NewRegistry(nil) // the paper's EWMA, ρ = 0.5
+	est := estimate.NewRegistry(estimate.DefaultRho)
 	if cfg.profile != nil {
 		est.Restore(cfg.profile)
 	}
