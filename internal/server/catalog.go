@@ -141,15 +141,7 @@ func montecarloBlueprint() skandium.Blueprint {
 				return out, nil
 			})
 			sample := skandium.NewExec("sample", func(b batch) (int, error) {
-				rng := rand.New(rand.NewSource(b.Seed))
-				hits := 0
-				for i := 0; i < b.N; i++ {
-					x, y := rng.Float64(), rng.Float64()
-					if x*x+y*y <= 1 {
-						hits++
-					}
-				}
-				return hits, nil
+				return montecarloBatch(b.Seed, b.N), nil
 			})
 			fold := skandium.NewMerge("fold", func(hits []int) (int, error) {
 				total := 0
@@ -162,6 +154,22 @@ func montecarloBlueprint() skandium.Blueprint {
 			return skandium.NewRunner(program, samples), nil
 		},
 	}
+}
+
+// montecarloBatch counts which of n points, drawn as (x, y) pairs from a
+// source seeded with seed, fall inside the unit circle. The source lives on
+// the stack, so a batch allocates nothing.
+func montecarloBatch(seed int64, n int) int {
+	var rng rngSource
+	rng.Seed(seed)
+	hits := 0
+	for i := 0; i < n; i++ {
+		x, y := rng.Float64(), rng.Float64()
+		if x*x+y*y <= 1 {
+			hits++
+		}
+	}
+	return hits
 }
 
 // sleepgridBlueprint is a two-level map of sleep muscles: k outer chunks

@@ -264,9 +264,11 @@ func (tr *Tracker) onSkeleton(e *event.Event) {
 			in.Done = false
 			return
 		}
-		in := new(Instance)
+		var in *Instance
 		if n := len(tr.free); n > 0 {
 			in, tr.free = tr.free[n-1], tr.free[:n-1]
+		} else {
+			in = new(Instance)
 		}
 		*in = Instance{
 			Node:       e.Node,

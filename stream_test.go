@@ -2,6 +2,8 @@ package skandium
 
 import (
 	"context"
+	"math/bits"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -414,5 +416,38 @@ func TestGoalExecutionReleasesActivationTree(t *testing.T) {
 	}
 	if len(plain.Profile()) != len(st.Profile()) {
 		t.Fatalf("goal-less run profiled %d muscles, goal run %d", len(plain.Profile()), len(st.Profile()))
+	}
+}
+
+// TestGoallessStreamAllocsPerTaskZero: a goal-less execution recycles each
+// finished activation's estimator instance, so one Stream.Do allocates the
+// same at width 256 as at width 16 — no allocation is per task. Input and
+// result are the width's log2, so boxing them allocates at neither width.
+func TestGoallessStreamAllocsPerTaskZero(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop objects")
+	}
+	// A collection would empty the engine's pools mid-count.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	fs := NewSplit("fs", func(log2 int) ([]int, error) {
+		out := make([]int, 1<<log2)
+		for i := range out {
+			out[i] = i
+		}
+		return out, nil
+	})
+	id := NewExec("id", func(n int) (int, error) { return n, nil })
+	fm := NewMerge("fm", func(ps []int) (int, error) { return bits.Len(uint(len(ps))) - 1, nil })
+	st := NewStream[int, int](Map(fs, Seq(id), fm), WithLP(4))
+	defer st.Close()
+	allocs := func(log2 int) float64 {
+		return testing.AllocsPerRun(200, func() {
+			if res, err := st.Do(log2); err != nil || res != log2 {
+				t.Fatalf("res=%v err=%v", res, err)
+			}
+		})
+	}
+	if narrow, wide := allocs(4), allocs(8); wide != narrow {
+		t.Fatalf("one Do allocates %.2f times at width 256, %.2f at width 16", wide, narrow)
 	}
 }
