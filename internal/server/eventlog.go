@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -71,6 +72,17 @@ type eventLog struct {
 	// read and went to sleep. append and close signal and clear it; with
 	// nobody parked an append touches no channel at all.
 	parked []chan struct{}
+	// quiet holds the followers that have just flushed and wait for close,
+	// a full batch past their cursor or flushEvery, whichever comes first.
+	// An append signals only those whose batch it fills.
+	quiet []quietFollower
+}
+
+// quietFollower is a follower in its quiet wait: its wake channel, and the
+// n at which readBatch records wait past its cursor.
+type quietFollower struct {
+	wake chan struct{}
+	full int64
 }
 
 func newEventLog(capacity int, start time.Time) *eventLog {
@@ -114,7 +126,8 @@ func (l *eventLog) appendText(at time.Time, ev, kind, when, where, err string) {
 }
 
 // append stores rec under the next sequence number, evicting the oldest
-// record once the ring is full, and wakes the followers that are parked.
+// record once the ring is full, and wakes the followers that are parked
+// and the quiet ones whose batch it fills.
 func (l *eventLog) append(rec record, side sideRecord) {
 	l.mu.Lock()
 	if l.n-l.first == 2*l.cap {
@@ -136,18 +149,33 @@ func (l *eventLog) append(rec record, side sideRecord) {
 	l.mu.Unlock()
 }
 
-// wakeLocked signals every parked follower. A wake channel holds one token
-// and a reader parks only after taking it, so the channel has room; the
-// default arm keeps even a broken invariant from blocking a worker.
+// wakeLocked signals and withdraws every parked follower, and every quiet
+// one whose batch is full or whose log is closed. Withdrawn slots are
+// cleared, so a list keeps no channel of a follower that has gone.
 func (l *eventLog) wakeLocked() {
 	for i, ch := range l.parked {
-		select {
-		case ch <- struct{}{}:
-		default:
-		}
+		signal(ch)
 		l.parked[i] = nil
 	}
 	l.parked = l.parked[:0]
+	for i := 0; i < len(l.quiet); {
+		if l.n < l.quiet[i].full && !l.closed {
+			i++
+			continue
+		}
+		signal(l.quiet[i].wake)
+		l.quiet = slices.Delete(l.quiet, i, i+1)
+	}
+}
+
+// signal hands a follower its wake token. A wake channel holds one token and
+// a reader waits only after taking it, so the channel has room; the default
+// arm keeps even a broken invariant from blocking a worker.
+func signal(ch chan struct{}) {
+	select {
+	case ch <- struct{}{}:
+	default:
+	}
 }
 
 // close marks the log complete (job finished) and wakes all followers.
@@ -263,8 +291,23 @@ func (l *eventLog) droppedCount() int64 {
 
 // readBatch bounds one batch of a reader, whatever its backlog: the side
 // entries it copies under the lock, and the records it renders for one
-// Write.
+// Write. A backlog of readBatch records also ends a follower's quiet wait.
 const readBatch = 256
+
+// flushEvery bounds a follower's quiet wait: how late a live viewer sees an
+// intermediate record. Neither the first record after an idle spell (the
+// follower parked and is woken at once) nor the end of the job (close wakes
+// quiet followers) ever waits for it.
+const flushEvery = 20 * time.Millisecond
+
+// waitMode says what next does with a follower that finds nothing to read.
+type waitMode uint8
+
+const (
+	waitNone  waitMode = iota // nothing: the reader returns once caught up
+	waitPark                  // park it until the next append or close
+	waitQuiet                 // make it quiet until close, a full batch or flushEvery
+)
 
 // logReader is one NDJSON reader's cursor into a log, with the scratch it
 // reuses from batch to batch. It belongs to one goroutine.
@@ -274,6 +317,10 @@ type logReader struct {
 	side []sideRecord // of the batch's records that have one, in order
 	out  []byte
 	wake chan struct{}
+	// every is how long a quiet wait lasts: flushEvery (tests lengthen it),
+	// timed by timer, made at the first quiet wait and reset for each.
+	every time.Duration
+	timer *time.Timer
 
 	// The decode cursor: record at of a buffer whose first record is seq
 	// first starts at byte off and was packed against prev. Bytes once
@@ -287,18 +334,18 @@ type logReader struct {
 // reader returns a cursor that delivers the records with seq >= from. A
 // from past the end starts at the end: only what is appended later.
 func (l *eventLog) reader(from int64) *logReader {
-	return &logReader{l: l, from: max(0, from), wake: make(chan struct{}, 1), first: -1}
+	return &logReader{l: l, from: max(0, from), wake: make(chan struct{}, 1), every: flushEvery, first: -1}
 }
 
 // next renders the next batch of records as NDJSON (valid until the next
 // call) and reports whether the log is complete. Records the ring evicted
 // between the cursor and the oldest retained one are announced by a
 // truncation marker carrying their number instead of silently skipped.
-// When nothing is available on a live log and park is set, the reader is
-// registered as parked in the same critical section that found nothing —
-// no append can slip between — and the caller waits on wake. The batch is
-// decoded after the lock is let go.
-func (rd *logReader) next(park bool) (out []byte, done bool) {
+// When nothing is available on a live log, the reader is registered as
+// wait says — parked or quiet — in the same critical section that found
+// nothing, so no append can slip between, and the caller waits on wake.
+// The batch is decoded after the lock is let go.
+func (rd *logReader) next(wait waitMode) (out []byte, done bool) {
 	l := rd.l
 	rd.side = rd.side[:0]
 
@@ -317,8 +364,13 @@ func (rd *logReader) next(park bool) (out []byte, done bool) {
 		rd.side = append(rd.side, l.side[at])
 	}
 	done = l.closed
-	if park && !done && from == end {
-		l.parked = append(l.parked, rd.wake)
+	if !done && from == end {
+		switch wait {
+		case waitPark:
+			l.parked = append(l.parked, rd.wake)
+		case waitQuiet:
+			l.quiet = append(l.quiet, quietFollower{wake: rd.wake, full: end + readBatch})
+		}
 	}
 	l.mu.Unlock()
 
@@ -354,42 +406,101 @@ func (rd *logReader) seek(buf []byte, first, seq int64) {
 	}
 }
 
-// stream writes the log from the cursor on to w as NDJSON, one Write and
-// one flush per batch. Without follow it returns once it has caught up;
-// with follow it parks whenever it has, and returns when the log is
-// complete or ctx ends. Having written, it drains again before it parks,
-// so a burst of events costs a follower one wake-up.
+// stream writes the log from the cursor on to w as NDJSON, one Write per
+// batch, and flushes once it has caught up. Without follow it returns
+// then; with follow it returns when the log is complete or ctx ends, and
+// waits in between. A follower that found nothing parks, so the first
+// record after an idle spell goes out at once. A follower that has just
+// flushed goes quiet instead, and drains and flushes again only on close,
+// a full batch (readBatch) waiting, or flushEvery: a stream of events
+// costs a flush per batch or per flushEvery, not one per read.
 func (rd *logReader) stream(ctx context.Context, w io.Writer, flush func(), follow bool) {
+	wrote := false // since the last flush
 	for {
-		out, done := rd.next(follow)
+		wait := waitNone
+		if follow {
+			wait = waitPark
+			if wrote {
+				wait = waitQuiet
+			}
+		}
+		out, done := rd.next(wait)
 		if len(out) > 0 {
 			if _, err := w.Write(out); err != nil {
 				return
 			}
-			flush()
+			wrote = true
 			continue
 		}
-		if !follow || done {
-			return
+		if wrote {
+			flush()
+			wrote = false
 		}
-		select {
-		case <-rd.wake:
-		case <-ctx.Done():
-			rd.leave()
+		if !follow || done || !rd.sleep(ctx, wait) {
 			return
 		}
 	}
 }
 
-// leave withdraws a parked reader whose client went away.
+// sleep waits on the wake channel next registered, and for a quiet wait on
+// the timer too. It reports false, having withdrawn, when ctx ended first.
+//
+// The timer channel may keep a stale tick: go.mod's go 1.22 gives timers
+// their asynchronous, buffered channel, and a tick that fires as a wake-up
+// arrives can escape the drain after Stop. It can only end a later quiet
+// wait early — the follower reads, writes what came and flushes sooner —
+// never delay one.
+func (rd *logReader) sleep(ctx context.Context, wait waitMode) bool {
+	if wait != waitQuiet {
+		select {
+		case <-rd.wake:
+			return true
+		case <-ctx.Done():
+			rd.leave()
+			return false
+		}
+	}
+	if rd.timer == nil {
+		rd.timer = time.NewTimer(rd.every)
+	} else {
+		rd.timer.Reset(rd.every)
+	}
+	select {
+	case <-rd.wake:
+		if !rd.timer.Stop() {
+			select {
+			case <-rd.timer.C:
+			default:
+			}
+		}
+		return true
+	case <-rd.timer.C:
+		// Not woken: withdraw, and take the token an append or close may
+		// have sent before the withdrawal.
+		rd.leave()
+		select {
+		case <-rd.wake:
+		default:
+		}
+		return true
+	case <-ctx.Done():
+		rd.timer.Stop()
+		rd.leave()
+		return false
+	}
+}
+
+// leave withdraws a parked or quiet reader: one whose client went away, or
+// whose quiet wait timed out. slices.Delete clears the vacated slot, so the
+// list keeps no channel of it.
 func (rd *logReader) leave() {
 	l := rd.l
 	l.mu.Lock()
-	for i, ch := range l.parked {
-		if ch == rd.wake {
-			l.parked = append(l.parked[:i], l.parked[i+1:]...)
-			break
-		}
+	if i := slices.Index(l.parked, rd.wake); i >= 0 {
+		l.parked = slices.Delete(l.parked, i, i+1)
+	}
+	if i := slices.IndexFunc(l.quiet, func(q quietFollower) bool { return q.wake == rd.wake }); i >= 0 {
+		l.quiet = slices.Delete(l.quiet, i, i+1)
 	}
 	l.mu.Unlock()
 }
@@ -405,32 +516,34 @@ func (rd *logReader) leave() {
 //
 // (the test file keeps that struct and holds the two equal under fuzzing).
 // Times are milliseconds since the job start, so clients need no clock
-// correlation; ev is the paper's ∆@notation, e.g. "map@as(3)".
+// correlation; ev is the paper's ∆@notation, e.g. "map@as(3)". A skeleton
+// record of a known kind, when and where takes its fixed text from
+// recordHeads; free-text records and unknown kinds are rendered field by
+// field.
 func appendRecord(dst []byte, seq int64, rec *record, side *sideRecord) []byte {
 	dst = append(dst, `{"seq":`...)
 	dst = strconv.AppendInt(dst, seq, 10)
 	dst = append(dst, `,"t_ms":`...)
-	// Whole nanoseconds over 1e6 are either 0 or within [1e-6, 1e21), where
-	// encoding/json formats floats with 'f' and the shortest digits.
-	dst = strconv.AppendFloat(dst, float64(rec.t)/float64(time.Millisecond), 'f', -1, 64)
-	dst = append(dst, `,"ev":`...)
-	var kind, when, where string
-	if rec.side == sideText {
-		dst = appendJSONString(dst, side.ev)
-		kind, when, where = side.kind, side.when, side.where
+	dst = appendMillis(dst, rec.t)
+	if rec.side != sideText && int(rec.kind) < len(recordHeads) && int(rec.when) < len(recordHeads[0]) && int(rec.where) < len(recordHeads[0][0]) {
+		h := &recordHeads[rec.kind][rec.when][rec.where]
+		dst = append(dst, h.text[:h.cut]...)
+		dst = strconv.AppendInt(dst, rec.index, 10)
+		dst = append(dst, h.text[h.cut:]...)
 	} else {
-		k, wn, wr := skel.Kind(rec.kind), event.When(rec.when), event.Where(rec.where)
-		var ev [40]byte
-		dst = appendJSONString(dst, event.AppendNotation(ev[:0], k, wn, wr, rec.index))
-		kind, when, where = k.String(), wn.String(), wr.String()
+		dst = append(dst, `,"ev":`...)
+		var kind, when, where string
+		if rec.side == sideText {
+			dst = appendJSONString(dst, side.ev)
+			kind, when, where = side.kind, side.when, side.where
+		} else {
+			k, wn, wr := skel.Kind(rec.kind), event.When(rec.when), event.Where(rec.where)
+			var ev [40]byte
+			dst = appendJSONString(dst, event.AppendNotation(ev[:0], k, wn, wr, rec.index))
+			kind, when, where = k.String(), wn.String(), wr.String()
+		}
+		dst = appendFieldNames(dst, kind, when, where)
 	}
-	dst = append(dst, `,"kind":`...)
-	dst = appendJSONString(dst, kind) // "d&c" needs the escaper
-	dst = append(dst, `,"when":`...)
-	dst = appendJSONString(dst, when)
-	dst = append(dst, `,"where":`...)
-	dst = appendJSONString(dst, where)
-	dst = append(dst, `,"index":`...)
 	dst = strconv.AppendInt(dst, rec.index, 10)
 	dst = append(dst, `,"parent":`...)
 	dst = strconv.AppendInt(dst, rec.parent, 10)
@@ -444,6 +557,81 @@ func appendRecord(dst []byte, seq int64, rec *record, side *sideRecord) []byte {
 		dst = appendJSONString(dst, side.err)
 	}
 	return append(dst, "}\n"...)
+}
+
+// appendFieldNames renders a record's kind, when and where fields and the
+// key of its index.
+func appendFieldNames(dst []byte, kind, when, where string) []byte {
+	dst = append(dst, `,"kind":`...)
+	dst = appendJSONString(dst, kind) // "d&c" needs the escaper
+	dst = append(dst, `,"when":`...)
+	dst = appendJSONString(dst, when)
+	dst = append(dst, `,"where":`...)
+	dst = appendJSONString(dst, where)
+	return append(dst, `,"index":`...)
+}
+
+// recordHead is the fixed, escaped text of a skeleton record of one kind,
+// when and where, around its index: text[:cut] is `,"ev":"map@as(` and
+// text[cut:] is `)","kind":"map","when":"after","where":"split","index":`.
+type recordHead struct {
+	text string
+	cut  int
+}
+
+// recordHeads holds the head of every kind, when and where the skeleton
+// events have, rendered by the same functions as the field-by-field path.
+var recordHeads = func() (heads [skel.DaC + 1][2][event.Fault + 1]recordHead) {
+	for k := range heads {
+		for wn := range heads[k] {
+			for wr := range heads[k][wn] {
+				kind, when, where := skel.Kind(k), event.When(wn), event.Where(wr)
+				ev := event.AppendNotation(nil, kind, when, where, 0)
+				ev = appendJSONString(nil, ev[:len(ev)-len("0)")]) // "map@as("
+				text := append([]byte(`,"ev":`), ev[:len(ev)-1]...)
+				cut := len(text)
+				text = append(text, `)"`...)
+				text = appendFieldNames(text, kind.String(), when.String(), where.String())
+				heads[k][wn][wr] = recordHead{text: string(text), cut: cut}
+			}
+		}
+	}
+	return heads
+}()
+
+// appendMillis renders ns nanoseconds as milliseconds, as encoding/json
+// renders float64(ns)/1e6. Below 10¹⁵ ns in magnitude the exact quotient
+// has at most 15 significant digits, so it is the shortest decimal that
+// rounds to that float64 — the one encoding/json prints — and is written
+// from the integer. Larger times go through the float64.
+func appendMillis(dst []byte, ns int64) []byte {
+	const exact = 1e15
+	if ns <= -exact || ns >= exact {
+		// Whole nanoseconds over 1e6 are either 0 or within [1e-6, 1e21),
+		// where encoding/json formats floats with 'f' and the shortest digits.
+		return strconv.AppendFloat(dst, float64(ns)/float64(time.Millisecond), 'f', -1, 64)
+	}
+	if ns < 0 {
+		dst = append(dst, '-')
+		ns = -ns
+	}
+	const perMS = int64(time.Millisecond)
+	dst = strconv.AppendInt(dst, ns/perMS, 10)
+	frac := ns % perMS
+	if frac == 0 {
+		return dst
+	}
+	var digits [7]byte // '.' and six digits, the trailing zeros cut
+	digits[0] = '.'
+	for i := 6; i > 0; i-- {
+		digits[i] = byte('0' + frac%10)
+		frac /= 10
+	}
+	n := len(digits)
+	for digits[n-1] == '0' {
+		n--
+	}
+	return append(dst, digits[:n]...)
 }
 
 func appendOmitZero(dst []byte, key string, v int32) []byte {

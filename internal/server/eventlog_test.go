@@ -217,7 +217,7 @@ func (p *pair) close() {
 func drain(rd *logReader) (out string, done bool) {
 	var sb strings.Builder
 	for {
-		b, d := rd.next(false)
+		b, d := rd.next(waitNone)
 		if len(b) == 0 {
 			return sb.String(), d
 		}
@@ -265,7 +265,7 @@ func TestEventLogModel(t *testing.T) {
 					// One batch only: the cursor stops inside the window and
 					// inside the buffer.
 					c := cursors[rng.Intn(len(cursors))]
-					got, _ := c.rd.next(false)
+					got, _ := c.rd.next(waitNone)
 					want, _, _ := p.ref.read(c.ref)
 					if !strings.HasPrefix(want, string(got)) {
 						t.Fatalf("cap %d seed %d step %d: one batch is not a prefix of the read\n got: %s\nwant: %s",
@@ -487,7 +487,121 @@ func TestEventLogFollowers(t *testing.T) {
 		if n := len(p.log.parked); n != 0 {
 			t.Fatalf("cap %d: %d followers still parked after close", capacity, n)
 		}
+		assertNoFollowers(t, p.log)
 	}
+}
+
+// assertNoFollowers: the log holds no follower, parked or quiet, and no
+// wake channel either, not even in the slots past the lists' length.
+func assertNoFollowers(t *testing.T, l *eventLog) {
+	t.Helper()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.parked) != 0 || len(l.quiet) != 0 {
+		t.Fatalf("%d followers parked and %d quiet, want none", len(l.parked), len(l.quiet))
+	}
+	for i, ch := range l.parked[:cap(l.parked)] {
+		if ch != nil {
+			t.Fatalf("parked slot %d past the length still holds a wake channel", i)
+		}
+	}
+	for i, q := range l.quiet[:cap(l.quiet)] {
+		if q.wake != nil {
+			t.Fatalf("quiet slot %d past the length still holds a wake channel", i)
+		}
+	}
+}
+
+// waitUntil polls cond under the log's lock until it holds, for at most
+// five seconds.
+func waitUntil(t *testing.T, l *eventLog, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		l.mu.Lock()
+		ok := cond()
+		l.mu.Unlock()
+		if ok {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("follower never %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// quietFollow starts a follower of p's log from the start whose quiet wait
+// lasts every. Its output may be read once done is closed; flushes receives
+// the output's length at each flush, buffered past the three flushes a test
+// here makes at most, so the follower never blocks on it.
+func quietFollow(ctx context.Context, p *pair, every time.Duration) (rd *logReader, out *bytes.Buffer, flushes chan int, done chan struct{}) {
+	rd, out = p.log.reader(0), new(bytes.Buffer)
+	rd.every = every
+	flushes, done = make(chan int, 16), make(chan struct{})
+	go func() {
+		rd.stream(ctx, out, func() { flushes <- out.Len() }, true)
+		close(done)
+	}()
+	return rd, out, flushes, done
+}
+
+// within fails the test unless ch delivers within ten seconds, far below
+// the hour-long quiet waits the tests below set.
+func within[T any](t *testing.T, ch <-chan T, what string) T {
+	t.Helper()
+	select {
+	case v := <-ch:
+		return v
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%s: still waiting after 10 s", what)
+		panic("unreachable")
+	}
+}
+
+// TestEventLogQuietClose: the first record after an idle spell is flushed
+// at once, and a close during the quiet wait that follows ends the stream
+// at once too. The wait would last an hour, so only close's wake-up can end
+// it; afterwards the log keeps neither a reader nor a channel.
+func TestEventLogQuietClose(t *testing.T) {
+	p := newPair(8)
+	_, out, flushes, done := quietFollow(context.Background(), p, time.Hour)
+	waitUntil(t, p.log, "parked", func() bool { return len(p.log.parked) == 1 })
+	rng := rand.New(rand.NewSource(1))
+	p.appendRandom(rng)
+	within(t, flushes, "the first record after an idle spell")
+	waitUntil(t, p.log, "went quiet", func() bool { return len(p.log.quiet) == 1 })
+	p.appendRandom(rng) // held by the quiet wait
+	p.close()
+	within(t, done, "a close during a quiet wait")
+	if want, _, _ := p.ref.read(0); out.String() != want {
+		t.Fatalf("stream:\n got %s\nwant %s", out, want)
+	}
+	assertNoFollowers(t, p.log)
+}
+
+// TestEventLogQuietThenPark: a quiet wait that times out with nothing new
+// parks the follower again, and a record that arrives then is flushed
+// before any timer could fire — the next quiet wait is set to an hour
+// before the record is appended.
+func TestEventLogQuietThenPark(t *testing.T) {
+	p := newPair(8)
+	rd, out, flushes, done := quietFollow(context.Background(), p, time.Millisecond)
+	rng := rand.New(rand.NewSource(2))
+	p.appendRandom(rng)
+	first := within(t, flushes, "the first record")
+	waitUntil(t, p.log, "parked after its quiet wait", func() bool { return len(p.log.parked) == 1 && len(p.log.quiet) == 0 })
+	// The follower reads every only after the append below wakes it.
+	rd.every = time.Hour
+	p.appendRandom(rng)
+	if second := within(t, flushes, "a record appended to a parked follower"); second <= first {
+		t.Fatalf("the second flush wrote nothing new: %d bytes, then %d", first, second)
+	}
+	p.close()
+	within(t, done, "close")
+	if want, _, _ := p.ref.read(0); out.String() != want {
+		t.Fatalf("stream:\n got %s\nwant %s", out, want)
+	}
+	assertNoFollowers(t, p.log)
 }
 
 // TestEventLogLeave: a follower whose client goes away withdraws from the
@@ -518,6 +632,47 @@ func TestEventLogLeave(t *testing.T) {
 		t.Fatalf("%d parked after the client left", n)
 	}
 	p.appendRandom(rand.New(rand.NewSource(1)))
+
+	// A quiet follower leaves the quiet list the same way, and its slot is
+	// cleared.
+	ctx, cancel = context.WithCancel(context.Background())
+	_, _, flushes, done := quietFollow(ctx, p, time.Hour)
+	within(t, flushes, "the backlog")
+	waitUntil(t, p.log, "went quiet", func() bool { return len(p.log.quiet) == 1 })
+	cancel()
+	within(t, done, "a client leaving during a quiet wait")
+	assertNoFollowers(t, p.log)
+	p.appendRandom(rand.New(rand.NewSource(1)))
+}
+
+// TestEventLogFlushesCounted: skelrund_event_flushes_total counts every
+// flush of every events stream, exactly: a stream of a finished job
+// flushes once if it has records to send, and not at all otherwise.
+func TestEventLogFlushesCounted(t *testing.T) {
+	_, ts := newTestDaemon(t, Config{Budget: 2})
+	id := runTiny(t, ts.URL)
+	flushes := func() float64 {
+		t.Helper()
+		v, ok := scrapeMetrics(t, ts.URL)["skelrund_event_flushes_total"]
+		if !ok {
+			t.Fatal("/metrics lacks skelrund_event_flushes_total")
+		}
+		return v
+	}
+	base := flushes()
+	if base < 1 {
+		t.Fatalf("following a job flushed %v times, want at least 1", base)
+	}
+	for _, tc := range []struct {
+		query string
+		adds  float64
+	}{{"", 1}, {"?follow=1", 1}, {"?from=4611686018427387904", 0}, {"?follow=1&from=4611686018427387904", 0}} {
+		getNDJSON(t, ts.URL+"/jobs/"+id+"/events"+tc.query)
+		if got := flushes(); got != base+tc.adds {
+			t.Fatalf("/events%s of a finished job: flushes went from %v to %v, want +%v", tc.query, base, got, tc.adds)
+		}
+		base += tc.adds
+	}
 }
 
 // FuzzEventRecordNDJSON holds the hand-written encoder to encoding/json,
@@ -528,6 +683,14 @@ func FuzzEventRecordNDJSON(f *testing.F) {
 	for i, s := range awkward {
 		f.Add(int64(i)*1234567, uint8(i), uint8(i), uint8(i), int64(i), int64(i)-1, i%3, i%2, i%4, i-1, s, false)
 		f.Add(int64(i), uint8(0), uint8(1), uint8(6), int64(1)<<40, int64(-1), 0, -1, 0, 1<<20, s, true)
+	}
+	// Times either side of 10¹⁵ ns, where t_ms leaves the integer path, and
+	// negative ones under a millisecond. kind 255 is reduced onto the node
+	// table like any other; TestEventLogRenderFallbacks renders kinds
+	// outside it.
+	for _, ns := range []int64{1e15 - 1, -(1e15 - 1), 1e15, -1e15, -500_000, -1, 1} {
+		f.Add(ns, uint8(6), uint8(1), uint8(1), int64(3), int64(-1), 500, 0, 0, 1, "", false)
+		f.Add(ns, uint8(255), uint8(0), uint8(0), int64(0), int64(0), 0, 0, 0, 0, "", true)
 	}
 	f.Fuzz(func(t *testing.T, ns int64, kind, when, where uint8, index, parent int64,
 		card, branch, iter, worker int, text string, free bool) {
@@ -566,6 +729,39 @@ func FuzzEventRecordNDJSON(f *testing.F) {
 			t.Fatalf("marker:\n got %s\nwant %s", got, wantLine)
 		}
 	})
+}
+
+// TestEventLogRenderFallbacks: records outside the precomputed heads —
+// kinds and wheres no skeleton event has, times from 10¹⁵ ns on — render
+// what encoding/json makes of them, as do the heads' edges.
+func TestEventLogRenderFallbacks(t *testing.T) {
+	for _, tc := range []struct {
+		rec  record
+		want eventRecord
+	}{
+		{record{t: 1500, index: 3, kind: 9, when: 1, where: 1},
+			eventRecord{Ev: "Kind(9)@as(3)", Kind: "Kind(9)", When: "after", Where: "split", Index: 3}},
+		{record{t: -1, index: -4, kind: 255, where: 7, worker: -1},
+			eventRecord{Ev: "Kind(255)@b(-4)", Kind: "Kind(255)", When: "before", Where: "Where(7)", Index: -4, Worker: -1}},
+		{record{t: 1e15, kind: uint8(skel.DaC), where: uint8(event.Fault)},
+			eventRecord{Ev: "d&c@bf(0)", Kind: "d&c", When: "before", Where: "fault"}},
+		{record{t: -1e15 - 7, kind: uint8(skel.Map), when: 1, where: uint8(event.Merge), index: 1 << 40},
+			eventRecord{Ev: "map@am(1099511627776)", Kind: "map", When: "after", Where: "merge", Index: 1 << 40}},
+		{record{t: 1e15 - 1, kind: uint8(skel.Seq), parent: -1},
+			eventRecord{Ev: "seq@b(0)", Kind: "seq", When: "before", Where: "skeleton", Parent: -1}},
+		{record{t: math.MinInt64, kind: uint8(skel.Fork), when: 1, where: uint8(event.NestedSkel)},
+			eventRecord{Ev: "fork@an(0)", Kind: "fork", When: "after", Where: "nested"}},
+	} {
+		tc.want.Seq = 5
+		tc.want.TMS = float64(tc.rec.t) / float64(time.Millisecond)
+		want, err := json.Marshal(tc.want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendRecord(nil, 5, &tc.rec, nil); string(got) != string(want)+"\n" {
+			t.Errorf("%+v:\n got %s\nwant %s", tc.rec, got, want)
+		}
+	}
 }
 
 // packedRecordSize is the bytes one record takes in FuzzEventLogPack's
@@ -708,15 +904,32 @@ func TestEventLogAppendDoesNotAllocate(t *testing.T) {
 	}
 	rd := l.reader(1 << 62)
 	n := testing.AllocsPerRun(2000, func() {
-		if out, _ := rd.next(true); len(out) != 0 {
+		if out, _ := rd.next(waitPark); len(out) != 0 {
 			t.Fatal("reader past the end got records before the append")
 		}
 		hook.Handler(e)
 		<-rd.wake
-		rd.next(false)
+		rd.next(waitNone)
 	})
 	if n != 0 {
 		t.Fatalf("append waking a parked follower, and its read: %v allocs/op, want 0", n)
+	}
+
+	// A follower in its quiet wait: each append checks its backlog and
+	// allocates nothing, and the one that fills its batch wakes it.
+	rd = l.reader(1 << 62)
+	if out, _ := rd.next(waitQuiet); len(out) != 0 {
+		t.Fatal("reader past the end got records before the append")
+	}
+	if n := testing.AllocsPerRun(readBatch-2, func() { hook.Handler(e) }); n != 0 {
+		t.Fatalf("append beside a quiet follower: %v allocs/op, want 0", n)
+	}
+	if len(l.quiet) != 1 || len(rd.wake) != 0 {
+		t.Fatalf("one record short of a batch: %d quiet, %d wake tokens; want 1 quiet and no token", len(l.quiet), len(rd.wake))
+	}
+	hook.Handler(e)
+	if len(l.quiet) != 0 || len(rd.wake) != 1 {
+		t.Fatalf("a full batch: %d quiet, %d wake tokens; want none quiet and a token", len(l.quiet), len(rd.wake))
 	}
 }
 

@@ -29,7 +29,9 @@ import (
 //	GET    /jobs                      list jobs
 //	GET    /jobs/{id}                 one job's status/QoS/arbitration
 //	GET    /jobs/{id}/decisions       the autonomic decision log
-//	GET    /jobs/{id}/events          NDJSON event stream (?follow=1&from=N)
+//	GET    /jobs/{id}/events          NDJSON event stream (?follow=1&from=N; a
+//	                                  follower sees an intermediate record up
+//	                                  to flushEvery (20 ms) late, the end at once)
 //	GET    /jobs/{id}/timeline        NDJSON LP/WCT timeline (+ decisions)
 //	PATCH  /jobs/{id}/qos             adjust WCT goal / max LP at runtime
 //	DELETE /jobs/{id}                 cancel a job
@@ -421,8 +423,9 @@ func (s *Server) handleDecisions(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleEvents streams the job's event log as NDJSON. With ?follow=1 the
-// response keeps streaming until the job finishes or the client leaves;
-// ?from=N resumes after sequence number N-1.
+// response keeps streaming until the job finishes or the client leaves,
+// flushed in batches (logReader.stream); ?from=N resumes after sequence
+// number N-1.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.pathJob(w, r)
 	if !ok {
@@ -436,7 +439,10 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	flush := func() {}
 	if f, ok := w.(http.Flusher); ok {
-		flush = f.Flush
+		flush = func() {
+			f.Flush()
+			s.eventFlushes.Add(1)
+		}
 	}
 	j.log.reader(from).stream(r.Context(), w, flush, follow)
 }
@@ -653,6 +659,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "skelrund_recovered_jobs %d\n", s.RecoveredJobs())
 	fmt.Fprintf(w, "# HELP skelrund_jobs_evicted_total finished jobs dropped from the job table past the retention cap\n")
 	fmt.Fprintf(w, "skelrund_jobs_evicted_total %d\n", evicted)
+	fmt.Fprintf(w, "# HELP skelrund_event_flushes_total flushes of every /jobs/{id}/events stream\n")
+	fmt.Fprintf(w, "skelrund_event_flushes_total %d\n", s.eventFlushes.Load())
 	if cl := s.cfg.Cluster; cl != nil {
 		fmt.Fprintf(w, "# HELP skelrund_cluster_budget cluster-wide LP budget\n")
 		fmt.Fprintf(w, "skelrund_cluster_budget %d\n", cl.Budget())

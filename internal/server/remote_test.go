@@ -69,7 +69,7 @@ func waitJobDone(t *testing.T, j *job) (any, error) {
 func jobEvents(j *job) string {
 	var sb strings.Builder
 	for rd := j.log.reader(0); ; {
-		out, _ := rd.next(false)
+		out, _ := rd.next(waitNone)
 		if len(out) == 0 {
 			return sb.String()
 		}

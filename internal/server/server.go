@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"sync"
+	"sync/atomic"
 
 	"skandium"
 	"skandium/internal/clock"
@@ -94,6 +95,8 @@ type Server struct {
 	profiles  *core.ProfileStore // per-skeleton work/span, feeds admission
 	adm       *admission         // tenant-fair front door (ladder + brownout)
 	lps       lpTotal            // Σ of every job's last reported LP
+	// eventFlushes counts the flushes of every /jobs/{id}/events stream.
+	eventFlushes atomic.Uint64
 
 	mu         sync.Mutex
 	jobs       map[string]*job
