@@ -6,7 +6,6 @@
 //	go run ./cmd/adgdump            # the paper's snapshot (t=70, LP=2)
 //	go run ./cmd/adgdump -virtual   # the a-priori plan (nothing executed)
 //	go run ./cmd/adgdump -plan      # the compiled program IR (internal/plan)
-//	go run ./cmd/adgdump -opt       # the IR before/after each optimizer pass
 package main
 
 import (
@@ -32,7 +31,6 @@ func main() {
 	lp := flag.Int("lp", 2, "limited-LP strategy thread count")
 	dot := flag.Bool("dot", false, "emit Graphviz dot of the best-effort schedule and exit")
 	showPlan := flag.Bool("plan", false, "print the compiled program IR shared by all engines and exit")
-	showOpt := flag.Bool("opt", false, "print the IR before and after each optimizer pass and exit")
 	flag.Parse()
 
 	fs := muscle.NewSplit("fs", func(any) ([]any, error) { return nil, nil })
@@ -47,22 +45,6 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Print(p.Dump())
-		return
-	}
-
-	if *showOpt {
-		raw, err := plan.Compile(outer)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println("=== raw IR (plan.Compile) ===")
-		fmt.Print(raw.Dump())
-		opt, reports := plan.OptimizeWithReport(raw)
-		for _, r := range reports {
-			fmt.Printf("\npass %-12s applied=%d  %s\n", r.Name, r.Applied, r.Detail)
-		}
-		fmt.Println("\n=== optimized IR (plan.Optimize) ===")
-		fmt.Print(opt.Dump())
 		return
 	}
 

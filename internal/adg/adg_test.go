@@ -1,6 +1,7 @@
 package adg
 
 import (
+	"errors"
 	"math/rand"
 	"slices"
 	"testing"
@@ -179,6 +180,57 @@ func TestSeqEstimateAllKinds(t *testing.T) {
 		if got != tc.want {
 			t.Errorf("%s: got %v, want %v", tc.nd, got, tc.want)
 		}
+	}
+}
+
+// TestEstimatesMissingRules: work needs |fs| and span does not; a missing
+// t(m) fails both, and each error names the muscle and what it lacks.
+func TestEstimatesMissingRules(t *testing.T) {
+	fs := muscle.NewSplit("fs", func(p any) ([]any, error) { return nil, nil })
+	a := muscle.NewExecute("a", func(p any) (any, error) { return p, nil })
+	b := muscle.NewExecute("b", func(p any) (any, error) { return p, nil })
+	fm := muscle.NewMerge("fm", func(p []any) (any, error) { return nil, nil })
+	nd := skel.NewMap(fs, skel.NewPipe(skel.NewSeq(a), skel.NewSeq(b)), fm)
+	registry := func(withCard, withB bool) *estimate.Registry {
+		est := estimate.NewRegistry(estimate.DefaultRho)
+		est.InitDuration(fs.ID(), u(10))
+		est.InitDuration(a.ID(), u(15))
+		if withB {
+			est.InitDuration(b.ID(), u(5))
+		}
+		est.InitDuration(fm.ID(), u(5))
+		if withCard {
+			est.InitCard(fs.ID(), 3)
+		}
+		return est
+	}
+	incomplete := func(err error, m *muscle.Muscle, card bool) bool {
+		var ie *IncompleteError
+		return errors.As(err, &ie) && ie.Muscle == m && ie.Card == card
+	}
+
+	est := registry(true, true)
+	if w, err := SeqEstimate(est, nd); err != nil || w != u(75) { // 10 + 3·(15+5) + 5
+		t.Fatalf("work = %v (%v), want 75ms", w, err)
+	}
+	if s, err := SpanEstimate(est, nd); err != nil || s != u(35) { // 10 + (15+5) + 5
+		t.Fatalf("span = %v (%v), want 35ms", s, err)
+	}
+
+	est = registry(false, true)
+	if _, err := SeqEstimate(est, nd); !incomplete(err, fs, true) {
+		t.Fatalf("work without |fs|: %v", err)
+	}
+	if s, err := SpanEstimate(est, nd); err != nil || s != u(35) {
+		t.Fatalf("span without |fs| = %v (%v), want 35ms", s, err)
+	}
+
+	est = registry(true, false)
+	if _, err := SeqEstimate(est, nd); !incomplete(err, b, false) {
+		t.Fatalf("work without t(b): %v", err)
+	}
+	if _, err := SpanEstimate(est, nd); !incomplete(err, b, false) {
+		t.Fatalf("span without t(b): %v", err)
 	}
 }
 

@@ -28,24 +28,7 @@ func SeqEstimate(est *estimate.Registry, node *skel.Node) (time.Duration, error)
 	return seqEst(est, p.Root())
 }
 
-// SeqEstimateProgram is SeqEstimate over an explicitly compiled program,
-// bypassing the node's plan cache — the seam for estimating a raw program
-// next to the cached optimized one.
-func SeqEstimateProgram(est *estimate.Registry, p *plan.Program) (time.Duration, error) {
-	return seqEst(est, p.Root())
-}
-
 func seqEst(est *estimate.Registry, st *plan.Step) (time.Duration, error) {
-	// Static specialization: the optimizer precompiles the exact formulas
-	// below into a flat postfix program for static subtrees; evaluating it
-	// replays the identical arithmetic without walking the subtree.
-	if a := st.Analytic(); a != nil {
-		d, miss := a.Work(est)
-		if miss != nil {
-			return 0, &IncompleteError{Muscle: miss.M, Card: miss.Card}
-		}
-		return d, nil
-	}
 	switch st.Op() {
 	case plan.OpExec:
 		return mDur(est, st.Exec())

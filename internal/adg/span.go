@@ -22,23 +22,7 @@ func SpanEstimate(est *estimate.Registry, node *skel.Node) (time.Duration, error
 	return spanEst(est, p.Root())
 }
 
-// SpanEstimateProgram is SpanEstimate over an explicitly compiled program,
-// bypassing the node's plan cache — the seam for estimating a raw program
-// next to the cached optimized one.
-func SpanEstimateProgram(est *estimate.Registry, p *plan.Program) (time.Duration, error) {
-	return spanEst(est, p.Root())
-}
-
 func spanEst(est *estimate.Registry, st *plan.Step) (time.Duration, error) {
-	// Static specialization: evaluate the optimizer's precompiled span
-	// program instead of walking the (provably static) subtree.
-	if a := st.Analytic(); a != nil {
-		d, miss := a.Span(est)
-		if miss != nil {
-			return 0, &IncompleteError{Muscle: miss.M, Card: miss.Card}
-		}
-		return d, nil
-	}
 	switch st.Op() {
 	case plan.OpExec:
 		return mDur(est, st.Exec())

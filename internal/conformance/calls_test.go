@@ -92,10 +92,9 @@ func (cc *callCounter) take() []string {
 
 // TestMuscleCallCountsAgree: over the whole 240-tree corpus, every muscle
 // is invoked exactly as often by the pool (LP 1 and 3) and by the simulator
-// (LP 1 and 3) as by the reference evaluator, for the raw and the optimized
-// program alike. Results, shapes and makespans cannot catch a driver that
-// invokes a yielded muscle call twice, or drops one whose output a
-// continuation then never reads; the counts do.
+// (LP 1 and 3) as by the reference evaluator. Results, shapes and makespans
+// cannot catch a driver that invokes a yielded muscle call twice, or drops
+// one whose output a continuation then never reads; the counts do.
 func TestMuscleCallCountsAgree(t *testing.T) {
 	for _, tree := range allTrees() {
 		node, cc := countCalls(tree.Node)
@@ -103,22 +102,18 @@ func TestMuscleCallCountsAgree(t *testing.T) {
 			t.Fatalf("(%s): reference: %v", tree.Node, err)
 		}
 		want := cc.take()
-		raw, err := plan.Compile(node)
+		p, err := plan.Compile(node)
 		if err != nil {
 			t.Fatalf("compile (%s): %v", tree.Node, err)
 		}
-		for _, p := range []*plan.Program{raw, plan.Optimize(raw)} {
-			for _, lp := range []int{1, 3} {
-				execRunProgram(t, p, tree.Input, lp, nil)
-				if got := cc.take(); !reflect.DeepEqual(got, want) {
-					t.Fatalf("(%s) lp %d fused=%v: pool calls %v, reference %v",
-						tree.Node, lp, p != raw, got, want)
-				}
-				simRunProgram(t, p, tree.Input, lp, nil)
-				if got := cc.take(); !reflect.DeepEqual(got, want) {
-					t.Fatalf("(%s) lp %d fused=%v: sim calls %v, reference %v",
-						tree.Node, lp, p != raw, got, want)
-				}
+		for _, lp := range []int{1, 3} {
+			execRunProgram(t, p, tree.Input, lp, nil)
+			if got := cc.take(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("(%s) lp %d: pool calls %v, reference %v", tree.Node, lp, got, want)
+			}
+			simRunProgram(t, p, tree.Input, lp, nil)
+			if got := cc.take(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("(%s) lp %d: sim calls %v, reference %v", tree.Node, lp, got, want)
 			}
 		}
 	}

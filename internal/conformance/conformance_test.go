@@ -11,6 +11,7 @@ import (
 	"skandium/internal/event"
 	"skandium/internal/exec"
 	"skandium/internal/muscle"
+	"skandium/internal/plan"
 	"skandium/internal/refeval"
 	"skandium/internal/sim"
 	"skandium/internal/skel"
@@ -51,6 +52,52 @@ func simRun(t *testing.T, node *skel.Node, input, lp int, reg *event.Registry) (
 		t.Fatalf("sim lp %d (%s): %v", lp, node, err)
 	}
 	return got, makespan, eng
+}
+
+func execRunProgram(t *testing.T, p *plan.Program, input, lp int, reg *event.Registry) any {
+	t.Helper()
+	pool := exec.NewPool(clock.System, lp, 0)
+	defer pool.Close()
+	got, err := exec.NewRoot(pool, reg, nil).StartProgram(p, input).Get()
+	if err != nil {
+		t.Fatalf("exec lp %d (%s): %v", lp, p.Node(), err)
+	}
+	return got
+}
+
+func simRunProgram(t *testing.T, p *plan.Program, input, lp int, reg *event.Registry) (any, time.Duration) {
+	t.Helper()
+	eng := sim.NewEngine(sim.Config{Costs: unitCosts(), LP: lp, Events: reg})
+	start := eng.Now()
+	rs, err := eng.RunStreamProgram(p, []sim.Injection{{Param: input}})
+	if err != nil {
+		t.Fatalf("sim lp %d (%s): %v", lp, p.Node(), err)
+	}
+	return rs[0].Result, eng.Now().Sub(start)
+}
+
+// programShape runs one execution under a fresh tracker and returns the
+// canonical shape of the activation tree it observed.
+func programShape(t *testing.T, run func(reg *event.Registry)) string {
+	t.Helper()
+	reg := event.NewRegistry()
+	tr := statemachine.NewTracker(estimate.NewRegistry(estimate.DefaultRho))
+	reg.Add(tr.Listener())
+	run(reg)
+	return Shape(tr)
+}
+
+// allTrees yields every tree of the harness: the full-algebra seeds and the
+// static-subclass seeds — the same 240 programs the backend tests cover.
+func allTrees() []*Tree {
+	trees := make([]*Tree, 0, fullSeeds+staticSeeds)
+	for seed := int64(0); seed < fullSeeds; seed++ {
+		trees = append(trees, Generate(seed, genDepth))
+	}
+	for seed := int64(1000); seed < 1000+staticSeeds; seed++ {
+		trees = append(trees, GenerateStatic(seed, genDepth))
+	}
+	return trees
 }
 
 // TestBackendsComputeReferenceResults: for seeded random trees over the

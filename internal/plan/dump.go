@@ -34,9 +34,6 @@ func (s *Step) dump(b *strings.Builder, depth int) {
 		fmt.Fprintf(b, "  n=%d", s.n)
 	}
 	fmt.Fprintf(b, "  depth=%d", len(s.trace))
-	if s.analytic != nil {
-		fmt.Fprintf(b, "  [analytic: work=%d span=%d aops]", len(s.analytic.WorkOps()), len(s.analytic.SpanOps()))
-	}
 	b.WriteByte('\n')
 	for _, c := range s.children {
 		c.dump(b, depth+1)

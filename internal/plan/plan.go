@@ -137,13 +137,6 @@ type Step struct {
 
 	n     int // OpRepeat: iteration count
 	index int // pre-order position within the Program
-
-	// Optimizer annotations, set only by Optimize (always nil on a raw
-	// Compile output). They never change the step's structure — every
-	// structural consumer (sharding, dumping, the ADG builder) works
-	// unchanged on an optimized program; consumers that know about an
-	// annotation use it as a faster equivalent path.
-	analytic *Analytic
 }
 
 // Op returns the step's operation.
@@ -182,11 +175,6 @@ func (s *Step) N() int { return s.n }
 
 // Index returns the step's pre-order position within its Program.
 func (s *Step) Index() int { return s.index }
-
-// Analytic returns the closed-form work/span programs for the static
-// subtree rooted at this step, or nil when the subtree is not static (or
-// the program is unoptimized).
-func (s *Step) Analytic() *Analytic { return s.analytic }
 
 // Program is the compiled form of one skeleton tree, rooted at Node. It is
 // immutable and safe for concurrent use.
@@ -249,16 +237,14 @@ func (p *Program) compile(nd *skel.Node, parentTrace []*skel.Node) (*Step, error
 	return s, nil
 }
 
-// Of returns the compiled program for executions rooted at node, compiling,
-// optimizing and caching it on the node on first use. The cached Program is
-// shared by all concurrent executions and all consumers of node; it stays
-// alive exactly as long as the node does (it is stored on the node, not in a
+// Of returns the compiled program for executions rooted at node, compiling
+// and caching it on the node on first use. The cached Program is shared by
+// all concurrent executions and all consumers of node; it stays alive
+// exactly as long as the node does (it is stored on the node, not in a
 // global table), so a tree built from fresh nodes never sees another tree's
 // program, and a subtree shared by two trees keeps the program compiled for
-// executions rooted at it. The optimizer's two annotation passes run before
-// the CAS publish, so racing callers always observe either the one cached
-// optimized program or none — never a raw program that later "becomes"
-// optimized.
+// executions rooted at it. Racing callers may each compile, but the CAS
+// publish keeps the first, so all of them return the one cached program.
 func Of(node *skel.Node) (*Program, error) {
 	if c := node.CachedPlan(); c != nil {
 		return c.(*Program), nil
@@ -267,8 +253,14 @@ func Of(node *skel.Node) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	return node.CachePlan(Optimize(p)).(*Program), nil
+	return node.CachePlan(p).(*Program), nil
 }
+
+// Optimize returns p unchanged. No optimizer pass remains: a program has
+// one form, Compile's. Its only caller is the end-to-end benchmark's
+// plan.compile probe (bench/probes.go); once that call goes, so does
+// Optimize.
+func Optimize(p *Program) *Program { return p }
 
 // Node returns the skeleton root the program was compiled from.
 func (p *Program) Node() *skel.Node { return p.node }

@@ -262,3 +262,37 @@ func TestDump(t *testing.T) {
 		t.Fatalf("Dump header: %q", d)
 	}
 }
+
+// TestOfSharedSubtreeRace: racing plan.Of callers on two distinct roots
+// sharing a subtree each observe exactly one cached program per node.
+func TestOfSharedSubtreeRace(t *testing.T) {
+	shared := skel.NewFor(2, skel.NewSeq(fe("z")))
+	a := skel.NewPipe(skel.NewSeq(fe("x")), skel.NewSeq(fe("y")), shared)
+	b := skel.NewMap(fs("s"), shared, fm("m"))
+	const goroutines = 24
+	pa := make([]*Program, goroutines)
+	pb := make([]*Program, goroutines)
+	var wg sync.WaitGroup
+	for i := 0; i < goroutines; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if i%2 == 0 {
+				pa[i], _ = Of(a)
+				pb[i], _ = Of(b)
+			} else {
+				pb[i], _ = Of(b)
+				pa[i], _ = Of(a)
+			}
+		}(i)
+	}
+	wg.Wait()
+	for i := 1; i < goroutines; i++ {
+		if pa[i] != pa[0] || pb[i] != pb[0] {
+			t.Fatal("racing Of calls observed distinct programs for one node")
+		}
+	}
+	if pa[0] == pb[0] {
+		t.Fatal("distinct roots share a program")
+	}
+}

@@ -105,30 +105,18 @@ func TestEligibleAndShardable(t *testing.T) {
 	if Eligible(local, skandium.Params{}) {
 		t.Fatal("codec-less blueprint must not be eligible")
 	}
-}
 
-// TestShardableOnOptimizedProgram: the optimizer is annotation-only, so the
-// coordinator's shard-shape detection finds the same fan-out step — at the
-// same pre-order index — on a raw and an optimized program of one farm(map)
-// blueprint.
-func TestShardableOnOptimizedProgram(t *testing.T) {
+	// Shard-shape detection looks through the farm to the fan-out step at
+	// pre-order index 1 of the cached program.
 	fs := muscle.NewSplit("cells", func(p any) ([]any, error) { return []any{p}, nil })
 	fe := muscle.NewExecute("cell", func(p any) (any, error) { return p, nil })
 	fm := muscle.NewMerge("sum", func(ps []any) (any, error) { return ps[0], nil })
-	nd := skel.NewFarm(skel.NewMap(fs, skel.NewSeq(fe), fm))
-
-	raw, err := plan.Compile(nd)
+	prog, err := plan.Of(skel.NewFarm(skel.NewMap(fs, skel.NewSeq(fe), fm)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := plan.Optimize(raw)
-	rawFan, optFan := Shardable(raw), Shardable(opt)
-	if rawFan == nil || optFan == nil {
-		t.Fatalf("Shardable: raw=%v opt=%v, want fan-out on both", rawFan, optFan)
-	}
-	if rawFan.Index() != optFan.Index() || optFan.Op() != plan.OpFanOut {
-		t.Fatalf("fan-out moved: raw #%d, optimized #%d (%v)",
-			rawFan.Index(), optFan.Index(), optFan.Op())
+	if fan := Shardable(prog); fan == nil || fan.Op() != plan.OpFanOut || fan.Index() != 1 {
+		t.Fatalf("Shardable = %v, want the fan-out step #1", fan)
 	}
 }
 

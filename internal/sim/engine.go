@@ -351,10 +351,9 @@ func (e *Engine) RunStream(node *skel.Node, injections []Injection) ([]StreamRes
 }
 
 // RunStreamProgram is RunStream over an explicitly compiled program,
-// bypassing the node's plan cache. It is the seam for running a raw
-// (unoptimized) program next to the cached optimized one — the
-// conformance harness uses it to assert the optimizer changes nothing
-// observable.
+// bypassing the node's plan cache — the simulator's side of the seam
+// exec.Root.StartProgram opens, which the conformance harness drives both
+// engines through.
 func (e *Engine) RunStreamProgram(prog *plan.Program, injections []Injection) (results []StreamResult, err error) {
 	defer func() {
 		// Muscle and listener panics fail the root inside exec.Step; one
