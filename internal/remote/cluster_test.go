@@ -105,18 +105,30 @@ func TestEligibleAndShardable(t *testing.T) {
 	if Eligible(local, skandium.Params{}) {
 		t.Fatal("codec-less blueprint must not be eligible")
 	}
+}
 
-	// Shard-shape detection looks through the farm to the fan-out step at
-	// pre-order index 1 of the cached program.
+// TestShardableOnOptimizedProgram: the coordinator shards the cached program
+// plan.Of returns, so shard-shape detection must find the same fan-out step —
+// at pre-order index 1, through the farm — on it and on a freshly compiled
+// program of one farm(map) blueprint.
+func TestShardableOnOptimizedProgram(t *testing.T) {
 	fs := muscle.NewSplit("cells", func(p any) ([]any, error) { return []any{p}, nil })
 	fe := muscle.NewExecute("cell", func(p any) (any, error) { return p, nil })
 	fm := muscle.NewMerge("sum", func(ps []any) (any, error) { return ps[0], nil })
-	prog, err := plan.Of(skel.NewFarm(skel.NewMap(fs, skel.NewSeq(fe), fm)))
+	nd := skel.NewFarm(skel.NewMap(fs, skel.NewSeq(fe), fm))
+
+	fresh, err := plan.Compile(nd)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fan := Shardable(prog); fan == nil || fan.Op() != plan.OpFanOut || fan.Index() != 1 {
-		t.Fatalf("Shardable = %v, want the fan-out step #1", fan)
+	cached, err := plan.Of(nd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, prog := range map[string]*plan.Program{"compiled": fresh, "cached": cached} {
+		if fan := Shardable(prog); fan == nil || fan.Op() != plan.OpFanOut || fan.Index() != 1 {
+			t.Fatalf("Shardable(%s) = %v, want the fan-out step #1", name, fan)
+		}
 	}
 }
 
