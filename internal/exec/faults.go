@@ -254,6 +254,7 @@ func runAttempts[P, T any](em emitter, m *muscle.Muscle, first P, reBefore func(
 	p := first
 	for attempt := 1; ; attempt++ {
 		res, err := callTimed(r, m, em.trace, p, fn)
+		em.w.drop()
 		if err == nil {
 			return res, nil
 		}
@@ -263,6 +264,7 @@ func runAttempts[P, T any](em emitter, m *muscle.Muscle, first P, reBefore func(
 				e.Err, e.Iter = err, attempt
 			})
 			clock.Sleep(r.clk, r.backoff(attempt))
+			em.w.drop()
 			np, berr := reBefore()
 			if berr == nil {
 				p = np

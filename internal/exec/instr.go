@@ -3,7 +3,9 @@ package exec
 import (
 	"fmt"
 	"sync"
+	"time"
 
+	"skandium/internal/clock"
 	"skandium/internal/event"
 	"skandium/internal/muscle"
 	"skandium/internal/plan"
@@ -39,10 +41,31 @@ func (ip *instrPool[T]) put(x *T) {
 // Worker is one execution slot of a driver: a pool goroutine with its
 // work-stealing deque, or one virtual worker of the simulator (no deque).
 // ID is what events report as their Worker.
+//
+// A worker also keeps its latest clock reading, which events reuse instead
+// of reading the clock each (see emitter.emit). The reading is state of the
+// worker's own goroutine: only the driver running the worker touches it.
 type Worker struct {
 	ID int
 	dq *deque
+
+	now  time.Time
+	held bool // now may stamp the next event
 }
+
+// read takes a fresh reading of clk and keeps it for the events after it.
+func (w *Worker) read(clk clock.Clock) time.Time {
+	w.now, w.held = clk.Now(), true
+	return w.now
+}
+
+// hold keeps now, a reading the driver already took, for the next events.
+func (w *Worker) hold(now time.Time) { w.now, w.held = now, true }
+
+// drop forgets the kept reading: time the events must see has passed (a
+// muscle attempt or a backoff), or the driver cannot vouch for it (a
+// simulator step starts at a later virtual instant).
+func (w *Worker) drop() { w.held = false }
 
 // Scheduler is the driver-specific half of interpretation: who runs the
 // next task. *Pool implements it with work-stealing deques; the simulator
@@ -62,7 +85,10 @@ type Scheduler interface {
 // pops its next muscle call, which it returns uninvoked for the driver to
 // hold for the muscle's virtual cost, or leaves the worker — completed,
 // parked behind forked children, failed or canceled — and returns nil.
-func Step(w *Worker, t *Task, call *Call) *Call { return drive(w, t, call, true) }
+func Step(w *Worker, t *Task, call *Call) *Call {
+	w.drop()
+	return drive(w, t, call, true)
+}
 
 // drive interprets t on w until the task leaves the worker or, when yield is
 // set, pops a muscle call (returned uninvoked). Without yield — the pool —
@@ -153,7 +179,7 @@ func (e *MuscleError) Unwrap() error { return e.Err }
 // emitter bundles the arguments common to every event of one activation.
 type emitter struct {
 	root   *Root
-	worker int
+	w      *Worker
 	nd     *skel.Node
 	trace  []*skel.Node
 	idx    int64
@@ -165,6 +191,14 @@ type emitter struct {
 // no listener can match the event's slot, the Event is never constructed —
 // the emission costs two atomic loads. Events are pooled: they are valid
 // only during the listener calls.
+//
+// The event is stamped with the worker's kept reading unless it opens a
+// muscle's timing (see opensTiming) or the worker holds none: a Before
+// that starts a muscle's clock reads afresh, so the listeners that ran
+// before it never count as the muscle's time, and the first event after a
+// muscle attempt reads afresh because the worker dropped its reading then.
+// Every other event reuses the reading, since what a listener spends
+// between two such events is no muscle's time.
 func (em emitter) emit(when event.When, where event.Where, param any, mod func(*event.Event)) any {
 	reg := em.root.events
 	if !reg.Wants(em.nd.Kind(), when, where) {
@@ -178,12 +212,36 @@ func (em emitter) emit(when event.When, where event.Where, param any, mod func(*
 	e.When = when
 	e.Where = where
 	e.Param = param
-	e.Time = em.root.clk.Now()
-	e.Worker = em.worker
+	e.Time = em.stamp(when, where)
+	e.Worker = em.w.ID
 	if mod != nil {
 		mod(e)
 	}
 	p := reg.Emit(e)
 	event.Release(e)
 	return p
+}
+
+// stamp returns the time an event of this activation is stamped with.
+func (em emitter) stamp(when event.When, where event.Where) time.Time {
+	if w := em.w; w.held && !opensTiming(em.nd.Kind(), when, where) {
+		return w.now
+	}
+	return em.w.read(em.root.clk)
+}
+
+// opensTiming reports whether the event starts a muscle's clock: seq's
+// Skeleton/Before (the execute muscle's t(fe), Fig. 3) and the Before of a
+// split, merge or condition.
+func opensTiming(k skel.Kind, when event.When, where event.Where) bool {
+	if when != event.Before {
+		return false
+	}
+	switch where {
+	case event.Split, event.Merge, event.Condition:
+		return true
+	case event.Skeleton:
+		return k == skel.Seq
+	}
+	return false
 }

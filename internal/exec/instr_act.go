@@ -23,11 +23,7 @@ func (a actx) nd() *skel.Node { return a.step.Node() }
 
 // em builds an emitter for worker w.
 func (a actx) em(r *Root, w *Worker) emitter {
-	id := -1
-	if w != nil {
-		id = w.ID
-	}
-	return emitter{root: r, worker: id, nd: a.step.Node(), trace: a.trace, idx: a.idx, parent: a.parent}
+	return emitter{root: r, w: w, nd: a.step.Node(), trace: a.trace, idx: a.idx, parent: a.parent}
 }
 
 // begin allocates the activation index and raises the Skeleton/Before event.

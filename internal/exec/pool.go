@@ -83,7 +83,9 @@ type Stats struct {
 }
 
 // NewPool creates a pool with the given initial LP and hard cap. maxLP <= 0
-// means no cap. The clock is used only for gauge timestamps.
+// means no cap. The clock stamps the gauge samples and times the tasks
+// (Stats.BusyTime); a root reading the same clock reuses a worker's reading
+// at the start of each task.
 func NewPool(clk clock.Clock, initialLP, maxLP int) *Pool {
 	if clk == nil {
 		clk = clock.System
@@ -324,8 +326,15 @@ func (p *Pool) ensureWorkersLocked() {
 
 // sample invokes the gauge, outside all pool locks.
 func (p *Pool) sample() {
+	if p.gauge.Load() != nil {
+		p.sampleAt(p.clk.Now())
+	}
+}
+
+// sampleAt invokes the gauge with a reading the caller already took.
+func (p *Pool) sampleAt(now time.Time) {
 	if g := p.gauge.Load(); g != nil {
-		(*g)(p.clk.Now(), int(p.active.Load()), int(p.lp.Load()))
+		(*g)(now, int(p.active.Load()), int(p.lp.Load()))
 	}
 }
 
@@ -424,13 +433,22 @@ func (p *Pool) workerLoop(w *Worker) {
 			p.park()
 			continue
 		}
-		p.sample()
-		runStart := p.clk.Now()
+		// Two readings bracket the task: its busy time and both gauge
+		// samples take them, and the task's first events reuse the first
+		// when the root reads the pool's clock.
+		take := p.clk.Now()
+		p.sampleAt(take)
+		if t.root.poolClock {
+			w.hold(take)
+		} else {
+			w.drop()
+		}
 		drive(w, t, nil, false)
-		p.busyNS.Add(int64(p.clk.Now().Sub(runStart)))
+		leave := p.clk.Now()
+		p.busyNS.Add(int64(leave.Sub(take)))
 		p.tasksRun.Add(1)
 		p.active.Add(-1)
-		p.sample()
+		p.sampleAt(leave)
 		if p.queued.Load() > 0 {
 			p.wakeOne()
 		}

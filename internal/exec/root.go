@@ -26,6 +26,9 @@ type Root struct {
 	sched  Scheduler
 	events *event.Registry
 	clk    clock.Clock
+	// poolClock is set when sched is a *Pool reading clk: a worker's
+	// reading at the take of a task then stamps the task's first events.
+	poolClock bool
 
 	idx      atomic.Int64
 	canceled atomic.Bool
@@ -58,8 +61,18 @@ func NewRoot(s Scheduler, events *event.Registry, clk clock.Clock) *Root {
 		clk = clock.System
 	}
 	r := &Root{sched: s, events: events, clk: clk, future: NewFuture()}
+	if p, ok := s.(*Pool); ok {
+		r.poolClock = sameClock(p.clk, clk)
+	}
 	r.ctrs = &FaultCounters{}
 	return r
+}
+
+// sameClock reports whether a and b are one clock. Clocks of a type that
+// cannot be compared are never the same.
+func sameClock(a, b clock.Clock) (same bool) {
+	defer func() { _ = recover() }()
+	return a == b
 }
 
 // SetFaults installs the fault-tolerance policy. Call before Start; the

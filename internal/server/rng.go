@@ -9,9 +9,12 @@ import "math/rand"
 // every node and in every version of the daemon.
 //
 // The stdlib's Seed walks a serial chain of 1841 Schrage divisions. Step n
-// of that chain is A^n·x₀ mod (2³¹−1), so Seed here multiplies the seed
-// against a table of A's powers instead: independent products, each
-// reduced with the Mersenne fold and no division.
+// of that chain is A^n·x₀ mod (2³¹−1), so Seed here cuts the 1821 steps
+// that make the state into eight chains, one per block of words, and walks
+// them side by side: each starts with one product of the seed and a
+// precomputed power of A, then steps by A with one Mersenne fold and no
+// division. Eight independent chains keep the multiplier busy where one
+// would wait on each product.
 type rngSource struct {
 	tap  int
 	feed int
@@ -24,12 +27,18 @@ const (
 	rngMask  = 1<<63 - 1
 	int32max = 1<<31 - 1
 	seedA    = 48271 // the multiplier of math/rand's seedrand
+
+	// seedChains is the number of chains Seed walks side by side; chain c
+	// makes the words [c·chainLen, (c+1)·chainLen), and the last one is
+	// a word short.
+	seedChains = 8
+	chainLen   = (rngLen + seedChains - 1) / seedChains
 )
 
 var (
-	// seedPow[i] holds A^n mod (2³¹−1) for the three chain steps n that
-	// make vec[i]: Seed discards 20 steps, then spends 3 a word.
-	seedPow [rngLen][3]uint64
+	// chainStart[c] is A^n mod (2³¹−1) for the first step n of chain c:
+	// Seed discards 20 steps, then spends 3 a word.
+	chainStart [seedChains]uint64
 	// rngCooked is the table Seed XORs into the chain. It is not copied
 	// from the stdlib but recovered from rand.NewSource(1)'s first outputs
 	// (cookedTable), so the stdlib stays the one source of truth.
@@ -38,10 +47,10 @@ var (
 
 func init() {
 	p := uint64(1)
-	for n := 1; n <= 20+3*rngLen; n++ {
+	for n := 1; n <= 21+3*chainLen*(seedChains-1); n++ {
 		p = mulmod(p, seedA)
-		if n > 20 {
-			seedPow[(n-21)/3][(n-21)%3] = p
+		if n >= 21 && (n-21)%(3*chainLen) == 0 {
+			chainStart[(n-21)/(3*chainLen)] = p
 		}
 	}
 	rngCooked = cookedTable()
@@ -95,12 +104,36 @@ func (rng *rngSource) Seed(seed int64) {
 	if seed == 0 {
 		seed = 89482311
 	}
-	x := uint64(seed)
-	for i := range rng.vec {
-		p := &seedPow[i]
-		u := int64(mulmod(x, p[0]))<<40 ^ int64(mulmod(x, p[1]))<<20 ^ int64(mulmod(x, p[2]))
-		rng.vec[i] = u ^ rngCooked[i]
+	var x [seedChains]uint64
+	for c := range x {
+		x[c] = mulmod(uint64(seed), chainStart[c])
 	}
+	for i := 0; i < chainLen; i++ {
+		for c := range x {
+			w := c*chainLen + i
+			if w == rngLen {
+				break // the last chain's missing word
+			}
+			y := x[c]
+			u := int64(y) << 40
+			y = stepA(y)
+			u ^= int64(y) << 20
+			y = stepA(y)
+			rng.vec[w] = u ^ int64(y) ^ rngCooked[w]
+			x[c] = stepA(y)
+		}
+	}
+}
+
+// stepA returns A·x mod (2³¹−1) for x < 2³¹−1. The product is under 2⁴⁷, so
+// one fold leaves it under 2³¹+2¹⁶ and one subtraction finishes.
+func stepA(x uint64) uint64 {
+	z := x * seedA
+	z = z&int32max + z>>31
+	if z >= int32max {
+		z -= int32max
+	}
+	return z
 }
 
 // Uint64 returns the next 64-bit output.

@@ -206,6 +206,9 @@ func (tr *Tracker) handle(e *event.Event) {
 		}
 		return
 	}
+	if e.Where == event.NestedSkel && tr.estimatesOnly {
+		return // structural slots only matter in a tree
+	}
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
 	if tr.released {
@@ -225,9 +228,7 @@ func (tr *Tracker) handle(e *event.Event) {
 		tr.onCondition(e)
 		tr.ver.Add(1)
 	case event.NestedSkel:
-		if !tr.estimatesOnly { // structural slots only matter in a tree
-			tr.onNested(e)
-		}
+		tr.onNested(e)
 	}
 }
 

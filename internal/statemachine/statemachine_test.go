@@ -380,6 +380,48 @@ func TestEstimatorKeepsNoTree(t *testing.T) {
 	}
 }
 
+// TestEstimatorIgnoresNestedEvents: an estimates-only tracker keeps no
+// structural slots, so NestedSkel events leave its version and its instance
+// table as they were, and it answers them without taking its lock.
+func TestEstimatorIgnoresNestedEvents(t *testing.T) {
+	est := estimate.NewRegistry(estimate.DefaultRho)
+	w := &world{tr: NewEstimator(est), est: est}
+	fe := muscle.NewExecute("fe", func(p any) (any, error) { return p, nil })
+	fs := muscle.NewSplit("fs", func(p any) ([]any, error) { return nil, nil })
+	fm := muscle.NewMerge("fm", func(ps []any) (any, error) { return nil, nil })
+	nd := skel.NewMap(fs, skel.NewSeq(fe), fm)
+	w.emit(nd, 0, event.NoParent, event.Before, event.Skeleton, 0, nil)
+	w.emit(nd, 0, event.NoParent, event.Before, event.Split, 0, nil)
+	w.emit(nd, 0, event.NoParent, event.After, event.Split, 10, func(e *event.Event) { e.Card = 2 })
+	ver, in := w.tr.Version(), w.tr.instances[0]
+
+	w.tr.mu.Lock()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for b := 0; b < 2; b++ {
+			for _, when := range []event.When{event.Before, event.After} {
+				w.emit(nd, 0, event.NoParent, when, event.NestedSkel, 10+b, func(e *event.Event) { e.Branch = b })
+			}
+		}
+	}()
+	select {
+	case <-done:
+		w.tr.mu.Unlock()
+	case <-time.After(5 * time.Second):
+		w.tr.mu.Unlock()
+		<-done
+		t.Fatal("a NestedSkel event waited for the estimator's lock")
+	}
+
+	if w.tr.Version() != ver {
+		t.Fatalf("version %d after NestedSkel events, want %d", w.tr.Version(), ver)
+	}
+	if w.tr.InstanceCount() != 1 || w.tr.instances[0] != in || len(w.tr.pendingBranch) != 0 {
+		t.Fatalf("instance table changed: %d instances, %d pending slots", w.tr.InstanceCount(), len(w.tr.pendingBranch))
+	}
+}
+
 // TestReleaseDropsTreeAndIgnoresLateEvents: what a goal execution does to
 // its tracker when its future resolves.
 func TestReleaseDropsTreeAndIgnoresLateEvents(t *testing.T) {
