@@ -264,7 +264,6 @@ func runAttempts[P, T any](em emitter, m *muscle.Muscle, first P, reBefore func(
 				e.Err, e.Iter = err, attempt
 			})
 			clock.Sleep(r.clk, r.backoff(attempt))
-			em.w.drop()
 			np, berr := reBefore()
 			if berr == nil {
 				p = np

@@ -63,8 +63,8 @@ func (w *Worker) read(clk clock.Clock) time.Time {
 func (w *Worker) hold(now time.Time) { w.now, w.held = now, true }
 
 // drop forgets the kept reading: time the events must see has passed (a
-// muscle attempt or a backoff), or the driver cannot vouch for it (a
-// simulator step starts at a later virtual instant).
+// muscle attempt), or the driver cannot vouch for it (a simulator step
+// starts at a later virtual instant).
 func (w *Worker) drop() { w.held = false }
 
 // Scheduler is the driver-specific half of interpretation: who runs the

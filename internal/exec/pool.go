@@ -84,8 +84,8 @@ type Stats struct {
 
 // NewPool creates a pool with the given initial LP and hard cap. maxLP <= 0
 // means no cap. The clock stamps the gauge samples and times the tasks
-// (Stats.BusyTime); a root reading the same clock reuses a worker's reading
-// at the start of each task.
+// (Stats.BusyTime); every root on the pool reads it too, and reuses a
+// worker's reading at the start of each task.
 func NewPool(clk clock.Clock, initialLP, maxLP int) *Pool {
 	if clk == nil {
 		clk = clock.System
@@ -435,14 +435,10 @@ func (p *Pool) workerLoop(w *Worker) {
 		}
 		// Two readings bracket the task: its busy time and both gauge
 		// samples take them, and the task's first events reuse the first
-		// when the root reads the pool's clock.
+		// (every root on the pool reads the pool's clock).
 		take := p.clk.Now()
 		p.sampleAt(take)
-		if t.root.poolClock {
-			w.hold(take)
-		} else {
-			w.drop()
-		}
+		w.hold(take)
 		drive(w, t, nil, false)
 		leave := p.clk.Now()
 		p.busyNS.Add(int64(leave.Sub(take)))

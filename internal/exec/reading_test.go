@@ -80,3 +80,36 @@ func TestRetryBeforeReadsAfterBackoff(t *testing.T) {
 		t.Fatalf("stamps %v, want [0 0 10ms 10ms]", stamps)
 	}
 }
+
+// TestRootOnPoolReadsPoolClock: a root on a pool reads the pool's clock,
+// whatever clock it is given, so the worker's take reading and the events'
+// readings come from one clock. Events of a task stamped on a virtual pool
+// clock carry its time, not the wall clock's.
+func TestRootOnPoolReadsPoolClock(t *testing.T) {
+	clk := clock.NewVirtual(clock.Epoch)
+	pool := NewPool(clk, 1, 0)
+	defer pool.Close()
+	var mu sync.Mutex
+	var stamps []time.Time
+	reg := event.NewRegistry()
+	reg.Add(event.Func(func(e *event.Event) any {
+		mu.Lock()
+		stamps = append(stamps, e.Time)
+		mu.Unlock()
+		return e.Param
+	}))
+	root := NewRoot(pool, reg, clock.System)
+	if root.Clock() != clock.Clock(clk) {
+		t.Fatalf("root clock %v, want the pool's", root.Clock())
+	}
+	if _, err := root.Start(skel.NewMap(fsRange(), skel.NewSeq(feDouble()), fmSum()), 4).GetContext(testCtx(t)); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for i, s := range stamps {
+		if !s.Equal(clock.Epoch) {
+			t.Fatalf("event %d stamped %v, want the virtual %v", i, s, clock.Epoch)
+		}
+	}
+}

@@ -26,9 +26,6 @@ type Root struct {
 	sched  Scheduler
 	events *event.Registry
 	clk    clock.Clock
-	// poolClock is set when sched is a *Pool reading clk: a worker's
-	// reading at the take of a task then stamps the task's first events.
-	poolClock bool
 
 	idx      atomic.Int64
 	canceled atomic.Bool
@@ -48,8 +45,10 @@ type Root struct {
 }
 
 // NewRoot creates an execution session on a scheduler — a *Pool, or the
-// simulator — reporting to events. A nil registry gets a fresh empty one; a
-// nil clock means the system clock.
+// simulator — reporting to events. A nil registry gets a fresh empty one. On
+// a *Pool the root reads the pool's clock, whatever clk is, so a worker's
+// reading at the take of a task can stamp the task's first events; on any
+// other scheduler it reads clk, and a nil clock means the system clock.
 func NewRoot(s Scheduler, events *event.Registry, clk clock.Clock) *Root {
 	if s == nil {
 		panic("exec: NewRoot with nil scheduler")
@@ -57,22 +56,14 @@ func NewRoot(s Scheduler, events *event.Registry, clk clock.Clock) *Root {
 	if events == nil {
 		events = event.NewRegistry()
 	}
-	if clk == nil {
+	if p, ok := s.(*Pool); ok {
+		clk = p.clk
+	} else if clk == nil {
 		clk = clock.System
 	}
 	r := &Root{sched: s, events: events, clk: clk, future: NewFuture()}
-	if p, ok := s.(*Pool); ok {
-		r.poolClock = sameClock(p.clk, clk)
-	}
 	r.ctrs = &FaultCounters{}
 	return r
-}
-
-// sameClock reports whether a and b are one clock. Clocks of a type that
-// cannot be compared are never the same.
-func sameClock(a, b clock.Clock) (same bool) {
-	defer func() { _ = recover() }()
-	return a == b
 }
 
 // SetFaults installs the fault-tolerance policy. Call before Start; the
