@@ -2,6 +2,7 @@ package adg
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -123,6 +124,14 @@ func TestVirtualDaC(t *testing.T) {
 	}
 }
 
+// TestBudgetCollapse: past the budget a build collapses what is left into
+// lumps, on both entry points. A map of 100 collapses most of its
+// sub-problems. Then, at every budget up to a full build, loops and a d&c
+// inside a fan-out, built virtually and from a part-run map, must give a
+// valid DAG that schedules legally, stays within a few activities of its
+// budget and has no redundant edge: every expansion leaves its exit set
+// where it found the stack, so a branch cut short inside a loop hands the
+// merge its lump alone.
 func TestBudgetCollapse(t *testing.T) {
 	est := estimate.NewRegistry(estimate.DefaultRho)
 	fe, fs, fm, _ := mkMuscles(est, u(1), u(1), u(1), 0, 100)
@@ -149,6 +158,104 @@ func TestBudgetCollapse(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
+
+	w := newLiveWorld()
+	fe, fs, fm, fc := mkMuscles(w.est, u(1), u(2), u(3), u(1), 3)
+	leaf := skel.NewSeq(fe)
+	virtual := func(nd *skel.Node) func(Builder) (*Graph, error) {
+		return func(b Builder) (*Graph, error) { return b.BuildVirtual(nd, clock.Epoch) }
+	}
+	// A map of three 4-iteration fors: branch 0 done, branch 1 half run,
+	// branch 2 not started.
+	run := skel.NewMap(fs, skel.NewFor(4, leaf), fm)
+	loop := run.Children()[0]
+	w.emit(run, 0, event.NoParent, event.Before, event.Skeleton, 0, nil)
+	w.emit(run, 0, event.NoParent, event.Before, event.Split, 0, nil)
+	w.emit(run, 0, event.NoParent, event.After, event.Split, 2, func(e *event.Event) { e.Card = 3 })
+	idx, ms := int64(1), 2
+	for b, iters := range []int{4, 2} {
+		w.emit(run, 0, event.NoParent, event.Before, event.NestedSkel, ms, func(e *event.Event) { e.Branch = b })
+		parent := idx
+		w.emit(loop, parent, 0, event.Before, event.Skeleton, ms, nil)
+		idx++
+		for i := 0; i < iters; i++ {
+			w.emit(loop, parent, 0, event.Before, event.NestedSkel, ms, func(e *event.Event) { e.Iter = i })
+			w.emit(leaf, idx, parent, event.Before, event.Skeleton, ms, nil)
+			if b == 0 || i == 0 {
+				w.emit(leaf, idx, parent, event.After, event.Skeleton, ms+1, nil)
+			}
+			idx, ms = idx+1, ms+1
+		}
+		if b == 0 {
+			w.emit(loop, parent, 0, event.After, event.Skeleton, ms, nil)
+		}
+	}
+	cases := []struct {
+		name  string
+		build func(Builder) (*Graph, error)
+	}{
+		{"for in map", virtual(skel.NewMap(fs, skel.NewFor(4, leaf), fm))},
+		{"while in map", virtual(skel.NewMap(fs, skel.NewWhile(fc, leaf), fm))},
+		{"d&c in map", virtual(skel.NewMap(fs, skel.NewDaC(fc, fs, leaf, fm), fm))},
+		{"part-run map of fors", func(b Builder) (*Graph, error) {
+			return b.BuildLive(w.tr.Root(), clock.Epoch, clock.Epoch.Add(u(ms)))
+		}},
+	}
+	for _, c := range cases {
+		full, err := c.build(Builder{Est: w.est})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		for budget := 1; budget <= full.Len(); budget++ {
+			g, err := c.build(Builder{Est: w.est, Budget: budget})
+			if err == nil {
+				err = checkCollapsed(g, budget)
+			}
+			if err != nil {
+				t.Fatalf("%s at budget %d of %d: %v\n%s", c.name, budget, full.Len(), err, g.Render(time.Millisecond))
+			}
+		}
+	}
+}
+
+// checkCollapsed checks a graph built at the given budget: a valid DAG whose
+// schedules respect their predecessors and LP, at most a few activities past
+// the budget, and no predecessor listed twice or already reached through
+// another predecessor.
+func checkCollapsed(g *Graph, budget int) error {
+	if err := g.Validate(); err != nil {
+		return err
+	}
+	g.ScheduleBestEffort()
+	if err := g.CheckSchedule(0); err != nil {
+		return err
+	}
+	g.ScheduleLimited(2)
+	if err := g.CheckSchedule(2); err != nil {
+		return err
+	}
+	// Each of up to four open levels may close with a lump and a merge, and
+	// the deepest d&c adds its condition and split past the budget.
+	if g.Len() > budget+10 {
+		return fmt.Errorf("%d activities", g.Len())
+	}
+	reach := make([][]bool, g.Len()) // reach[i][j]: #j precedes #i
+	for i := range g.Acts {
+		reach[i] = make([]bool, g.Len())
+		preds := g.Preds(i)
+		for a, p := range preds {
+			for b, q := range preds {
+				if a != b && (p == q || reach[q][p]) {
+					return fmt.Errorf("#%d lists #%d, which #%d already follows", i, p, q)
+				}
+			}
+			reach[i][p] = true
+			for j, r := range reach[p] {
+				reach[i][j] = reach[i][j] || r
+			}
+		}
+	}
+	return nil
 }
 
 // --- SeqEstimate -------------------------------------------------------------------

@@ -40,9 +40,10 @@ func (e *IncompleteError) Error() string {
 }
 
 // Builder constructs ADGs from a live activation tree (or from bare
-// structure, for pre-execution planning) and an estimate registry. Both
-// walks run over the compiled program IR (internal/plan) — the same steps
-// the interpreter and the simulator execute — so structural decisions
+// structure, for pre-execution planning) and an estimate registry. One walk
+// serves both: a step that has not started is an activation with no
+// history. It runs over the compiled program IR (internal/plan) — the same
+// steps the interpreter and the simulator execute — so structural decisions
 // (branch resolution, fan-out arity, muscle slots) cannot drift between
 // analysis and execution.
 type Builder struct {
@@ -81,8 +82,9 @@ func (b Builder) LiveInto(g *Graph, root *statemachine.Instance, start, now time
 }
 
 // BuildVirtual constructs the a-priori ADG of a program that has not
-// started: every activity is pending, anchored at start. It requires every
-// muscle to have (initialized) estimates.
+// started: the walk of BuildLive over an unstarted root, so every activity
+// is pending, anchored at start. It requires every muscle to have
+// (initialized) estimates.
 func (b Builder) BuildVirtual(node *skel.Node, start time.Time) (*Graph, error) {
 	p, err := plan.Of(node)
 	if err != nil {
@@ -90,7 +92,7 @@ func (b Builder) BuildVirtual(node *skel.Node, start time.Time) (*Graph, error) 
 	}
 	g := new(Graph)
 	bd := b.begin(g, start, start)
-	bd.virtual(p.Root(), span{})
+	bd.liveInst(unstarted, p.Root(), span{})
 	if bd.err != nil {
 		return nil, bd.err
 	}
@@ -238,7 +240,7 @@ func (bd *build) lump(st *plan.Step, count int, preds span) span {
 	if count <= 0 {
 		return bd.at(m, preds)
 	}
-	d, err := seqEst(bd.est, st)
+	d, err := stepEstimate(bd.est, st, false)
 	if err != nil {
 		bd.fail(err)
 		return bd.none(m)
@@ -250,115 +252,34 @@ func (bd *build) lump(st *plan.Step, count int, preds span) span {
 // worst picks the branch of an undecided if by analytic sequential
 // estimate (the paper leaves If unsupported; this plans for the worst case).
 func (bd *build) worst(st *plan.Step) *plan.Step {
-	t, errT := seqEst(bd.est, st.Child(0))
-	f, errF := seqEst(bd.est, st.Child(1))
+	t, errT := stepEstimate(bd.est, st.Child(0), false)
+	f, errF := stepEstimate(bd.est, st.Child(1), false)
 	if errT != nil || (errF == nil && f > t) {
 		return st.Child(1)
 	}
 	return st.Child(0)
 }
 
-// --- virtual expansion (structure that has not started) ------------------------
+// --- the walk --------------------------------------------------------------------
 
-// virtual expands the program step into pending activities and returns the
-// exit set.
-func (bd *build) virtual(st *plan.Step, preds span) span {
-	m := bd.top()
-	if bd.err != nil {
-		return bd.none(m)
+// unstarted is the activation of a step that has not started: no history,
+// no children, no split cardinality yet. It is never written. Walking it
+// expands the step from estimates alone, which is all BuildVirtual does and
+// what a live build does below every activation that has not begun.
+var unstarted = &statemachine.Instance{ActualCard: -1}
+
+// first returns in's first child, or unstarted.
+func first(in *statemachine.Instance) *statemachine.Instance {
+	if len(in.Children) > 0 {
+		return in.Children[0]
 	}
-	if bd.budget <= 0 {
-		return bd.lump(st, 1, preds)
-	}
-	var none statemachine.ActivityRec
-	switch st.Op() {
-	case plan.OpExec:
-		return bd.single(m, bd.act(st.Exec(), none, preds))
-	case plan.OpWrap:
-		return bd.virtual(st.Child(0), preds)
-	case plan.OpStages:
-		for _, stage := range st.Children() {
-			preds = bd.at(m, bd.virtual(stage, preds))
-		}
-		return bd.at(m, preds)
-	case plan.OpRepeat:
-		for i := 0; i < st.N(); i++ {
-			if bd.budget <= 0 {
-				return bd.at(m, bd.lump(st.Child(0), st.N()-i, preds))
-			}
-			preds = bd.at(m, bd.virtual(st.Child(0), preds))
-		}
-		return bd.at(m, preds)
-	case plan.OpLoop:
-		k := bd.card(st.Cond())
-		for i := 0; i < k; i++ {
-			if bd.budget <= 0 {
-				return bd.at(m, bd.lump(st, 1, preds)) // remaining loop as one lump
-			}
-			cond := bd.act(st.Cond(), none, preds)
-			preds = bd.at(m, bd.virtual(st.Child(0), bd.single(m, cond)))
-		}
-		return bd.single(m, bd.act(st.Cond(), none, preds))
-	case plan.OpSelect:
-		cond := bd.act(st.Cond(), none, preds)
-		return bd.at(m, bd.virtual(bd.worst(st), bd.single(m, cond)))
-	case plan.OpFanOut:
-		split := bd.single(m, bd.act(st.Split(), none, preds))
-		k := bd.card(st.Split())
-		for i := 0; i < k; i++ {
-			if bd.budget <= 0 {
-				bd.lump(st.Child(0), k-i, split)
-				break
-			}
-			bd.virtual(st.Child(0), split)
-		}
-		return bd.single(m, bd.act(st.Merge(), none, span{split.hi, bd.top()}))
-	case plan.OpFanFixed:
-		split := bd.single(m, bd.act(st.Split(), none, preds))
-		for _, sub := range st.Children() {
-			bd.virtual(sub, split)
-		}
-		return bd.single(m, bd.act(st.Merge(), none, span{split.hi, bd.top()}))
-	case plan.OpRecurse:
-		return bd.virtualDaC(st, preds, bd.card(st.Cond()))
-	default:
-		bd.fail(fmt.Errorf("adg: unknown program operation %v", st.Op()))
-		return bd.none(m)
-	}
+	return unstarted
 }
 
-// virtualDaC expands a divide-and-conquer with `remaining` estimated levels
-// of recursion left before the leaf.
-func (bd *build) virtualDaC(st *plan.Step, preds span, remaining int) span {
-	m := bd.top()
-	if bd.err != nil {
-		return bd.none(m)
-	}
-	if bd.budget <= 0 {
-		return bd.lump(st, 1, preds)
-	}
-	var none statemachine.ActivityRec
-	cond := bd.single(m, bd.act(st.Cond(), none, preds))
-	if remaining <= 0 {
-		return bd.at(m, bd.virtual(st.Child(0), cond))
-	}
-	split := bd.single(m, bd.act(st.Split(), none, cond))
-	k := max(bd.card(st.Split()), 1)
-	for i := 0; i < k; i++ {
-		if bd.budget <= 0 {
-			bd.lump(st, k-i, split)
-			break
-		}
-		bd.virtualDaC(st, split, remaining-1)
-	}
-	return bd.single(m, bd.act(st.Merge(), none, span{split.hi, bd.top()}))
-}
-
-// --- live expansion (activations that exist) -----------------------------------
-
-// liveInst expands a live activation, mixing actual history with estimated
+// liveInst expands an activation, mixing actual history with estimated
 // futures, and returns the exit set. st is the compiled step the activation
 // was executed from (d&c recursion levels share their node's single step).
+// Past the budget, what is left of a step is one lump.
 func (bd *build) liveInst(in *statemachine.Instance, st *plan.Step, preds span) span {
 	m := bd.top()
 	if bd.err != nil {
@@ -376,21 +297,22 @@ func (bd *build) liveInst(in *statemachine.Instance, st *plan.Step, preds span) 
 		}
 		return bd.single(m, bd.act(st.Exec(), rec, preds))
 	case plan.OpWrap:
-		if len(in.Children) > 0 {
-			return bd.liveInst(in.Children[0], st.Child(0), preds)
-		}
-		return bd.virtual(st.Child(0), preds)
+		return bd.liveInst(first(in), st.Child(0), preds)
 	case plan.OpStages:
 		kids := bd.index(in, false)
 		for i, stage := range st.Children() {
-			preds = bd.at(m, bd.expand(kids.get(bd, i), stage, preds))
+			preds = bd.at(m, bd.liveInst(kids.get(bd, i), stage, preds))
 		}
 		bd.drop(kids)
 		return bd.at(m, preds)
 	case plan.OpRepeat:
 		kids := bd.index(in, true)
 		for i := 0; i < st.N(); i++ {
-			preds = bd.at(m, bd.expand(kids.get(bd, i), st.Child(0), preds))
+			if bd.budget <= 0 {
+				preds = bd.at(m, bd.lump(st.Child(0), st.N()-i, preds))
+				break
+			}
+			preds = bd.at(m, bd.liveInst(kids.get(bd, i), st.Child(0), preds))
 		}
 		bd.drop(kids)
 		return bd.at(m, preds)
@@ -401,20 +323,11 @@ func (bd *build) liveInst(in *statemachine.Instance, st *plan.Step, preds span) 
 	case plan.OpFanOut, plan.OpFanFixed:
 		return bd.liveSplitMerge(in, st, preds)
 	case plan.OpRecurse:
-		return bd.liveDaC(in, st, preds)
+		return bd.liveDaC(in, st, preds, in.Depth)
 	default:
 		bd.fail(fmt.Errorf("adg: unknown program operation %v", st.Op()))
 		return bd.none(m)
 	}
-}
-
-// expand plans st from its live activation when there is one, virtually
-// otherwise.
-func (bd *build) expand(in *statemachine.Instance, st *plan.Step, preds span) span {
-	if in != nil {
-		return bd.liveInst(in, st, preds)
-	}
-	return bd.virtual(st, preds)
 }
 
 // cond appends the activity of a condition check: its first recorded
@@ -449,15 +362,18 @@ func (bd *build) liveWhile(in *statemachine.Instance, st *plan.Step, preds span)
 			}
 			assumed = 1
 		}
-		preds = bd.at(m, bd.expand(kids.get(bd, i), body, preds))
+		preds = bd.at(m, bd.liveInst(kids.get(bd, i), body, preds))
 	}
 	// Future iterations: the |fc| estimate minus the true verdicts already
 	// seen (and the one assumed above).
 	var none statemachine.ActivityRec
 	k := bd.card(fc) - in.TrueIters - assumed
 	for i := 0; i < k; i++ {
+		if bd.budget <= 0 {
+			return bd.at(m, bd.lump(st, 1, preds)) // remaining loop as one lump
+		}
 		cond := bd.act(fc, none, preds)
-		preds = bd.at(m, bd.virtual(body, bd.single(m, cond)))
+		preds = bd.at(m, bd.liveInst(unstarted, body, bd.single(m, cond)))
 	}
 	return bd.single(m, bd.act(fc, none, preds))
 }
@@ -473,8 +389,8 @@ func (bd *build) liveIf(in *statemachine.Instance, st *plan.Step, preds span) sp
 		}
 		return bd.at(m, bd.liveInst(in.Children[0], st.Child(b), cond))
 	}
-	// Branch not chosen yet: worst case, as in the virtual expansion.
-	return bd.at(m, bd.virtual(bd.worst(st), cond))
+	// Branch not chosen yet: plan for the worst case.
+	return bd.at(m, bd.liveInst(unstarted, bd.worst(st), cond))
 }
 
 // liveSplitMerge handles map and fork.
@@ -498,59 +414,43 @@ func (bd *build) liveSplitMerge(in *statemachine.Instance, st *plan.Step, preds 
 			bd.lump(sub, k-b, split)
 			break
 		}
-		bd.expand(kids.get(bd, b), sub, split)
+		bd.liveInst(kids.get(bd, b), sub, split)
 	}
 	bd.drop(kids)
 	return bd.single(m, bd.act(st.Merge(), in.Merge, span{split.hi, bd.top()}))
 }
 
-func (bd *build) liveDaC(in *statemachine.Instance, st *plan.Step, preds span) span {
+// liveDaC expands a divide-and-conquer activation at recursion depth depth.
+// Until its condition has answered, the |fc| estimate minus the depth says
+// whether it recurses.
+func (bd *build) liveDaC(in *statemachine.Instance, st *plan.Step, preds span, depth int) span {
 	m := bd.top()
-	fc := st.Cond()
-	entry := bd.single(m, bd.cond(in, fc, preds))
-	switch {
-	case in.Split.Started || in.ActualCard >= 0:
-		// Condition held: recursive arm. Children are dacs one level deeper.
-		return bd.at(m, bd.liveSplitMergeDaC(in, st, entry))
-	case in.CondClosed:
+	entry := bd.single(m, bd.cond(in, st.Cond(), preds))
+	recursive := in.Split.Started || in.ActualCard >= 0
+	if !recursive && (in.CondClosed || bd.card(st.Cond()) <= depth) {
 		// Leaf: the nested skeleton solves it.
-		if len(in.Children) > 0 {
-			return bd.at(m, bd.liveInst(in.Children[0], st.Child(0), entry))
-		}
-		return bd.at(m, bd.virtual(st.Child(0), entry))
-	default:
-		// Condition still running/unknown: expand virtually from the
-		// estimated remaining depth.
-		remaining := bd.card(fc) - in.Depth
-		if remaining <= 0 {
-			return bd.at(m, bd.virtual(st.Child(0), entry))
-		}
-		var none statemachine.ActivityRec
-		split := bd.single(m, bd.act(st.Split(), none, entry))
-		k := max(bd.card(st.Split()), 1)
-		for i := 0; i < k; i++ {
-			bd.virtualDaC(st, split, remaining-1)
-		}
-		return bd.single(m, bd.act(st.Merge(), none, span{split.hi, bd.top()}))
+		return bd.at(m, bd.liveInst(first(in), st.Child(0), entry))
 	}
-}
-
-func (bd *build) liveSplitMergeDaC(in *statemachine.Instance, st *plan.Step, entry span) span {
-	m := bd.top()
 	split := bd.single(m, bd.act(st.Split(), in.Split, entry))
 	k := in.ActualCard
 	if k < 0 {
 		k = max(bd.card(st.Split()), 1)
 	}
 	kids := bd.index(in, false)
-	est := bd.card(st.Cond())
-	for b := 0; b < k; b++ {
-		if c := kids.get(bd, b); c != nil {
-			// Recursive children re-enter the same d&c step one level deeper.
-			bd.liveInst(c, st, split)
-		} else {
-			bd.virtualDaC(st, split, est-(in.Depth+1))
+	// The children enter liveDaC directly, so the loop makes liveInst's
+	// error and budget checks.
+	for b := 0; b < k && bd.err == nil; b++ {
+		if bd.budget <= 0 {
+			bd.lump(st, k-b, split)
+			break
 		}
+		// Children re-enter the same step one level deeper; a started child
+		// reads its depth from its own instance.
+		c, d := kids.get(bd, b), depth+1
+		if c != unstarted {
+			d = c.Depth
+		}
+		bd.liveDaC(c, st, split, d)
 	}
 	bd.drop(kids)
 	return bd.single(m, bd.act(st.Merge(), in.Merge, span{split.hi, bd.top()}))
@@ -603,15 +503,15 @@ func (bd *build) index(in *statemachine.Instance, byIter bool) children {
 	return children{in: in, base: int32(base), n: int32(n)}
 }
 
-// get returns the child in slot b, or nil.
+// get returns the child in slot b, or unstarted.
 func (c children) get(bd *build, b int) *statemachine.Instance {
 	if b < 0 || b >= int(c.n) {
-		return nil
+		return unstarted
 	}
 	if i := bd.g.tab[int(c.base)+b]; i >= 0 {
 		return c.in.Children[i]
 	}
-	return nil
+	return unstarted
 }
 
 // drop pops the table (and any a nested walk left above it).

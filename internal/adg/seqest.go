@@ -21,171 +21,129 @@ const maxAnalyticDepth = 64
 // virtual ADG and is also used to collapse over-budget subtrees and to rank
 // if-branches. It fails with IncompleteError when an estimate is missing.
 func SeqEstimate(est *estimate.Registry, node *skel.Node) (time.Duration, error) {
+	return programEstimate(est, node, false)
+}
+
+// SpanEstimate computes the estimated span of a program: the WCT under
+// infinite parallelism (the critical path of the virtual ADG), from the
+// current t(m)/|m| estimates, in closed form. It reads no split
+// cardinality. Together with SeqEstimate (the work) it bounds a fresh
+// execution's WCT from below at any LP: max(span, work/LP). No product
+// code calls it yet; admission feeds core.Feasible from the minima its
+// ProfileStore recorded.
+func SpanEstimate(est *estimate.Registry, node *skel.Node) (time.Duration, error) {
+	return programEstimate(est, node, true)
+}
+
+func programEstimate(est *estimate.Registry, node *skel.Node, span bool) (time.Duration, error) {
 	p, err := plan.Of(node)
 	if err != nil {
 		return 0, err
 	}
-	return seqEst(est, p.Root())
+	return stepEstimate(est, p.Root(), span)
 }
 
-func seqEst(est *estimate.Registry, st *plan.Step) (time.Duration, error) {
+// stepEstimate is the closed form of st: its work, or its span when span is
+// set.
+func stepEstimate(est *estimate.Registry, st *plan.Step, span bool) (time.Duration, error) {
+	c := closed{est: est, span: span}
+	d := c.of(st)
+	return d, c.err
+}
+
+// closed is one walk of the closed form: work (one thread) or span
+// (unbounded threads). The two answers differ only at the forks: work runs
+// every branch in turn, span waits for the longest. The first missing
+// estimate sticks in err; the value is then meaningless.
+type closed struct {
+	est  *estimate.Registry
+	span bool
+	err  error
+}
+
+func (c *closed) of(st *plan.Step) time.Duration {
 	switch st.Op() {
 	case plan.OpExec:
-		return mDur(est, st.Exec())
+		return c.dur(st.Exec())
 	case plan.OpWrap:
-		return seqEst(est, st.Child(0))
+		return c.of(st.Child(0))
 	case plan.OpStages:
 		var total time.Duration
 		for _, s := range st.Children() {
-			d, err := seqEst(est, s)
-			if err != nil {
-				return 0, err
-			}
-			total += d
+			total += c.of(s)
 		}
-		return total, nil
+		return total
 	case plan.OpRepeat:
-		d, err := seqEst(est, st.Child(0))
-		if err != nil {
-			return 0, err
-		}
-		return time.Duration(st.N()) * d, nil
+		return time.Duration(st.N()) * c.of(st.Child(0))
 	case plan.OpLoop:
-		tc, err := mDur(est, st.Cond())
-		if err != nil {
-			return 0, err
-		}
-		k, err := mCard(est, st.Cond())
-		if err != nil {
-			return 0, err
-		}
-		body, err := seqEst(est, st.Child(0))
-		if err != nil {
-			return 0, err
-		}
-		return time.Duration(k+1)*tc + time.Duration(k)*body, nil
+		// Loops are sequential in both answers: k bodies between k+1 checks.
+		tc, k := c.dur(st.Cond()), c.card(st.Cond())
+		return time.Duration(k+1)*tc + time.Duration(k)*c.of(st.Child(0))
 	case plan.OpSelect:
-		tc, err := mDur(est, st.Cond())
-		if err != nil {
-			return 0, err
-		}
-		t, err := seqEst(est, st.Child(0))
-		if err != nil {
-			return 0, err
-		}
-		f, err := seqEst(est, st.Child(1))
-		if err != nil {
-			return 0, err
-		}
-		if f > t {
-			t = f
-		}
-		return tc + t, nil
+		tc := c.dur(st.Cond())
+		t, f := c.of(st.Child(0)), c.of(st.Child(1))
+		return tc + max(t, f)
 	case plan.OpFanOut:
-		ts, err := mDur(est, st.Split())
-		if err != nil {
-			return 0, err
+		ts, k := c.dur(st.Split()), 1
+		if !c.span {
+			k = c.card(st.Split())
 		}
-		k, err := mCard(est, st.Split())
-		if err != nil {
-			return 0, err
-		}
-		body, err := seqEst(est, st.Child(0))
-		if err != nil {
-			return 0, err
-		}
-		tm, err := mDur(est, st.Merge())
-		if err != nil {
-			return 0, err
-		}
-		return ts + time.Duration(k)*body + tm, nil
+		body := c.of(st.Child(0))
+		return ts + time.Duration(k)*body + c.dur(st.Merge())
 	case plan.OpFanFixed:
-		ts, err := mDur(est, st.Split())
-		if err != nil {
-			return 0, err
-		}
+		ts := c.dur(st.Split())
 		var bodies time.Duration
 		for _, sub := range st.Children() {
-			d, err := seqEst(est, sub)
-			if err != nil {
-				return 0, err
+			if d := c.of(sub); c.span {
+				bodies = max(bodies, d)
+			} else {
+				bodies += d
 			}
-			bodies += d
 		}
-		tm, err := mDur(est, st.Merge())
-		if err != nil {
-			return 0, err
-		}
-		return ts + bodies + tm, nil
+		return ts + bodies + c.dur(st.Merge())
 	case plan.OpRecurse:
-		depth, err := mCard(est, st.Cond())
-		if err != nil {
-			return 0, err
-		}
-		if depth > maxAnalyticDepth {
-			depth = maxAnalyticDepth
-		}
-		return dacEst(est, st, depth)
+		return c.dac(st, min(c.card(st.Cond()), maxAnalyticDepth))
 	default:
-		return 0, fmt.Errorf("adg: unknown program operation %v", st.Op())
-	}
-}
-
-func dacEst(est *estimate.Registry, st *plan.Step, remaining int) (time.Duration, error) {
-	tc, err := mDur(est, st.Cond())
-	if err != nil {
-		return 0, err
-	}
-	if remaining <= 0 {
-		leaf, err := seqEst(est, st.Child(0))
-		if err != nil {
-			return 0, err
+		if c.err == nil {
+			c.err = fmt.Errorf("adg: unknown program operation %v", st.Op())
 		}
-		return tc + leaf, nil
+		return 0
 	}
-	ts, err := mDur(est, st.Split())
-	if err != nil {
-		return 0, err
-	}
-	k, err := mCard(est, st.Split())
-	if err != nil {
-		return 0, err
-	}
-	if k < 1 {
-		k = 1
-	}
-	tm, err := mDur(est, st.Merge())
-	if err != nil {
-		return 0, err
-	}
-	sub, err := dacEst(est, st, remaining-1)
-	if err != nil {
-		return 0, err
-	}
-	return tc + ts + time.Duration(k)*sub + tm, nil
 }
 
-// mDur reads t(m), failing with IncompleteError when unknown.
-func mDur(est *estimate.Registry, m *muscle.Muscle) (time.Duration, error) {
-	d, ok := est.Duration(m.ID())
-	if !ok {
-		return 0, &IncompleteError{Muscle: m}
+// dac is a divide-and-conquer with remaining levels of recursion left
+// before the leaf: work runs max(|fs|, 1) children a level, span one.
+func (c *closed) dac(st *plan.Step, remaining int) time.Duration {
+	tc := c.dur(st.Cond())
+	if remaining <= 0 {
+		return tc + c.of(st.Child(0))
 	}
-	if d < 0 {
-		d = 0
+	ts, k := c.dur(st.Split()), 1
+	if !c.span {
+		k = max(c.card(st.Split()), 1)
 	}
-	return d, nil
+	tm := c.dur(st.Merge())
+	return tc + ts + time.Duration(k)*c.dac(st, remaining-1) + tm
 }
 
-// mCard reads |m| rounded to an int >= 0, failing when unknown.
-func mCard(est *estimate.Registry, m *muscle.Muscle) (int, error) {
-	c, ok := est.Card(m.ID())
+// dur reads t(m), noting an IncompleteError when unknown.
+func (c *closed) dur(m *muscle.Muscle) time.Duration {
+	d, ok := c.est.Duration(m.ID())
+	if !ok && c.err == nil {
+		c.err = &IncompleteError{Muscle: m}
+	}
+	return max(d, 0)
+}
+
+// card reads |m| rounded to an int >= 0, noting an IncompleteError when
+// unknown.
+func (c *closed) card(m *muscle.Muscle) int {
+	k, ok := c.est.Card(m.ID())
 	if !ok {
-		return 0, &IncompleteError{Muscle: m, Card: true}
+		if c.err == nil {
+			c.err = &IncompleteError{Muscle: m, Card: true}
+		}
+		return 0
 	}
-	k := int(math.Round(c))
-	if k < 0 {
-		k = 0
-	}
-	return k, nil
+	return max(int(math.Round(k)), 0)
 }

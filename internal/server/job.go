@@ -203,11 +203,9 @@ func (f *frozenHandle) Analyses() int                    { return f.analyses }
 func (f *frozenHandle) Demand() skandium.Demand          { return f.demand }
 func (f *frozenHandle) LP() int                          { return 0 }
 func (f *frozenHandle) Active() int                      { return 0 }
-func (f *frozenHandle) Cap() int                         { return 0 }
 func (f *frozenHandle) Stats() exec.Stats                { return f.stats }
 func (f *frozenHandle) FaultStats() skandium.FaultStats  { return f.faults }
 func (f *frozenHandle) Failures() *skandium.FailureError { return f.failures }
-func (f *frozenHandle) SetLP(int)                        {}
 func (f *frozenHandle) SetCap(int)                       {}
 func (f *frozenHandle) SetGoal(time.Duration)            {}
 func (f *frozenHandle) SetMaxLP(int)                     {}

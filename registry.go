@@ -137,12 +137,8 @@ type Handle interface {
 	LP() int
 	// Active returns the number of workers currently running a task.
 	Active() int
-	// SetLP manually adjusts the LP target.
-	SetLP(n int)
 	// SetCap imposes/lifts the arbiter's external LP cap.
 	SetCap(n int)
-	// Cap returns the external LP cap (0 = none).
-	Cap() int
 	// SetGoal adjusts the WCT goal at runtime.
 	SetGoal(d time.Duration)
 	// SetMaxLP adjusts the LP QoS cap at runtime (pool and controller).
@@ -202,9 +198,7 @@ func (h *handle[P, R]) Analyses() int         { return h.ex.Analyses() }
 func (h *handle[P, R]) Demand() Demand        { return h.ex.Demand() }
 func (h *handle[P, R]) LP() int               { return h.st.LP() }
 func (h *handle[P, R]) Active() int           { return h.st.Active() }
-func (h *handle[P, R]) SetLP(n int)           { h.st.SetLP(n) }
 func (h *handle[P, R]) SetCap(n int)          { h.st.SetCap(n) }
-func (h *handle[P, R]) Cap() int              { return h.st.Cap() }
 func (h *handle[P, R]) SetGoal(d time.Duration) {
 	h.ex.SetGoal(d)
 }
