@@ -100,9 +100,14 @@ lint:
 		echo "lint: staticcheck not installed, skipping (CI runs it)"; \
 	fi
 
+# cover runs every test with coverage of the whole module (-coverpkg, so a
+# function counts as run whichever package's test reaches it), prints each
+# package's coverage and the functions outside cmd/ and examples/ that no
+# test runs, and fails on one that scripts/cover-allow.txt does not list
+# with its reason, or on an entry of that list a test now runs.
 cover:
-	$(GO) test -coverprofile=cover.out ./...
-	$(GO) tool cover -func=cover.out | tail -5
+	$(GO) test -count=1 -coverpkg=./... -coverprofile=cover.out ./...
+	scripts/covergate.sh cover.out scripts/cover-allow.txt
 
 clean:
 	rm -f cover.out test_output.txt bench_output.txt

@@ -58,7 +58,7 @@ func main() {
 	workers := flag.String("workers", "", "comma-separated skelworker endpoints; eligible jobs route to the cluster")
 	clusterBudget := flag.Int("cluster-budget", 0, "cluster-wide LP budget divided across workers (0 = 4×workers)")
 	hedgeAfter := flag.Duration("hedge-after", 0, "re-enqueue a claimed task stalled this long so a second node races it (0 = off)")
-	policyName := flag.String("policy", "", "default adaptation policy for jobs that do not pick one (see skandium.PolicyNames; empty = paper rule)")
+	policyName := flag.String("policy", "", "default adaptation policy for jobs that do not pick one (an unknown name is refused with the list; empty = paper rule)")
 	flag.Parse()
 
 	if *policyName != "" {

@@ -291,7 +291,9 @@ func TestSeqEstimateAllKinds(t *testing.T) {
 }
 
 // TestEstimatesMissingRules: work needs |fs| and span does not; a missing
-// t(m) fails both, and each error names the muscle and what it lacks.
+// t(m) fails both, and each error names the muscle and what it lacks. The
+// graph walk fails on the same muscle: the first branch stops at t(b), and
+// the branches after it expand to nothing.
 func TestEstimatesMissingRules(t *testing.T) {
 	fs := muscle.NewSplit("fs", func(p any) ([]any, error) { return nil, nil })
 	a := muscle.NewExecute("a", func(p any) (any, error) { return p, nil })
@@ -338,6 +340,10 @@ func TestEstimatesMissingRules(t *testing.T) {
 	}
 	if _, err := SpanEstimate(est, nd); !incomplete(err, b, false) {
 		t.Fatalf("span without t(b): %v", err)
+	}
+	_, err := Builder{Est: est}.BuildVirtual(nd, clock.Epoch)
+	if !incomplete(err, b, false) || err.Error() != "adg: no t(m) estimate for muscle "+b.String()+" yet" {
+		t.Fatalf("graph without t(b): %v", err)
 	}
 }
 

@@ -85,17 +85,6 @@ func fmtT(t, unit time.Duration) string {
 	return fmt.Sprintf("%.4g", float64(t)/float64(unit))
 }
 
-// Series converts the timeline into (t, active) pairs in the given unit,
-// for CSV export by cmd/figures.
-func (g *Graph) Series(unit time.Duration) [][2]float64 {
-	steps := g.Timeline()
-	out := make([][2]float64, 0, len(steps))
-	for _, s := range steps {
-		out = append(out, [2]float64{float64(s.T) / float64(unit), float64(s.Active)})
-	}
-	return out
-}
-
 // Validate checks internal graph invariants (DAG order, well-formed
 // predecessor ranges). Intended for tests and debugging.
 func (g *Graph) Validate() error {

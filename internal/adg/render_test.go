@@ -7,6 +7,7 @@ import (
 
 	"skandium/internal/clock"
 	"skandium/internal/estimate"
+	"skandium/internal/muscle"
 	"skandium/internal/skel"
 )
 
@@ -52,24 +53,49 @@ func TestRenderTimelineSteps(t *testing.T) {
 	}
 }
 
+// TestDOTEscapesLabels: a muscle name with a quote and the record
+// delimiters renders as one escaped record label, and every dependency is
+// an edge.
+func TestDOTEscapesLabels(t *testing.T) {
+	est := estimate.NewRegistry(estimate.DefaultRho)
+	fe := muscle.NewExecute(`say "hi" {x|y}`, func(p any) (any, error) { return p, nil })
+	est.InitDuration(fe.ID(), u(5))
+	g, err := Builder{Est: est}.BuildVirtual(skel.NewSeq(fe), clock.Epoch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.ScheduleBestEffort()
+	if out := g.DOT(time.Millisecond); !strings.Contains(out, `label="{say \"hi\" \{x\|y\}|0 .. 5}"`) {
+		t.Fatalf("label not escaped:\n%s", out)
+	}
+	out := renderGraph(t).DOT(time.Millisecond)
+	for _, want := range []string{"digraph adg {", "a0 -> a1;", "a0 -> a3;", "a3 -> a4;"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("dot lacks %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestSeriesExport: the timeline series RenderTimeline prints starts with
+// the split alone at 0, runs forward in time and ends idle.
 func TestSeriesExport(t *testing.T) {
 	g := renderGraph(t)
-	series := g.Series(time.Millisecond)
-	if len(series) == 0 {
-		t.Fatal("empty series")
+	steps := g.Timeline()
+	if len(steps) == 0 {
+		t.Fatal("empty timeline")
 	}
 	// First step: one activity (the split) active at t=0.
-	if series[0][0] != 0 || series[0][1] != 1 {
-		t.Fatalf("first point %v", series[0])
+	if steps[0].T != 0 || steps[0].Active != 1 {
+		t.Fatalf("first step %+v", steps[0])
 	}
-	last := series[len(series)-1]
-	if last[1] != 0 {
-		t.Fatalf("series does not end idle: %v", last)
+	last := steps[len(steps)-1]
+	if last.Active != 0 {
+		t.Fatalf("timeline does not end idle: %+v", last)
 	}
 	// Monotone time.
-	for i := 1; i < len(series); i++ {
-		if series[i][0] < series[i-1][0] {
-			t.Fatalf("series time regressed at %d", i)
+	for i := 1; i < len(steps); i++ {
+		if steps[i].T < steps[i-1].T {
+			t.Fatalf("timeline time regressed at %d", i)
 		}
 	}
 }

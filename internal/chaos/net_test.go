@@ -67,6 +67,9 @@ func TestNetInjectorDropClassifiesRefused(t *testing.T) {
 	if !errors.As(err, &ne) || ne.Timeout() {
 		t.Fatalf("refusal must be a non-timeout net.Error: %v", err)
 	}
+	if te, ok := ne.(interface{ Temporary() bool }); !ok || !te.Temporary() {
+		t.Fatalf("an injected fault must report itself transient: %v", err)
+	}
 }
 
 // TestNetInjectorReplyDropIsTimeout: the server executes, the client sees a

@@ -8,7 +8,6 @@ import (
 
 	"skandium/internal/muscle"
 	"skandium/internal/plan"
-	"skandium/internal/refeval"
 	"skandium/internal/skel"
 )
 
@@ -98,7 +97,7 @@ func (cc *callCounter) take() []string {
 func TestMuscleCallCountsAgree(t *testing.T) {
 	for _, tree := range allTrees() {
 		node, cc := countCalls(tree.Node)
-		if _, err := refeval.Eval(node, tree.Input); err != nil {
+		if _, err := refEval(node, tree.Input); err != nil {
 			t.Fatalf("(%s): reference: %v", tree.Node, err)
 		}
 		want := cc.take()

@@ -8,7 +8,6 @@ import (
 	"skandium/internal/adg"
 	"skandium/internal/event"
 	"skandium/internal/plan"
-	"skandium/internal/refeval"
 	"skandium/internal/skel"
 )
 
@@ -112,7 +111,7 @@ func FuzzCompile(f *testing.F) {
 			}
 		}
 
-		want, err := refeval.Eval(tree.Node, tree.Input)
+		want, err := refEval(tree.Node, tree.Input)
 		if err != nil {
 			t.Fatalf("(%s): reference: %v", tree.Node, err)
 		}

@@ -12,7 +12,6 @@ import (
 	"skandium/internal/exec"
 	"skandium/internal/muscle"
 	"skandium/internal/plan"
-	"skandium/internal/refeval"
 	"skandium/internal/sim"
 	"skandium/internal/skel"
 	"skandium/internal/statemachine"
@@ -106,7 +105,7 @@ func allTrees() []*Tree {
 func TestBackendsComputeReferenceResults(t *testing.T) {
 	for seed := int64(0); seed < fullSeeds; seed++ {
 		tree := Generate(seed, genDepth)
-		want, err := refeval.Eval(tree.Node, tree.Input)
+		want, err := refEval(tree.Node, tree.Input)
 		if err != nil {
 			t.Fatalf("seed %d (%s): reference: %v", seed, tree.Node, err)
 		}

@@ -1,15 +1,16 @@
-// Package conformance is the cross-backend differential harness: a seeded
-// random-skeleton-tree generator plus canonical views of an execution that
-// every backend must agree on.
+// Package conformance is the cross-backend differential harness, tests
+// only: a seeded random-skeleton-tree generator, a reference evaluator and
+// canonical views of an execution that every backend must agree on.
 //
 // Every consumer of the compiled program IR (internal/plan) — the
 // interpreter (internal/exec) under both of its drivers, the task pool and
 // the discrete-event simulator (internal/sim), the reference evaluator
-// (internal/refeval) and the ADG builder/estimators (internal/adg) — is run
+// (refeval_test.go) and the ADG builder/estimators (internal/adg) — is run
 // over the same generated trees, and the harness asserts that results,
-// muscle call counts, activation-tree shapes and ADG spans agree exactly. A future remote/distributed backend joins the
-// harness by implementing the same seam (exec.Root.StartProgram) and being
-// added to the comparison loop in conformance_test.go.
+// muscle call counts, activation-tree shapes and ADG spans agree exactly.
+// A future remote/distributed backend joins the harness by implementing
+// the same seam (exec.Root.StartProgram) and being added to the comparison
+// loop in conformance_test.go.
 package conformance
 
 import (

@@ -1,4 +1,4 @@
-package refeval
+package conformance
 
 import (
 	"fmt"
@@ -114,11 +114,6 @@ func (g *progGen) gen(depth int) *skel.Node {
 	}
 }
 
-// unitCosts declares 1ms for every muscle in the tree.
-func unitCosts() sim.CostModel {
-	return sim.CostFunc(func(*muscle.Muscle, any) time.Duration { return time.Millisecond })
-}
-
 // TestEngineMatchesReference: the task-pool engine at several LPs computes
 // exactly the reference result for random programs and inputs.
 func TestEngineMatchesReference(t *testing.T) {
@@ -126,7 +121,7 @@ func TestEngineMatchesReference(t *testing.T) {
 		g := &progGen{rng: rand.New(rand.NewSource(seed))}
 		prog := g.gen(3)
 		input := g.rng.Intn(50)
-		want, err := Eval(prog, input)
+		want, err := refEval(prog, input)
 		if err != nil {
 			t.Fatalf("seed %d (%s): reference: %v", seed, prog, err)
 		}
@@ -153,7 +148,7 @@ func TestSimMatchesReference(t *testing.T) {
 		g := &progGen{rng: rand.New(rand.NewSource(seed))}
 		prog := g.gen(3)
 		input := g.rng.Intn(50)
-		want, err := Eval(prog, input)
+		want, err := refEval(prog, input)
 		if err != nil {
 			t.Fatalf("seed %d (%s): reference: %v", seed, prog, err)
 		}
@@ -208,7 +203,7 @@ func TestSimLPMakespanMonotone(t *testing.T) {
 func TestReferenceEvaluatorBasics(t *testing.T) {
 	double := muscle.NewExecute("double", func(p any) (any, error) { return p.(int) * 2, nil })
 	nd := skel.NewFor(3, skel.NewSeq(double))
-	got, err := Eval(nd, 1)
+	got, err := refEval(nd, 1)
 	if err != nil || got != 8 {
 		t.Fatalf("got %v/%v", got, err)
 	}
@@ -219,7 +214,7 @@ func TestReferenceWhileGuard(t *testing.T) {
 	always := muscle.NewCondition("true", func(p any) (bool, error) { return true, nil })
 	id := muscle.NewExecute("id", func(p any) (any, error) { return p, nil })
 	nd := skel.NewWhile(always, skel.NewSeq(id))
-	if _, err := Eval(nd, 0); err == nil {
+	if _, err := refEval(nd, 0); err == nil {
 		t.Fatal("infinite while not caught")
 	}
 }

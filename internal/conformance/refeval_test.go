@@ -1,10 +1,4 @@
-// Package refeval is a reference evaluator for skeleton programs: a direct
-// recursive interpreter with no tasks, no pool, no events and no
-// parallelism. It defines the functional semantics of the algebra in ~100
-// lines and serves as the oracle for differential testing — the task-pool
-// engine (internal/exec) and the simulator (internal/sim) must compute
-// exactly what this evaluator computes, for every program and input.
-package refeval
+package conformance
 
 import (
 	"fmt"
@@ -12,28 +6,35 @@ import (
 	"skandium/internal/skel"
 )
 
-// MaxWhileIterations bounds while/d&c loops so buggy conditions surface as
-// errors instead of hangs in tests.
-const MaxWhileIterations = 1_000_000
+// The reference evaluator is a direct recursive interpreter with no tasks,
+// no pool, no events and no parallelism. It defines the functional
+// semantics of the algebra in ~100 lines and is the oracle of the
+// differential tests: the task-pool engine (internal/exec) and the
+// simulator (internal/sim) must compute exactly what it computes, for
+// every program and input.
 
-// Eval computes the result of a skeleton program sequentially.
-func Eval(node *skel.Node, param any) (any, error) {
+// maxRefIterations bounds while/d&c loops so buggy conditions surface as
+// errors instead of hangs in tests.
+const maxRefIterations = 1_000_000
+
+// refEval computes the result of a skeleton program sequentially.
+func refEval(node *skel.Node, param any) (any, error) {
 	if err := node.Validate(); err != nil {
 		return nil, err
 	}
-	return eval(node, param, 0)
+	return refEvalAt(node, param, 0)
 }
 
-func eval(node *skel.Node, param any, depth int) (any, error) {
+func refEvalAt(node *skel.Node, param any, depth int) (any, error) {
 	switch node.Kind() {
 	case skel.Seq:
 		return node.Exec().CallExecute(param)
 	case skel.Farm:
-		return eval(node.Children()[0], param, 0)
+		return refEvalAt(node.Children()[0], param, 0)
 	case skel.Pipe:
 		var err error
 		for _, stage := range node.Children() {
-			param, err = eval(stage, param, 0)
+			param, err = refEvalAt(stage, param, 0)
 			if err != nil {
 				return nil, err
 			}
@@ -42,7 +43,7 @@ func eval(node *skel.Node, param any, depth int) (any, error) {
 	case skel.For:
 		var err error
 		for i := 0; i < node.N(); i++ {
-			param, err = eval(node.Children()[0], param, 0)
+			param, err = refEvalAt(node.Children()[0], param, 0)
 			if err != nil {
 				return nil, err
 			}
@@ -50,8 +51,8 @@ func eval(node *skel.Node, param any, depth int) (any, error) {
 		return param, nil
 	case skel.While:
 		for i := 0; ; i++ {
-			if i > MaxWhileIterations {
-				return nil, fmt.Errorf("refeval: while exceeded %d iterations", MaxWhileIterations)
+			if i > maxRefIterations {
+				return nil, fmt.Errorf("refeval: while exceeded %d iterations", maxRefIterations)
 			}
 			c, err := node.Cond().CallCondition(param)
 			if err != nil {
@@ -60,7 +61,7 @@ func eval(node *skel.Node, param any, depth int) (any, error) {
 			if !c {
 				return param, nil
 			}
-			param, err = eval(node.Children()[0], param, 0)
+			param, err = refEvalAt(node.Children()[0], param, 0)
 			if err != nil {
 				return nil, err
 			}
@@ -74,7 +75,7 @@ func eval(node *skel.Node, param any, depth int) (any, error) {
 		if !c {
 			branch = 1
 		}
-		return eval(node.Children()[branch], param, 0)
+		return refEvalAt(node.Children()[branch], param, 0)
 	case skel.Map:
 		parts, err := node.Split().CallSplit(param)
 		if err != nil {
@@ -82,7 +83,7 @@ func eval(node *skel.Node, param any, depth int) (any, error) {
 		}
 		results := make([]any, len(parts))
 		for i, p := range parts {
-			results[i], err = eval(node.Children()[0], p, 0)
+			results[i], err = refEvalAt(node.Children()[0], p, 0)
 			if err != nil {
 				return nil, err
 			}
@@ -100,22 +101,22 @@ func eval(node *skel.Node, param any, depth int) (any, error) {
 		}
 		results := make([]any, len(parts))
 		for i, p := range parts {
-			results[i], err = eval(subs[i], p, 0)
+			results[i], err = refEvalAt(subs[i], p, 0)
 			if err != nil {
 				return nil, err
 			}
 		}
 		return node.Merge().CallMerge(results)
 	case skel.DaC:
-		if depth > MaxWhileIterations {
-			return nil, fmt.Errorf("refeval: d&c recursion exceeded %d levels", MaxWhileIterations)
+		if depth > maxRefIterations {
+			return nil, fmt.Errorf("refeval: d&c recursion exceeded %d levels", maxRefIterations)
 		}
 		c, err := node.Cond().CallCondition(param)
 		if err != nil {
 			return nil, err
 		}
 		if !c {
-			return eval(node.Children()[0], param, 0)
+			return refEvalAt(node.Children()[0], param, 0)
 		}
 		parts, err := node.Split().CallSplit(param)
 		if err != nil {
@@ -123,7 +124,7 @@ func eval(node *skel.Node, param any, depth int) (any, error) {
 		}
 		results := make([]any, len(parts))
 		for i, p := range parts {
-			results[i], err = eval(node, p, depth+1)
+			results[i], err = refEvalAt(node, p, depth+1)
 			if err != nil {
 				return nil, err
 			}

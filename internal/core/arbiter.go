@@ -113,17 +113,6 @@ func (a *Arbiter) SetTenantWeight(tenant string, w int) {
 	a.rebalanceLocked("reweighted " + CanonTenant(tenant))
 }
 
-// TenantWeights returns the configured weight table (canonical names).
-func (a *Arbiter) TenantWeights() map[string]int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make(map[string]int, len(a.weights))
-	for t, w := range a.weights {
-		out[t] = w
-	}
-	return out
-}
-
 // TenantGrants returns the sum of current grants per tenant — the shares
 // the fairness invariants are asserted against.
 func (a *Arbiter) TenantGrants() map[string]int {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -178,6 +179,9 @@ func TestArbiterReleaseReturnsBudget(t *testing.T) {
 	}
 	if !sawReturn || !sawRegrant {
 		t.Fatalf("decision log missing return/regrant: %v", a.Decisions())
+	}
+	if s := a.Decisions()[0].String(); !strings.Contains(s, "grant 0->") {
+		t.Fatalf("first decision renders %q, want a grant from 0", s)
 	}
 }
 

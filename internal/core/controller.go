@@ -251,13 +251,6 @@ func (c *Controller) SetMaxLP(n int) {
 	c.mu.Unlock()
 }
 
-// Goal returns the WCT goal currently in force.
-func (c *Controller) Goal() time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.cfg.WCTGoal
-}
-
 // Demand returns the controller's latest resource wish for budget
 // arbitration. CurrentLP and Finished are always fresh; the estimate fields
 // carry the last completed analysis (Valid=false before the first one).

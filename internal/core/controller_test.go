@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -130,6 +131,9 @@ func TestIncreaseToOptimalFig1(t *testing.T) {
 	}
 	if ds[0].OptimalLP != 3 {
 		t.Fatalf("optimal LP %d, want 3", ds[0].OptimalLP)
+	}
+	if s := ds[0].String(); !strings.Contains(s, "lp 2->3 (pred=115ms best=100ms opt=3)") {
+		t.Fatalf("decision renders %q", s)
 	}
 }
 

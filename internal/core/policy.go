@@ -244,8 +244,8 @@ func (p PaperPolicy) Observe(pred *Prediction, act Actuation) Proposal {
 // policyFactory builds a registered policy from a seed.
 type policyFactory func(seed int64) Policy
 
-// policyRegistry maps names to factories. Built-ins only; extend via
-// RegisterPolicy.
+// policyRegistry maps names to factories: the built-ins, fixed at compile
+// time.
 var policyRegistry = map[string]policyFactory{
 	"paper": func(int64) Policy {
 		return PaperPolicy{Increase: IncreaseOptimal, Decrease: DecreaseHalve}
@@ -262,15 +262,6 @@ var policyRegistry = map[string]policyFactory{
 	"hillclimb": func(seed int64) Policy { return NewHillClimb(seed) },
 	"bandit":    func(seed int64) Policy { return NewBandit(seed) },
 	"costaware": func(int64) Policy { return NewCostAware() },
-}
-
-// RegisterPolicy adds a named policy constructor to the registry (library
-// extensions and tests). Registering an existing name replaces it.
-func RegisterPolicy(name string, f func(seed int64) Policy) {
-	if name == "" || f == nil {
-		panic("core: RegisterPolicy with empty name or nil factory")
-	}
-	policyRegistry[strings.ToLower(name)] = f
 }
 
 // NewPolicy builds a registered policy by name. The empty name means the

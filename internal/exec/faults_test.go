@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -203,6 +204,9 @@ func TestPartialAllBranchesFailed(t *testing.T) {
 	}
 	if len(fail.Failures) != 4 {
 		t.Fatalf("aggregate has %d failures, want 4", len(fail.Failures))
+	}
+	if !strings.Contains(fail.Error(), "4 branch failure(s) (4 skipped, 0 substituted): ") {
+		t.Fatalf("aggregate reads %q, want the counts and the first failure", fail.Error())
 	}
 }
 

@@ -16,8 +16,8 @@ func TestExternalCapClampsAndRestores(t *testing.T) {
 		t.Fatalf("initial LP = %d, want 4", got)
 	}
 	pool.SetCap(2)
-	if got := pool.LP(); got != 2 {
-		t.Fatalf("LP under cap = %d, want 2", got)
+	if got := pool.LP(); got != 2 || pool.Cap() != 2 {
+		t.Fatalf("LP under cap = %d (cap %d), want 2", got, pool.Cap())
 	}
 	if got := pool.Want(); got != 4 {
 		t.Fatalf("Want = %d, want 4", got)

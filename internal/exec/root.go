@@ -10,7 +10,6 @@ import (
 	"math/rand"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"skandium/internal/clock"
 	"skandium/internal/event"
@@ -30,7 +29,6 @@ type Root struct {
 	idx      atomic.Int64
 	canceled atomic.Bool
 	future   *Future
-	start    time.Time
 
 	// Fault tolerance: the policy envelope (immutable after Start), the
 	// jitter source it draws from (seeded by the first backoff that needs
@@ -91,9 +89,6 @@ func (r *Root) jitter() float64 {
 	return r.rng.Float64()
 }
 
-// Faults returns the fault-tolerance policy in force.
-func (r *Root) Faults() FaultConfig { return r.faults }
-
 // counters returns the fault counter sink (never nil).
 func (r *Root) counters() *FaultCounters { return r.ctrs }
 
@@ -125,17 +120,11 @@ func (r *Root) Failures() *FailureError {
 	return &FailureError{Failures: append([]BranchFailure(nil), r.branchFails...)}
 }
 
-// Events returns the registry this execution emits to.
-func (r *Root) Events() *event.Registry { return r.events }
-
 // Clock returns the root's time source.
 func (r *Root) Clock() clock.Clock { return r.clk }
 
 // Future returns the handle resolved with the final result.
 func (r *Root) Future() *Future { return r.future }
-
-// StartTime returns the clock reading at Start (zero before Start).
-func (r *Root) StartTime() time.Time { return r.start }
 
 // Start injects param into the skeleton program rooted at node and returns
 // the future of the result. Start must be called exactly once per Root.
@@ -155,7 +144,6 @@ func (r *Root) Start(node *skel.Node, param any) *Future {
 // compiled IR once per program instead of re-deriving structure per task;
 // internal/remote's workers enter it here.
 func (r *Root) StartProgram(p *plan.Program, param any) *Future {
-	r.start = r.clk.Now()
 	r.Inject(p, param, 0)
 	return r.future
 }
@@ -172,9 +160,6 @@ func (r *Root) Inject(p *plan.Program, param any, slot int) {
 // nextIndex allocates an activation index; the Before and After events of
 // one activation share it.
 func (r *Root) nextIndex() int64 { return r.idx.Add(1) - 1 }
-
-// LastIndex returns the number of activation indices allocated so far.
-func (r *Root) LastIndex() int64 { return r.idx.Load() }
 
 // Canceled reports whether the execution has been aborted (muscle error or
 // explicit Cancel). Workers drop tasks of canceled roots between

@@ -233,9 +233,6 @@ func Open(dir string, opt Options) (*Journal, []JobState, error) {
 	return j, j.States(), nil
 }
 
-// Dir returns the journal directory.
-func (j *Journal) Dir() string { return j.dir }
-
 // loadSnapshot reads the compacted state, tolerating a missing or corrupt
 // snapshot (corrupt means a crash during compaction: the journal still has
 // everything the snapshot would have had, minus what older compactions

@@ -182,7 +182,6 @@ type Program struct {
 	node  *skel.Node
 	root  *Step
 	steps []*Step // pre-order
-	byID  map[skel.NodeID]*Step
 }
 
 // Compile builds the program IR for executions rooted at node. The tree is
@@ -193,7 +192,7 @@ func Compile(node *skel.Node) (*Program, error) {
 	if err := node.Validate(); err != nil {
 		return nil, err
 	}
-	p := &Program{node: node, byID: make(map[skel.NodeID]*Step, node.Size())}
+	p := &Program{node: node}
 	root, err := p.compile(node, nil)
 	if err != nil {
 		return nil, err
@@ -219,11 +218,6 @@ func (p *Program) compile(nd *skel.Node, parentTrace []*skel.Node) (*Step, error
 		index: len(p.steps),
 	}
 	p.steps = append(p.steps, s)
-	if _, dup := p.byID[nd.ID()]; !dup {
-		// First pre-order occurrence wins; a node shared twice within one
-		// tree has identical structure below both occurrences.
-		p.byID[nd.ID()] = s
-	}
 	if kids := nd.Children(); len(kids) > 0 {
 		s.children = make([]*Step, len(kids))
 		for i, c := range kids {
@@ -273,11 +267,6 @@ func (p *Program) Steps() []*Step { return p.steps }
 
 // Len returns the number of steps.
 func (p *Program) Len() int { return len(p.steps) }
-
-// StepFor returns the step compiled from the node with the given identity
-// (the first pre-order occurrence when a node is shared within the tree),
-// or nil when the node is not part of this program.
-func (p *Program) StepFor(id skel.NodeID) *Step { return p.byID[id] }
 
 // ExtendTrace returns a fresh trace slice extending base with nd. The
 // static traces of a program are precomputed once at compile time; engines

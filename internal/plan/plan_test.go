@@ -94,8 +94,14 @@ func TestCompileTracesAndIndexes(t *testing.T) {
 				t.Fatalf("child trace len %d, want %d", len(c.Trace()), len(tr)+1)
 			}
 		}
-		if got := p.StepFor(st.Node().ID()); got != st {
-			t.Fatalf("StepFor(%v) = %v, want step %d", st.Node().ID(), got, i)
+	}
+	if walk := preorder(p.Root(), nil); len(walk) != p.Len() {
+		t.Fatalf("walk from Root reaches %d steps, want %d", len(walk), p.Len())
+	} else {
+		for i, st := range walk {
+			if st != p.Steps()[i] {
+				t.Fatalf("walk from Root reaches step %d at position %d", st.Index(), i)
+			}
 		}
 	}
 	if p.Len() != len(p.Steps()) {
@@ -220,7 +226,13 @@ func TestSharedSubtreeKeepsValidPlan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st := p.StepFor(body.ID())
+		var st *Step
+		for _, s := range preorder(p.Root(), nil) {
+			if s.Node() == body {
+				st = s
+				break
+			}
+		}
 		if st == nil || st.Op() != OpFanOut || len(st.Trace()) != tc.depth || st.Trace()[0] != tc.root {
 			t.Fatalf("%s: shared subtree step %v not reached under the tree's own trace", tc.root, st)
 		}
@@ -228,6 +240,15 @@ func TestSharedSubtreeKeepsValidPlan(t *testing.T) {
 	if sub2, err := Of(body); err != nil || sub2 != sub || sub2.Node() != body || sub2.Len() != 2 {
 		t.Fatalf("shared subtree plan changed: %v %v", sub2, err)
 	}
+}
+
+// preorder appends st and every step below it to out, in pre-order.
+func preorder(st *Step, out []*Step) []*Step {
+	out = append(out, st)
+	for _, c := range st.Children() {
+		out = preorder(c, out)
+	}
+	return out
 }
 
 func TestExtendTrace(t *testing.T) {

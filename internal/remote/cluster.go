@@ -535,24 +535,6 @@ func (c *Cluster) Nodes() []NodeStatus {
 	return out
 }
 
-// Eligible reports whether a blueprint can run on the cluster: it must
-// declare a remote codec and its program root must be a (possibly
-// farm-wrapped) fan-out.
-func Eligible(bp skandium.Blueprint, params skandium.Params) bool {
-	if bp.Remote == nil {
-		return false
-	}
-	runner, err := bp.Build(params)
-	if err != nil {
-		return false
-	}
-	prog, err := plan.Of(runner.Node())
-	if err != nil {
-		return false
-	}
-	return Shardable(prog) != nil
-}
-
 // Shardable returns the program's top-level fan-out step — the unit the
 // coordinator shards across nodes — or nil when the program has another
 // shape. Farm wraps are transparent (farm(s) ≡ s with replication), so a

@@ -1,8 +1,10 @@
 package remote
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -15,6 +17,7 @@ import (
 	"time"
 
 	"skandium"
+	"skandium/internal/clock"
 	"skandium/internal/muscle"
 	"skandium/internal/plan"
 	"skandium/internal/skel"
@@ -96,14 +99,113 @@ func TestClusterTaskErrorFailsJob(t *testing.T) {
 	}
 }
 
-func TestEligibleAndShardable(t *testing.T) {
-	grid, _ := skandium.LookupBlueprint("remotetest-grid")
-	local, _ := skandium.LookupBlueprint("remotetest-local")
-	if !Eligible(grid, skandium.Params{}) {
-		t.Fatal("farm(map) grid with codec should be eligible")
+// TestClusterBacksOffBusyWorker: a worker whose queue is full answers 429
+// with Retry-After 1. The coordinator sleeps that hint on its clock and
+// keeps serving the node instead of failing it; once the queue drains,
+// every task of the job completes exactly once.
+func TestClusterBacksOffBusyWorker(t *testing.T) {
+	gate := make(chan struct{})
+	cellGate.Store(&gate)
+	countInvocations.Store(0)
+	w, s := newTestWorker(t, WorkerConfig{LP: 1, MaxLP: 1, MaxQueue: 1})
+
+	// Fill the worker: one gated task runs and one waits in its queue. Each
+	// goes in a batch of its own, as a batch of two would not fit the queue.
+	if code, pr := postProgram(t, s.URL, ProgramRequest{Blueprint: "remotetest-gate", Step: 1, Job: "filler"}); code != http.StatusOK || !pr.OK {
+		t.Fatalf("program load: %d %+v", code, pr)
 	}
-	if Eligible(local, skandium.Params{}) {
-		t.Fatal("codec-less blueprint must not be eligible")
+	filled := make(chan error, 2)
+	fill := func(seq int) {
+		part, _ := json.Marshal(gridCell{N: seq})
+		body, _ := json.Marshal(TaskRequest{Seq: seq, Part: part, Job: "filler"})
+		go func() {
+			resp, err := http.Post(s.URL+"/tasks", "application/x-ndjson", bytes.NewReader(body))
+			if err == nil {
+				if resp.StatusCode != http.StatusOK {
+					err = fmt.Errorf("filler task %d: HTTP %d", seq, resp.StatusCode)
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+			}
+			filled <- err
+		}()
+	}
+	fill(0)
+	waitCond(t, "the first filler task running", 5*time.Second, func() bool { return w.pool.Active() == 1 })
+	fill(1)
+	waitCond(t, "a full worker queue", 5*time.Second, func() bool { return w.pool.QueueLen() == 1 })
+
+	clk := clock.NewVirtual(clock.Epoch)
+	c, err := New(Config{
+		Workers:       []string{s.URL},
+		Budget:        1,
+		ProbeInterval: 20 * time.Millisecond,
+		RPC:           RPCPolicy{MaxAttempts: 1},
+		Clock:         clk,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const n = 4
+	done := make(chan error, 1)
+	var res any
+	go func() {
+		var err error
+		res, err = c.Run("remotetest-count", skandium.Params{"n": n})
+		done <- err
+	}()
+	waitCond(t, "three shed batches", 10*time.Second, func() bool { return w.Shed() >= 3 })
+	close(gate)
+	for range 2 {
+		if err := <-filled; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if res != gridSum(n) {
+		t.Fatalf("result %v, want %d", res, gridSum(n))
+	}
+	if got := countInvocations.Load(); got != n {
+		t.Fatalf("muscle invoked %d times for %d tasks, want each once", got, n)
+	}
+	shed := w.Shed()
+	if got, want := clk.Now().Sub(clock.Epoch), time.Duration(shed)*time.Second; got != want {
+		t.Fatalf("the coordinator slept %v for %d shed batches, want the 1s Retry-After each: %v", got, shed, want)
+	}
+}
+
+// TestEligibleAndShardable: the daemon routes a job to the cluster when its
+// blueprint declares a remote codec and its program has a top-level fan-out.
+func TestEligibleAndShardable(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		codec     bool
+		shardable bool
+	}{
+		{"remotetest-grid", true, true},
+		{"remotetest-local", false, false},
+	} {
+		bp, ok := skandium.LookupBlueprint(tc.name)
+		if !ok {
+			t.Fatalf("%s not registered", tc.name)
+		}
+		runner, err := bp.Build(skandium.Params{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := plan.Of(runner.Node())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if codec := bp.Remote != nil; codec != tc.codec {
+			t.Errorf("%s: codec %v, want %v", tc.name, codec, tc.codec)
+		}
+		if sh := Shardable(prog) != nil; sh != tc.shardable {
+			t.Errorf("%s: shardable %v, want %v", tc.name, sh, tc.shardable)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"os"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -20,6 +21,17 @@ func init() {
 	skandium.RegisterBlueprint(testGridBlueprint())
 	skandium.RegisterBlueprint(testNestedBlueprint())
 	skandium.RegisterBlueprint(skandium.Blueprint{
+		Name:        "remotetest-gate",
+		Description: "farm(map) of cells that wait for the gate in cellGate",
+		Remote:      skandium.JSONCodec[gridCell, int](),
+		Build: func(p skandium.Params) (skandium.Runner, error) {
+			fs := skandium.NewSplit("cells", func(n int) ([]gridCell, error) { return make([]gridCell, n), nil })
+			fe := skandium.NewExec("wait", func(gridCell) (int, error) { <-*cellGate.Load(); return 0, nil })
+			fm := skandium.NewMerge("sum", func([]int) (int, error) { return 0, nil })
+			return skandium.NewRunner(skandium.Farm(skandium.Map(fs, skandium.Seq(fe), fm)), p.Int("n", 2)), nil
+		},
+	})
+	skandium.RegisterBlueprint(skandium.Blueprint{
 		Name:        "remotetest-local",
 		Description: "a blueprint with no remote codec: never cluster-eligible",
 		Build: func(p skandium.Params) (skandium.Runner, error) {
@@ -28,6 +40,10 @@ func init() {
 		},
 	})
 }
+
+// cellGate holds the cells of remotetest-gate until a test closes the
+// channel it points at.
+var cellGate atomic.Pointer[chan struct{}]
 
 // gridCell is one shard of the remotetest grid; it crosses the wire as
 // JSON, so the codec restores the concrete type on the worker.

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"syscall"
 	"testing"
@@ -189,7 +190,7 @@ func TestRPCHonorsRetryAfter(t *testing.T) {
 		t.Fatalf("cause %s, want busy", CauseOf(err))
 	}
 	var be *busyError
-	if !errors.As(err, &be) || be.retryAfter != time.Second {
+	if !errors.As(err, &be) || be.retryAfter != time.Second || !strings.Contains(be.Error(), "HTTP 429") {
 		t.Fatalf("error %v, want busyError with 1s Retry-After", err)
 	}
 	// The backoff between the two attempts must have been floored at the

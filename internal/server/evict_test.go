@@ -49,13 +49,14 @@ func runTiny(t *testing.T, base string) string {
 	return id
 }
 
-// submitLong starts a serial sleepgrid of 10,000 cells of 5 ms: it runs
-// for the whole test unless canceled, and a cancel stops it within a cell.
+// submitLong starts a serial sleepgrid of 1,000,000 cells of 5 ms, about
+// 80 minutes: it outlasts any test run, a slow one under coverage
+// included, unless canceled, and a cancel stops it within a cell.
 func submitLong(t *testing.T, base string) string {
 	t.Helper()
 	resp, body := postJSON(t, base+"/jobs", map[string]any{
 		"skeleton": "sleepgrid",
-		"params":   map[string]any{"k": 100, "m": 100, "cell_ms": 5},
+		"params":   map[string]any{"k": 1000, "m": 1000, "cell_ms": 5},
 		"max_lp":   1,
 	})
 	if resp.StatusCode != http.StatusAccepted {

@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -270,6 +271,47 @@ func TestFinishedViewsByteIdentical(t *testing.T) {
 			t.Fatalf("job-1 lost its journaled fault counts:\n%s", got)
 		}
 	})
+}
+
+// TestFinishedJobIgnoresLevers: DELETE /jobs/{id} and PATCH /jobs/{id}/qos
+// on a finished job that is still retained reach the levers of its frozen
+// handle, which move nothing: the job's state, result and decisions read
+// the same before and after, and the handle still answers with the outcome.
+func TestFinishedJobIgnoresLevers(t *testing.T) {
+	srv, ts := newTestDaemon(t, Config{Budget: 4})
+	j := finish(t, submit(t, srv, SubmitSpec{Skeleton: "sleepgrid",
+		Params: skandium.Params{"k": 4, "m": 4, "cell_ms": 2}, Goal: 20 * time.Millisecond}))
+	url := ts.URL + "/jobs/" + j.id
+	before, decisions := getJSON[jobView](t, url), get(srv, "/jobs/"+j.id+"/decisions")
+	if before.Decisions == 0 {
+		t.Fatalf("%s finished with no decisions to keep", j.id)
+	}
+	for _, r := range []struct{ method, path, body string }{
+		{"DELETE", "", ""},
+		{"PATCH", "/qos", `{"goal_ms":500,"max_lp":1}`},
+	} {
+		if code := status(t, r.method, url+r.path, r.body); code != http.StatusOK {
+			t.Fatalf("%s %s%s of a finished job: %d, want 200", r.method, j.id, r.path, code)
+		}
+	}
+	after := getJSON[jobView](t, url)
+	if after.State != before.State || after.Result != before.Result || after.Decisions != before.Decisions {
+		t.Fatalf("levers moved a finished job: %+v, was %+v", after, before)
+	}
+	if got := get(srv, "/jobs/"+j.id+"/decisions"); got != decisions {
+		t.Fatalf("decisions moved:\n%s\nwas:\n%s", got, decisions)
+	}
+	j.mu.Lock()
+	h := j.handle
+	j.mu.Unlock()
+	select {
+	case <-h.Done():
+	default:
+		t.Fatal("a frozen handle is not done")
+	}
+	if res, err := h.Result(); err != nil || summarize(res) != before.Result {
+		t.Fatalf("frozen result %v (%v), want %s", res, err, before.Result)
+	}
 }
 
 // TestCancelAndPatchWhileCompleting races Cancel and PATCH /qos against jobs

@@ -8,6 +8,8 @@ import (
 	"testing"
 	"time"
 
+	"skandium"
+	"skandium/internal/clock"
 	"skandium/internal/remote"
 )
 
@@ -211,4 +213,76 @@ func TestServerNodeLossInJobLog(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+}
+
+// TestBrownoutTogglesClusterHedging: queue pressure held past the brownout
+// delay turns the cluster's straggler hedging off and writes
+// admission@brownout-on into every live job's events; calm held past the
+// exit delay turns hedging back on and writes admission@brownout-off. The
+// daemon runs on a virtual clock, so both delays pass at once, and its jobs
+// carry a goal, which keeps them on the local pool.
+func TestBrownoutTogglesClusterHedging(t *testing.T) {
+	w := remote.NewWorker(remote.WorkerConfig{LP: 2, MaxLP: 4})
+	ws := httptest.NewServer(w.Handler())
+	t.Cleanup(func() { ws.Close(); w.Close() })
+	cl, err := remote.New(remote.Config{
+		Workers:       []string{ws.URL},
+		Budget:        4,
+		ProbeInterval: 10 * time.Millisecond,
+		HedgeAfter:    time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Close)
+	// hedged runs two 100 ms shards on the cluster and returns how many
+	// of them the coordinator hedged.
+	hedged := func() int64 {
+		t.Helper()
+		before := cl.Hedged()
+		if _, err := cl.Run("sleepgrid", skandium.Params{"k": 2, "m": 1, "cell_ms": 100}); err != nil {
+			t.Fatal(err)
+		}
+		return cl.Hedged() - before
+	}
+
+	clk := clock.NewVirtual(clock.Epoch)
+	srv, _ := newTestDaemon(t, Config{Budget: 1, QueueMax: 2, Cluster: cl, Clock: clk})
+	spec := func(cells int) SubmitSpec {
+		return SubmitSpec{Skeleton: "sleepgrid", Goal: time.Hour,
+			Params: skandium.Params{"k": cells, "m": cells, "cell_ms": 5}}
+	}
+	long := submit(t, srv, spec(1000))
+	queued := []*job{submit(t, srv, spec(1)), submit(t, srv, spec(1))}
+	srv.Health()
+	clk.Advance(time.Second)
+	if h := srv.Health(); h != HealthBrownedOut {
+		t.Fatalf("health %s under a full queue, want %s", h, HealthBrownedOut)
+	}
+	if n := hedged(); n != 0 {
+		t.Fatalf("the cluster hedged %d shards while browned out, want 0", n)
+	}
+
+	for _, j := range queued {
+		srv.Cancel(j.id)
+	}
+	srv.Health()
+	clk.Advance(2 * time.Second)
+	if h := srv.Health(); h != HealthOK {
+		t.Fatalf("health %s once calm, want %s", h, HealthOK)
+	}
+	if n := hedged(); n == 0 {
+		t.Fatal("the cluster hedged no shard once the brownout cleared")
+	}
+
+	for _, j := range append([]*job{long}, queued...) {
+		ev := jobEvents(j)
+		if !strings.Contains(ev, "admission@brownout-on") {
+			t.Errorf("%s: no admission@brownout-on in its events", j.id)
+		}
+		if off := strings.Contains(ev, "admission@brownout-off"); off != (j == long) {
+			t.Errorf("%s: admission@brownout-off in its events is %v, want it only in the live %s", j.id, off, long.id)
+		}
+	}
+	srv.Cancel(long.id)
 }

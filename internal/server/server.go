@@ -532,11 +532,10 @@ func (s *Server) start(j *job) {
 				opts = append(opts, skandium.WithPolicy(p))
 			} else {
 				// Submit validates policy names, but a journal written by a
-				// binary with a richer registry (newer build, runtime-
-				// registered policy) can recover a name this one does not
-				// know. Fall back to the paper rule visibly: log the
-				// fallback into the job's event stream and stop reporting
-				// the unhonoured name in job views.
+				// binary with a richer registry (a newer build) can recover
+				// a name this one does not know. Fall back to the paper rule
+				// visibly: log the fallback into the job's event stream and
+				// stop reporting the unhonoured name in job views.
 				j.log.appendText(s.clk.Now(),
 					fmt.Sprintf("policy %q unknown to this binary: falling back to the paper rule", j.policy),
 					"", "", "", "")

@@ -11,6 +11,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"skandium"
 )
 
 // newTestDaemon boots a server on a loopback port via httptest.
@@ -244,6 +246,34 @@ func runningLPSum(t *testing.T, base string) (sum, done int) {
 		}
 	}
 	return sum, done
+}
+
+// TestSkeletonsCatalog: GET /skeletons lists every registered blueprint in
+// name order, each with its description and defaults.
+func TestSkeletonsCatalog(t *testing.T) {
+	_, ts := newTestDaemon(t, Config{Budget: 1})
+	type bpView struct {
+		Name        string
+		Description string
+		Defaults    map[string]any
+	}
+	got := getJSON[[]bpView](t, ts.URL+"/skeletons")
+	want := skandium.Blueprints()
+	if len(got) != len(want) {
+		t.Fatalf("GET /skeletons lists %d blueprints, want %d", len(got), len(want))
+	}
+	for i, b := range want {
+		g, _ := json.Marshal(got[i].Defaults)
+		w, _ := json.Marshal(map[string]any(b.Defaults))
+		if got[i].Name != b.Name || got[i].Description != b.Description || (len(b.Defaults) > 0 && string(g) != string(w)) {
+			t.Errorf("entry %d = %+v, want %s %q %s", i, got[i], b.Name, b.Description, w)
+		}
+	}
+	for _, bp := range got {
+		if bp.Name == "sleepgrid" && fmt.Sprint(bp.Defaults) != "map[cell_ms:5 k:4 m:4]" {
+			t.Fatalf("sleepgrid defaults %v", bp.Defaults)
+		}
+	}
 }
 
 // TestServerQueueAdmission: with budget 2 only two jobs run at once; the

@@ -249,9 +249,6 @@ func (e *Engine) nextHeal(now time.Time) (time.Time, bool) {
 	return e.partBase.Add(best), true
 }
 
-// Events returns the engine's registry.
-func (e *Engine) Events() *event.Registry { return e.events }
-
 // Clock returns the engine's virtual clock.
 func (e *Engine) Clock() clock.Clock { return e.clk }
 

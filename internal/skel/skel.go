@@ -268,25 +268,6 @@ func (n *Node) Walk(fn func(node *Node, depth int) bool) {
 	rec(n, 0)
 }
 
-// Size returns the number of nodes in the tree rooted at n.
-func (n *Node) Size() int {
-	count := 0
-	n.Walk(func(*Node, int) bool { count++; return true })
-	return count
-}
-
-// Depth returns the height of the tree rooted at n (a leaf has depth 1).
-func (n *Node) Depth() int {
-	max := 0
-	n.Walk(func(_ *Node, d int) bool {
-		if d+1 > max {
-			max = d + 1
-		}
-		return true
-	})
-	return max
-}
-
 // Validate checks structural invariants of the whole tree and reports the
 // first violation. Trees built exclusively through the constructors are
 // always valid; Validate exists for defence in depth (e.g. programs

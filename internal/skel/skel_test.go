@@ -84,19 +84,18 @@ func TestWalkSizeDepth(t *testing.T) {
 	e, s, m := fe(), fs(), fm()
 	inner := NewMap(s, NewSeq(e), m)
 	outer := NewMap(s, inner, m)
-	if outer.Size() != 3 {
-		t.Fatalf("size = %d, want 3", outer.Size())
-	}
-	if outer.Depth() != 3 {
-		t.Fatalf("depth = %d, want 3", outer.Depth())
-	}
 	var kinds []Kind
+	var depths []int
 	outer.Walk(func(nd *Node, depth int) bool {
 		kinds = append(kinds, nd.Kind())
+		depths = append(depths, depth)
 		return true
 	})
 	if len(kinds) != 3 || kinds[0] != Map || kinds[2] != Seq {
 		t.Fatalf("walk order: %v", kinds)
+	}
+	if depths[0] != 0 || depths[1] != 1 || depths[2] != 2 {
+		t.Fatalf("walk depths: %v, want [0 1 2]", depths)
 	}
 	// Early stop.
 	visits := 0

@@ -158,9 +158,6 @@ func (tr *Tracker) Release() {
 	tr.mu.Unlock()
 }
 
-// Estimates returns the estimate registry the tracker feeds.
-func (tr *Tracker) Estimates() *estimate.Registry { return tr.est }
-
 // Listener adapts the tracker to the event.Listener interface.
 func (tr *Tracker) Listener() event.Listener {
 	return event.Func(func(e *event.Event) any {

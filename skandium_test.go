@@ -399,6 +399,10 @@ func TestManualSetLP(t *testing.T) {
 	if st.LP() != 4 {
 		t.Fatalf("LP=%d, want clamp to 4", st.LP())
 	}
+	st.SetCap(3)
+	if st.LP() != 3 || st.Cap() != 3 {
+		t.Fatalf("LP=%d cap=%d, want both 3", st.LP(), st.Cap())
+	}
 }
 
 func TestStreamStats(t *testing.T) {

@@ -38,12 +38,9 @@ type Policy = core.Policy
 type PolicyCloner = core.Cloner
 
 // NewPolicy builds a registered adaptation policy by name ("" or "paper"
-// for the paper rule; see PolicyNames). The seed drives the stochastic
-// policies' perturbations.
+// for the paper rule); an unknown name's error lists the registered ones.
+// The seed drives the stochastic policies' perturbations.
 func NewPolicy(name string, seed int64) (Policy, error) { return core.NewPolicy(name, seed) }
-
-// PolicyNames lists the registered adaptation policies.
-func PolicyNames() []string { return core.Policies() }
 
 type config struct {
 	lp               int
