@@ -143,6 +143,20 @@ func TestRegistryDurations(t *testing.T) {
 	}
 }
 
+// TestRegistryDurationRoundTrips: a duration seeded with InitDuration reads
+// back to the nanosecond, over [0.5, 2] ms in steps of 997 ns, although its
+// seconds in a float64 are not exact.
+func TestRegistryDurationRoundTrips(t *testing.T) {
+	r := NewRegistry(DefaultRho)
+	m := muscle.NewExecute("m", func(p any) (any, error) { return p, nil })
+	for d := 500 * time.Microsecond; d <= 2*time.Millisecond; d += 997 {
+		r.InitDuration(m.ID(), d)
+		if got, ok := r.Duration(m.ID()); !ok || got != d {
+			t.Fatalf("InitDuration(%d ns) reads back as %d ns (%v)", d, got, ok)
+		}
+	}
+}
+
 func TestRegistryCards(t *testing.T) {
 	r := NewRegistry(DefaultRho)
 	m := muscle.NewSplit("s", func(p any) ([]any, error) { return nil, nil })

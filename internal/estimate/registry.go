@@ -1,6 +1,7 @@
 package estimate
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -81,7 +82,7 @@ func (r *Registry) Duration(id muscle.ID) (time.Duration, bool) {
 	if !ok {
 		return 0, false
 	}
-	return time.Duration(v * float64(time.Second)), true
+	return time.Duration(math.Round(v * float64(time.Second))), true
 }
 
 // ObserveCard records one actual cardinality of a Split or Condition

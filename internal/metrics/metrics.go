@@ -46,8 +46,8 @@ type gauge struct {
 }
 
 // firstGauges is the room the first sample reserves: a one-cell job's whole
-// series, at the four bytes a sample takes when the levels move by one and
-// the clock by microseconds.
+// series, at the three bytes a sample takes when the active level moves by
+// one, the LP not at all and the clock by microseconds.
 const firstGauges = 16
 
 // Clamp32 keeps an out-of-range count at the int32 bound instead of
@@ -65,9 +65,11 @@ type Recorder struct {
 	started bool
 	base    time.Time // the first sample's T
 	// packed is the series in arrival order, pointer-free: each sample is
-	// three zigzag varints, off, active and lp, each the wrapping delta from
-	// the sample before it (the zero gauge for the first). Bytes below its
-	// length are never written again.
+	// off's delta from the sample before it (the zero gauge for the first),
+	// a zigzag varint; then a uvarint of active's zigzag delta shifted left
+	// by one, its low bit set when lp did not move; then, when it did, lp's
+	// zigzag delta. The level deltas wrap at 32 bits. Bytes below its length
+	// are never written again.
 	packed []byte
 	last   gauge // the newest sample, what the next one is a delta from
 }
@@ -91,12 +93,17 @@ func (r *Recorder) Gauge(now time.Time, active, lp int) {
 	}
 	if len(r.packed) == 0 {
 		r.base = now
-		r.packed = make([]byte, 0, 4*firstGauges)
+		r.packed = make([]byte, 0, 3*firstGauges)
 	}
 	g := gauge{off: int64(now.Sub(r.base)), active: Clamp32(active), lp: Clamp32(lp)}
 	r.packed = binary.AppendVarint(r.packed, g.off-r.last.off)
-	r.packed = binary.AppendVarint(r.packed, int64(g.active-r.last.active))
-	r.packed = binary.AppendVarint(r.packed, int64(g.lp-r.last.lp))
+	levels := zigzag32(g.active-r.last.active) << 1
+	if g.lp == r.last.lp {
+		r.packed = binary.AppendUvarint(r.packed, levels|1)
+	} else {
+		r.packed = binary.AppendUvarint(r.packed, levels)
+		r.packed = binary.AppendVarint(r.packed, int64(g.lp-r.last.lp))
+	}
 	r.last = g
 	r.mu.Unlock()
 }
@@ -111,6 +118,13 @@ func (r *Recorder) Trim() {
 	r.mu.Unlock()
 }
 
+// Bytes returns the size of the packed series.
+func (r *Recorder) Bytes() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.packed)
+}
+
 // snapshot decodes the series in time order (concurrent gauges can report
 // out of order; ties keep their arrival order), each T rebuilt as
 // base.Add(off), with the series origin. The bytes it decodes are never
@@ -120,12 +134,16 @@ func (r *Recorder) snapshot() (start time.Time, out []Sample) {
 	start, base := r.start, r.base
 	packed := r.packed
 	r.mu.Unlock()
-	gs := make([]gauge, 0, len(packed)/3) // a sample is at least three bytes
+	gs := make([]gauge, 0, len(packed)/2) // a sample is at least two bytes
 	var g gauge
 	for off := 0; off < len(packed); {
 		g.off += varint(packed, &off)
-		g.active += int32(varint(packed, &off))
-		g.lp += int32(varint(packed, &off))
+		levels, n := binary.Uvarint(packed[off:])
+		off += n
+		g.active += int32(levels>>2) ^ -int32(levels>>1&1)
+		if levels&1 == 0 {
+			g.lp += int32(varint(packed, &off))
+		}
 		gs = append(gs, g)
 	}
 	slices.SortStableFunc(gs, func(a, b gauge) int { return cmp.Compare(a.off, b.off) })
@@ -134,6 +152,12 @@ func (r *Recorder) snapshot() (start time.Time, out []Sample) {
 		out[i] = Sample{T: base.Add(time.Duration(g.off)), Active: int(g.active), LP: int(g.lp)}
 	}
 	return start, out
+}
+
+// zigzag32 maps a 32-bit delta to the unsigned form a varint of it packs:
+// 0, -1, 1, -2 … to 0, 1, 2, 3 ….
+func zigzag32(d int32) uint64 {
+	return uint64(uint32(d<<1 ^ d>>31))
 }
 
 // varint decodes the zigzag varint at src[*off] and moves *off past it.

@@ -280,6 +280,20 @@ func FuzzGaugePack(f *testing.F) {
 	}
 	f.Add(edge)
 	f.Add(append(slices.Clone(edge), edge...))
+	// A fine fan-out's series: the active level steps by ±1 each sample,
+	// the LP moves once, and a trim falls in the middle.
+	var steps []byte
+	for i := int64(0); i < 24; i++ {
+		lp := int64(2)
+		if i >= 12 {
+			lp = 3
+		}
+		if i == 16 {
+			steps = appendGaugeOp(steps, 0, 0, 0, 0)
+		}
+		steps = appendGaugeOp(steps, 1, 1500*i, 1+i%2, lp)
+	}
+	f.Add(steps)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, m := NewRecorder(), &gaugeModel{}
 		check := func(when string) {

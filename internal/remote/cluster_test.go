@@ -77,21 +77,6 @@ func TestClusterRejectsIneligible(t *testing.T) {
 }
 
 func TestClusterTaskErrorFailsJob(t *testing.T) {
-	skandium.RegisterBlueprint(skandium.Blueprint{
-		Name:        "remotetest-failing",
-		Description: "a grid whose cells always fail",
-		Remote:      skandium.JSONCodec[gridCell, int](),
-		Build: func(p skandium.Params) (skandium.Runner, error) {
-			fs := skandium.NewSplit("cells", func(total int) ([]gridCell, error) {
-				return make([]gridCell, total), nil
-			})
-			fe := skandium.NewExec("boom", func(c gridCell) (int, error) {
-				return 0, fmt.Errorf("cell exploded")
-			})
-			fm := skandium.NewMerge("sum", func(parts []int) (int, error) { return 0, nil })
-			return skandium.NewRunner(skandium.Map(fs, skandium.Seq(fe), fm), p.Int("n", 4)), nil
-		},
-	})
 	c, _ := newTestCluster(t, Config{}, 1)
 	if _, err := c.Run("remotetest-failing", nil); err == nil ||
 		!strings.Contains(err.Error(), "cell exploded") {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"io"
+	"math/bits"
 	"slices"
 	"sort"
 	"strconv"
@@ -17,8 +18,8 @@ import (
 )
 
 // record is one job event as the log takes it and a reader decodes it:
-// free of pointers, and stored as its difference from the record before it
-// (appendPacked). Everything a reader shows — the ∆@notation, the kind,
+// free of pointers, and stored as its difference from the records before it
+// (packer.append). Everything a reader shows — the ∆@notation, the kind,
 // when and where names, t_ms — is rendered from it on read.
 type record struct {
 	t      int64 // nanoseconds since the job was created
@@ -50,7 +51,7 @@ type sideRecord struct {
 
 // eventLog is a bounded ring of a job's events with follow support. The
 // listener appends from worker goroutines, each record packed against the
-// one before it into one pointer-free buffer; NDJSON handlers take the
+// ones before it into one pointer-free buffer; NDJSON handlers take the
 // buffer under the lock and decode and render it outside it (see
 // logReader). The buffer keeps at most 2·cap records: the append that
 // would go past that drops the evicted ones (see dropLocked).
@@ -61,11 +62,14 @@ type eventLog struct {
 	mu    sync.Mutex
 	n     int64 // records ever appended; seq n-1 is the newest
 	first int64 // seq of buf's first record, at most max(0, n-cap)
-	// buf holds records first…n-1, the first packed against the zero
-	// record. Bytes below len(buf) are never written again: a drop or a
-	// trim copies into a new buffer.
-	buf    []byte
-	last   record       // record n-1, which the next one is packed against
+	// buf holds records first…n-1, packed from the zero packer. Bytes
+	// below len(buf) are never written again: a drop or a trim copies into
+	// a new buffer.
+	buf []byte
+	// pack is the packer after record n-1, what the next one is packed
+	// against. It lives only while the log grows: trim hands it back to
+	// packers, and the next append takes one and rebuilds it by decoding buf.
+	pack   *packer
 	side   []sideRecord // of the retained records whose side != sideNone, by seq
 	closed bool
 	// parked holds the wake channel of every follower that found nothing to
@@ -133,8 +137,15 @@ func (l *eventLog) append(rec record, side sideRecord) {
 	if l.n-l.first == 2*l.cap {
 		l.dropLocked(2) // room for the cap appends until the next drop
 	}
-	l.buf = appendPacked(l.buf, &l.last, &rec)
-	l.last = rec
+	if l.pack == nil {
+		l.pack = packers.Get().(*packer)
+		*l.pack = packer{}
+		var skip record
+		for off := 0; off < len(l.buf); {
+			off += l.pack.decode(l.buf[off:], &skip)
+		}
+	}
+	l.buf = l.pack.append(l.buf, &rec)
 	if rec.side != sideNone {
 		side.seq = l.n
 		l.side = append(l.side, side)
@@ -186,92 +197,210 @@ func (l *eventLog) close() {
 	l.mu.Unlock()
 }
 
-// trim drops the evicted records and the append slack, so a frozen job's
-// events cost what its retained records carry, about 7 bytes each. Called
-// once the job is frozen; a log appended to after that just grows again.
+// trim drops the evicted records, the append slack and the packer, so a
+// frozen job's events cost what its retained records carry: 3.0 bytes each
+// in a 500-task fan-out, whose gauge series (metrics.Recorder.Trim) takes
+// 3.0 bytes a sample. Called once the job is frozen; a log appended to after
+// that rebuilds its packer and grows again.
 func (l *eventLog) trim() {
 	l.mu.Lock()
 	if l.first < l.n-l.cap || cap(l.buf) > len(l.buf) {
 		l.dropLocked(1)
 	}
+	if l.pack != nil {
+		packers.Put(l.pack)
+		l.pack = nil
+	}
 	l.mu.Unlock()
 }
 
-// dropLocked copies the retained records, seq max(first, n-cap) on, into a
-// new buffer of grow times their size. The oldest is packed again against
-// the zero record; the bytes after it are copied as they are, each still
-// the difference from the record before it. The log must not be empty.
+// dropLocked moves the retained records, seq max(first, n-cap) on, into a
+// new buffer of grow times their size. With none evicted it copies the
+// bytes as they are. Otherwise it re-packs the retained records from the
+// zero packer, one pass to size the buffer and one to fill it, and leaves
+// the log's packer, when it has one, where the second pass ends.
 func (l *eventLog) dropLocked(grow int) {
 	base := max(l.first, l.n-l.cap)
+	if base == l.first {
+		l.buf = append(make([]byte, 0, grow*len(l.buf)), l.buf...)
+		return
+	}
+	var dec packer
 	var rec record
 	off := 0
 	for seq := l.first; seq < base; seq++ {
-		off += decodePacked(l.buf[off:], &rec)
+		off += dec.decode(l.buf[off:], &rec)
 	}
-	rest := off + decodePacked(l.buf[off:], &rec)
-	var head [maxPackedRecord]byte
-	h := appendPacked(head[:0], &record{}, &rec)
-	size := len(h) + len(l.buf) - rest
-	buf := append(make([]byte, 0, grow*size), h...)
-	l.buf, l.first = append(buf, l.buf[rest:]...), base
+	var scratch [maxPackedRecord]byte
+	size, sizer, enc := 0, dec, packer{}
+	for at := off; at < len(l.buf); {
+		at += sizer.decode(l.buf[at:], &rec)
+		size += len(enc.append(scratch[:0], &rec))
+	}
+	buf := make([]byte, 0, grow*size)
+	enc = packer{}
+	for off < len(l.buf) {
+		off += dec.decode(l.buf[off:], &rec)
+		buf = enc.append(buf, &rec)
+	}
+	l.buf, l.first = buf, base
+	if l.pack != nil {
+		*l.pack = enc
+	}
 }
 
-// maxPackedRecord bounds the bytes of one packed record: a tag of at most
-// two bytes, the mask byte, three 64-bit deltas and four 32-bit ones.
-const maxPackedRecord = 2 + 1 + 3*binary.MaxVarintLen64 + 4*binary.MaxVarintLen32
+// packer is the state a record is packed against, and decoded with: the
+// record just before it, the last record of each where, and the kind, side
+// and mask of the last record of each when and where. An encoder and a
+// decoder that start from the zero packer and see the same records hold the
+// same packer after each one.
+//
+// A record's t is packed against the record just before it. Its index,
+// parent, card, branch, iter and worker are packed against the last record
+// with its where. In a fan-out the map's NestedSkel records and the child's
+// Skeleton records alternate, and each repeats the last of its own where
+// but for a step in index or branch. The record just before is the base
+// instead when the where is new, and when it shares the record's parent
+// and the where's last record does not: in a nested fan-out that last
+// record can sit a level away.
+type packer struct {
+	prev  record
+	bases [8]record // by where; bases[w] holds a record once seen bit w is set
+	seen  uint8
+	heads [2][8]packHead // by when and where
+}
 
-// appendPacked encodes rec as its difference from prev, the record before
-// it (the zero record for the first). A uvarint tag carries when (1 bit),
-// where (3), kind (8) and side (2), in that order from the low bit, so a
-// record of the first eight kinds with no side entry tags in one byte.
-// Then one mask byte says which of the wrapping deltas of t, index,
-// parent, card, branch, iter and worker (bits 0 to 6) are not zero, and
-// those follow in that order, each as a zigzag varint. Every field
-// round-trips exactly as long as when < 2, where < 8 and side < 4, which
-// every event.When, event.Where and side constant is.
-func appendPacked(dst []byte, prev, rec *record) []byte {
-	tag := uint64(rec.when) | uint64(rec.where)<<1 | uint64(rec.kind)<<4 | uint64(rec.side)<<12
-	dst = binary.AppendUvarint(dst, tag)
-	at := len(dst)
-	dst = append(dst, 0) // the mask, set bit by bit below
-	put := func(bit byte, d int64) {
-		if d != 0 {
-			dst[at] |= bit
-			dst = binary.AppendVarint(dst, d)
+// packers recycles packers: a log holds one only from its first append to
+// its trim, so a finished job's log allocates none of its own.
+var packers = sync.Pool{New: func() any { return new(packer) }}
+
+// packHead is what a record's header byte can say by naming its when and
+// where alone.
+type packHead struct{ kind, side, mask uint8 }
+
+// Mask bits: maskT and the field bits say which deltas follow, in that
+// order; maskPrev says the fields are packed against the record just before
+// rather than the last one with the same where.
+const (
+	maskT    = 1 << 0 // fields index … worker are bits 1 to 6
+	maskPrev = 1 << 7
+)
+
+// Header codes, the high nibble of a record's first byte.
+const (
+	codeRepeat = 0  // kind, side and mask are the last ones of this when and where
+	codeEscape = 15 // a uvarint of kind | side<<8 and the mask byte follow
+	// 1 to 14: kind code-1 with no side entry; the mask byte follows
+)
+
+// maxPackedRecord bounds the bytes of one packed record: the header byte,
+// an escaped kind and side of at most two bytes, the mask byte, three
+// 64-bit deltas and four 32-bit ones.
+const maxPackedRecord = 1 + 2 + 1 + 3*binary.MaxVarintLen64 + 4*binary.MaxVarintLen32
+
+// append encodes rec onto dst and moves the packer past it. The header
+// byte holds when (bit 0), where (bits 1 to 3) and a code (bits 4 to 7). A
+// record whose kind, side and mask repeat the last record with its when and
+// where is that byte alone; any other has a mask byte too. Then follow, in
+// mask order, the deltas that are not zero, each wrapping and a zigzag
+// varint. Every field round-trips exactly as long as when < 2, where < 8
+// and side < 4, which every event.When, event.Where and side constant is.
+func (p *packer) append(dst []byte, rec *record) []byte {
+	wn, wr := rec.when&1, rec.where&7
+	var d [7]int64
+	d[0] = rec.t - p.prev.t
+	base, mask := &p.prev, uint8(0)
+	if p.seen&(1<<wr) != 0 && p.prev.where != wr {
+		if b := &p.bases[wr]; rec.parent == p.prev.parent && rec.parent != b.parent {
+			mask = maskPrev
+		} else {
+			base = b
 		}
 	}
-	put(1<<0, rec.t-prev.t)
-	put(1<<1, rec.index-prev.index)
-	put(1<<2, rec.parent-prev.parent)
-	put(1<<3, int64(rec.card-prev.card))
-	put(1<<4, int64(rec.branch-prev.branch))
-	put(1<<5, int64(rec.iter-prev.iter))
-	put(1<<6, int64(rec.worker-prev.worker))
+	mask |= fieldDeltas(&d, base, rec)
+	if d[0] != 0 {
+		mask |= maskT
+	}
+	h, last := packHead{rec.kind, rec.side, mask}, &p.heads[wn][wr]
+	b := wn | wr<<1
+	switch {
+	case h == *last:
+		dst = append(dst, b|codeRepeat<<4)
+	case rec.side == sideNone && rec.kind < codeEscape-1:
+		dst = append(dst, b|(rec.kind+1)<<4, mask)
+	default:
+		dst = append(dst, b|codeEscape<<4)
+		dst = binary.AppendUvarint(dst, uint64(rec.kind)|uint64(rec.side)<<8)
+		dst = append(dst, mask)
+	}
+	for m := mask &^ maskPrev; m != 0; m &= m - 1 {
+		dst = binary.AppendVarint(dst, d[bits.TrailingZeros8(m)])
+	}
+	*last = h
+	p.prev, p.bases[wr] = *rec, *rec
+	p.seen |= 1 << wr
 	return dst
 }
 
-// decodePacked decodes the record at the start of src, which appendPacked
-// encoded against *rec, into *rec, and returns its length.
-func decodePacked(src []byte, rec *record) int {
-	tag, off := binary.Uvarint(src)
-	rec.when, rec.where, rec.kind, rec.side = uint8(tag&1), uint8(tag>>1&7), uint8(tag>>4), uint8(tag>>12)
-	mask := src[off]
-	off++
-	delta := func(bit byte) int64 {
-		if mask&bit == 0 {
+// fieldDeltas sets d[1:] to rec's wrapping differences from base in index,
+// parent, card, branch, iter and worker, and returns the mask bits of those
+// that are not zero.
+func fieldDeltas(d *[7]int64, base, rec *record) (mask uint8) {
+	d[1] = rec.index - base.index
+	d[2] = rec.parent - base.parent
+	d[3] = int64(rec.card - base.card)
+	d[4] = int64(rec.branch - base.branch)
+	d[5] = int64(rec.iter - base.iter)
+	d[6] = int64(rec.worker - base.worker)
+	for i := 1; i < len(d); i++ {
+		if d[i] != 0 {
+			mask |= 1 << i
+		}
+	}
+	return mask
+}
+
+// decode decodes the record at the start of src, which append encoded from
+// this packer, into *rec, moves the packer past it and returns its length.
+func (p *packer) decode(src []byte, rec *record) int {
+	b, off := src[0], 1
+	wn, wr := b&1, b>>1&7
+	h := &p.heads[wn][wr]
+	switch code := b >> 4; code {
+	case codeRepeat:
+	case codeEscape:
+		v, n := binary.Uvarint(src[off:])
+		h.kind, h.side, h.mask = uint8(v), uint8(v>>8), src[off+n]
+		off += n + 1
+	default:
+		h.kind, h.side, h.mask = code-1, sideNone, src[off]
+		off++
+	}
+	r := &p.prev
+	if h.mask&maskPrev == 0 && p.seen&(1<<wr) != 0 && r.where != wr {
+		t := r.t
+		*r = p.bases[wr]
+		r.t = t
+	}
+	delta := func(bit uint8) int64 {
+		if h.mask&bit == 0 {
 			return 0
 		}
 		v, n := binary.Varint(src[off:])
 		off += n
 		return v
 	}
-	rec.t += delta(1 << 0)
-	rec.index += delta(1 << 1)
-	rec.parent += delta(1 << 2)
-	rec.card += int32(delta(1 << 3))
-	rec.branch += int32(delta(1 << 4))
-	rec.iter += int32(delta(1 << 5))
-	rec.worker += int32(delta(1 << 6))
+	r.t += delta(maskT)
+	r.index += delta(1 << 1)
+	r.parent += delta(1 << 2)
+	r.card += int32(delta(1 << 3))
+	r.branch += int32(delta(1 << 4))
+	r.iter += int32(delta(1 << 5))
+	r.worker += int32(delta(1 << 6))
+	r.when, r.where, r.kind, r.side = wn, wr, h.kind, h.side
+	p.bases[wr] = *r
+	p.seen |= 1 << wr
+	*rec = *r
 	return off
 }
 
@@ -323,12 +452,13 @@ type logReader struct {
 	timer *time.Timer
 
 	// The decode cursor: record at of a buffer whose first record is seq
-	// first starts at byte off and was packed against prev. Bytes once
-	// written never change, so it holds for every buffer with that first.
+	// first starts at byte off and was packed against pack, the cursor's
+	// own packer. Bytes once written never change, so it holds for every
+	// buffer with that first.
 	first int64
 	off   int
 	at    int64
-	prev  record
+	pack  packer
 }
 
 // reader returns a cursor that delivers the records with seq >= from. A
@@ -381,13 +511,14 @@ func (rd *logReader) next(wait waitMode) (out []byte, done bool) {
 	if from < end {
 		rd.seek(buf, first, from)
 		side := rd.side
+		var rec record
 		for ; rd.at < end; rd.at++ {
-			rd.off += decodePacked(buf[rd.off:], &rd.prev)
+			rd.off += rd.pack.decode(buf[rd.off:], &rec)
 			var sr *sideRecord
-			if rd.prev.side != sideNone {
+			if rec.side != sideNone {
 				sr, side = &side[0], side[1:]
 			}
-			out = appendRecord(out, rd.at, &rd.prev, sr)
+			out = appendRecord(out, rd.at, &rec, sr)
 		}
 	}
 	rd.out = out
@@ -399,10 +530,11 @@ func (rd *logReader) next(wait waitMode) (out []byte, done bool) {
 // first and not past seq, from the start of buf otherwise.
 func (rd *logReader) seek(buf []byte, first, seq int64) {
 	if rd.first != first || rd.at > seq {
-		rd.first, rd.off, rd.at, rd.prev = first, 0, first, record{}
+		rd.first, rd.off, rd.at, rd.pack = first, 0, first, packer{}
 	}
+	var rec record
 	for ; rd.at < seq; rd.at++ {
-		rd.off += decodePacked(buf[rd.off:], &rd.prev)
+		rd.off += rd.pack.decode(buf[rd.off:], &rec)
 	}
 }
 

@@ -274,15 +274,16 @@ func TestFinishedViewsByteIdentical(t *testing.T) {
 }
 
 // TestFinishedJobIgnoresLevers: DELETE /jobs/{id} and PATCH /jobs/{id}/qos
-// on a finished job that is still retained reach the levers of its frozen
-// handle, which move nothing: the job's state, result and decisions read
-// the same before and after, and the handle still answers with the outcome.
+// on a finished job that is still retained move nothing: the job's view,
+// goal and LP cap included, and its decisions read byte for byte the same
+// before and after, and the frozen handle still answers with the outcome.
 func TestFinishedJobIgnoresLevers(t *testing.T) {
 	srv, ts := newTestDaemon(t, Config{Budget: 4})
 	j := finish(t, submit(t, srv, SubmitSpec{Skeleton: "sleepgrid",
 		Params: skandium.Params{"k": 4, "m": 4, "cell_ms": 2}, Goal: 20 * time.Millisecond}))
 	url := ts.URL + "/jobs/" + j.id
 	before, decisions := getJSON[jobView](t, url), get(srv, "/jobs/"+j.id+"/decisions")
+	view := get(srv, "/jobs/"+j.id)
 	if before.Decisions == 0 {
 		t.Fatalf("%s finished with no decisions to keep", j.id)
 	}
@@ -297,6 +298,9 @@ func TestFinishedJobIgnoresLevers(t *testing.T) {
 	after := getJSON[jobView](t, url)
 	if after.State != before.State || after.Result != before.Result || after.Decisions != before.Decisions {
 		t.Fatalf("levers moved a finished job: %+v, was %+v", after, before)
+	}
+	if got := get(srv, "/jobs/"+j.id); got != view {
+		t.Fatalf("the view of a finished job moved:\n%s\nwas:\n%s", got, view)
 	}
 	if got := get(srv, "/jobs/"+j.id+"/decisions"); got != decisions {
 		t.Fatalf("decisions moved:\n%s\nwas:\n%s", got, decisions)

@@ -129,6 +129,38 @@ func TestServerRoutesEligibleJobToCluster(t *testing.T) {
 	}
 }
 
+// TestClusterJobIgnoresLevers: PATCH /jobs/{id}/qos on a job the cluster
+// runs answers 200 and reaches the levers of its handle, which are inert:
+// the cluster's own arbiter sets its LP, and the job finishes as it would
+// have.
+func TestClusterJobIgnoresLevers(t *testing.T) {
+	srv, ts, _ := newTestClusterDaemon(t, 2)
+	j, err := srv.Submit(SubmitSpec{
+		Skeleton: "sleepgrid",
+		Params:   map[string]any{"k": 4, "m": 4, "cell_ms": 20},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		j.mu.Lock()
+		_, routed := j.handle.(*remoteHandle)
+		j.mu.Unlock()
+		if routed {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the job never ran on the cluster")
+		}
+	}
+	if code := status(t, "PATCH", ts.URL+"/jobs/"+j.id+"/qos", `{"goal_ms":500,"max_lp":1}`); code != http.StatusOK {
+		t.Fatalf("PATCH of a cluster job: %d, want 200", code)
+	}
+	if res, err := waitJobDone(t, j); err != nil || res != 16 {
+		t.Fatalf("result %v (%v), want 16 surviving cells", res, err)
+	}
+}
+
 // TestServerRecoveredJobRoutesToCluster: journal recovery builds a
 // re-queued job with the same constructor as a submission, so a
 // cluster-eligible job the crash left queued routes to the workers exactly

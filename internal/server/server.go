@@ -776,7 +776,7 @@ func (s *Server) Cancel(id string) bool {
 
 // AdjustQoS changes a running job's WCT goal and/or LP cap and triggers an
 // immediate rebalance so the new wish is arbitrated right away. Nil fields
-// keep the current value.
+// keep the current value. A finished job stays as it ran.
 func (s *Server) AdjustQoS(id string, goal *time.Duration, maxLP *int) error {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
@@ -785,6 +785,10 @@ func (s *Server) AdjustQoS(id string, goal *time.Duration, maxLP *int) error {
 		return fmt.Errorf("server: no job %q", id)
 	}
 	j.mu.Lock()
+	if j.state.terminal() {
+		j.mu.Unlock()
+		return nil
+	}
 	if goal != nil {
 		j.goal = *goal
 	}
