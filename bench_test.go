@@ -617,6 +617,42 @@ func BenchmarkADGBuildSchedule(b *testing.B) {
 	}
 }
 
+// rebalanceMember is an arbiter member with a fixed wish.
+type rebalanceMember struct{ d core.Demand }
+
+func (m *rebalanceMember) Demand() core.Demand { return m.d }
+func (m *rebalanceMember) Grant(int)           {}
+
+// BenchmarkArbiterRebalance times one Arbiter.Rebalance over m members of 4
+// tenants weighted 1 to 4, whose wishes are twice the budget, so every
+// tenant's group contracts every round: the shape of the core.rebalance
+// probe in bench/.
+func BenchmarkArbiterRebalance(b *testing.B) {
+	for _, m := range []int{16, 1024} {
+		b.Run(fmtInt("members", m), func(b *testing.B) {
+			arb := core.NewArbiter(2*m, nil)
+			tenants := []string{"alpha", "beta", "gamma", "delta"}
+			for i, t := range tenants {
+				arb.SetTenantWeight(t, i+1)
+			}
+			for i := 0; i < m; i++ {
+				d := core.Demand{
+					Valid: true, CurrentLP: 2, DesiredLP: 4, OptimalLP: 4, Goal: time.Second,
+					Overshoot: time.Duration(i%7-3) * 10 * time.Millisecond,
+				}
+				if err := arb.AdmitFor(fmtInt("job", i), tenants[i%len(tenants)], &rebalanceMember{d}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				arb.Rebalance()
+			}
+		})
+	}
+}
+
 // BenchmarkMultiNodeSim runs a 32-cell map on simulated clusters of equal
 // total thread count but different shapes: one fat node with no link cost
 // versus progressively thinner nodes paying 2×Link per shipped muscle. The

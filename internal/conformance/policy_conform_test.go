@@ -20,12 +20,9 @@ import (
 // (PaperPolicy through the one actuation API) must match decision-for-
 // decision across the conformance corpus.
 type legacyPaperPolicy struct {
-	core.PaperContract
 	inc core.IncreasePolicy
 	dec core.DecreasePolicy
 }
-
-func (legacyPaperPolicy) Name() string { return "legacy-paper" }
 
 const legacyUnreachableSlack = 0.05
 

@@ -60,7 +60,6 @@ type Arbiter struct {
 	clk    clock.Clock
 
 	mu      sync.Mutex
-	policy  Policy // fleet face driven per rebalance round (nil = paper)
 	members map[string]*arbEntry
 	order   []string // admission order, for deterministic iteration
 	weights map[string]int
@@ -88,16 +87,6 @@ func NewArbiter(budget int, clk clock.Clock) *Arbiter {
 		members: map[string]*arbEntry{},
 		weights: map[string]int{},
 	}
-}
-
-// SetPolicy installs the policy whose Contract face shrinks over-budget
-// tenant groups during rebalances (nil restores the paper default) and
-// rebalances so the new rule takes effect immediately.
-func (a *Arbiter) SetPolicy(p Policy) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.policy = p
-	a.rebalanceLocked("policy changed")
 }
 
 // SetTenantWeight fixes a tenant's relative weight in the budget division
@@ -318,15 +307,8 @@ func (a *Arbiter) rebalanceLocked(why string) {
 	shares := fairShares(a.budget, loads)
 
 	// Level 2: inside each tenant, shrink until the wishes fit its share.
-	// The victim choice is the policy's Contract face — the paper default
-	// halves the slack jobs first (largest grant first, so comfort pays
-	// before need), then goal-missing jobs, least severe overshoot first.
-	pol := a.policy
-	if pol == nil {
-		pol = PaperPolicy{}
-	}
 	for i, t := range tenants {
-		shrinkToFit(pol, groups[t], shares[i])
+		shrinkToFit(groups[t], shares[i])
 	}
 
 	// Apply and log changes: all cuts before all raises, so the sum of the
@@ -374,36 +356,41 @@ func (a *Arbiter) logLocked(d GrantDecision) {
 	a.log = append(a.log, d)
 }
 
-// shrinkToFit drives the policy's Contract face until the members' tentative
-// grants sum to at most target. Each round the policy picks one victim and
-// its new (smaller) grant; the paper default halves rather than zeroes, so
-// every member keeps at least one worker, and clamps the final cut to land
-// exactly on the target (the proportionality the overload fairness
-// invariants assert). A policy returning no victim, an out-of-range index
-// or a non-shrinking grant ends the round early — the floor admission
-// guarantees (one worker per member within budget) can never be violated by
-// a buggy policy, only approached.
-func shrinkToFit(pol Policy, cands []*cand, target int) {
+// shrinkToFit applies the paper's asymmetric rule one level up until the
+// members' tentative grants sum to at most target: it halves the slack
+// members first (largest grant first, so comfort pays before need), then the
+// goal-missing ones, least severe overshoot first. A cut halves rather than
+// zeroes, so every member keeps the one worker admission guarantees, and the
+// final cut is clamped to land exactly on the target rather than halving
+// below it (the proportionality the overload fairness invariants assert).
+func shrinkToFit(cands []*cand, target int) {
 	sum := 0
 	for _, c := range cands {
 		sum += c.grant
 	}
-	views := make([]GrantView, len(cands))
 	for sum > target {
-		for i, c := range cands {
-			views[i] = GrantView{ID: c.id, Grant: c.grant, Severe: c.severe, Overshoot: c.overshoot}
+		var v *cand
+		for _, c := range cands { // pass 1: slack members
+			if !c.severe && c.grant > 1 && (v == nil || c.grant > v.grant) {
+				v = c
+			}
 		}
-		v, g, ok := pol.Contract(views, sum-target)
-		if !ok || v < 0 || v >= len(cands) {
-			break // nothing shrinkable (all at the floor of 1), or bad index
+		if v == nil {
+			for _, c := range cands { // pass 2: least-severe goal-missers
+				if c.grant > 1 && (v == nil || c.overshoot < v.overshoot ||
+					(c.overshoot == v.overshoot && c.grant > v.grant)) {
+					v = c
+				}
+			}
 		}
-		if g < 1 {
-			g = 1
+		if v == nil {
+			return // all at the floor of 1
 		}
-		if g >= cands[v].grant {
-			break // no progress; guards against a policy that never shrinks
+		cut := v.grant / 2 // >= 1: v.grant > 1
+		if fit := v.grant - (sum - target); fit > cut {
+			cut = fit
 		}
-		sum -= cands[v].grant - g
-		cands[v].grant = g
+		sum -= v.grant - cut
+		v.grant = cut
 	}
 }

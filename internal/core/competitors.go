@@ -18,7 +18,6 @@ import (
 // has ever seen meet the goal); on slack it probes one step down, with a
 // seeded occasional two-step perturbation to escape plateaus.
 type HillClimb struct {
-	PaperContract
 	seed    int64
 	rng     *rand.Rand
 	step    int
@@ -30,9 +29,6 @@ type HillClimb struct {
 func NewHillClimb(seed int64) *HillClimb {
 	return &HillClimb{seed: seed, rng: rand.New(rand.NewSource(seed)), step: 1}
 }
-
-// Name implements Policy.
-func (h *HillClimb) Name() string { return "hillclimb" }
 
 // ClonePolicy implements Cloner: a fresh instance replaying the original
 // seed, so a fan-out point (multi-input Stream) hands every controller an
@@ -107,7 +103,6 @@ const (
 // two goal-hitting arms prefer the cheaper one — then picks the next arm:
 // the best-valued one, or (with probability epsilon) a seeded random one.
 type Bandit struct {
-	PaperContract
 	seed    int64
 	rng     *rand.Rand
 	q       map[int]float64 // arm (LP) -> decayed value
@@ -118,9 +113,6 @@ type Bandit struct {
 func NewBandit(seed int64) *Bandit {
 	return &Bandit{seed: seed, rng: rand.New(rand.NewSource(seed)), q: map[int]float64{}}
 }
-
-// Name implements Policy.
-func (b *Bandit) Name() string { return "bandit" }
 
 // ClonePolicy implements Cloner: a fresh instance replaying the original
 // seed, with empty arm values — behaviourally a newly built bandit.
@@ -183,13 +175,6 @@ func (b *Bandit) Observe(pred *Prediction, act Actuation) Proposal {
 		target = best
 	}
 	b.lastArm = target
-	if act.Held && target < cur {
-		// Decrease-damping window: hold the lever and defer the lower arm
-		// to the next unheld analysis. Wishing lower through Demand would
-		// let the budget arbiter shrink the grant below the held level,
-		// re-opening the decrease the controller is damping.
-		return Proposal{LP: cur}
-	}
 	if target == cur {
 		return Proposal{LP: cur}
 	}
@@ -231,15 +216,10 @@ const (
 // current LP, and the model optimum). Unlike the paper's rule it will run
 // slightly late on purpose when the parallelism needed to hit the goal
 // costs more than the overshoot it saves.
-type CostAware struct {
-	PaperContract
-}
+type CostAware struct{}
 
 // NewCostAware builds the cost-aware policy (deterministic; no seed).
 func NewCostAware() *CostAware { return &CostAware{} }
-
-// Name implements Policy.
-func (*CostAware) Name() string { return "costaware" }
 
 // Observe implements Policy.
 func (*CostAware) Observe(pred *Prediction, act Actuation) Proposal {
@@ -288,12 +268,6 @@ func (*CostAware) Observe(pred *Prediction, act Actuation) Proposal {
 		if i == 0 || cost < bestCost { // ties keep the smaller LP
 			best, bestCost = lp, cost
 		}
-	}
-	if act.Held && best < cur {
-		// Decrease-damping window: hold, and defer the cheaper LP to the
-		// next unheld analysis rather than wishing for less via Demand
-		// (which would invite the arbiter to shrink under the hold).
-		return Proposal{LP: cur}
 	}
 	if best == cur {
 		return Proposal{LP: cur}

@@ -549,18 +549,6 @@ func (c *Controller) Analyze(now time.Time) bool {
 		desired = target
 		c.apply(now, cur, target, predicted, best, optimal, prop.Reason)
 	}
-	if d := prop.Demand; d > 0 {
-		if cfg.MaxLP > 0 && d > cfg.MaxLP {
-			d = cfg.MaxLP
-		}
-		if held && d < cur {
-			// The damping window holds the lever at cur; publishing a lower
-			// wish would let the budget arbiter shrink the grant below the
-			// held level, re-opening the decrease through arbitration.
-			d = cur
-		}
-		desired = d
-	}
 	return true
 }
 

@@ -7,14 +7,12 @@ import (
 	"time"
 )
 
-// Policy is the single actuation contract of the adaptation stack. The
-// controller drives Observe once per analysis (the per-job face: given the
-// latest WCT prediction, propose a level of parallelism); the arbiter
-// drives Contract once per rebalance round (the fleet face: given every
-// member's tentative grant, pick the next victim to shrink). The paper's
-// asymmetric rule, its ablation variants and the competitor policies are
-// all implementations of this one interface — neither controller.go nor
-// arbiter.go special-cases any of them.
+// Policy is the single actuation contract of the adaptation stack: the
+// controller drives Observe once per analysis (given the latest WCT
+// prediction, propose a level of parallelism). The paper's asymmetric rule,
+// its ablation variants and the competitor policies are all implementations
+// of this one interface — controller.go special-cases none of them. The
+// registry key (NewPolicy, Policies) is the one name a policy answers to.
 //
 // Stateful policies (hill-climber, bandit) are driven by exactly one
 // controller at a time: the controller serializes analyses, but one policy
@@ -22,15 +20,9 @@ import (
 // fan-out point that hands one configured value to many controllers (a
 // multi-input Stream) must replicate it first — see Cloner and ClonePolicy.
 type Policy interface {
-	// Name returns the registry name the policy answers to.
-	Name() string
 	// Observe proposes an LP for the actuation view act given the current
 	// prediction. Returning Proposal{LP: act.CurLP} (or LP < 1) holds.
 	Observe(pred *Prediction, act Actuation) Proposal
-	// Contract picks which member of an over-budget group to shrink and to
-	// what grant. ok=false stops the round (nothing shrinkable left). It is
-	// called repeatedly until the group's grants fit its share.
-	Contract(members []GrantView, deficit int) (victim, grant int, ok bool)
 }
 
 // Cloner is the optional replication face of a stateful Policy. Fan-out
@@ -79,70 +71,8 @@ type Proposal struct {
 	// LP is the proposed level of parallelism. LP < 1 or LP == CurLP holds
 	// the current level.
 	LP int
-	// Demand optionally overrides the DesiredLP published for budget
-	// arbitration (0 = publish LP). Lets a policy settle for less than it
-	// wants while still signalling the full wish to the arbiter. It must
-	// not signal *less* than the proposed LP: a smaller Demand invites the
-	// arbiter to shrink the grant below the level the policy just chose to
-	// hold (notably during the decrease-damping window).
-	Demand int
 	// Reason is the decision-log annotation when the proposal is applied.
 	Reason string
-}
-
-// GrantView is one member's state as seen by Contract during a rebalance:
-// its tentative grant and how badly it misses its goal.
-type GrantView struct {
-	// ID is the member's job id (diagnostic; selection is by index).
-	ID string
-	// Grant is the member's tentative budget share this round.
-	Grant int
-	// Severe marks a goal-missing member (Overshoot > 0 under a goal).
-	Severe bool
-	// Overshoot is predicted end minus deadline at the member's current LP.
-	Overshoot time.Duration
-}
-
-// PaperContract is the fleet face of the paper's asymmetric rule, shared by
-// every built-in policy (embed it to satisfy Contract): halve the slack
-// members first (largest grant first, so comfort pays before need), then
-// goal-missing members, least severe overshoot first; the final cut is
-// clamped to land exactly on the target rather than halving below it.
-type PaperContract struct{}
-
-// Contract implements the Policy fleet face.
-func (PaperContract) Contract(members []GrantView, deficit int) (int, int, bool) {
-	victim := -1
-	for i, m := range members { // pass 1: slack members
-		if m.Severe || m.Grant <= 1 {
-			continue
-		}
-		if victim < 0 || m.Grant > members[victim].Grant {
-			victim = i
-		}
-	}
-	if victim < 0 {
-		for i, m := range members { // pass 2: least-severe goal-missers
-			if m.Grant <= 1 {
-				continue
-			}
-			if victim < 0 || m.Overshoot < members[victim].Overshoot ||
-				(m.Overshoot == members[victim].Overshoot && m.Grant > members[victim].Grant) {
-				victim = i
-			}
-		}
-	}
-	if victim < 0 {
-		return 0, 0, false // all at the floor of 1
-	}
-	half := members[victim].Grant / 2
-	if half < 1 {
-		half = 1
-	}
-	if fit := members[victim].Grant - deficit; fit > half {
-		half = fit // exact-fit clamp: stop at the target, not below it
-	}
-	return victim, half, true
 }
 
 // PaperPolicy is the paper's §4 autonomic rule as a Policy: raise LP on a
@@ -151,24 +81,8 @@ func (PaperContract) Contract(members []GrantView, deficit int) (int, int, bool)
 // fewer threads. The zero value is the paper default (raise to optimal,
 // halve on slack).
 type PaperPolicy struct {
-	PaperContract
 	Increase IncreasePolicy
 	Decrease DecreasePolicy
-}
-
-// Name implements Policy.
-func (p PaperPolicy) Name() string {
-	switch {
-	case p.Increase == IncreaseOptimal && p.Decrease == DecreaseHalve:
-		return "paper"
-	case p.Increase == IncreaseMinimal && p.Decrease == DecreaseHalve:
-		return "paper-minimal"
-	case p.Increase == IncreaseOptimal && p.Decrease == DecreaseNone:
-		return "paper-nodecrease"
-	case p.Increase == IncreaseOptimal && p.Decrease == DecreaseExact:
-		return "paper-exact"
-	}
-	return fmt.Sprintf("paper[inc=%d,dec=%d]", p.Increase, p.Decrease)
 }
 
 // Observe implements the per-analysis face of the paper's rule.

@@ -218,34 +218,9 @@ func TestClonePolicyIndependence(t *testing.T) {
 	}
 }
 
-// TestHeldProposalsDoNotUndercutDemand: during the decrease-damping window
-// no registered policy may publish a Demand below the held LP — the budget
-// arbiter would shrink the grant under the hold, re-opening the decrease
-// the controller is damping.
-func TestHeldProposalsDoNotUndercutDemand(t *testing.T) {
-	start := clock.Epoch
-	// Generous slack at LP 8: every policy wants to come down.
-	pred := synthPred(160*time.Millisecond, 20*time.Millisecond, start)
-	act := Actuation{CurLP: 8, MaxLP: 16, Goal: time.Second,
-		Start: start, Now: start, Held: true}
-	for _, name := range Policies() {
-		p, err := NewPolicy(name, 5)
-		if err != nil {
-			t.Fatalf("NewPolicy(%q): %v", name, err)
-		}
-		for i := 0; i < 50; i++ { // enough rounds to cover bandit exploration
-			prop := p.Observe(pred, act)
-			if prop.Demand > 0 && prop.Demand < act.CurLP {
-				t.Fatalf("policy %q published Demand %d below the held LP %d",
-					name, prop.Demand, act.CurLP)
-			}
-		}
-	}
-}
-
-// TestControllerClampsHeldDemand: even a policy that violates the Demand
-// contract (publishing a wish below the held level) cannot leak it into the
-// controller's published Demand during the damping window.
+// TestControllerClampsHeldDemand: even a policy that proposes a decrease
+// inside the damping window cannot leak it into the controller's published
+// Demand: the controller holds the lever and publishes the held level.
 func TestControllerClampsHeldDemand(t *testing.T) {
 	s := newFig1Setup()
 	s.replayUntil70()
@@ -255,9 +230,8 @@ func TestControllerClampsHeldDemand(t *testing.T) {
 		s.outer, lever, s.est, s.tr, clock.NewVirtual(clock.Epoch))
 	ctl.SetStart(clock.Epoch)
 	// First analysis: the rogue policy raises 2 -> 3, opening the hold
-	// window. Second analysis, inside the window: the policy holds LP but
-	// wishes for 1 via Demand — the controller must publish the held level,
-	// not the undercut.
+	// window. Second analysis, inside the window: the policy proposes LP 1
+	// — the controller must publish the held level, not the undercut.
 	ctl.Analyze(clock.Epoch.Add(u(70)))
 	if lever.LP() != 3 {
 		t.Fatalf("LP = %d, want 3", lever.LP())
@@ -270,32 +244,27 @@ func TestControllerClampsHeldDemand(t *testing.T) {
 	}
 }
 
-// undercutPolicy raises LP once and then keeps wishing for 1 worker via
-// Demand — a contract-violating stateless policy.
-type undercutPolicy struct{ PaperContract }
+// undercutPolicy raises LP once and then keeps proposing 1 worker, held
+// window or not — a stateless policy that ignores Actuation.Held.
+type undercutPolicy struct{}
 
-func (undercutPolicy) Name() string { return "undercut" }
 func (undercutPolicy) Observe(pred *Prediction, act Actuation) Proposal {
 	if act.CurLP < 3 {
-		return Proposal{LP: 3, Demand: 1, Reason: "raise, wish less"}
+		return Proposal{LP: 3, Reason: "raise"}
 	}
-	return Proposal{LP: act.CurLP, Demand: 1}
+	return Proposal{LP: 1, Reason: "undercut"}
 }
 
-// TestPolicyRegistry: the empty name is the paper default, names round-trip
-// through Name(), and unknown names fail with the catalogue.
+// TestPolicyRegistry: the empty name is the paper default, every
+// registered name builds, and unknown names fail with the catalogue.
 func TestPolicyRegistry(t *testing.T) {
 	p, err := NewPolicy("", 1)
-	if err != nil || p.Name() != "paper" {
+	if err != nil || p != (PaperPolicy{}) {
 		t.Fatalf("NewPolicy(\"\") = %v, %v; want the paper default", p, err)
 	}
 	for _, name := range Policies() {
-		p, err := NewPolicy(name, 3)
-		if err != nil {
-			t.Fatalf("NewPolicy(%q): %v", name, err)
-		}
-		if p.Name() != name {
-			t.Fatalf("NewPolicy(%q).Name() = %q", name, p.Name())
+		if p, err := NewPolicy(name, 3); err != nil || p == nil {
+			t.Fatalf("NewPolicy(%q) = %v, %v", name, p, err)
 		}
 	}
 	if _, err := NewPolicy("no-such-policy", 1); err == nil {
@@ -408,7 +377,7 @@ func TestShrinkToFitMatchesLegacy(t *testing.T) {
 			sum += c.grant
 		}
 		target := n + rng.Intn(sum+1) // from the floor to above the sum
-		shrinkToFit(PaperPolicy{}, a, target)
+		shrinkToFit(a, target)
 		legacyShrinkToFit(b, target)
 		for i := range a {
 			if a[i].grant != b[i].grant {
@@ -417,6 +386,75 @@ func TestShrinkToFitMatchesLegacy(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestShrinkToFitSmallScope checks the contraction rule exhaustively in a
+// small scope: every ordered group of 1 to 4 members with grants 1–6, each
+// slack or severe, a severe one overshooting by −10, 0, 10 or 20 ms, at
+// every target from the member count (the admission floor) to the sum. For
+// every case shrinkToFit must match legacyShrinkToFit, leave no grant below
+// 1, land exactly on a target the sum exceeded, and cut a severe member only
+// once every slack member is down to 1.
+func TestShrinkToFitSmallScope(t *testing.T) {
+	overshoots := [...]time.Duration{-10 * time.Millisecond, 0, 10 * time.Millisecond, 20 * time.Millisecond}
+	const states = 6 * (1 + len(overshoots)) // a grant, and slack or a severe overshoot
+	var group [4]cand
+	state := func(c *cand, s int) {
+		*c = cand{grant: 1 + s%6}
+		if k := s / 6; k > 0 {
+			c.severe, c.overshoot = true, overshoots[k-1]
+		}
+	}
+	var a, b [4]cand
+	var pa, pb [4]*cand
+	for i := range pa {
+		pa[i], pb[i] = &a[i], &b[i]
+	}
+	cases := 0
+	var walk func(n, depth int)
+	walk = func(n, depth int) {
+		if depth < n {
+			for s := 0; s < states; s++ {
+				state(&group[depth], s)
+				walk(n, depth+1)
+			}
+			return
+		}
+		sum := 0
+		for _, c := range group[:n] {
+			sum += c.grant
+		}
+		for target := n; target <= sum; target++ {
+			cases++
+			copy(a[:n], group[:n])
+			copy(b[:n], group[:n])
+			shrinkToFit(pa[:n], target)
+			legacyShrinkToFit(pb[:n], target)
+			got, severeCut, slackLeft := 0, false, false
+			for i := 0; i < n; i++ {
+				c := &a[i]
+				if c.grant != b[i].grant {
+					t.Fatalf("group %+v target %d: member %d grant %d, legacy %d", group[:n], target, i, c.grant, b[i].grant)
+				}
+				if c.grant < 1 {
+					t.Fatalf("group %+v target %d: member %d cut to %d", group[:n], target, i, c.grant)
+				}
+				got += c.grant
+				severeCut = severeCut || c.severe && c.grant < group[i].grant
+				slackLeft = slackLeft || !c.severe && c.grant > 1
+			}
+			if sum > target && got != target {
+				t.Fatalf("group %+v target %d: grants sum to %d", group[:n], target, got)
+			}
+			if severeCut && slackLeft {
+				t.Fatalf("group %+v target %d: a severe member was cut while a slack one kept more than 1: %+v", group[:n], target, a[:n])
+			}
+		}
+	}
+	for n := 1; n <= len(group); n++ {
+		walk(n, 0)
+	}
+	t.Logf("%d cases", cases)
 }
 
 // scriptMember is a Member with a settable demand.

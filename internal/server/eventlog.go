@@ -217,8 +217,9 @@ func (l *eventLog) trim() {
 // dropLocked moves the retained records, seq max(first, n-cap) on, into a
 // new buffer of grow times their size. With none evicted it copies the
 // bytes as they are. Otherwise it re-packs the retained records from the
-// zero packer, one pass to size the buffer and one to fill it, and leaves
-// the log's packer, when it has one, where the second pass ends.
+// zero packer and leaves the log's packer, when it has one, where the
+// re-pack ends. A trim (grow 1) sizes the buffer exactly, in a pass of its
+// own; the append path sizes it from repackBound and re-packs in one pass.
 func (l *eventLog) dropLocked(grow int) {
 	base := max(l.first, l.n-l.cap)
 	if base == l.first {
@@ -231,14 +232,18 @@ func (l *eventLog) dropLocked(grow int) {
 	for seq := l.first; seq < base; seq++ {
 		off += dec.decode(l.buf[off:], &rec)
 	}
-	var scratch [maxPackedRecord]byte
-	size, sizer, enc := 0, dec, packer{}
-	for at := off; at < len(l.buf); {
-		at += sizer.decode(l.buf[at:], &rec)
-		size += len(enc.append(scratch[:0], &rec))
+	size := repackBound(len(l.buf) - off)
+	if grow == 1 {
+		var scratch [maxPackedRecord]byte
+		sizer, enc := dec, packer{}
+		size = 0
+		for at := off; at < len(l.buf); {
+			at += sizer.decode(l.buf[at:], &rec)
+			size += len(enc.append(scratch[:0], &rec))
+		}
 	}
 	buf := make([]byte, 0, grow*size)
-	enc = packer{}
+	var enc packer
 	for off < len(l.buf) {
 		off += dec.decode(l.buf[off:], &rec)
 		buf = enc.append(buf, &rec)
@@ -247,6 +252,16 @@ func (l *eventLog) dropLocked(grow int) {
 	if l.pack != nil {
 		*l.pack = enc
 	}
+}
+
+// repackBound bounds the bytes that records packed into retained bytes take
+// once re-packed from the zero packer. A re-pack sees the same records, so
+// only the head (kind, side, mask) a record is packed against can differ:
+// the first record of each of the 16 when/where heads meets another state,
+// and the second can differ in its header because the first did. From the
+// third on, a record packs into the bytes it did before.
+func repackBound(retained int) int {
+	return retained + 2*2*8*maxPackedRecord
 }
 
 // packer is the state a record is packed against, and decoded with: the

@@ -10,6 +10,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -848,16 +849,10 @@ func rawRecords(data []byte) []record {
 	return recs
 }
 
-// FuzzEventLogPack: any sequence of records — extreme int64 and int32
-// values, time running backwards, every tag — packs to at most
-// maxPackedRecord bytes a record and decodes to itself exactly; and a log
-// of them at the input's capacity, trimmed after the appends the input's
-// bits pick, reads after every append what a twin log too large ever to
-// evict or drop says it should: a follower that kept up the same bytes, a
-// reader from the start and one from the middle the twin's records from
-// the oldest retained one on, behind a truncation marker for the rest.
-func FuzzEventLogPack(f *testing.F) {
-	edge := []record{
+// packSeeds returns FuzzEventLogPack's seed records: edge, records at the
+// extremes of every field and tag, and fan, a fan-out on two workers.
+func packSeeds() (edge, fan []record) {
+	edge = []record{
 		{t: math.MaxInt64, index: math.MinInt64, parent: math.MaxInt64, card: math.MinInt32,
 			branch: math.MaxInt32, iter: math.MinInt32, worker: math.MaxInt32, kind: 255, when: 1, where: 7, side: 2},
 		{t: math.MinInt64, index: math.MaxInt64, parent: math.MinInt64, card: math.MaxInt32,
@@ -866,18 +861,8 @@ func FuzzEventLogPack(f *testing.F) {
 		{t: 900, index: 4, parent: 3, worker: -1, kind: uint8(skel.DaC), side: sideErr},
 		{t: -5, side: sideText},
 	}
-	var all []byte
-	for _, rec := range edge {
-		all = appendRawRecord(all, rec)
-		f.Add(appendRawRecord(nil, rec), uint16(1), uint64(1))
-	}
-	f.Add(all, uint16(1), uint64(0))
-	f.Add(all, uint16(2), uint64(0b10110))
-	f.Add(all, uint16(8192), uint64(1<<4))
-	// A fan-out on two workers: each child's NestedSkel Before, Skeleton
-	// Before and After and NestedSkel After, one worker's records
-	// alternating with the other's.
-	var fan []byte
+	// Each child's NestedSkel Before, Skeleton Before and After and
+	// NestedSkel After, one worker's records alternating with the other's.
 	for i := int32(0); i < 8; i += 2 {
 		var task [2][4]record
 		for w := range task {
@@ -891,11 +876,78 @@ func FuzzEventLogPack(f *testing.F) {
 			}
 		}
 		for k := range task[0] {
-			fan = appendRawRecord(appendRawRecord(fan, task[0][k]), task[1][k])
+			fan = append(fan, task[0][k], task[1][k])
 		}
 	}
-	f.Add(fan, uint16(8192), uint64(0))
-	f.Add(fan, uint16(5), uint64(1<<9|1<<20))
+	return edge, fan
+}
+
+// TestRepackBound: a drop re-packs the retained records from the zero
+// packer. From any record on, only the first two records of each when/where
+// head may pack into other bytes than they did; every later one packs into
+// the same bytes. So the re-pack takes at most repackBound of the bytes the
+// records were packed into. Checked on FuzzEventLogPack's seeds, alone,
+// mixed and repeated so that every head recurs past each drop point.
+func TestRepackBound(t *testing.T) {
+	edge, fan := packSeeds()
+	seqs := [][]record{fan, slices.Concat(edge, fan), slices.Concat(fan, edge, fan, edge, fan)}
+	for _, rec := range edge {
+		seqs = append(seqs, []record{rec, rec, rec})
+	}
+	for i, recs := range seqs {
+		var enc packer
+		packed := make([][]byte, len(recs))
+		retained := 0
+		for k := range recs {
+			packed[k] = enc.append(nil, &recs[k])
+			retained += len(packed[k])
+		}
+		for k := range recs {
+			var re packer
+			var seen [2][8]int
+			size := 0
+			for j := k; j < len(recs); j++ {
+				got := re.append(nil, &recs[j])
+				size += len(got)
+				n := &seen[recs[j].when&1][recs[j].where&7]
+				if *n++; *n > 2 && !bytes.Equal(got, packed[j]) {
+					t.Fatalf("sequence %d dropped before record %d: record %d, record %d of its head, re-packs into %x, was %x",
+						i, k, j, *n, got, packed[j])
+				}
+			}
+			if bound := repackBound(retained); size > bound {
+				t.Fatalf("sequence %d dropped before record %d: %d retained bytes re-pack into %d, above the bound %d",
+					i, k, retained, size, bound)
+			}
+			retained -= len(packed[k])
+		}
+	}
+}
+
+// FuzzEventLogPack: any sequence of records — extreme int64 and int32
+// values, time running backwards, every tag — packs to at most
+// maxPackedRecord bytes a record and decodes to itself exactly; and a log
+// of them at the input's capacity, trimmed after the appends the input's
+// bits pick, reads after every append what a twin log too large ever to
+// evict or drop says it should: a follower that kept up the same bytes, a
+// reader from the start and one from the middle the twin's records from
+// the oldest retained one on, behind a truncation marker for the rest.
+func FuzzEventLogPack(f *testing.F) {
+	edge, fan := packSeeds()
+	var all []byte
+	for _, rec := range edge {
+		all = appendRawRecord(all, rec)
+		f.Add(appendRawRecord(nil, rec), uint16(1), uint64(1))
+	}
+	f.Add(all, uint16(1), uint64(0))
+	f.Add(all, uint16(2), uint64(0b10110))
+	f.Add(all, uint16(8192), uint64(1<<4))
+	var fanRaw []byte
+	for _, rec := range fan {
+		fanRaw = appendRawRecord(fanRaw, rec)
+	}
+	f.Add(fanRaw, uint16(8192), uint64(0))
+	f.Add(fanRaw, uint16(5), uint64(1<<9|1<<20))
 	f.Fuzz(func(t *testing.T, data []byte, capacity uint16, trims uint64) {
 		recs := rawRecords(data)
 		var buf []byte

@@ -10,7 +10,6 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
-	"log"
 	"runtime"
 	"sort"
 	"time"
@@ -48,8 +47,8 @@ type Config struct {
 	// AnalysisInterval throttles event-driven analyses (default 2ms).
 	AnalysisInterval time.Duration
 	// DefaultPolicy names the adaptation policy for jobs that do not pick
-	// one ("" = the paper rule). It also drives the arbiter's contraction
-	// ordering. Unknown names are rejected by skelrund at startup.
+	// one ("" = the paper rule). Unknown names are rejected by skelrund at
+	// startup.
 	DefaultPolicy string
 	// EventLog bounds the per-job event ring (default 8192 records).
 	EventLog int
@@ -165,18 +164,6 @@ func New(cfg Config) *Server {
 	})
 	for t, w := range cfg.Tenants {
 		s.arb.SetTenantWeight(t, w)
-	}
-	if cfg.DefaultPolicy != "" {
-		// The arbiter's contraction ordering follows the default policy.
-		// skelrund validates the name at startup; an unknown name here (New
-		// called programmatically) keeps the paper contract — loudly, so a
-		// misspelled default is not silently misreported by job views.
-		if p, err := core.NewPolicy(cfg.DefaultPolicy, 0); err == nil {
-			s.arb.SetPolicy(p)
-		} else {
-			log.Printf("server: default policy %q unknown, keeping the paper contract: %v",
-				cfg.DefaultPolicy, err)
-		}
 	}
 	if cfg.Cluster != nil {
 		cfg.Cluster.SetOnNodeEvent(s.onNodeEvent)

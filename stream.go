@@ -28,8 +28,8 @@ type Demand = core.Demand
 // Stream.
 var ErrClosed = errors.New("skandium: stream closed")
 
-// Policy is the pluggable adaptation rule driven by the controller per
-// analysis and by the budget arbiter per rebalance (see WithPolicy).
+// Policy is the pluggable adaptation rule the controller drives once per
+// analysis (see WithPolicy).
 type Policy = core.Policy
 
 // PolicyCloner is the optional replication face of a stateful Policy: each
