@@ -113,8 +113,10 @@ type JobState struct {
 
 // Terminal reports whether the replayed state is final — such jobs serve
 // their persisted outcome instead of re-running.
-func (s *JobState) Terminal() bool {
-	return s.State == StateDone || s.State == StateFailed || s.State == StateCanceled
+func (s *JobState) Terminal() bool { return terminal(s.State) }
+
+func terminal(state string) bool {
+	return state == StateDone || state == StateFailed || state == StateCanceled
 }
 
 // FsyncPolicy says when appended records reach the disk platter.
@@ -167,9 +169,33 @@ const (
 
 // snapshotFile is the on-disk shape of the compacted state.
 type snapshotFile struct {
-	Seq  uint64     `json:"seq"`
-	Last string     `json:"last,omitempty"`
-	Jobs []JobState `json:"jobs"`
+	Seq  uint64  `json:"seq"`
+	Last string  `json:"last,omitempty"`
+	Jobs []entry `json:"jobs"`
+}
+
+// entry is one job's row of the state table: its JobState with the spec
+// kept as the JSON a submit record carries it in, so a retained job keeps
+// neither a Spec nor a map of its params. It encodes as its JobState does,
+// field for field, and is what a compaction writes.
+type entry struct {
+	ID          string          `json:"id"`
+	Spec        json.RawMessage `json:"spec"`
+	State       string          `json:"state"`
+	Result      string          `json:"result,omitempty"`
+	Error       string          `json:"error,omitempty"`
+	Faults      FaultCounts     `json:"faults,omitempty"`
+	SubmittedTS int64           `json:"submitted_ts_ms,omitempty"`
+	FinishedTS  int64           `json:"finished_ts_ms,omitempty"`
+}
+
+// line is the form a record is written in: the record, its spec already
+// encoded. The spec goes last, after the state, result, error and faults
+// that a submit record, the only one with a spec, leaves out: so a line
+// reads byte for byte as its Record would.
+type line struct {
+	Record
+	Spec json.RawMessage `json:"spec,omitempty"`
 }
 
 // Journal is the write-ahead log plus its reduced job-state table (kept
@@ -186,7 +212,7 @@ type Journal struct {
 	f      *os.File
 	size   int64
 	seq    uint64
-	states map[string]*JobState
+	states map[string]*entry
 	order  []string
 	last   string
 	ctr    Counters
@@ -216,7 +242,7 @@ func Open(dir string, opt Options) (*Journal, []JobState, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("journal: %w", err)
 	}
-	j := &Journal{dir: dir, opt: opt, states: map[string]*JobState{}, stop: make(chan struct{})}
+	j := &Journal{dir: dir, opt: opt, states: map[string]*entry{}, stop: make(chan struct{})}
 	if err := j.loadSnapshot(); err != nil {
 		return nil, nil, err
 	}
@@ -250,9 +276,20 @@ func (j *Journal) loadSnapshot() error {
 		j.ctr.Torn++
 		return nil
 	}
-	j.seq, j.last = snap.Seq, snap.Last
+	// Each spec is decoded, as a Spec, and kept encoded again: a spec that
+	// does not decode tears the snapshot, and the table keeps compact JSON.
 	for i := range snap.Jobs {
-		st := snap.Jobs[i]
+		var spec Spec
+		if err := json.Unmarshal(snap.Jobs[i].Spec, &spec); err != nil {
+			j.ctr.Torn++
+			return nil
+		}
+		if snap.Jobs[i].Spec, err = json.Marshal(spec); err != nil {
+			return fmt.Errorf("journal: snapshot spec: %w", err)
+		}
+	}
+	j.seq, j.last = snap.Seq, snap.Last
+	for _, st := range snap.Jobs {
 		j.states[st.ID] = &st
 		j.order = append(j.order, st.ID)
 	}
@@ -289,38 +326,45 @@ func (j *Journal) replayLog() error {
 		if rec.Seq > j.seq {
 			j.seq = rec.Seq
 		}
-		if j.applyLocked(rec) {
+		var spec []byte
+		if rec.Spec != nil {
+			if spec, err = json.Marshal(rec.Spec); err != nil {
+				return fmt.Errorf("journal: replay spec: %w", err)
+			}
+		}
+		if j.applyLocked(rec, spec) {
 			j.ctr.Replayed++
 		}
 	}
 	return nil
 }
 
-// applyLocked folds one record into the job-state table; it reports whether
-// the record changed anything (duplicates — a finish replayed twice, a
-// start for a terminal job — are no-ops, which is what makes replay
-// idempotent and result records duplicate-proof).
-func (j *Journal) applyLocked(rec Record) bool {
+// applyLocked folds one record into the job-state table; spec is the
+// record's spec encoded. It reports whether the record changed anything
+// (duplicates — a finish replayed twice, a start for a terminal job — are
+// no-ops, which is what makes replay idempotent and result records
+// duplicate-proof).
+func (j *Journal) applyLocked(rec Record, spec []byte) bool {
 	st := j.states[rec.Job]
 	switch rec.Op {
 	case OpSubmit:
 		if st != nil || rec.Spec == nil {
 			return false
 		}
-		j.states[rec.Job] = &JobState{
-			ID: rec.Job, Spec: *rec.Spec, State: StateQueued, SubmittedTS: rec.TS,
+		j.states[rec.Job] = &entry{
+			ID: rec.Job, Spec: spec, State: StateQueued, SubmittedTS: rec.TS,
 		}
 		j.order = append(j.order, rec.Job)
 		j.last = rec.Job
 		return true
 	case OpStart:
-		if st == nil || st.Terminal() {
+		if st == nil || terminal(st.State) {
 			return false
 		}
 		st.State = StateRunning
 		return true
 	case OpFinish:
-		if st == nil || st.Terminal() || (rec.State != StateDone && rec.State != StateFailed) {
+		if st == nil || terminal(st.State) || (rec.State != StateDone && rec.State != StateFailed) {
 			return false
 		}
 		st.State, st.Result, st.Error, st.FinishedTS = rec.State, rec.Result, rec.Error, rec.TS
@@ -329,13 +373,13 @@ func (j *Journal) applyLocked(rec Record) bool {
 		}
 		return true
 	case OpCancel:
-		if st == nil || st.Terminal() {
+		if st == nil || terminal(st.State) {
 			return false
 		}
 		st.State, st.Error, st.FinishedTS = StateCanceled, rec.Error, rec.TS
 		return true
 	case OpFault:
-		if st == nil || st.Terminal() || rec.Faults == nil {
+		if st == nil || terminal(st.State) || rec.Faults == nil {
 			return false
 		}
 		st.Faults = *rec.Faults
@@ -354,8 +398,16 @@ func (j *Journal) append(rec Record) error {
 	j.seq++
 	rec.Seq = j.seq
 	rec.TS = time.Now().UnixMilli()
-	j.applyLocked(rec)
-	b, err := json.Marshal(rec)
+	ln := line{Record: rec}
+	if rec.Spec != nil {
+		spec, err := json.Marshal(rec.Spec)
+		if err != nil {
+			return fmt.Errorf("journal: marshal: %w", err)
+		}
+		ln.Record.Spec, ln.Spec = nil, spec
+	}
+	j.applyLocked(rec, ln.Spec)
+	b, err := json.Marshal(ln)
 	if err != nil {
 		return fmt.Errorf("journal: marshal: %w", err)
 	}
@@ -416,7 +468,7 @@ func (j *Journal) Fault(id string, fc FaultCounts) error {
 func (j *Journal) Forget(id string) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if st := j.states[id]; st != nil && st.Terminal() {
+	if st := j.states[id]; st != nil && terminal(st.State) {
 		delete(j.states, id)
 	}
 }
@@ -437,7 +489,7 @@ func (j *Journal) LastSubmitted() string {
 // the journal is shared).
 func (j *Journal) compactLocked() error {
 	kept := j.order[:0]
-	jobs := make([]JobState, 0, len(j.states))
+	jobs := make([]entry, 0, len(j.states))
 	for _, id := range j.order {
 		if st := j.states[id]; st != nil {
 			kept = append(kept, id)
@@ -546,8 +598,11 @@ func (j *Journal) States() []JobState {
 	defer j.mu.Unlock()
 	out := make([]JobState, 0, len(j.states))
 	for _, id := range j.order {
-		if st := j.states[id]; st != nil {
-			out = append(out, *st)
+		if e := j.states[id]; e != nil {
+			st := JobState{ID: e.ID, State: e.State, Result: e.Result, Error: e.Error,
+				Faults: e.Faults, SubmittedTS: e.SubmittedTS, FinishedTS: e.FinishedTS}
+			_ = json.Unmarshal(e.Spec, &st.Spec) // encoded from a Spec
+			out = append(out, st)
 		}
 	}
 	return out

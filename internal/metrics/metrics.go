@@ -108,32 +108,32 @@ func (r *Recorder) Gauge(now time.Time, active, lp int) {
 	r.mu.Unlock()
 }
 
-// Trim drops the series' append slack, so a finished one keeps only its
-// bytes. A later Gauge appends as before.
-func (r *Recorder) Trim() {
+// Trim drops the series' append slack and returns the series: the time of
+// its first sample and its packed samples, which Unpack decodes. No later
+// Gauge writes those bytes; it appends to a copy.
+func (r *Recorder) Trim() (base time.Time, packed []byte) {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	if cap(r.packed) > len(r.packed) {
 		r.packed = append(make([]byte, 0, len(r.packed)), r.packed...)
 	}
-	r.mu.Unlock()
+	return r.base, r.packed
 }
 
-// Bytes returns the size of the packed series.
-func (r *Recorder) Bytes() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.packed)
-}
-
-// snapshot decodes the series in time order (concurrent gauges can report
-// out of order; ties keep their arrival order), each T rebuilt as
-// base.Add(off), with the series origin. The bytes it decodes are never
-// written again, so it reads them outside the lock.
+// snapshot decodes the series, with the series origin. The bytes it decodes
+// are never written again, so it reads them outside the lock.
 func (r *Recorder) snapshot() (start time.Time, out []Sample) {
 	r.mu.Lock()
 	start, base := r.start, r.base
 	packed := r.packed
 	r.mu.Unlock()
+	return start, Unpack(base, packed)
+}
+
+// Unpack decodes a packed series whose first sample is at base in time
+// order (concurrent gauges can report out of order; ties keep their arrival
+// order), each T rebuilt as base.Add(off).
+func Unpack(base time.Time, packed []byte) []Sample {
 	gs := make([]gauge, 0, len(packed)/2) // a sample is at least two bytes
 	var g gauge
 	for off := 0; off < len(packed); {
@@ -147,11 +147,11 @@ func (r *Recorder) snapshot() (start time.Time, out []Sample) {
 		gs = append(gs, g)
 	}
 	slices.SortStableFunc(gs, func(a, b gauge) int { return cmp.Compare(a.off, b.off) })
-	out = make([]Sample, len(gs))
+	out := make([]Sample, len(gs))
 	for i, g := range gs {
 		out[i] = Sample{T: base.Add(time.Duration(g.off)), Active: int(g.active), LP: int(g.lp)}
 	}
-	return start, out
+	return out
 }
 
 // zigzag32 maps a 32-bit delta to the unsigned form a varint of it packs:

@@ -244,13 +244,10 @@ func (w *Worker) handleTasks(rw http.ResponseWriter, r *http.Request) {
 
 	var reqs []TaskRequest
 	sc := bufio.NewScanner(r.Body)
-	// The scanner's limit is max(maxFrame, cap(buf)), so the initial buffer
-	// must not exceed the frame bound.
-	initial := 64 << 10
-	if initial > w.maxFrame {
-		initial = w.maxFrame
-	}
-	sc.Buffer(make([]byte, 0, initial), w.maxFrame)
+	// The buffer starts at the scanner's own 4 KiB, or the frame bound if
+	// that is smaller, and grows to the frame bound only for a longer line:
+	// task lines are short, and every batch pays for the buffer it starts with.
+	sc.Buffer(nil, w.maxFrame)
 	for sc.Scan() {
 		line := sc.Bytes()
 		if len(line) == 0 {

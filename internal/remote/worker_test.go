@@ -249,3 +249,36 @@ func TestWorkerLPGrant(t *testing.T) {
 		t.Fatalf("pool LP %d after grant, want 5", got)
 	}
 }
+
+// BenchmarkWorkerBatch is the allocation gate of a worker's task endpoint:
+// one op posts one batch of 16 fresh grid tasks to the worker's handler in
+// process, and the worker parses, runs and answers it.
+func BenchmarkWorkerBatch(b *testing.B) {
+	const tasks = 16
+	w := NewWorker(WorkerConfig{LP: 2})
+	defer w.Close()
+	h := w.Handler()
+	program, _ := json.Marshal(ProgramRequest{Blueprint: "remotetest-grid", Params: map[string]any{"n": tasks}, Step: 1})
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("POST", "/program", bytes.NewReader(program)))
+	if rec.Code != http.StatusOK {
+		b.Fatalf("program load: %d %s", rec.Code, rec.Body)
+	}
+	var batch bytes.Buffer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		batch.Reset()
+		for k := 0; k < tasks; k++ {
+			fmt.Fprintf(&batch, `{"seq":%d,"part":{"N":%d,"SleepMS":0}}`+"\n", i*tasks+k, k+1)
+		}
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest("POST", "/tasks", bytes.NewReader(batch.Bytes()))
+		b.StartTimer()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			b.Fatalf("batch: %d %s", rec.Code, rec.Body)
+		}
+	}
+}

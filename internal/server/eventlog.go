@@ -49,6 +49,18 @@ type sideRecord struct {
 	ev, kind, when, where, err string
 }
 
+// packedEvents are a log's retained records: first…n-1 packed into buf
+// from the zero packer, and the side entries of those that have one. It is
+// what a reader decodes, and all that a frozen job keeps of its log.
+type packedEvents struct {
+	n     int64 // records ever appended; seq n-1 is the newest
+	first int64 // seq of buf's first record, at most max(0, n-cap)
+	// buf holds records first…n-1. Bytes below len(buf) are never written
+	// again: a drop or a trim copies into a new buffer.
+	buf  []byte
+	side []sideRecord // of the retained records whose side != sideNone, by seq
+}
+
 // eventLog is a bounded ring of a job's events with follow support. The
 // listener appends from worker goroutines, each record packed against the
 // ones before it into one pointer-free buffer; NDJSON handlers take the
@@ -59,18 +71,15 @@ type eventLog struct {
 	start time.Time
 	cap   int64
 
-	mu    sync.Mutex
-	n     int64 // records ever appended; seq n-1 is the newest
-	first int64 // seq of buf's first record, at most max(0, n-cap)
-	// buf holds records first…n-1, packed from the zero packer. Bytes
-	// below len(buf) are never written again: a drop or a trim copies into
-	// a new buffer.
-	buf []byte
+	mu sync.Mutex
+	packedEvents
 	// pack is the packer after record n-1, what the next one is packed
 	// against. It lives only while the log grows: trim hands it back to
 	// packers, and the next append takes one and rebuilds it by decoding buf.
-	pack   *packer
-	side   []sideRecord // of the retained records whose side != sideNone, by seq
+	pack *packer
+	// win follows the records the next drop keeps, seq first+cap on; nil
+	// until the ring first fills.
+	win    *window
 	closed bool
 	// parked holds the wake channel of every follower that found nothing to
 	// read and went to sleep. append and close signal and clear it; with
@@ -134,9 +143,6 @@ func (l *eventLog) appendText(at time.Time, ev, kind, when, where, err string) {
 // and the quiet ones whose batch it fills.
 func (l *eventLog) append(rec record, side sideRecord) {
 	l.mu.Lock()
-	if l.n-l.first == 2*l.cap {
-		l.dropLocked(2) // room for the cap appends until the next drop
-	}
 	if l.pack == nil {
 		l.pack = packers.Get().(*packer)
 		*l.pack = packer{}
@@ -145,7 +151,23 @@ func (l *eventLog) append(rec record, side sideRecord) {
 			off += l.pack.decode(l.buf[off:], &skip)
 		}
 	}
+	if l.n-l.first == 2*l.cap {
+		l.dropLocked() // room for the cap appends until the next drop
+	}
+	kept := l.n - l.first - l.cap // rec's place among the records the next drop keeps
+	if kept == 0 {
+		if l.win == nil {
+			l.win = new(window)
+		}
+		*l.win = window{start: *l.pack, off: len(l.buf), settled: len(l.buf)}
+	}
 	l.buf = l.pack.append(l.buf, &rec)
+	if kept >= 0 {
+		if c := &l.win.count[rec.when&1][rec.where&7]; *c < 2 {
+			*c++
+			l.win.settled = len(l.buf)
+		}
+	}
 	if rec.side != sideNone {
 		side.seq = l.n
 		l.side = append(l.side, side)
@@ -158,6 +180,20 @@ func (l *eventLog) append(rec record, side sideRecord) {
 	}
 	l.wakeLocked()
 	l.mu.Unlock()
+}
+
+// window follows the records that the next drop keeps, from the one at
+// seq first+cap: the packer they were packed from, where they start, and
+// how many records of each when/where head they hold, up to two. From the
+// third record of its head on, a record packs into the same bytes from the
+// zero packer as from any other (see repackBound), so the bytes from the
+// last first or second record of a head on — from settled — are the bytes
+// a re-pack would write.
+type window struct {
+	start   packer
+	off     int
+	count   [2][8]uint8
+	settled int
 }
 
 // wakeLocked signals and withdraws every parked follower, and every quiet
@@ -197,61 +233,103 @@ func (l *eventLog) close() {
 	l.mu.Unlock()
 }
 
-// trim drops the evicted records, the append slack and the packer, so a
-// frozen job's events cost what its retained records carry: 3.0 bytes each
-// in a 500-task fan-out, whose gauge series (metrics.Recorder.Trim) takes
-// 3.0 bytes a sample. Called once the job is frozen; a log appended to after
-// that rebuilds its packer and grows again.
+// freeze closes the log and returns the records it keeps, trimmed: what a
+// frozen job keeps of its log. An append after it does not reach them.
+func (l *eventLog) freeze() packedEvents {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.closed = true
+	l.wakeLocked()
+	l.trimLocked()
+	p := l.packedEvents
+	if len(p.side) == 0 {
+		p.side = nil
+	} else if cap(p.side) > len(p.side) {
+		p.side = slices.Clone(p.side)
+	}
+	return p
+}
+
+// trim drops the evicted records, the append slack and the packer, so the
+// log costs what its retained records carry: 3.0 bytes each in a 500-task
+// fan-out, whose gauge series (metrics.Recorder.Trim) takes 3.0 bytes a
+// sample. A log appended to after that rebuilds its packer and grows again.
 func (l *eventLog) trim() {
 	l.mu.Lock()
-	if l.first < l.n-l.cap || cap(l.buf) > len(l.buf) {
-		l.dropLocked(1)
+	l.trimLocked()
+	l.mu.Unlock()
+}
+
+// trimLocked is trim for a caller that holds l.mu. The retained records,
+// seq max(first, n-cap) on, move into a buffer sized to them: as they are
+// with none evicted, else re-packed from the zero packer in two passes,
+// one to size the buffer and one to fill it.
+func (l *eventLog) trimLocked() {
+	switch base := max(l.first, l.n-l.cap); {
+	case base > l.first:
+		var dec packer
+		var rec record
+		off := 0
+		for seq := l.first; seq < base; seq++ {
+			off += dec.decode(l.buf[off:], &rec)
+		}
+		var scratch [maxPackedRecord]byte
+		sizer, enc, size := dec, packer{}, 0
+		for at := off; at < len(l.buf); {
+			at += sizer.decode(l.buf[at:], &rec)
+			size += len(enc.append(scratch[:0], &rec))
+		}
+		buf := make([]byte, 0, size)
+		enc = packer{}
+		for off < len(l.buf) {
+			off += dec.decode(l.buf[off:], &rec)
+			buf = enc.append(buf, &rec)
+		}
+		l.buf, l.first = buf, base
+	case cap(l.buf) > len(l.buf):
+		l.buf = append(make([]byte, 0, len(l.buf)), l.buf...)
 	}
 	if l.pack != nil {
 		packers.Put(l.pack)
 		l.pack = nil
 	}
-	l.mu.Unlock()
 }
 
-// dropLocked moves the retained records, seq max(first, n-cap) on, into a
-// new buffer of grow times their size. With none evicted it copies the
-// bytes as they are. Otherwise it re-packs the retained records from the
-// zero packer and leaves the log's packer, when it has one, where the
-// re-pack ends. A trim (grow 1) sizes the buffer exactly, in a pass of its
-// own; the append path sizes it from repackBound and re-packs in one pass.
-func (l *eventLog) dropLocked(grow int) {
-	base := max(l.first, l.n-l.cap)
-	if base == l.first {
-		l.buf = append(make([]byte, 0, grow*len(l.buf)), l.buf...)
-		return
-	}
-	var dec packer
+// dropLocked drops the cap evicted records, on the append that would hold
+// 2·cap: the cap records the ring keeps, seq n-cap on, move into a new
+// buffer with room for as many again. They are re-packed from the zero
+// packer up to the window's settled offset and copied from there, and the
+// log's packer becomes the one a re-pack of all of them would end at: the
+// last record, and the last record and head of each where and head among
+// them, as the re-pack left it for a head with one record, as it stood for
+// one with two or more (they agree from its second record on).
+func (l *eventLog) dropLocked() {
+	w := l.win
+	buf := make([]byte, 0, 2*repackBound(len(l.buf)-w.off))
+	dec, enc := w.start, packer{}
 	var rec record
-	off := 0
-	for seq := l.first; seq < base; seq++ {
-		off += dec.decode(l.buf[off:], &rec)
-	}
-	size := repackBound(len(l.buf) - off)
-	if grow == 1 {
-		var scratch [maxPackedRecord]byte
-		sizer, enc := dec, packer{}
-		size = 0
-		for at := off; at < len(l.buf); {
-			at += sizer.decode(l.buf[at:], &rec)
-			size += len(enc.append(scratch[:0], &rec))
-		}
-	}
-	buf := make([]byte, 0, grow*size)
-	var enc packer
-	for off < len(l.buf) {
+	for off := w.off; off < w.settled; {
 		off += dec.decode(l.buf[off:], &rec)
 		buf = enc.append(buf, &rec)
 	}
-	l.buf, l.first = buf, base
-	if l.pack != nil {
-		*l.pack = enc
+	buf = append(buf, l.buf[w.settled:]...)
+	p := packer{prev: l.pack.prev}
+	for wn := range w.count {
+		for wr, c := range w.count[wn] {
+			switch {
+			case c == 0:
+				continue
+			case c == 1:
+				p.heads[wn][wr] = enc.heads[wn][wr]
+			default:
+				p.heads[wn][wr] = l.pack.heads[wn][wr]
+			}
+			p.bases[wr] = l.pack.bases[wr]
+			p.seen |= 1 << wr
+		}
 	}
+	*l.pack = p
+	l.buf, l.first = buf, l.n-l.cap
 }
 
 // repackBound bounds the bytes that records packed into retained bytes take

@@ -329,24 +329,33 @@ func TestEventLogModel(t *testing.T) {
 	}
 }
 
-// checkPacked: a trimmed log's buffer starts at its oldest retained record,
-// has no room to spare, and holds each record in [1, maxPackedRecord]
-// bytes: a record that repeats the last one with its when and where, t
-// included, is its header byte alone.
-func checkPacked(t *testing.T, l *eventLog) {
+// checkPacked: a trimmed log's buffer — a live log's, or the one a frozen
+// job's outcome keeps — starts at its oldest retained record, has no room
+// to spare, and holds each record in [1, maxPackedRecord] bytes: a record
+// that repeats the last one with its when and where, t included, is its
+// header byte alone.
+func checkPacked(t *testing.T, log events) {
 	t.Helper()
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	kept := int(min(l.n, l.cap))
+	var p packedEvents
+	var kept int
+	switch l := log.(type) {
+	case *eventLog:
+		l.mu.Lock()
+		p, kept = l.packedEvents, int(min(l.n, l.cap))
+		l.mu.Unlock()
+	case *outcome:
+		p = l.events
+		kept = int(p.n - p.first)
+	}
 	switch {
 	case kept == 0:
 		return
-	case l.first != l.n-int64(kept):
-		t.Fatalf("buffer of %d retained records starts at seq %d, want %d", kept, l.first, l.n-int64(kept))
-	case cap(l.buf) != len(l.buf):
-		t.Fatalf("trimmed buffer of %d bytes has room for %d", len(l.buf), cap(l.buf))
-	case len(l.buf) < kept || len(l.buf) > maxPackedRecord*kept:
-		t.Fatalf("%d records packed into %d bytes, want %d to %d", kept, len(l.buf), kept, maxPackedRecord*kept)
+	case p.first != p.n-int64(kept):
+		t.Fatalf("buffer of %d retained records starts at seq %d, want %d", kept, p.first, p.n-int64(kept))
+	case cap(p.buf) != len(p.buf):
+		t.Fatalf("trimmed buffer of %d bytes has room for %d", len(p.buf), cap(p.buf))
+	case len(p.buf) < kept || len(p.buf) > maxPackedRecord*kept:
+		t.Fatalf("%d records packed into %d bytes, want %d to %d", kept, len(p.buf), kept, maxPackedRecord*kept)
 	}
 }
 
@@ -428,24 +437,25 @@ func TestPackedLogBytesPerRecord(t *testing.T) {
 	}
 
 	fan := run(SubmitSpec{Skeleton: "montecarlo", Params: skandium.Params{"samples": 500, "batches": 500}, MaxLP: 1})
-	records, bytes := fan.log.len(), len(fan.log.buf)
-	if records != 2006 || fan.log.pack != nil {
-		t.Fatalf("a 500-batch job logged %d records (packer kept: %v), want 2006 and the packer dropped", records, fan.log.pack != nil)
+	records, bytes := fan.log.len(), len(outcomeOf(t, fan).events.buf)
+	if records != 2006 {
+		t.Fatalf("a 500-batch job logged %d records, want 2006", records)
 	}
 	t.Logf("500-batch montecarlo at LP 1: %d records in %d bytes, %.2f a record", records, bytes, float64(bytes)/float64(records))
 	if float64(bytes) > 4.5*float64(records) {
 		t.Errorf("%d records packed into %d bytes, more than 4.5 a record", records, bytes)
 	}
-	samples := len(fan.rec.Samples())
-	t.Logf("its gauge series: %d samples in %d bytes, %.2f a sample", samples, fan.rec.Bytes(), float64(fan.rec.Bytes())/float64(samples))
-	if samples < 1000 || float64(fan.rec.Bytes()) > 3.6*float64(samples) {
-		t.Errorf("%d gauge samples packed into %d bytes, want at least 1000 samples at at most 3.6 bytes each", samples, fan.rec.Bytes())
+	samples, gauges := len(fan.samples(srv.startTime)), len(outcomeOf(t, fan).gauges)
+	t.Logf("its gauge series: %d samples in %d bytes, %.2f a sample", samples, gauges, float64(gauges)/float64(samples))
+	if samples < 1000 || float64(gauges) > 3.6*float64(samples) {
+		t.Errorf("%d gauge samples packed into %d bytes, want at least 1000 samples at at most 3.6 bytes each", samples, gauges)
 	}
 
 	tiny := run(SubmitSpec{Skeleton: "sleepgrid", Params: skandium.Params{"k": 1, "m": 1, "cell_ms": 0.05}})
-	t.Logf("one-cell sleepgrid: %d records in %d bytes", tiny.log.len(), len(tiny.log.buf))
-	if n := tiny.log.len(); n != 18 || len(tiny.log.buf) > 81 {
-		t.Errorf("a one-cell job's %d records packed into %d bytes, want 18 in at most 81", n, len(tiny.log.buf))
+	tinyBytes := len(outcomeOf(t, tiny).events.buf)
+	t.Logf("one-cell sleepgrid: %d records in %d bytes", tiny.log.len(), tinyBytes)
+	if n := tiny.log.len(); n != 18 || tinyBytes > 81 {
+		t.Errorf("a one-cell job's %d records packed into %d bytes, want 18 in at most 81", n, tinyBytes)
 	}
 }
 

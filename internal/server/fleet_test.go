@@ -65,8 +65,8 @@ func assertFleetSumsJobs(t *testing.T, base string, names ...string) {
 func TestFleetTotalLPSeries(t *testing.T) {
 	srv, ts := newTestDaemon(t, Config{Budget: 4})
 	at := func(ms int) time.Time { return srv.startTime.Add(time.Duration(ms) * time.Millisecond) }
-	a := &job{rec: metrics.NewRecorder()}
-	b := &job{rec: metrics.NewRecorder()}
+	a := &live{rec: metrics.NewRecorder()}
+	b := &live{rec: metrics.NewRecorder()}
 	srv.gauge(a, at(0), 0, 2)  // a: LP 2 from t=0
 	srv.gauge(b, at(5), 0, 3)  // b: LP 3 from t=5 -> total 5
 	srv.gauge(a, at(10), 0, 4) // a: LP 4 -> total 7
@@ -92,9 +92,9 @@ func TestFleetTotalLPSeries(t *testing.T) {
 func TestFleetTotalLPConcurrent(t *testing.T) {
 	srv := New(Config{Budget: 4})
 	defer srv.Close()
-	jobs := make([]*job, 4)
+	jobs := make([]*live, 4)
 	for i := range jobs {
-		jobs[i] = &job{rec: metrics.NewRecorder()}
+		jobs[i] = &live{rec: metrics.NewRecorder()}
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {

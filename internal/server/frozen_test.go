@@ -45,16 +45,16 @@ func eventViews(srv *Server, id string) string {
 	if !ok {
 		return "no job " + id + "\n"
 	}
-	n, dropped := j.log.len(), j.log.droppedCount()
+	log := j.events()
+	n, dropped := log.len(), log.droppedCount()
 	return get(srv, "/jobs/"+id+"/events") +
 		get(srv, fmt.Sprintf("/jobs/%s/events?from=%d", id, n/2)) +
 		get(srv, fmt.Sprintf("/jobs/%s/events?from=%d", id, dropped/2))
 }
 
-// viewsWith renders j's views as they read with h (nil: no handle at all,
-// the form a job that never ran had before finished jobs were frozen) in
-// place of the job's own handle.
-func viewsWith(srv *Server, j *job, h skandium.Handle) string {
+// viewsWith renders j's views as they read with h (nil: no execution at
+// all, the form of a job that never ran) in place of the job's outcome.
+func viewsWith(srv *Server, j *job, h execution) string {
 	j.mu.Lock()
 	own := j.handle
 	j.handle = h
@@ -67,17 +67,17 @@ func viewsWith(srv *Server, j *job, h skandium.Handle) string {
 	return views(srv, j.id)
 }
 
-// liveHandles keeps, for every job srv freezes, the live handle the frozen
-// one replaced, and the job's /events as they read before the log was
-// packed.
+// liveHandles keeps, for every job srv freezes, the execution its outcome
+// replaced — the live handle or the cluster run — and the job's /events as
+// they read from its live log.
 type liveHandles struct {
 	mu     sync.Mutex
-	by     map[string]skandium.Handle
+	by     map[string]execution
 	events map[string]string
 }
 
 func keepLiveHandles(srv *Server) *liveHandles {
-	lh := &liveHandles{by: map[string]skandium.Handle{}, events: map[string]string{}}
+	lh := &liveHandles{by: map[string]execution{}, events: map[string]string{}}
 	srv.beforeFreeze = func(j *job) {
 		_, _, h, _, _, _, _ := j.snapshot()
 		events := eventViews(srv, j.id)
@@ -88,11 +88,10 @@ func keepLiveHandles(srv *Server) *liveHandles {
 	return lh
 }
 
-// check waits for j to be frozen, its log trimmed, and its live handle to
-// stop — its last running muscle finished, its controller let go — and
-// compares the views rendered from that handle, final by then, with the
-// frozen ones, and the /events read from the trimmed log with those read
-// from the live one.
+// check waits for j to be frozen and compares the views rendered from its
+// live handle — stopped when the hook saw it: its last running muscle
+// finished, its controller let go — with the views of its outcome, and the
+// /events read from the outcome with those read from the live log.
 func (lh *liveHandles) check(t *testing.T, srv *Server, j *job, what string) string {
 	t.Helper()
 	waitFrozen(t, j)
@@ -103,7 +102,6 @@ func (lh *liveHandles) check(t *testing.T, srv *Server, j *job, what string) str
 	if !ok {
 		t.Fatalf("%s: %s was frozen without passing the hook", what, j.id)
 	}
-	h.Wait()
 	live, frozen := viewsWith(srv, j, h), views(srv, j.id)
 	if frozen != live {
 		t.Fatalf("%s: views of %s differ across the freeze\nlive:\n%s\nfrozen:\n%s", what, j.id, live, frozen)
@@ -276,7 +274,7 @@ func TestFinishedViewsByteIdentical(t *testing.T) {
 // TestFinishedJobIgnoresLevers: DELETE /jobs/{id} and PATCH /jobs/{id}/qos
 // on a finished job that is still retained move nothing: the job's view,
 // goal and LP cap included, and its decisions read byte for byte the same
-// before and after, and the frozen handle still answers with the outcome.
+// before and after, and the job is still its outcome, which has no lever.
 func TestFinishedJobIgnoresLevers(t *testing.T) {
 	srv, ts := newTestDaemon(t, Config{Budget: 4})
 	j := finish(t, submit(t, srv, SubmitSpec{Skeleton: "sleepgrid",
@@ -306,15 +304,10 @@ func TestFinishedJobIgnoresLevers(t *testing.T) {
 		t.Fatalf("decisions moved:\n%s\nwas:\n%s", got, decisions)
 	}
 	j.mu.Lock()
-	h := j.handle
+	_, frozen := j.handle.(*outcome)
 	j.mu.Unlock()
-	select {
-	case <-h.Done():
-	default:
-		t.Fatal("a frozen handle is not done")
-	}
-	if res, err := h.Result(); err != nil || summarize(res) != before.Result {
-		t.Fatalf("frozen result %v (%v), want %s", res, err, before.Result)
+	if !frozen {
+		t.Fatal("the levers unfroze a finished job")
 	}
 }
 

@@ -236,7 +236,7 @@ func testGrantRatchet(t *testing.T, goal time.Duration) {
 // cluster runs at, not its initial LP.
 func TestGrantClusterJobDemandsClusterLP(t *testing.T) {
 	cl, _ := newTestCluster(t, 2)
-	j := &job{initLP: 3, handle: &remoteHandle{cluster: cl, done: make(chan struct{})}}
+	j := &job{live: &live{initLP: 3}, handle: &clusterRun{cluster: cl, done: make(chan struct{})}}
 	if d := j.Demand(); d.CurrentLP != cl.LP() || d.Valid {
 		t.Fatalf("cluster-routed job demands %+v, want CurrentLP %d", d, cl.LP())
 	}

@@ -219,7 +219,7 @@ type jobView struct {
 	ID          string          `json:"id"`
 	Skeleton    string          `json:"skeleton"`
 	Program     string          `json:"program"`
-	Params      skandium.Params `json:"params,omitempty"`
+	Params      json.RawMessage `json:"params,omitempty"`
 	State       string          `json:"state"`
 	Tenant      string          `json:"tenant,omitempty"`
 	Priority    int             `json:"priority,omitempty"`
@@ -274,6 +274,7 @@ func (s *Server) sinceStart(t time.Time) float64 {
 
 func (s *Server) jobView(j *job) jobView {
 	state, grant, h, started, finished, summary, jerr := j.snapshot()
+	log := j.events()
 	v := jobView{
 		ID:         j.id,
 		Skeleton:   j.skeleton,
@@ -286,16 +287,16 @@ func (s *Server) jobView(j *job) jobView {
 		MaxLP:      j.maxLP,
 		Policy:     j.policy,
 		Grant:      grant,
-		Events:     j.log.len(),
-		CreatedMS:  s.sinceStart(j.created),
-		StartedMS:  s.sinceStart(started),
-		FinishedMS: s.sinceStart(finished),
+		Events:     log.len(),
+		CreatedMS:  durToMS(j.created),
+		StartedMS:  durToMS(started),
+		FinishedMS: durToMS(finished),
 	}
-	v.TimeoutMS = float64(j.timeout) / float64(time.Millisecond)
-	v.RetryAttempts = j.retry.MaxAttempts
-	v.Partial = j.partial.String()
+	v.TimeoutMS = durToMS(j.timeout)
+	v.RetryAttempts = j.retries
+	v.Partial = j.partial
 	v.Recovered = j.recovered
-	v.EventsDropped = j.log.droppedCount()
+	v.EventsDropped = log.droppedCount()
 	fs := j.totalFaults(h)
 	v.Retries, v.Faults, v.Timeouts = fs.Retries, fs.Faults, fs.Timeouts
 	v.Skipped, v.Substituted = fs.Skipped, fs.Substituted
@@ -444,7 +445,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			s.eventFlushes.Add(1)
 		}
 	}
-	j.log.reader(from).stream(r.Context(), w, flush, follow)
+	j.events().reader(from).stream(r.Context(), w, flush, follow)
 }
 
 // timelineRecord is one NDJSON line of the LP/WCT timeline: gauge samples
@@ -470,7 +471,7 @@ func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
 	_, _, h, _, _, _, _ := j.snapshot()
 
 	var recs []timelineRecord
-	for _, smp := range j.rec.Samples() {
+	for _, smp := range j.samples(s.startTime) {
 		recs = append(recs, timelineRecord{
 			Type: "lp", TMS: s.sinceStart(smp.T), Active: smp.Active, LP: smp.LP,
 		})
@@ -606,7 +607,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(&perJob, "skelrund_job_timeouts_total%s %d\n", lbl, fs.Timeouts)
 		fmt.Fprintf(&perJob, "skelrund_job_skipped_total%s %d\n", lbl, fs.Skipped)
 		fmt.Fprintf(&perJob, "skelrund_job_substituted_total%s %d\n", lbl, fs.Substituted)
-		fmt.Fprintf(&perJob, "skelrund_job_events_dropped%s %d\n", lbl, j.log.droppedCount())
+		fmt.Fprintf(&perJob, "skelrund_job_events_dropped%s %d\n", lbl, j.events().droppedCount())
 	}
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")

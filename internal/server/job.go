@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -30,20 +31,21 @@ var errCanceled = fmt.Errorf("server: job canceled by request")
 // errShutdown resolves executions cut off by daemon shutdown.
 var errShutdown = fmt.Errorf("server: daemon shutting down")
 
-// job is one submitted execution: the erased runner plus its QoS, event
-// log, timeline recorder and arbitration state. It implements core.Member,
-// so the arbiter reads its controller's demand and imposes grants directly.
-// A finished job is its outcome: its runner is dropped and its handle is a
-// frozenHandle.
+// job is one submitted execution: its spec, its place in the lifecycle and
+// what its views read — the execution's readings (handle) and its event log
+// (log). While it can still run it also holds its live part: the runner,
+// the levers, the live ring and the gauge recorder. At freeze the live part
+// gives way to the outcome, which answers for the execution, the log and the
+// gauge series and has no lever, so a finished job is what it ran to and
+// nothing a request can move. It implements core.Member, so the arbiter
+// reads its controller's demand and imposes grants directly.
 type job struct {
 	id       string
 	skeleton string
-	program  string
-	params   skandium.Params
-	runner   skandium.Runner // nil once the job is finished
+	program  string          // interned: the jobs of one program text share it
+	params   json.RawMessage // canonical JSON; nil when there are none
 	goal     time.Duration
 	maxLP    int
-	initLP   int
 	// policy names the adaptation rule driving this job's controller
 	// ("" = the paper rule); resolved against the server default when the
 	// job is built (newJob), at submit and at recovery alike.
@@ -53,39 +55,78 @@ type job struct {
 	tenant   string
 	priority int
 	timeout  time.Duration
-	retry    skandium.RetryPolicy
-	partial  skandium.PartialPolicy
-	log      *eventLog
-	rec      *metrics.Recorder
-	// lp is the LP the job's gauge last reported, its term in Server.lps.
-	lp atomic.Int64
+	retries  int    // attempts per muscle; <= 1 = no retry
+	partial  string // the partial-failure policy's name
+	created  time.Duration
+
+	// Crash-recovery state. recovered marks a job that survived a restart:
+	// re-queued from the journal (it re-runs; muscles are pure) or restored
+	// from the snapshot, terminal, with an outcome of zero counters.
+	// prior carries the fault counters journaled before the crash (nil:
+	// none); faultRetries/faultFaults accumulate this run's, for mid-run
+	// journaling (listener goroutines, hence atomics).
+	prior        *skandium.FaultStats
+	faultRetries atomic.Uint64
+	faultFaults  atomic.Uint64
+	recovered    bool
 	// remoteOK marks the job routable to the cluster: eligible blueprint,
 	// no local-only QoS/fault knobs (shardability is checked at start).
 	remoteOK bool
 
-	// Crash-recovery state. recovered marks a job that survived a restart:
-	// re-queued from the journal (it re-runs; muscles are pure) or restored
-	// from the snapshot, terminal, with a frozen handle of zero counters.
-	// prior carries fault counters journaled before the crash;
-	// faultRetries/faultFaults accumulate this run's, for mid-run journaling
-	// (listener goroutines, hence atomics).
-	recovered    bool
-	prior        skandium.FaultStats
-	faultRetries atomic.Uint64
-	faultFaults  atomic.Uint64
-
+	canceled bool // guarded by mu, and beside the flags above to pack with them
 	mu       sync.Mutex
 	state    jobState
 	grant    int
-	handle   skandium.Handle
-	created  time.Time
-	started  time.Time
-	finished time.Time
+	// created, started and finished are times since the server started;
+	// started and finished are 0 until the job gets there.
+	started, finished time.Duration
 	// summary is a done job's result as the job view shows it, rendered
 	// once when the job finishes (or as the journal persisted it).
-	summary  string
-	err      error
-	canceled bool
+	summary string
+	err     error
+	// handle is what the views read of the execution: nil until the job
+	// starts, then the local stream's handle or the cluster run, and the
+	// outcome once the job is frozen.
+	handle execution
+	// log is the job's event log: the live ring, then the outcome.
+	log events
+	// live is nil once the job is frozen.
+	live *live
+}
+
+// live is what a job holds only while it can still run.
+type live struct {
+	runner  skandium.Runner
+	initLP  int           // the LP wished for until the first analysis
+	backoff time.Duration // the retry backoff's base delay
+	partial skandium.PartialPolicy
+	log     *eventLog
+	rec     *metrics.Recorder // the LP/active series
+	// lp is the LP the job's gauge last reported, its term in Server.lps.
+	lp     atomic.Int64
+	stream skandium.Handle // the local stream's levers, once it started
+	remote *clusterRun     // the cluster run, once routed
+}
+
+// execution is what the views read of how a job runs or ran: the local
+// stream's handle, a cluster run, or the outcome.
+type execution interface {
+	Decisions() []skandium.Decision
+	Analyses() int
+	Demand() skandium.Demand
+	LP() int
+	Active() int
+	Stats() exec.Stats
+	FaultStats() skandium.FaultStats
+	Failures() *skandium.FailureError
+}
+
+// events is a job's event log as its readers see it: the live ring, or the
+// records the outcome kept.
+type events interface {
+	len() int64
+	droppedCount() int64
+	reader(from int64) *logReader
 }
 
 // Demand implements core.Member. A job wants the LP it asked for — its
@@ -96,7 +137,10 @@ type job struct {
 // frees. A cluster-routed job wants what the cluster runs at.
 func (j *job) Demand() core.Demand {
 	j.mu.Lock() // max_lp may be patched at any time
-	h, want := j.handle, j.initLP
+	h, want := j.handle, 0
+	if j.live != nil {
+		want = j.live.initLP
+	}
 	if j.maxLP > 0 && j.maxLP < want {
 		want = j.maxLP
 	}
@@ -104,7 +148,7 @@ func (j *job) Demand() core.Demand {
 	if h == nil {
 		return core.Demand{CurrentLP: want}
 	}
-	if r, ok := h.(*remoteHandle); ok {
+	if r, ok := h.(*clusterRun); ok {
 		return core.Demand{CurrentLP: r.LP()}
 	}
 	d := h.Demand()
@@ -119,33 +163,72 @@ func (j *job) Demand() core.Demand {
 func (j *job) Grant(n int) {
 	j.mu.Lock()
 	j.grant = n
-	h := j.handle
+	st := j.streamLocked()
 	j.mu.Unlock()
-	if h != nil {
-		h.SetCap(n)
+	if st != nil {
+		st.SetCap(n)
 	}
 }
 
+// streamLocked returns the levers of the job's local stream, nil unless it
+// runs one. Caller holds j.mu.
+func (j *job) streamLocked() skandium.Handle {
+	if j.live == nil {
+		return nil
+	}
+	return j.live.stream
+}
+
 // snapshot returns the mutable fields under the job lock.
-func (j *job) snapshot() (state jobState, grant int, h skandium.Handle, started, finished time.Time, summary string, err error) {
+func (j *job) snapshot() (state jobState, grant int, h execution, started, finished time.Duration, summary string, err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.state, j.grant, j.handle, j.started, j.finished, j.summary, j.err
 }
 
-// freezeLocked makes a terminal job its outcome: h (nil for a job that
-// never ran; else closed and stopped, so its readings are final) gives way
-// to its frozen form, and the runner is dropped. What stays reachable from
-// the job is what its views read. Caller holds j.mu.
-func (j *job) freezeLocked(h skandium.Handle, res any) {
-	j.handle = freeze(h, res, j.err)
-	j.runner = nil
+// events returns the job's event log under the job lock.
+func (j *job) events() events {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.log
+}
+
+// freezeLocked makes a terminal job its outcome: the readings of its
+// execution (none for a job that never ran; else stopped, so they are
+// final), the records its log keeps and its gauge series take the place of
+// the live part. What stays reachable from the job is what its views read.
+// start is the server's start. Caller holds j.mu.
+func (j *job) freezeLocked(start time.Time) {
+	o := &outcome{events: j.live.log.freeze()}
+	if j.handle != nil {
+		o.readings = readingsOf(j.handle)
+	}
+	var base time.Time
+	if base, o.gauges = j.live.rec.Trim(); len(o.gauges) > 0 {
+		o.gaugeBase = base.Sub(start)
+	}
+	j.handle, j.log, j.live = o, o, nil
+}
+
+// samples returns the job's gauge series; start is the server's start.
+func (j *job) samples(start time.Time) []metrics.Sample {
+	j.mu.Lock()
+	l, log := j.live, j.log
+	j.mu.Unlock()
+	if l != nil {
+		return l.rec.Samples()
+	}
+	o := log.(*outcome) // a frozen job's log is its outcome
+	return metrics.Unpack(start.Add(o.gaugeBase), o.gauges)
 }
 
 // totalFaults merges the fault counters journaled before a crash with this
 // run's (h is nil for still-queued jobs).
-func (j *job) totalFaults(h skandium.Handle) skandium.FaultStats {
-	fs := j.prior
+func (j *job) totalFaults(h execution) skandium.FaultStats {
+	var fs skandium.FaultStats
+	if j.prior != nil {
+		fs = *j.prior
+	}
 	if h != nil {
 		cur := h.FaultStats()
 		fs.Retries += cur.Retries
@@ -162,56 +245,75 @@ func (s jobState) terminal() bool {
 	return s == stateDone || s == stateFailed || s == stateCanceled
 }
 
-// frozenHandle is the handle of a finished job: every reader returns what
-// the live handle returned once it had stopped, the pool's readings are 0
-// (there is no pool any more), and every lever does nothing. The job's
-// views, Cancel, AdjustQoS and Close cannot tell it from the live one; the
-// stream, pool, deques, listener registry, estimators, controller and
-// program behind the live one become garbage.
-type frozenHandle struct {
-	res       any
-	err       error
+// readings are an execution's counters as the views read them once it has
+// stopped: a finished job has no pool, so its LP and active count are 0.
+// What only a goal job, a faulting or a failing one has is in more, nil
+// for every other job.
+type readings struct {
+	stats exec.Stats
+	more  *moreReadings
+}
+
+// moreReadings are the readings most jobs have none of.
+type moreReadings struct {
 	decisions []skandium.Decision
 	analyses  int
 	demand    skandium.Demand
-	stats     exec.Stats
 	faults    skandium.FaultStats
 	failures  *skandium.FailureError
 }
 
-// resolved is the Done channel of every frozen handle.
-var resolved = func() chan struct{} {
-	c := make(chan struct{})
-	close(c)
-	return c
-}()
+// none is the moreReadings of a job that has none.
+var none moreReadings
 
-// freeze takes h's final readings; a nil h freezes to zero counters.
-func freeze(h skandium.Handle, res any, err error) *frozenHandle {
-	f := &frozenHandle{res: res, err: err}
-	if h != nil {
-		f.decisions, f.analyses, f.demand = h.Decisions(), h.Analyses(), h.Demand()
-		f.stats, f.faults, f.failures = h.Stats(), h.FaultStats(), h.Failures()
+// readingsOf takes h's readings.
+func readingsOf(h execution) readings {
+	m := moreReadings{decisions: h.Decisions(), analyses: h.Analyses(), demand: h.Demand(),
+		faults: h.FaultStats(), failures: h.Failures()}
+	r := readings{stats: h.Stats()}
+	if len(m.decisions) > 0 || m.analyses > 0 || m.demand.Valid ||
+		m.faults != (skandium.FaultStats{}) || m.failures != nil {
+		r.more = &m
 	}
-	return f
+	return r
 }
 
-func (f *frozenHandle) Done() <-chan struct{}            { return resolved }
-func (f *frozenHandle) Result() (any, error)             { return f.res, f.err }
-func (f *frozenHandle) Decisions() []skandium.Decision   { return f.decisions }
-func (f *frozenHandle) Analyses() int                    { return f.analyses }
-func (f *frozenHandle) Demand() skandium.Demand          { return f.demand }
-func (f *frozenHandle) LP() int                          { return 0 }
-func (f *frozenHandle) Active() int                      { return 0 }
-func (f *frozenHandle) Stats() exec.Stats                { return f.stats }
-func (f *frozenHandle) FaultStats() skandium.FaultStats  { return f.faults }
-func (f *frozenHandle) Failures() *skandium.FailureError { return f.failures }
-func (f *frozenHandle) SetCap(int)                       {}
-func (f *frozenHandle) SetGoal(time.Duration)            {}
-func (f *frozenHandle) SetMaxLP(int)                     {}
-func (f *frozenHandle) Cancel(error)                     {}
-func (f *frozenHandle) Close()                           {}
-func (f *frozenHandle) Wait()                            {}
+// m returns the readings' more, none for a job that has none.
+func (r *readings) m() *moreReadings {
+	if r.more == nil {
+		return &none
+	}
+	return r.more
+}
+
+func (r *readings) Decisions() []skandium.Decision   { return r.m().decisions }
+func (r *readings) Analyses() int                    { return r.m().analyses }
+func (r *readings) LP() int                          { return 0 }
+func (r *readings) Active() int                      { return 0 }
+func (r *readings) Stats() exec.Stats                { return r.stats }
+func (r *readings) FaultStats() skandium.FaultStats  { return r.m().faults }
+func (r *readings) Failures() *skandium.FailureError { return r.m().failures }
+func (r *readings) Demand() skandium.Demand          { return r.m().demand }
+
+// outcome is a finished job: the readings of its execution, the records
+// its event log kept and its gauge series, packed. It answers the views and
+// nothing else.
+type outcome struct {
+	readings
+	events    packedEvents
+	gauges    []byte        // as metrics.Unpack decodes them
+	gaugeBase time.Duration // the first sample's time, since the server started
+}
+
+func (o *outcome) len() int64          { return o.events.n }
+func (o *outcome) droppedCount() int64 { return o.events.first }
+
+// reader reads the kept records through a closed log of its own, whose
+// ring holds exactly them.
+func (o *outcome) reader(from int64) *logReader {
+	l := &eventLog{packedEvents: o.events, cap: max(1, o.events.n-o.events.first), closed: true}
+	return l.reader(from)
+}
 
 // lpTotal is the fleet-wide LP aggregate behind skelrund_total_lp and
 // skelrund_peak_total_lp: the sum of every job's last reported LP, and the
@@ -227,20 +329,20 @@ func (t *lpTotal) read() (sum, peak int64) {
 	return t.sum, t.peak
 }
 
-// gauge is every job's pool gauge hook: it records the sample for the
-// job's /timeline and moves the fleet aggregate by the job's LP change. A
-// report that leaves the LP where it was costs the aggregate one atomic
-// load. A change swaps the job's term and moves the sum under one lock:
-// workers of one job report concurrently, and two changes applied out of
-// order would count a job twice in the peak.
-func (s *Server) gauge(j *job, now time.Time, active, lp int) {
-	j.rec.Gauge(now, active, lp)
+// gauge is every job's pool gauge hook, l its live part: it records the
+// sample for the job's /timeline and moves the fleet aggregate by the job's
+// LP change. A report that leaves the LP where it was costs the aggregate
+// one atomic load. A change swaps the job's term and moves the sum under
+// one lock: workers of one job report concurrently, and two changes applied
+// out of order would count a job twice in the peak.
+func (s *Server) gauge(l *live, now time.Time, active, lp int) {
+	l.rec.Gauge(now, active, lp)
 	n := int64(lp)
-	if j.lp.Load() == n {
+	if l.lp.Load() == n {
 		return
 	}
 	s.lps.mu.Lock()
-	s.lps.sum += n - j.lp.Swap(n)
+	s.lps.sum += n - l.lp.Swap(n)
 	s.lps.peak = max(s.lps.peak, s.lps.sum)
 	s.lps.mu.Unlock()
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
 	"strconv"
 	"strings"
@@ -9,7 +10,6 @@ import (
 	"skandium"
 	"skandium/internal/core"
 	"skandium/internal/journal"
-	"skandium/internal/metrics"
 )
 
 // recover rebuilds the job table from a journal replay. Terminal jobs are
@@ -58,15 +58,19 @@ func jobNum(id string) (int, bool) {
 }
 
 // restoreLocked rehydrates one terminal job from its persisted outcome, in
-// the form watch leaves a finished job in: a frozen handle (with zero
-// counters; the journaled ones are prior) and no runner, retired like any
-// finished job. Caller holds s.mu.
+// the form watch leaves a finished job in: an outcome of zero counters (the
+// journaled ones are prior) and no events, retired like any finished job.
+// Caller holds s.mu.
 func (s *Server) restoreLocked(st journal.JobState) {
+	var params []byte
+	if len(st.Spec.Params) > 0 {
+		params, _ = json.Marshal(st.Spec.Params) // decoded from JSON: it encodes
+	}
 	j := &job{
 		id:        st.ID,
 		skeleton:  st.Spec.Skeleton,
-		program:   st.Spec.Program,
-		params:    st.Spec.Params,
+		program:   s.intern(st.Spec.Program),
+		params:    params,
 		goal:      msToDur(st.Spec.GoalMS),
 		maxLP:     st.Spec.MaxLP,
 		policy:    st.Spec.Policy,
@@ -74,17 +78,16 @@ func (s *Server) restoreLocked(st journal.JobState) {
 		priority:  st.Spec.Priority,
 		recovered: true,
 		summary:   st.Result,
+		partial:   skandium.FailFast().String(),
 		prior:     faultStats(st.Faults),
 		state:     restoredState(st.State),
-		created:   s.clk.Now(),
+		created:   s.clk.Now().Sub(s.startTime),
 	}
 	if st.Error != "" {
 		j.err = fmt.Errorf("%s", st.Error)
 	}
-	j.freezeLocked(nil, nil)
-	j.log = newEventLog(1, j.created)
-	j.log.close()
-	j.rec = metrics.NewRecorder()
+	o := &outcome{}
+	j.handle, j.log = o, o
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
 	s.retireLocked(j)
@@ -128,9 +131,13 @@ func restoredState(st string) jobState {
 	}
 }
 
-// faultStats converts journaled fault counters into the runtime form.
-func faultStats(fc journal.FaultCounts) skandium.FaultStats {
-	return skandium.FaultStats{
+// faultStats converts journaled fault counters into the runtime form: nil
+// when there are none.
+func faultStats(fc journal.FaultCounts) *skandium.FaultStats {
+	if fc == (journal.FaultCounts{}) {
+		return nil
+	}
+	return &skandium.FaultStats{
 		Retries: fc.Retries, Faults: fc.Faults, Timeouts: fc.Timeouts,
 		Skipped: fc.Skipped, Substituted: fc.Substituted,
 	}

@@ -1,9 +1,11 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
 	"sync"
 
+	"skandium"
 	"skandium/internal/plan"
 	"skandium/internal/remote"
 )
@@ -16,7 +18,7 @@ func (s *Server) remoteEligible(j *job) bool {
 	if !j.remoteOK {
 		return false
 	}
-	prog, err := plan.Of(j.runner.Node())
+	prog, err := plan.Of(j.live.runner.Node())
 	if err != nil {
 		return false
 	}
@@ -26,26 +28,32 @@ func (s *Server) remoteEligible(j *job) bool {
 // startRemote launches an admitted job on the cluster instead of the local
 // pool. Like start, it is called with s.mu held (from admitLocked).
 func (s *Server) startRemote(j *job) {
-	h := &remoteHandle{cluster: s.cfg.Cluster, done: make(chan struct{})}
+	r := &clusterRun{cluster: s.cfg.Cluster, done: make(chan struct{})}
 	j.mu.Lock()
-	j.handle = h
+	l := j.live
+	l.remote, l.runner = r, nil
+	j.handle = r
 	j.state = stateRunning
-	j.started = s.clk.Now()
+	j.started = s.clk.Now().Sub(s.startTime)
 	j.mu.Unlock()
 	if s.jn != nil {
 		_ = s.jn.Start(j.id)
 	}
-	j.log.appendText(s.clk.Now(), fmt.Sprintf("cluster@route(%s tenant=%s)", j.skeleton, j.tenant),
+	l.log.appendText(s.clk.Now(), fmt.Sprintf("cluster@route(%s tenant=%s)", j.skeleton, j.tenant),
 		"cluster", "route", "cluster", "")
-	s.remoteJobs[j.id] = j
+	s.remoteLogs[j.id] = l.log
 	go func() {
-		res, err := s.cfg.Cluster.RunAs(j.tenant, j.skeleton, j.params)
+		// The cluster builds the program again from the params, as its
+		// workers do; j.params is the JSON the job marshaled, nil for none.
+		var params skandium.Params
+		_ = json.Unmarshal(j.params, &params)
+		res, err := s.cfg.Cluster.RunAs(j.tenant, j.skeleton, params)
 		s.mu.Lock()
-		delete(s.remoteJobs, j.id)
+		delete(s.remoteLogs, j.id)
 		s.mu.Unlock()
-		h.finish(res, err)
+		r.finish(res, err)
 	}()
-	go s.watch(j, h)
+	go s.watch(j, l)
 }
 
 // onNodeEvent threads a cluster health transition into the event log of
@@ -55,9 +63,9 @@ func (s *Server) startRemote(j *job) {
 // ("refused", "timeout", "http-5xx", ...), not just a binary up/down.
 func (s *Server) onNodeEvent(ev remote.NodeEvent) {
 	s.mu.Lock()
-	jobs := make([]*job, 0, len(s.remoteJobs))
-	for _, j := range s.remoteJobs {
-		jobs = append(jobs, j)
+	logs := make([]*eventLog, 0, len(s.remoteLogs))
+	for _, l := range s.remoteLogs {
+		logs = append(logs, l)
 	}
 	s.mu.Unlock()
 	// node-down / node-up name the serving boundary (the transitions the
@@ -79,47 +87,41 @@ func (s *Server) onNodeEvent(ev remote.NodeEvent) {
 	if ev.Cause != "" {
 		detail += " cause=" + ev.Cause
 	}
-	for _, j := range jobs {
-		j.log.appendText(ev.Time, fmt.Sprintf("cluster@%s(%s)", kind, detail),
+	for _, l := range logs {
+		l.appendText(ev.Time, fmt.Sprintf("cluster@%s(%s)", kind, detail),
 			"cluster", kind, ev.Addr, ev.Err)
 	}
 }
 
-// remoteHandle is the erased face of a cluster-routed job. The cluster owns
-// execution (sharding, retry, per-node LP via the cluster arbiter), so the
-// per-stream levers are inert and the local counters zero — a frozenHandle
-// with nothing in it but the result supplies both: there is no local pool
-// to cap and no controller to re-aim, and no local counter for Wait to
-// wait on. Result/Done/Cancel behave exactly like the local handle, which
-// is all the daemon's watch loop relies on.
-type remoteHandle struct {
-	frozenHandle // res and err are set once, by finish, under mu
-	cluster      *remote.Cluster
-	done         chan struct{}
-	once         sync.Once
-	mu           sync.Mutex
+// clusterRun is the execution of a cluster-routed job. The cluster owns
+// it — sharding, retry, per-node LP through the cluster arbiter — so the
+// job has no local pool to cap and no controller to re-aim: its readings
+// are those of an execution that ran nothing locally, but for its LP,
+// which is the cluster's, and its one lever is cancel.
+type clusterRun struct {
+	readings
+	cluster *remote.Cluster
+	done    chan struct{}
+	once    sync.Once
+	res     any // set once, by finish, before done closes
+	err     error
 }
 
-func (h *remoteHandle) finish(res any, err error) {
-	h.once.Do(func() {
-		h.mu.Lock()
-		h.res, h.err = res, err
-		h.mu.Unlock()
-		close(h.done)
+func (r *clusterRun) finish(res any, err error) {
+	r.once.Do(func() {
+		r.res, r.err = res, err
+		close(r.done)
 	})
 }
 
-func (h *remoteHandle) Done() <-chan struct{} { return h.done }
-
-func (h *remoteHandle) Result() (any, error) {
-	<-h.done
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.res, h.err
+// result waits for the run's result.
+func (r *clusterRun) result() (any, error) {
+	<-r.done
+	return r.res, r.err
 }
 
-func (h *remoteHandle) LP() int { return h.cluster.LP() }
+func (r *clusterRun) LP() int { return r.cluster.LP() }
 
-// Cancel resolves the handle with err; the in-flight cluster tasks finish
-// on their workers but their results are discarded.
-func (h *remoteHandle) Cancel(err error) { h.finish(nil, err) }
+// cancel resolves the run with err; the in-flight cluster tasks finish on
+// their workers but their results are discarded.
+func (r *clusterRun) cancel(err error) { r.finish(nil, err) }

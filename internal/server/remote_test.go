@@ -46,17 +46,21 @@ func newTestClusterDaemon(t *testing.T, workers int) (*Server, *httptest.Server,
 	return srv, ts, wss
 }
 
-func waitJobDone(t *testing.T, j *job) (any, error) {
+// waitJobDone waits until j is terminal, on its local stream while it runs
+// one, and returns its summary and error.
+func waitJobDone(t *testing.T, j *job) (string, error) {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
 		j.mu.Lock()
-		h := j.handle
+		st, stream, sum, err := j.state, j.streamLocked(), j.summary, j.err
 		j.mu.Unlock()
-		if h != nil {
+		if st.terminal() {
+			return sum, err
+		}
+		if stream != nil {
 			select {
-			case <-h.Done():
-				return h.Result()
+			case <-stream.Done():
 			case <-time.After(10 * time.Millisecond):
 			}
 		} else {
@@ -64,13 +68,29 @@ func waitJobDone(t *testing.T, j *job) (any, error) {
 		}
 	}
 	t.Fatal("job never finished")
-	return nil, nil
+	return "", nil
+}
+
+// waitRouted waits until j runs on the cluster.
+func waitRouted(t *testing.T, j *job) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		j.mu.Lock()
+		_, routed := j.handle.(*clusterRun)
+		j.mu.Unlock()
+		if routed {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the job never ran on the cluster")
+		}
+	}
 }
 
 // jobEvents renders a job's full event log as one NDJSON string.
 func jobEvents(j *job) string {
 	var sb strings.Builder
-	for rd := j.log.reader(0); ; {
+	for rd := j.events().reader(0); ; {
 		out, _ := rd.next(waitNone)
 		if len(out) == 0 {
 			return sb.String()
@@ -96,7 +116,7 @@ func TestServerRoutesEligibleJobToCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res != 16 {
+	if res != "16" {
 		t.Fatalf("result %v, want 16 surviving cells", res)
 	}
 	if evs := jobEvents(j); !strings.Contains(evs, "cluster@route") {
@@ -130,9 +150,9 @@ func TestServerRoutesEligibleJobToCluster(t *testing.T) {
 }
 
 // TestClusterJobIgnoresLevers: PATCH /jobs/{id}/qos on a job the cluster
-// runs answers 200 and reaches the levers of its handle, which are inert:
-// the cluster's own arbiter sets its LP, and the job finishes as it would
-// have.
+// runs answers 200 and reaches no lever, for its cluster run has none but
+// cancel: the cluster's own arbiter sets its LP, and the job finishes as it
+// would have.
 func TestClusterJobIgnoresLevers(t *testing.T) {
 	srv, ts, _ := newTestClusterDaemon(t, 2)
 	j, err := srv.Submit(SubmitSpec{
@@ -142,22 +162,49 @@ func TestClusterJobIgnoresLevers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		j.mu.Lock()
-		_, routed := j.handle.(*remoteHandle)
-		j.mu.Unlock()
-		if routed {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("the job never ran on the cluster")
-		}
-	}
+	waitRouted(t, j)
 	if code := status(t, "PATCH", ts.URL+"/jobs/"+j.id+"/qos", `{"goal_ms":500,"max_lp":1}`); code != http.StatusOK {
 		t.Fatalf("PATCH of a cluster job: %d, want 200", code)
 	}
-	if res, err := waitJobDone(t, j); err != nil || res != 16 {
+	if res, err := waitJobDone(t, j); err != nil || res != "16" {
 		t.Fatalf("result %v (%v), want 16 surviving cells", res, err)
+	}
+}
+
+// TestClusterJobCancel: DELETE /jobs/{id} on a job the cluster runs
+// resolves it at once, canceled; the tasks in flight finish on their
+// workers and their results are dropped.
+func TestClusterJobCancel(t *testing.T) {
+	srv, ts, _ := newTestClusterDaemon(t, 2)
+	j, err := srv.Submit(SubmitSpec{
+		Skeleton: "sleepgrid",
+		Params:   map[string]any{"k": 4, "m": 4, "cell_ms": 20},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitRouted(t, j)
+	if code := status(t, "DELETE", ts.URL+"/jobs/"+j.id, ""); code != http.StatusOK {
+		t.Fatalf("DELETE of a cluster job: %d, want 200", code)
+	}
+	if _, err := waitJobDone(t, j); err != errCanceled {
+		t.Fatalf("a canceled cluster job ended with %v, want %v", err, errCanceled)
+	}
+	waitFrozen(t, j)
+	if v := getJSON[jobView](t, ts.URL+"/jobs/"+j.id); v.State != string(stateCanceled) || v.Result != "" {
+		t.Fatalf("a canceled cluster job reads state %s, result %q", v.State, v.Result)
+	}
+	// The cluster run goes on until its tasks are back; wait for it.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		srv.mu.Lock()
+		running := len(srv.remoteLogs)
+		srv.mu.Unlock()
+		if running == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the canceled cluster run never returned")
+		}
 	}
 }
 
@@ -184,7 +231,7 @@ func TestServerRecoveredJobRoutesToCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res != 16 {
+	if res != "16" {
 		t.Fatalf("result %v, want 16 surviving cells", res)
 	}
 	if evs := jobEvents(j); !strings.Contains(evs, "cluster@route") {
@@ -232,7 +279,7 @@ func TestServerNodeLossInJobLog(t *testing.T) {
 	if err != nil {
 		t.Fatalf("job failed despite a surviving worker: %v", err)
 	}
-	if res != 24 {
+	if res != "24" {
 		t.Fatalf("result %v, want 24", res)
 	}
 	deadline := time.Now().Add(5 * time.Second)

@@ -3,7 +3,10 @@ package server
 import (
 	"context"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -36,11 +39,10 @@ func retainedPerJob(t *testing.T, jobs int, run func() *job) (int64, *job) {
 }
 
 // finish follows j's event log past its end, as bench/ waits for its jobs,
-// waits for the job to be frozen to its outcome, and checks it succeeded
-// and keeps neither its runner nor its live handle.
+// waits for the job to be frozen to its outcome, and checks it succeeded.
 func finish(t *testing.T, j *job) *job {
 	t.Helper()
-	j.log.reader(1<<62).stream(context.Background(), io.Discard, func() {}, true)
+	j.events().reader(1<<62).stream(context.Background(), io.Discard, func() {}, true)
 	waitFrozen(t, j)
 	if st, _, _, _, _, sum, err := j.snapshot(); st != stateDone || err != nil {
 		t.Fatalf("%s: state %s, result %s, error %v", j.id, st, sum, err)
@@ -48,22 +50,22 @@ func finish(t *testing.T, j *job) *job {
 	return j
 }
 
-// waitFrozen blocks until watch has replaced j's live handle with its
-// frozen form and trimmed its event log, then checks the runner is gone.
+// waitFrozen blocks until watch has frozen j to its outcome, then checks
+// that the job holds no live part and that the outcome's log is trimmed.
 func waitFrozen(t *testing.T, j *job) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		j.mu.Lock()
-		_, frozen := j.handle.(*frozenHandle)
-		runner := j.runner
+		o, frozen := j.handle.(*outcome)
+		held := j.live != nil || j.log != events(o)
 		j.mu.Unlock()
-		j.log.mu.Lock()
-		trimmed := cap(j.log.buf) == len(j.log.buf) && j.log.first == max(0, j.log.n-j.log.cap)
-		j.log.mu.Unlock()
-		if frozen && trimmed {
-			if runner != nil {
-				t.Fatalf("%s: frozen, but its runner is still held", j.id)
+		if frozen {
+			if held {
+				t.Fatalf("%s: frozen, but it still holds its live part", j.id)
+			}
+			if buf := o.events.buf; cap(buf) != len(buf) {
+				t.Fatalf("%s: frozen with %d bytes of slack in its log", j.id, cap(buf)-len(buf))
 			}
 			return
 		}
@@ -72,6 +74,16 @@ func waitFrozen(t *testing.T, j *job) {
 		}
 		time.Sleep(50 * time.Microsecond)
 	}
+}
+
+// outcomeOf returns the outcome of a frozen job.
+func outcomeOf(t *testing.T, j *job) *outcome {
+	t.Helper()
+	o, ok := j.events().(*outcome)
+	if !ok {
+		t.Fatalf("%s is not frozen", j.id)
+	}
+	return o
 }
 
 // TestFinishedJobRetention: what a finished fine-grained job keeps the daemon
@@ -85,7 +97,8 @@ func waitFrozen(t *testing.T, j *job) {
 // 10 bytes each), 1005 16-byte gauge samples and the job itself. With only
 // the deltas that moved packed and the gauge series kept as varint deltas,
 // 22.1–22.8 KB: the records in 14.6 KB (7.3 bytes each), the series in
-// 4.4 KB and the job itself.
+// 4.4 KB and the job itself. With each record packed against the last of
+// its where, 11.6–12.8 KB; with the job its outcome, 10.1–12.3 KB.
 func TestFinishedJobRetention(t *testing.T) {
 	const (
 		jobs     = 200
@@ -117,13 +130,15 @@ func TestFinishedJobRetention(t *testing.T) {
 // goal_grid's shape — an 8×8 sleepgrid from LP 1, here with 1 ms cells and a
 // 200 ms goal that a race-detector run still meets — whose controller keeps
 // an ADG and a memoized prediction while the job runs. Once the job resolves
-// nothing reachable from it may pin either: its handle is the frozen form,
+// nothing reachable from it may pin either: its handle is its outcome,
 // which holds no controller at all. Before the controller's graph became one
 // flat graph kept across analyses and dropped at the end, a finished goal job
 // retained 62.7–62.9 KB here; after it, 44.9 KB; with the job frozen to its
 // outcome, 29.8 KB; with its 326 records packed in place of two 256-slot
 // chunks, 8.9–9.3 KB; with only the deltas that moved packed and its 165
-// gauge samples as varint deltas, 4.6–4.8 KB.
+// gauge samples as varint deltas, 4.6–4.8 KB; with each record packed
+// against the last of its where, 3.6–3.7 KB; with the job its outcome, whose
+// readings keep only what the views show of the controller's demand, 2.8 KB.
 func TestFinishedGoalJobRetention(t *testing.T) {
 	const (
 		jobs     = 40
@@ -162,12 +177,16 @@ func TestFinishedGoalJobRetention(t *testing.T) {
 // bookkeeping is all there is: its event log of 18 records, its view fields,
 // its journal entry. A finished tiny job retained 11.1 KB while it kept its
 // runner and live handle, 3.12 KB with its records trimmed to 18 slots,
-// 2.44–2.49 KB with them packed, and 2.17–2.24 KB with only the deltas that
-// moved packed (89 bytes) and its 11 gauge samples in 47.
+// 2.44–2.49 KB with them packed, 2.17–2.24 KB with only the deltas that
+// moved packed (89 bytes) and its 11 gauge samples in 47, and 1.23–1.25 KB
+// as its outcome: one 128-byte record of readings, packed events and gauge
+// bytes in place of the frozen handle, the live log and the recorder, its
+// params kept as JSON in place of a map the journal shared, the journal's
+// entry holding its spec as JSON, and its program text interned.
 func TestFinishedTinyJobRetention(t *testing.T) {
 	const (
 		jobs     = 300
-		perJobKB = 2.6
+		perJobKB = 1.5
 	)
 	jn, _, err := journal.Open(t.TempDir(), journal.Options{Fsync: journal.FsyncInterval})
 	if err != nil {
@@ -192,5 +211,48 @@ func TestFinishedTinyJobRetention(t *testing.T) {
 	t.Logf("retained per finished tiny job: %.2f KB", float64(perJob)/1024)
 	if float64(perJob) > perJobKB*1024 {
 		t.Fatalf("a finished tiny job retains %.2f KB, want at most %.1f KB", float64(perJob)/1024, perJobKB)
+	}
+}
+
+// TestFinishedTinyHTTPJobRetention: TestFinishedTinyJobRetention's job
+// submitted as every bench/ job is, through POST /jobs, whose params decode
+// from JSON into a fresh map of boxed float64 values. Measured on the code
+// before the job became its outcome, it retained 2.22 KB, and 1.23 KB with
+// it; its bound is its twin's, which leaves the same margin.
+func TestFinishedTinyHTTPJobRetention(t *testing.T) {
+	const (
+		jobs     = 300
+		perJobKB = 1.5
+	)
+	jn, _, err := journal.Open(t.TempDir(), journal.Options{Fsync: journal.FsyncInterval})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jn.Close()
+	srv := New(Config{Budget: 4, Journal: jn})
+	defer srv.Close()
+	h := srv.Handler()
+	const body = `{"skeleton":"sleepgrid","params":{"k":1,"m":1,"cell_ms":0.05}}`
+	perJob, last := retainedPerJob(t, jobs, func() *job {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/jobs", strings.NewReader(body)))
+		if rec.Code != http.StatusAccepted {
+			t.Fatalf("submit: status %d: %s", rec.Code, rec.Body)
+		}
+		j, ok := srv.Job(idOf(t, rec.Body.Bytes()))
+		if !ok {
+			t.Fatalf("submitted job not in the table: %s", rec.Body)
+		}
+		return finish(t, j)
+	})
+	if n := last.log.len(); n != 18 {
+		t.Fatalf("a tiny job logged %d events, want 18", n)
+	}
+	if got := string(last.params); got != `{"cell_ms":0.05,"k":1,"m":1}` {
+		t.Fatalf("the job keeps params %s", got)
+	}
+	t.Logf("retained per finished tiny job submitted over HTTP: %.2f KB", float64(perJob)/1024)
+	if float64(perJob) > perJobKB*1024 {
+		t.Fatalf("a finished tiny job submitted over HTTP retains %.2f KB, want at most %.1f KB", float64(perJob)/1024, perJobKB)
 	}
 }

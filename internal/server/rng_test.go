@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -87,7 +88,7 @@ func TestMontecarloMatchesStdlib(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := stdlibHits(shape[0], shape[1]); res != want {
+		if want := stdlibHits(shape[0], shape[1]); res != fmt.Sprint(want) {
 			t.Fatalf("samples=%d batches=%d: %v hits, want %d", shape[0], shape[1], res, want)
 		}
 	}
@@ -111,7 +112,7 @@ func TestMontecarloRemoteMatchesStdlib(t *testing.T) {
 	if !strings.Contains(jobEvents(j), "cluster@route") {
 		t.Fatal("the job did not route to the cluster")
 	}
-	if want := stdlibHits(20000, 16); res != want {
+	if want := stdlibHits(20000, 16); res != fmt.Sprint(want) {
 		t.Fatalf("%v hits, want %d", res, want)
 	}
 }

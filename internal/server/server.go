@@ -8,6 +8,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"runtime"
@@ -97,9 +98,15 @@ type Server struct {
 	// eventFlushes counts the flushes of every /jobs/{id}/events stream.
 	eventFlushes atomic.Uint64
 
-	mu         sync.Mutex
-	jobs       map[string]*job
-	remoteJobs map[string]*job // currently executing on the cluster
+	// programs interns program texts: the jobs of one text share it. It
+	// holds at most cfg.retain texts and starts over when full.
+	progMu   sync.Mutex
+	programs map[string]string
+
+	mu   sync.Mutex
+	jobs map[string]*job
+	// remoteLogs holds the event log of every job executing on the cluster.
+	remoteLogs map[string]*eventLog
 	// order lists the ids in submission order. An evicted id stays in it
 	// until evictLocked trims it, and every reader skips ids not in jobs.
 	order     []string
@@ -153,8 +160,9 @@ func New(cfg Config) *Server {
 		clk:        cfg.Clock,
 		jn:         cfg.Journal,
 		profiles:   core.NewProfileStore(),
+		programs:   map[string]string{},
 		jobs:       map[string]*job{},
-		remoteJobs: map[string]*job{},
+		remoteLogs: map[string]*eventLog{},
 	}
 	s.adm = newAdmission(admissionConfig{
 		QueueMax:   cfg.QueueMax,
@@ -224,9 +232,10 @@ func parsePartial(name string, sub any) (skandium.PartialPolicy, error) {
 // newJob is the one job constructor, shared by Submit and journal
 // recovery: it looks the blueprint up and builds it, parses the
 // partial-failure policy, fills the LP and policy defaults, decides cluster
-// eligibility and gives the job its event log and recorder. The job it
-// returns has no id and is in no table yet. spec is normalised in place, so
-// the journal records what runs.
+// eligibility and gives the job its event log and recorder. The params are
+// kept as their JSON, and the map is not kept. The job it returns has no id
+// and is in no table yet. spec is normalised in place, so the journal
+// records what runs.
 func (s *Server) newJob(spec *SubmitSpec) (*job, error) {
 	bp, ok := skandium.LookupBlueprint(spec.Skeleton)
 	if !ok {
@@ -239,6 +248,12 @@ func (s *Server) newJob(spec *SubmitSpec) (*job, error) {
 	if err != nil {
 		return nil, fmt.Errorf("build %s: %w", spec.Skeleton, err)
 	}
+	var params []byte
+	if len(spec.Params) > 0 {
+		if params, err = json.Marshal(spec.Params); err != nil {
+			return nil, fmt.Errorf("params: %w", err)
+		}
+	}
 	partial, err := parsePartial(spec.Partial, spec.Substitute)
 	if err != nil {
 		return nil, err
@@ -250,29 +265,43 @@ func (s *Server) newJob(spec *SubmitSpec) (*job, error) {
 	if policy == "" {
 		policy = s.cfg.DefaultPolicy
 	}
+	now := s.clk.Now()
 	j := &job{
 		skeleton: spec.Skeleton,
-		program:  runner.Program(),
-		params:   spec.Params,
-		runner:   runner,
+		program:  s.intern(runner.Program()),
+		params:   params,
 		goal:     spec.Goal,
 		maxLP:    spec.MaxLP,
-		initLP:   spec.InitialLP,
 		policy:   policy,
 		tenant:   core.CanonTenant(spec.Tenant),
 		priority: spec.Priority,
 		timeout:  spec.MuscleTimeout,
-		retry:    skandium.RetryPolicy{MaxAttempts: spec.RetryAttempts, BaseDelay: spec.RetryBackoff},
-		partial:  partial,
-		rec:      metrics.NewRecorder(),
-		created:  s.clk.Now(),
+		retries:  spec.RetryAttempts,
+		partial:  partial.String(),
+		created:  now.Sub(s.startTime),
 		state:    stateQueued,
 		remoteOK: s.cfg.Cluster != nil && bp.Remote != nil &&
 			spec.Goal == 0 && spec.MuscleTimeout == 0 &&
 			spec.RetryAttempts <= 1 && spec.Partial == "",
+		live: &live{runner: runner, initLP: spec.InitialLP, backoff: spec.RetryBackoff,
+			partial: partial, log: newEventLog(s.cfg.EventLog, now), rec: metrics.NewRecorder()},
 	}
-	j.log = newEventLog(s.cfg.EventLog, j.created)
+	j.log = j.live.log
 	return j, nil
+}
+
+// intern returns the program text the server keeps for text.
+func (s *Server) intern(text string) string {
+	s.progMu.Lock()
+	defer s.progMu.Unlock()
+	if p, ok := s.programs[text]; ok {
+		return p
+	}
+	if len(s.programs) >= s.cfg.retain {
+		clear(s.programs)
+	}
+	s.programs[text] = text
+	return text
 }
 
 // Submit accepts a job: the blueprint is compiled immediately (rejecting
@@ -373,9 +402,8 @@ func (s *Server) retireLocked(j *job) {
 func (s *Server) evictLocked(id string) {
 	j := s.jobs[id]
 	delete(s.jobs, id)
-	j.mu.Lock()
-	fs := j.totalFaults(j.handle)
-	j.mu.Unlock()
+	_, _, h, _, _, _, _ := j.snapshot()
+	fs := j.totalFaults(h)
 	s.evictedRetries += fs.Retries
 	s.evictedFaults += fs.Faults
 	s.evicted++
@@ -433,17 +461,17 @@ func (s *Server) onBrownout(on bool, at time.Time) {
 		kind = "brownout-on"
 	}
 	s.mu.Lock()
-	live := make([]*job, 0, len(s.jobs))
+	logs := make([]*eventLog, 0, len(s.jobs))
 	for _, j := range s.jobs {
 		j.mu.Lock()
 		if !j.state.terminal() {
-			live = append(live, j)
+			logs = append(logs, j.live.log)
 		}
 		j.mu.Unlock()
 	}
 	s.mu.Unlock()
-	for _, j := range live {
-		j.log.appendText(at, "admission@"+kind, "admission", kind, "admission", "")
+	for _, l := range logs {
+		l.appendText(at, "admission@"+kind, "admission", kind, "admission", "")
 	}
 }
 
@@ -486,24 +514,25 @@ func (s *Server) start(j *job) {
 		return
 	}
 	j.mu.Lock()
+	l := j.live
 	grant := j.grant
 	if grant < 1 {
 		grant = 1
 	}
 	opts := []skandium.Option{
-		skandium.WithLP(j.initLP),
+		skandium.WithLP(l.initLP),
 		skandium.WithMaxLP(j.maxLP),
 		skandium.WithLPCap(grant),
 		skandium.WithClock(s.clk),
-		skandium.WithGauge(func(now time.Time, active, lp int) { s.gauge(j, now, active, lp) }),
-		skandium.WithListener(j.log.listener()),
-		skandium.WithPartialFailure(j.partial),
+		skandium.WithGauge(func(now time.Time, active, lp int) { s.gauge(l, now, active, lp) }),
+		skandium.WithListener(l.log.listener()),
+		skandium.WithPartialFailure(l.partial),
 	}
 	if j.timeout > 0 {
 		opts = append(opts, skandium.WithMuscleTimeout(j.timeout))
 	}
-	if j.retry.MaxAttempts > 1 {
-		opts = append(opts, skandium.WithRetry(j.retry))
+	if j.retries > 1 {
+		opts = append(opts, skandium.WithRetry(skandium.RetryPolicy{MaxAttempts: j.retries, BaseDelay: l.backoff}))
 	}
 	if j.goal > 0 {
 		opts = append(opts,
@@ -523,7 +552,7 @@ func (s *Server) start(j *job) {
 				// a name this one does not know. Fall back to the paper rule
 				// visibly: log the fallback into the job's event stream and
 				// stop reporting the unhonoured name in job views.
-				j.log.appendText(s.clk.Now(),
+				l.log.appendText(s.clk.Now(),
 					fmt.Sprintf("policy %q unknown to this binary: falling back to the paper rule", j.policy),
 					"", "", "", "")
 				j.policy = ""
@@ -537,12 +566,13 @@ func (s *Server) start(j *job) {
 		_ = s.jn.Start(j.id)
 		opts = append(opts, onFaultEvents(s.faultJournalListener(j))...)
 	}
-	j.handle = j.runner.Start(opts...)
+	l.stream = l.runner.Start(opts...)
+	l.runner = nil
+	j.handle = l.stream
 	j.state = stateRunning
-	j.started = s.clk.Now()
-	handle := j.handle
+	j.started = s.clk.Now().Sub(s.startTime)
 	j.mu.Unlock()
-	go s.watch(j, handle)
+	go s.watch(j, l)
 }
 
 // onFaultEvents registers l for the fault vocabulary only — once for Retry,
@@ -568,19 +598,30 @@ func (s *Server) faultJournalListener(j *job) event.Listener {
 		default:
 			return e.Param
 		}
-		_ = s.jn.Fault(j.id, journal.FaultCounts{
-			Retries: j.prior.Retries + j.faultRetries.Load(),
-			Faults:  j.prior.Faults + j.faultFaults.Load(),
-		})
+		fc := journal.FaultCounts{Retries: j.faultRetries.Load(), Faults: j.faultFaults.Load()}
+		if j.prior != nil {
+			fc.Retries += j.prior.Retries
+			fc.Faults += j.prior.Faults
+		}
+		_ = s.jn.Fault(j.id, fc)
 		return e.Param
 	})
 }
 
 // watch waits for a job to finish, persists the outcome, returns its
 // budget, admits the next queued job and, once the job has stopped, freezes
-// it to its outcome and trims its event log.
-func (s *Server) watch(j *job, h skandium.Handle) {
-	res, err := h.Result()
+// it to its outcome.
+func (s *Server) watch(j *job, l *live) {
+	var h execution
+	var res any
+	var err error
+	if l.remote != nil {
+		h = l.remote
+		res, err = l.remote.result()
+	} else {
+		h = l.stream
+		res, err = l.stream.Result()
+	}
 	now := s.clk.Now()
 	var summary string
 	if err == nil {
@@ -588,7 +629,7 @@ func (s *Server) watch(j *job, h skandium.Handle) {
 	}
 
 	j.mu.Lock()
-	j.finished = now
+	j.finished = now.Sub(s.startTime)
 	j.summary, j.err = summary, err
 	switch {
 	case err == nil:
@@ -624,10 +665,12 @@ func (s *Server) watch(j *job, h skandium.Handle) {
 	}
 	s.adm.finished(now) // feed the drain-rate estimate behind Retry-After
 
-	s.gauge(j, now, 0, 0) // the aggregate drops to reality
-	j.log.close()
+	s.gauge(l, now, 0, 0) // the aggregate drops to reality
+	l.log.close()
 	s.arb.Release(j.id)
-	h.Close()
+	if l.stream != nil {
+		l.stream.Close()
+	}
 
 	s.mu.Lock()
 	s.finishedLocked()
@@ -637,15 +680,15 @@ func (s *Server) watch(j *job, h skandium.Handle) {
 	// Close leaves running muscles running, and their counts land after
 	// them: the readings are final, and the job can be frozen, only once it
 	// has stopped. The budget is already back, so nothing waits on this.
-	h.Wait()
+	if l.stream != nil {
+		l.stream.Wait()
+	}
 	if s.beforeFreeze != nil {
 		s.beforeFreeze(j)
 	}
 	j.mu.Lock()
-	j.freezeLocked(h, res)
+	j.freezeLocked(s.startTime)
 	j.mu.Unlock()
-	j.log.trim()
-	j.rec.Trim()
 	s.mu.Lock()
 	s.retireLocked(j)
 	s.mu.Unlock()
@@ -731,20 +774,9 @@ func (s *Server) Cancel(id string) bool {
 
 	j.mu.Lock()
 	j.canceled = true
-	h := j.handle
-	canceledInPlace := false
-	if h == nil && !j.state.terminal() {
-		j.state = stateCanceled
-		j.finished = s.clk.Now()
-		j.err = errCanceled
-		j.freezeLocked(nil, nil)
-		canceledInPlace = true
-	}
+	l := j.live
+	canceledInPlace := s.cancelQueuedLocked(j, errCanceled)
 	j.mu.Unlock()
-	if h != nil {
-		h.Cancel(errCanceled) // watch journals the terminal state
-		return true
-	}
 	if canceledInPlace {
 		if s.jn != nil {
 			_ = s.jn.Cancel(j.id, errCanceled.Error())
@@ -753,12 +785,36 @@ func (s *Server) Cancel(id string) bool {
 		s.finishedLocked()
 		s.retireLocked(j)
 		s.mu.Unlock()
-	}
-	j.log.close()
-	if canceledInPlace {
-		j.log.trim()
+	} else if l != nil {
+		l.cancel(errCanceled) // watch journals the terminal state
+		l.log.close()
 	}
 	return true
+}
+
+// cancelQueuedLocked resolves a job that is neither terminal nor started
+// with err and freezes it, and reports whether it did. Caller holds j.mu.
+func (s *Server) cancelQueuedLocked(j *job, err error) bool {
+	if j.handle != nil || j.state.terminal() {
+		return false
+	}
+	j.state = stateCanceled
+	j.finished = s.clk.Now().Sub(s.startTime)
+	j.err = err
+	j.freezeLocked(s.startTime)
+	return true
+}
+
+// cancel resolves the job's execution with err, if it has one: running
+// muscles finish, nothing new starts, and a cluster run's results are
+// discarded.
+func (l *live) cancel(err error) {
+	switch {
+	case l.stream != nil:
+		l.stream.Cancel(err)
+	case l.remote != nil:
+		l.remote.cancel(err)
+	}
 }
 
 // AdjustQoS changes a running job's WCT goal and/or LP cap and triggers an
@@ -782,15 +838,15 @@ func (s *Server) AdjustQoS(id string, goal *time.Duration, maxLP *int) error {
 	if maxLP != nil {
 		j.maxLP = *maxLP
 	}
-	h := j.handle
+	st := j.streamLocked()
 	goalNow, maxNow := j.goal, j.maxLP
 	j.mu.Unlock()
-	if h != nil {
+	if st != nil {
 		if goal != nil {
-			h.SetGoal(goalNow)
+			st.SetGoal(goalNow)
 		}
 		if maxLP != nil {
-			h.SetMaxLP(maxNow)
+			st.SetMaxLP(maxNow)
 		}
 	}
 	s.arb.Rebalance()
@@ -914,25 +970,20 @@ func (s *Server) Close() {
 	s.mu.Unlock()
 	for _, j := range jobs {
 		j.mu.Lock()
-		h := j.handle
-		canceledInPlace := h == nil && !j.state.terminal()
-		if canceledInPlace {
-			j.state = stateCanceled
-			j.err = errShutdown
-			j.finished = s.clk.Now()
-			j.freezeLocked(nil, nil)
-		}
+		l := j.live
+		canceledInPlace := s.cancelQueuedLocked(j, errShutdown)
 		j.mu.Unlock()
-		if h != nil {
-			h.Cancel(errShutdown)
-			h.Close()
-		}
 		if canceledInPlace {
 			s.mu.Lock()
 			s.finishedLocked()
 			s.mu.Unlock()
+		} else if l != nil {
+			l.cancel(errShutdown)
+			if l.stream != nil {
+				l.stream.Close()
+			}
+			l.log.close()
 		}
-		j.log.close()
 	}
 }
 

@@ -8,16 +8,18 @@ import (
 )
 
 // waitTerminal blocks until j reaches a terminal state, without the HTTP
-// layer or an event-log follower: it waits on the handle, then yields until
+// layer or an event-log follower: it waits on the stream, then yields until
 // the watch goroutine has recorded the outcome.
 func waitTerminal(j *job) {
 	for {
-		st, _, h, _, _, _, _ := j.snapshot()
+		j.mu.Lock()
+		st, stream := j.state, j.streamLocked()
+		j.mu.Unlock()
 		if st.terminal() {
 			return
 		}
-		if h != nil {
-			<-h.Done()
+		if stream != nil {
+			<-stream.Done()
 		}
 		runtime.Gosched()
 	}

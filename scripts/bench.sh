@@ -20,7 +20,7 @@ cd "$(dirname "$0")/.."
 OUT="${OUT:-bench_out.json}"
 BENCHTIME="${BENCHTIME:-200x}"
 FILTER="${FILTER:-.}"
-PKGS="${PKGS:-. ./internal/server ./internal/metrics}"
+PKGS="${PKGS:-. ./internal/server ./internal/metrics ./internal/remote}"
 
 # shellcheck disable=SC2086 # PKGS is a deliberate word list
 go test -bench "$FILTER" -benchmem -benchtime "$BENCHTIME" -run '^$' $PKGS \
