@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench benchmod figures examples vet fmt lint cover check chaos overload tournament fuzz clean
+.PHONY: all build test race bench benchmod figures examples vet fmt lint cover check chaos overload tournament fuzz lines clean
 
 all: check
 
@@ -108,6 +108,11 @@ lint:
 cover:
 	$(GO) test -count=1 -coverpkg=./... -coverprofile=cover.out ./...
 	scripts/covergate.sh cover.out scripts/cover-allow.txt
+
+# lines prints the module's non-test line count, the size ROADMAP.md
+# tracks: every tracked .go file outside bench/ that is not a _test.go file.
+lines:
+	@git ls-files '*.go' ':!:bench/*' ':!:*_test.go' | xargs cat | wc -l
 
 clean:
 	rm -f cover.out test_output.txt bench_output.txt

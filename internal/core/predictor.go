@@ -24,7 +24,10 @@ type Prediction struct {
 	LimitedEnd func(lp int) time.Time
 	// BestEnd is the completion time under infinite parallelism.
 	BestEnd time.Time
-	// OptimalLP is the smallest LP that achieves BestEnd.
+	// OptimalLP is the paper's optimal LP: the peak of the best-effort
+	// timeline. It can exceed the least LP that reaches BestEnd: three
+	// independent activities of 10, 1 and 1 ms peak at 3 but reach their
+	// best end at LP 2.
 	OptimalLP int
 	// MinLP returns the smallest lp <= ceil meeting the deadline, if any.
 	MinLP func(deadline time.Time, ceil int) (int, bool)

@@ -82,7 +82,13 @@ func (r *Registry) Duration(id muscle.ID) (time.Duration, bool) {
 	if !ok {
 		return 0, false
 	}
-	return time.Duration(math.Round(v * float64(time.Second))), true
+	return duration(v), true
+}
+
+// duration is the nearest time.Duration to v seconds: Duration and Snapshot
+// round alike, so a restored profile reads back what was exported.
+func duration(v float64) time.Duration {
+	return time.Duration(math.Round(v * float64(time.Second)))
 }
 
 // ObserveCard records one actual cardinality of a Split or Condition
@@ -174,7 +180,7 @@ func (r *Registry) Snapshot() Profile {
 	for id, e := range r.dur {
 		if v, ok := e.Value(); ok {
 			en := p[id]
-			en.Duration = time.Duration(v * float64(time.Second))
+			en.Duration = duration(v)
 			en.HasDuration = true
 			p[id] = en
 		}

@@ -49,9 +49,10 @@ type sideRecord struct {
 	ev, kind, when, where, err string
 }
 
-// packedEvents are a log's retained records: first…n-1 packed into buf
-// from the zero packer, and the side entries of those that have one. It is
-// what a reader decodes, and all that a frozen job keeps of its log.
+// packedEvents are a log's retained records: first…n-1 packed into buf,
+// from the zero packer at seq first and again at seq first+cap, and the
+// side entries of those that have one. It is what a reader decodes, and all
+// that a frozen job keeps of its log: at most cap records, so one run.
 type packedEvents struct {
 	n     int64 // records ever appended; seq n-1 is the newest
 	first int64 // seq of buf's first record, at most max(0, n-cap)
@@ -65,8 +66,10 @@ type packedEvents struct {
 // listener appends from worker goroutines, each record packed against the
 // ones before it into one pointer-free buffer; NDJSON handlers take the
 // buffer under the lock and decode and render it outside it (see
-// logReader). The buffer keeps at most 2·cap records: the append that
-// would go past that drops the evicted ones (see dropLocked).
+// logReader). The packer restarts every cap records, so the buffer
+// holds at most two segments, first… and first+cap…, each packed from the
+// zero packer. The append that would hold 2·cap records drops the older
+// one: the newer segment keeps its bytes.
 type eventLog struct {
 	start time.Time
 	cap   int64
@@ -74,12 +77,9 @@ type eventLog struct {
 	mu sync.Mutex
 	packedEvents
 	// pack is the packer after record n-1, what the next one is packed
-	// against. It lives only while the log grows: trim hands it back to
-	// packers, and the next append takes one and rebuilds it by decoding buf.
-	pack *packer
-	// win follows the records the next drop keeps, seq first+cap on; nil
-	// until the ring first fills.
-	win    *window
+	// against; mid is where record first+cap starts in buf, once it is there.
+	pack   packer
+	mid    int
 	closed bool
 	// parked holds the wake channel of every follower that found nothing to
 	// read and went to sleep. append and close signal and clear it; with
@@ -140,34 +140,22 @@ func (l *eventLog) appendText(at time.Time, ev, kind, when, where, err string) {
 
 // append stores rec under the next sequence number, evicting the oldest
 // record once the ring is full, and wakes the followers that are parked
-// and the quiet ones whose batch it fills.
+// and the quiet ones whose batch it fills. The record at seq first+cap
+// starts a segment from the zero packer. At 2·cap records the older
+// segment goes: the newer one's bytes move into a buffer with room for as
+// many again, so at a steady record size the next cap appends grow nothing.
 func (l *eventLog) append(rec record, side sideRecord) {
 	l.mu.Lock()
-	if l.pack == nil {
-		l.pack = packers.Get().(*packer)
-		*l.pack = packer{}
-		var skip record
-		for off := 0; off < len(l.buf); {
-			off += l.pack.decode(l.buf[off:], &skip)
-		}
-	}
-	if l.n-l.first == 2*l.cap {
-		l.dropLocked() // room for the cap appends until the next drop
-	}
-	kept := l.n - l.first - l.cap // rec's place among the records the next drop keeps
-	if kept == 0 {
-		if l.win == nil {
-			l.win = new(window)
-		}
-		*l.win = window{start: *l.pack, off: len(l.buf), settled: len(l.buf)}
+	switch l.n - l.first {
+	case 2 * l.cap:
+		kept := l.buf[l.mid:]
+		l.buf = append(make([]byte, 0, 2*len(kept)), kept...)
+		l.first += l.cap
+		fallthrough
+	case l.cap:
+		l.pack, l.mid = packer{}, len(l.buf)
 	}
 	l.buf = l.pack.append(l.buf, &rec)
-	if kept >= 0 {
-		if c := &l.win.count[rec.when&1][rec.where&7]; *c < 2 {
-			*c++
-			l.win.settled = len(l.buf)
-		}
-	}
 	if rec.side != sideNone {
 		side.seq = l.n
 		l.side = append(l.side, side)
@@ -180,20 +168,6 @@ func (l *eventLog) append(rec record, side sideRecord) {
 	}
 	l.wakeLocked()
 	l.mu.Unlock()
-}
-
-// window follows the records that the next drop keeps, from the one at
-// seq first+cap: the packer they were packed from, where they start, and
-// how many records of each when/where head they hold, up to two. From the
-// third record of its head on, a record packs into the same bytes from the
-// zero packer as from any other (see repackBound), so the bytes from the
-// last first or second record of a head on — from settled — are the bytes
-// a re-pack would write.
-type window struct {
-	start   packer
-	off     int
-	count   [2][8]uint8
-	settled int
 }
 
 // wakeLocked signals and withdraws every parked follower, and every quiet
@@ -250,10 +224,10 @@ func (l *eventLog) freeze() packedEvents {
 	return p
 }
 
-// trim drops the evicted records, the append slack and the packer, so the
-// log costs what its retained records carry: 3.0 bytes each in a 500-task
-// fan-out, whose gauge series (metrics.Recorder.Trim) takes 3.0 bytes a
-// sample. A log appended to after that rebuilds its packer and grows again.
+// trim drops the evicted records and the append slack, so the buffer costs
+// what its retained records carry: 3.0 bytes each in a 500-task fan-out,
+// whose gauge series (metrics.Recorder.Trim) takes 3.0 bytes a sample. A
+// log appended to after that grows again.
 func (l *eventLog) trim() {
 	l.mu.Lock()
 	l.trimLocked()
@@ -263,10 +237,14 @@ func (l *eventLog) trim() {
 // trimLocked is trim for a caller that holds l.mu. The retained records,
 // seq max(first, n-cap) on, move into a buffer sized to them: as they are
 // with none evicted, else re-packed from the zero packer in two passes,
-// one to size the buffer and one to fill it.
+// one to size the buffer and one to fill it. Either way the buffer is one
+// run from the zero packer, and the append that reaches seq first+cap
+// restarts the packer.
 func (l *eventLog) trimLocked() {
 	switch base := max(l.first, l.n-l.cap); {
 	case base > l.first:
+		// base ≤ first+cap, where the decoders restart.
+		restart := l.first + l.cap
 		var dec packer
 		var rec record
 		off := 0
@@ -275,13 +253,19 @@ func (l *eventLog) trimLocked() {
 		}
 		var scratch [maxPackedRecord]byte
 		sizer, enc, size := dec, packer{}, 0
-		for at := off; at < len(l.buf); {
+		for seq, at := base, off; seq < l.n; seq++ {
+			if seq == restart {
+				sizer = packer{}
+			}
 			at += sizer.decode(l.buf[at:], &rec)
 			size += len(enc.append(scratch[:0], &rec))
 		}
 		buf := make([]byte, 0, size)
 		enc = packer{}
-		for off < len(l.buf) {
+		for seq := base; seq < l.n; seq++ {
+			if seq == restart {
+				dec = packer{}
+			}
 			off += dec.decode(l.buf[off:], &rec)
 			buf = enc.append(buf, &rec)
 		}
@@ -289,57 +273,6 @@ func (l *eventLog) trimLocked() {
 	case cap(l.buf) > len(l.buf):
 		l.buf = append(make([]byte, 0, len(l.buf)), l.buf...)
 	}
-	if l.pack != nil {
-		packers.Put(l.pack)
-		l.pack = nil
-	}
-}
-
-// dropLocked drops the cap evicted records, on the append that would hold
-// 2·cap: the cap records the ring keeps, seq n-cap on, move into a new
-// buffer with room for as many again. They are re-packed from the zero
-// packer up to the window's settled offset and copied from there, and the
-// log's packer becomes the one a re-pack of all of them would end at: the
-// last record, and the last record and head of each where and head among
-// them, as the re-pack left it for a head with one record, as it stood for
-// one with two or more (they agree from its second record on).
-func (l *eventLog) dropLocked() {
-	w := l.win
-	buf := make([]byte, 0, 2*repackBound(len(l.buf)-w.off))
-	dec, enc := w.start, packer{}
-	var rec record
-	for off := w.off; off < w.settled; {
-		off += dec.decode(l.buf[off:], &rec)
-		buf = enc.append(buf, &rec)
-	}
-	buf = append(buf, l.buf[w.settled:]...)
-	p := packer{prev: l.pack.prev}
-	for wn := range w.count {
-		for wr, c := range w.count[wn] {
-			switch {
-			case c == 0:
-				continue
-			case c == 1:
-				p.heads[wn][wr] = enc.heads[wn][wr]
-			default:
-				p.heads[wn][wr] = l.pack.heads[wn][wr]
-			}
-			p.bases[wr] = l.pack.bases[wr]
-			p.seen |= 1 << wr
-		}
-	}
-	*l.pack = p
-	l.buf, l.first = buf, l.n-l.cap
-}
-
-// repackBound bounds the bytes that records packed into retained bytes take
-// once re-packed from the zero packer. A re-pack sees the same records, so
-// only the head (kind, side, mask) a record is packed against can differ:
-// the first record of each of the 16 when/where heads meets another state,
-// and the second can differ in its header because the first did. From the
-// third on, a record packs into the bytes it did before.
-func repackBound(retained int) int {
-	return retained + 2*2*8*maxPackedRecord
 }
 
 // packer is the state a record is packed against, and decoded with: the
@@ -362,10 +295,6 @@ type packer struct {
 	seen  uint8
 	heads [2][8]packHead // by when and where
 }
-
-// packers recycles packers: a log holds one only from its first append to
-// its trim, so a finished job's log allocates none of its own.
-var packers = sync.Pool{New: func() any { return new(packer) }}
 
 // packHead is what a record's header byte can say by naming its when and
 // where alone.
@@ -545,9 +474,9 @@ type logReader struct {
 	timer *time.Timer
 
 	// The decode cursor: record at of a buffer whose first record is seq
-	// first starts at byte off and was packed against pack, the cursor's
-	// own packer. Bytes once written never change, so it holds for every
-	// buffer with that first.
+	// first starts at byte off and is decoded against pack, the cursor's
+	// own packer, which restarts at seq first+cap. Bytes once written never
+	// change, so it holds for every buffer with that first.
 	first int64
 	off   int
 	at    int64
@@ -578,9 +507,12 @@ func (rd *logReader) next(wait waitMode) (out []byte, done bool) {
 		lost = base - rd.from
 		rd.from = base
 	}
+	buf, first, restart := l.buf, l.first, l.first+l.cap
 	from := min(rd.from, l.n)
 	end := min(l.n, from+readBatch)
-	buf, first := l.buf, l.first
+	if from < restart {
+		end = min(end, restart) // a batch stays inside one segment (see seek)
+	}
 	rd.from = end
 	at := sort.Search(len(l.side), func(i int) bool { return l.side[i].seq >= from })
 	for ; at < len(l.side) && l.side[at].seq < end; at++ {
@@ -602,7 +534,7 @@ func (rd *logReader) next(wait waitMode) (out []byte, done bool) {
 		out = appendTruncated(out, from, lost)
 	}
 	if from < end {
-		rd.seek(buf, first, from)
+		rd.seek(buf, first, restart, from)
 		side := rd.side
 		var rec record
 		for ; rd.at < end; rd.at++ {
@@ -620,14 +552,24 @@ func (rd *logReader) next(wait waitMode) (out []byte, done bool) {
 
 // seek moves the decode cursor to record seq of buf, whose first record is
 // seq first: on from where it stands when that is in a buffer with the same
-// first and not past seq, from the start of buf otherwise.
-func (rd *logReader) seek(buf []byte, first, seq int64) {
+// first and not past seq, from the start of buf otherwise. The cursor's
+// packer restarts when the cursor reaches seq restart, stopping there
+// included, so a batch from seq that ends by the next restart decodes with
+// no check of its own.
+func (rd *logReader) seek(buf []byte, first, restart, seq int64) {
 	if rd.first != first || rd.at > seq {
 		rd.first, rd.off, rd.at, rd.pack = first, 0, first, packer{}
 	}
 	var rec record
-	for ; rd.at < seq; rd.at++ {
+	for {
+		if rd.at == restart {
+			rd.pack = packer{}
+		}
+		if rd.at == seq {
+			return
+		}
 		rd.off += rd.pack.decode(buf[rd.off:], &rec)
+		rd.at++
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -179,18 +178,69 @@ func randomEvent(rng *rand.Rand, start time.Time) *event.Event {
 	return e
 }
 
-// pair is the new log and the reference fed the same appends.
+// pair is the new log and the reference fed the same appends, and a twin
+// log too large ever to drop, whose buffer, one packer run of every record,
+// is what records decodes.
 type pair struct {
-	start time.Time
-	log   *eventLog
-	hook  event.Listener
-	ref   *refLog
+	start      time.Time
+	log, twin  *eventLog
+	hook, feed event.Listener
+	ref        *refLog
 }
 
 func newPair(capacity int) *pair {
 	start := time.Unix(1700000000, 0)
-	l := newEventLog(capacity, start)
-	return &pair{start: start, log: l, hook: l.listener(), ref: &refLog{cap: capacity}}
+	l, twin := newEventLog(capacity, start), newEventLog(1<<40, start)
+	return &pair{start: start, log: l, twin: twin, hook: l.listener(), feed: twin.listener(), ref: &refLog{cap: capacity}}
+}
+
+// records returns every record appended so far, by seq.
+func (p *pair) records() []record {
+	p.twin.mu.Lock()
+	defer p.twin.mu.Unlock()
+	return unpack(p.twin.packedEvents, p.twin.cap)
+}
+
+// unpack decodes the records of p, a log's of capacity capacity.
+func unpack(p packedEvents, capacity int64) []record {
+	recs := make([]record, p.n-p.first)
+	var dec packer
+	for i, off := 0, 0; i < len(recs); i++ {
+		if int64(i) == capacity {
+			dec = packer{}
+		}
+		off += dec.decode(p.buf[off:], &recs[i])
+	}
+	return recs
+}
+
+// layout packs recs, the records first… of a log of capacity capacity, as
+// the log lays them out: from the zero packer at seq first and again at seq
+// first+cap.
+func layout(recs []record, capacity int64) []byte {
+	var buf []byte
+	var enc packer
+	for i := range recs {
+		if int64(i) == capacity {
+			enc = packer{}
+		}
+		buf = enc.append(buf, &recs[i])
+	}
+	return buf
+}
+
+// checkLayout: the log's buffer, live or trimmed, holds its retained
+// records packed from the zero packer at seq first and again at seq
+// first+cap. Below cap records it is one packer run.
+func (p *pair) checkLayout(t *testing.T) {
+	t.Helper()
+	recs := p.records()
+	p.log.mu.Lock()
+	defer p.log.mu.Unlock()
+	if want := layout(recs[p.log.first:p.log.n], p.log.cap); !bytes.Equal(p.log.buf, want) {
+		t.Fatalf("records %d…%d of a ring of %d are laid out as\n%x\nwant\n%x",
+			p.log.first, p.log.n-1, p.log.cap, p.log.buf, want)
+	}
 }
 
 func (p *pair) appendRandom(rng *rand.Rand) {
@@ -199,6 +249,7 @@ func (p *pair) appendRandom(rng *rand.Rand) {
 		s := func() string { return awkward[rng.Intn(len(awkward))] }
 		ev, kind, when, where, errText := s(), s(), s(), s(), s()
 		p.log.appendText(at, ev, kind, when, where, errText)
+		p.twin.appendText(at, ev, kind, when, where, errText)
 		p.ref.append(eventRecord{
 			TMS: float64(at.Sub(p.start)) / float64(time.Millisecond),
 			Ev:  ev, Kind: kind, When: when, Where: where, Err: errText,
@@ -207,6 +258,7 @@ func (p *pair) appendRandom(rng *rand.Rand) {
 	}
 	e := randomEvent(rng, p.start)
 	p.hook.Handler(e)
+	p.feed.Handler(e)
 	p.ref.append(refRecord(p.start, e))
 }
 
@@ -232,9 +284,10 @@ func drain(rd *logReader) (out string, done bool) {
 // TestEventLogModel drives seeded random appends, reads from cursors before,
 // inside and past the retained window, trims at random points, and closes,
 // against the reference: same bytes, same cursors, same counters, at every
-// step. Cursors live across drops and trims — some stopped after one batch,
-// mid-way through the buffer — and appends after a trim grow it again. At
-// cap 1 every append past the second drops.
+// step, and the buffer laid out as checkLayout says. Cursors live across
+// drops and trims — some stopped after one batch, mid-way through the
+// buffer — and appends after a trim grow it again. At cap 1 every append
+// past the second drops.
 func TestEventLogModel(t *testing.T) {
 	// The reference moves its whole buffer on every append once it is full,
 	// so the 8192 case goes just far enough past the wrap.
@@ -264,7 +317,7 @@ func TestEventLogModel(t *testing.T) {
 				case op < 8:
 					p.log.trim()
 					trims++
-					checkPacked(t, p.log)
+					checkPacked(t, p.log, p.records()...)
 				case op < 9 && len(cursors) > 0:
 					// One batch only: the cursor stops inside the window and
 					// inside the buffer.
@@ -307,6 +360,7 @@ func TestEventLogModel(t *testing.T) {
 				if held := int64(len(p.log.side)); held > int64(capacity) {
 					t.Fatalf("cap %d: side table holds %d entries, more than the ring", capacity, held)
 				}
+				p.checkLayout(t)
 			}
 			if p.log.droppedCount() == 0 {
 				t.Fatalf("cap %d seed %d: the ring never wrapped", capacity, seed)
@@ -333,8 +387,10 @@ func TestEventLogModel(t *testing.T) {
 // job's outcome keeps — starts at its oldest retained record, has no room
 // to spare, and holds each record in [1, maxPackedRecord] bytes: a record
 // that repeats the last one with its when and where, t included, is its
-// header byte alone.
-func checkPacked(t *testing.T, log events) {
+// header byte alone. It is its retained records packed from the zero
+// packer: those of all, every record the log was given by seq, when the
+// caller has them, else those the buffer decodes to.
+func checkPacked(t *testing.T, log events, all ...record) {
 	t.Helper()
 	var p packedEvents
 	var kept int
@@ -356,6 +412,13 @@ func checkPacked(t *testing.T, log events) {
 		t.Fatalf("trimmed buffer of %d bytes has room for %d", len(p.buf), cap(p.buf))
 	case len(p.buf) < kept || len(p.buf) > maxPackedRecord*kept:
 		t.Fatalf("%d records packed into %d bytes, want %d to %d", kept, len(p.buf), kept, maxPackedRecord*kept)
+	}
+	recs := unpack(p, int64(kept))
+	if all != nil {
+		recs = all[p.first:p.n]
+	}
+	if want := layout(recs, int64(kept)); !bytes.Equal(p.buf, want) {
+		t.Fatalf("trimmed records %d…%d are\n%x\nnot packed from the zero packer\n%x", p.first, p.n-1, p.buf, want)
 	}
 }
 
@@ -890,48 +953,6 @@ func packSeeds() (edge, fan []record) {
 		}
 	}
 	return edge, fan
-}
-
-// TestRepackBound: a drop re-packs the retained records from the zero
-// packer. From any record on, only the first two records of each when/where
-// head may pack into other bytes than they did; every later one packs into
-// the same bytes. So the re-pack takes at most repackBound of the bytes the
-// records were packed into. Checked on FuzzEventLogPack's seeds, alone,
-// mixed and repeated so that every head recurs past each drop point.
-func TestRepackBound(t *testing.T) {
-	edge, fan := packSeeds()
-	seqs := [][]record{fan, slices.Concat(edge, fan), slices.Concat(fan, edge, fan, edge, fan)}
-	for _, rec := range edge {
-		seqs = append(seqs, []record{rec, rec, rec})
-	}
-	for i, recs := range seqs {
-		var enc packer
-		packed := make([][]byte, len(recs))
-		retained := 0
-		for k := range recs {
-			packed[k] = enc.append(nil, &recs[k])
-			retained += len(packed[k])
-		}
-		for k := range recs {
-			var re packer
-			var seen [2][8]int
-			size := 0
-			for j := k; j < len(recs); j++ {
-				got := re.append(nil, &recs[j])
-				size += len(got)
-				n := &seen[recs[j].when&1][recs[j].where&7]
-				if *n++; *n > 2 && !bytes.Equal(got, packed[j]) {
-					t.Fatalf("sequence %d dropped before record %d: record %d, record %d of its head, re-packs into %x, was %x",
-						i, k, j, *n, got, packed[j])
-				}
-			}
-			if bound := repackBound(retained); size > bound {
-				t.Fatalf("sequence %d dropped before record %d: %d retained bytes re-pack into %d, above the bound %d",
-					i, k, retained, size, bound)
-			}
-			retained -= len(packed[k])
-		}
-	}
 }
 
 // FuzzEventLogPack: any sequence of records — extreme int64 and int32
